@@ -48,7 +48,9 @@
 //! machine-readable report per line. `--mutations` additionally runs
 //! the seeded mutation slice: every mutation class × `--seeds` seeds
 //! (default 4) is injected into each certified-clean graph, and every
-//! injected bug must be detected or the run fails.
+//! injected bug must be detected or the run fails. With `--json`, each
+//! applied mutation also prints one line: target, class, seed,
+//! detected, and the report of the defects the certifier found.
 //!
 //! `chaos` runs the seeded fault-injection campaign: every corpus
 //! program (or `--programs`) under every fault profile (off, perturb,
@@ -696,7 +698,7 @@ fn validate_one(
         }
     };
     if json {
-        println!("{{\"target\":\"{label}\",\"report\":{}}}", report.to_json());
+        print_report_json(label, &report);
     } else {
         println!("{label}: {report}");
     }
@@ -708,13 +710,22 @@ fn validate_one(
     }
 }
 
+/// One `validate --json` line for a certified target.
+fn print_report_json(target: &str, report: &cf2df::core::CertifyReport) {
+    let mut o = cf2df::bench::json::Obj::new();
+    o.str("target", target).raw("report", &report.to_json());
+    println!("{}", o.finish());
+}
+
 /// The seeded mutation slice: inject every mutation class × `seeds`
 /// seeds into a certified-clean graph; each applied mutation must be
-/// detected by the graph-level certifier.
+/// detected by the graph-level certifier. With `json`, prints one line
+/// per applied mutation carrying the defects the certifier reported.
 fn mutation_slice(
     label: &str,
     dfg: &cf2df::dfg::Dfg,
     seeds: u64,
+    json: bool,
     counts: &mut std::collections::BTreeMap<&'static str, (u64, u64)>,
     failures: &mut Vec<String>,
 ) {
@@ -727,7 +738,22 @@ fn mutation_slice(
             };
             let row = counts.entry(class.name()).or_insert((0, 0));
             row.0 += 1;
-            if certify(&g).is_err() {
+            let defects = certify(&g).err().unwrap_or_default();
+            let detected = !defects.is_empty();
+            if json {
+                let report = cf2df::core::CertifyReport {
+                    graph_defects: defects,
+                    ..Default::default()
+                };
+                let mut o = cf2df::bench::json::Obj::new();
+                o.str("target", label)
+                    .str("class", class.name())
+                    .num("seed", seed)
+                    .bool("detected", detected)
+                    .raw("report", &report.to_json());
+                println!("{}", o.finish());
+            }
+            if detected {
                 row.1 += 1;
             } else {
                 failures.push(format!(
@@ -776,14 +802,14 @@ fn run_validate(mut args: Args) {
             ..Default::default()
         };
         if json {
-            println!("{{\"target\":\"{target}\",\"report\":{}}}", report.to_json());
+            print_report_json(&target, &report);
         } else {
             println!("{target}: {report}");
         }
         if report.is_clean() {
             certified += 1;
             if mutations {
-                mutation_slice(&target, &g, seeds, &mut counts, &mut failures);
+                mutation_slice(&target, &g, seeds, json, &mut counts, &mut failures);
             }
         } else {
             failures.push(format!("{target}: {} defects", report.defect_count()));
@@ -799,7 +825,7 @@ fn run_validate(mut args: Args) {
                 if let Some(dfg) = validate_one(&label, &parsed, &opts, json, &mut failures) {
                     certified += 1;
                     if mutations {
-                        mutation_slice(&label, &dfg, seeds, &mut counts, &mut failures);
+                        mutation_slice(&label, &dfg, seeds, json, &mut counts, &mut failures);
                     }
                 }
             }
@@ -813,7 +839,7 @@ fn run_validate(mut args: Args) {
         if let Some(dfg) = validate_one(&target, &parsed, &opts, json, &mut failures) {
             certified += 1;
             if mutations {
-                mutation_slice(&target, &dfg, seeds, &mut counts, &mut failures);
+                mutation_slice(&target, &dfg, seeds, json, &mut counts, &mut failures);
             }
         }
     }

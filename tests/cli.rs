@@ -281,3 +281,54 @@ fn istructure_flag_applies() {
     // Array contents print from I-structure memory.
     assert!(stdout.contains("checksum = "), "{stdout}");
 }
+
+/// Parse every stdout line of a `validate --json` run, checking the
+/// target label round-trips; returns the parsed lines.
+fn validate_json_lines(stdout: &str, target: &str) -> Vec<cf2df::bench::json::Json> {
+    let lines: Vec<_> = stdout
+        .lines()
+        .map(|l| cf2df::bench::json::parse(l).unwrap_or_else(|e| panic!("{e}: {l}")))
+        .collect();
+    assert!(!lines.is_empty(), "no JSON lines");
+    for j in &lines {
+        assert_eq!(j.get("target").and_then(|t| t.as_str()), Some(target));
+        assert!(j.get("report").is_some(), "line without a report");
+    }
+    lines
+}
+
+#[test]
+fn validate_json_lines_parse_including_mutations_and_quoted_targets() {
+    let dir = std::env::temp_dir().join("cf2df_cli_validate_test");
+    std::fs::create_dir_all(&dir).unwrap();
+
+    // A `.imp` target whose label needs escaping.
+    let imp = dir.join("a\"b\\c.imp");
+    std::fs::write(&imp, "i := 0;\nwhile i < 3 do { i := i + 1; if i == 2 then { j := i; } else { skip; } }\n")
+        .unwrap();
+    let imp_s = imp.to_str().unwrap();
+    let (stdout, stderr, ok) = cf2df(&["validate", imp_s, "--json", "--mutations", "--seeds", "2"]);
+    assert!(ok, "{stderr}");
+    let lines = validate_json_lines(&stdout, imp_s);
+    // One report line, then one line per applied mutation, every one
+    // detected and carrying its defects.
+    assert!(lines[0].get("class").is_none());
+    let mutants = &lines[1..];
+    assert!(mutants.len() >= 4, "{stdout}");
+    for m in mutants {
+        assert!(m.get("class").and_then(|c| c.as_str()).is_some());
+        assert!(m.get("seed").and_then(|s| s.as_num()).is_some());
+        assert_eq!(m.get("detected"), Some(&cf2df::bench::json::Json::Bool(true)));
+        let defects = m.get("report").and_then(|r| r.get("graph_defects"));
+        assert!(!defects.and_then(|d| d.as_arr()).unwrap_or(&[]).is_empty());
+    }
+
+    // A `.dfg` target whose label needs escaping.
+    let dfg = dir.join("x\"y.dfg");
+    let dfg_s = dfg.to_str().unwrap();
+    let (_, stderr, ok) = cf2df(&["translate", "gcd", "--emit", dfg_s]);
+    assert!(ok, "{stderr}");
+    let (stdout, stderr, ok) = cf2df(&["validate", dfg_s, "--json", "--mutations", "--seeds", "1"]);
+    assert!(ok, "{stderr}");
+    assert!(validate_json_lines(&stdout, dfg_s).len() > 1, "{stdout}");
+}
