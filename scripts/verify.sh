@@ -16,6 +16,12 @@ cargo test -q --offline
 echo "==> default features must be warning-free (full build, all targets)"
 RUSTFLAGS="-Dwarnings" cargo build --workspace --all-targets --offline
 
+echo "==> e2ebench: build and self-test the end-to-end benchmark"
+# e2ebench/ is a Cargo workspace of its own, so the stages above never
+# compile it: a public-API change in core, dfg or machine would break the
+# benchmark unnoticed. Its self-test runs every workload in quick mode.
+cargo test --offline --release --manifest-path e2ebench/Cargo.toml
+
 echo "==> validate: certify corpus x schemas x optimized, + mutation slice"
 # The static translation validator must certify the full corpus matrix
 # with zero defects, and the seeded mutation harness must detect every
