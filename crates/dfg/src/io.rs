@@ -353,6 +353,11 @@ pub fn read_text(text: &str) -> Result<Dfg, ParseError> {
                 if from.op.index() >= g.len() || to.op.index() >= g.len() {
                     return Err(err(lineno, "arc references unknown op"));
                 }
+                if from.port as usize >= g.kind(from.op).n_outputs()
+                    || to.port as usize >= g.kind(to.op).n_inputs()
+                {
+                    return Err(err(lineno, "arc references a port its op does not have"));
+                }
                 g.connect(from, to, kind);
             }
             _ => return Err(err(lineno, "expected `op` or `arc`")),
@@ -558,6 +563,11 @@ mod tests {
         assert!(read_text("dfg v1\nop 5 start").is_err(), "non-dense ids");
         assert!(read_text("dfg v1\nop 0 nonsense").is_err());
         assert!(read_text("dfg v1\nop 0 start\narc 0.0 -> 9.0 value").is_err());
+        // Ports the operators do not have: start has one output, end 1
+        // one input.
+        assert!(read_text("dfg v1\nop 0 start\nop 1 end 1\narc 0.0 -> 1.0 value").is_ok());
+        assert!(read_text("dfg v1\nop 0 start\nop 1 end 1\narc 0.1 -> 1.0 value").is_err());
+        assert!(read_text("dfg v1\nop 0 start\nop 1 end 1\narc 0.0 -> 1.1 value").is_err());
         assert!(read_text("dfg v1\nop 0 start\narc 0.0 2.0 value").is_err());
         let e = read_text("dfg v1\nop 0 start\nbogus line").unwrap_err();
         assert_eq!(e.line, 3);
