@@ -15,7 +15,7 @@
 //!   manager's deterministic counters (passes run, CFG revisions,
 //!   analyses computed vs. cache hits, output graph size);
 //! * `BENCH_throughput.json` — requests per second of the multiplexed
-//!   serve engine ([`cf2df_machine::serve`]) at every worker count ×
+//!   serve engine ([`cf2df_machine::serve()`]) at every worker count ×
 //!   admission-window level, against a back-to-back serial baseline on
 //!   the same pool.
 //!
@@ -65,7 +65,7 @@ pub const INFLIGHT_LEVELS: [usize; 3] = [1, 4, 16];
 /// `dest_slots`, `imm_slots`, `macro_steps`, `bytes`, `max_hot_arity`).
 /// Version 5 adds the *throughput* artifact (`BENCH_throughput.json`):
 /// requests-per-second of the tag-space-multiplexed serve engine
-/// ([`cf2df_machine::serve`]) at [`WORKER_COUNTS`] ×
+/// ([`cf2df_machine::serve()`]) at [`WORKER_COUNTS`] ×
 /// [`INFLIGHT_LEVELS`], each arm judged against the back-to-back serial
 /// baseline on the same pool. The three existing artifact kinds are
 /// structurally unchanged by v5. [`validate_artifact`] still accepts
@@ -483,7 +483,7 @@ fn throughput_suite(quick: bool) -> Vec<(&'static str, String)> {
 }
 
 /// Render the throughput artifact: requests-per-second of
-/// [`cf2df_machine::serve`] per small workload at [`WORKER_COUNTS`] ×
+/// [`cf2df_machine::serve()`] per small workload at [`WORKER_COUNTS`] ×
 /// [`INFLIGHT_LEVELS`]. The inflight-1 arm is a back-to-back loop of
 /// ordinary pooled runs on the same [`ExecutorPool`] — the serial
 /// baseline every multiplexed arm's `speedup_vs_inflight1` is measured

@@ -16,7 +16,8 @@
 //! * [`prng`] — a seedable xorshift64* generator (in-tree replacement for
 //!   the `rand` crate, per the offline/no-deps build policy);
 //! * [`timing`] — a minimal wall-clock micro-benchmark harness (in-tree
-//!   replacement for `criterion`) driving the `benches/` targets.
+//!   replacement for `criterion`) behind the artifacts' wall-clock
+//!   numbers.
 
 pub mod artifacts;
 pub mod compare;

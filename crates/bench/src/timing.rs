@@ -1,15 +1,18 @@
 //! A minimal wall-clock micro-benchmark harness.
 //!
 //! In-tree replacement for `criterion` (removed per the offline/no-deps
-//! build policy). The `benches/` targets are plain `harness = false`
-//! binaries built on this module: each benchmark warms up, then measures
-//! batched iterations until a time budget is spent, and prints one
-//! aligned line of statistics. No statistical regression machinery — the
-//! goal is honest relative numbers printed offline, not criterion's HTML
-//! reports.
+//! build policy), behind the wall-clock quantities of the `cf2df bench`
+//! artifacts: each benchmark warms up, then measures batched iterations
+//! until a time budget is spent, and records its statistics. No
+//! statistical regression machinery — the goal is honest relative
+//! numbers measured offline, which `cf2df check-bench` compares.
 //!
 //! ```no_run
-//! let mut t = cf2df_bench::timing::Timer::quick();
+//! use std::time::Duration;
+//! let mut t = cf2df_bench::timing::Timer::with_budgets(
+//!     Duration::from_millis(300),
+//!     Duration::from_millis(800),
+//! );
 //! t.bench("sum", || (0..1000u64).sum::<u64>());
 //! ```
 
@@ -74,17 +77,6 @@ pub struct Timer {
 }
 
 impl Timer {
-    /// Short windows tuned for CI-like settings (matches the old
-    /// criterion `quick()` profile: ~300 ms warm-up, ~800 ms measure).
-    pub fn quick() -> Timer {
-        Timer {
-            warmup: Duration::from_millis(300),
-            measure: Duration::from_millis(800),
-            results: Vec::new(),
-            quiet: false,
-        }
-    }
-
     /// Custom budgets.
     pub fn with_budgets(warmup: Duration, measure: Duration) -> Timer {
         Timer {
@@ -99,13 +91,6 @@ impl Timer {
     pub fn quiet(mut self) -> Timer {
         self.quiet = true;
         self
-    }
-
-    /// Print a group heading, mirroring criterion's benchmark groups.
-    pub fn group(&self, name: &str) {
-        if !self.quiet {
-            println!("\n## {name}");
-        }
     }
 
     /// Measure `f`, print one report line, and record the stats.

@@ -1,7 +1,7 @@
 //! Translation validation for the pipeline (the `certify` pass).
 //!
 //! Three independent obligations, layered on the abstract token-rate
-//! analysis of [`cf2df_dfg::certify`]:
+//! analysis of [`mod@cf2df_dfg::certify`]:
 //!
 //! 1. **Token linearity** — the dataflow graph's context analysis must be
 //!    defect-free: every arc carries exactly one token per activation in

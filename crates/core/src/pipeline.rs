@@ -81,7 +81,7 @@ pub struct TranslateOptions {
     /// Make irreducible CFGs reducible by node splitting first.
     pub split_irreducible: bool,
     /// Fuse maximal linear operator chains into compound `Macro` actors
-    /// ([`cf2df_dfg::fuse`]) after certification, eliding their interior
+    /// ([`cf2df_dfg::fuse()`]) after certification, eliding their interior
     /// tokens, rendezvous slots, and firings at execution time. On by
     /// default; a pure machine-level coarsening that leaves Schema 1–3
     /// semantics and tag allocation untouched. Runs only with loop

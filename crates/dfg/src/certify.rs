@@ -1,6 +1,6 @@
 //! Static translation validation: abstract token-rate analysis.
 //!
-//! The structural checks in [`crate::validate`] only ensure every port is
+//! The structural checks in [`crate::validate()`] only ensure every port is
 //! wired; they say nothing about *how many* tokens an arc carries. The
 //! paper's correctness argument rests on token linearity: in every tag
 //! context that reaches an operator, each input arc delivers exactly one
@@ -695,7 +695,7 @@ impl fmt::Display for CubeSet<'_> {
 /// The class of a certification defect (machine-readable).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum DefectKind {
-    /// A structural defect from [`crate::validate`].
+    /// A structural defect from [`crate::validate()`].
     Structural,
     /// A cycle not gated by loop-entry/`PrevIter` operators.
     UngatedCycle,

@@ -1,7 +1,7 @@
 //! Seeded graph mutations for validating the certifier.
 //!
 //! Each mutation class injects one representative translator bug into a
-//! well-formed graph. The certifier ([`crate::certify`]) must detect every
+//! well-formed graph. The certifier ([`crate::certify()`]) must detect every
 //! injected mutation — a false negative here means a class of real
 //! translation bugs would ship silently. The driver is deterministic: the
 //! same `(graph, class, seed)` triple always produces the same mutation.

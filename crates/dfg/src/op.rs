@@ -187,7 +187,7 @@ pub enum OpKind {
         loop_id: LoopId,
     },
     /// A compound actor produced by the fusion pass
-    /// ([`crate::fuse`]): a maximal linear chain of strict same-tag
+    /// ([`crate::fuse()`]): a maximal linear chain of strict same-tag
     /// operators collapsed into one node carrying a straight-line
     /// micro-program. In: `inputs` strict ports (the union of the
     /// chain's external live inputs); out: `[result]` — the last step's

@@ -181,8 +181,8 @@ pub enum MachineError {
         cap: u32,
         /// The multiplexed invocation (request id) whose reserved tag
         /// slice overflowed, when the run was admitted through
-        /// [`crate::serve`]; `None` for single-invocation runs, whose
-        /// interner owns the whole tag space.
+        /// [`crate::serve::serve`]; `None` for solo runs, whose interner
+        /// owns the whole tag space.
         invocation: Option<u64>,
     },
     /// The wall-clock watchdog expired before the run completed or
@@ -194,7 +194,7 @@ pub enum MachineError {
     },
     /// The graph is not executable (e.g. it has no unique `Start`): the
     /// executor refused to seed it. Graphs from the translators always
-    /// pass [`cf2df_dfg::validate`]; this arises only for hand-built or
+    /// pass [`cf2df_dfg::validate()`]; this arises only for hand-built or
     /// externally loaded graphs.
     InvalidGraph {
         /// What structural property failed.
@@ -334,7 +334,12 @@ impl TraceSink for NoTrace {
 impl TraceSink for crate::trace::Trace {
     const ENABLED: bool = true;
     fn record(&mut self, time: u64, op: OpId, tag: String) {
-        self.events.push(crate::trace::TraceEvent { time, op, tag });
+        self.events.push(crate::trace::TraceEvent {
+            time,
+            worker: 0,
+            op,
+            tag,
+        });
     }
 }
 

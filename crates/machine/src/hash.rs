@@ -26,7 +26,8 @@
 //! * **cheap** — one rotate, one xor, one multiply per 8-byte word;
 //! * **dispersive enough** — the multiply constant spreads consecutive
 //!   integers (dense `OpId`/`TagId` spaces) across the whole `u64`
-//!   range, so power-of-two-capacity hash maps do not degenerate.
+//!   range, so power-of-two-capacity hash maps do not degenerate, and
+//!   [`shard64`] spreads rendezvous keys evenly over the slot shards.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -135,14 +136,17 @@ pub fn mix64(word: u64) -> u64 {
     word.rotate_left(5).wrapping_mul(SEED)
 }
 
-/// Shard index for a packed key: one Fx round, then reduce modulo the
-/// shard count. Used by the sharded rendezvous tables — including the
-/// invocation-multiplexed one, where the invocation bits sit in the
-/// *high* half of the low word and a plain `key % n` would map every
-/// invocation's root-tag traffic onto the same few shards.
+/// Shard index for a packed key: one Fx round, then map the product's
+/// *high* 32 bits onto `0..n_shards` by multiply-shift. The low bits of
+/// a product depend only on the low bits of its factors, and the low
+/// bits of `rotate_left(key, 5)` are the key's top five bits — zero for
+/// every rendezvous key whose operator id is below 2^27 — so reducing
+/// the product modulo a power of two would send every key to shard 0.
+/// The high bits mix every bit of the key, the operator and invocation
+/// fields included. A zero shard count yields shard 0.
 #[inline]
 pub fn shard64(word: u64, n_shards: usize) -> usize {
-    (mix64(word) % n_shards.max(1) as u64) as usize
+    (((mix64(word) >> 32) * n_shards as u64) >> 32) as usize
 }
 
 #[cfg(test)]
@@ -186,14 +190,31 @@ mod tests {
     }
 
     #[test]
-    fn shard64_disperses_high_bit_keys() {
-        // Keys differing only in their top invocation bits (the serve
-        // key layout) must still spread across shards.
-        let shards: std::collections::HashSet<usize> = (0..16u64)
-            .map(|inv| shard64((inv << 60) | 3, 32))
-            .collect();
-        assert!(shards.len() > 8, "only {} shards hit", shards.len());
-        assert_eq!(shard64(7, 0), 0, "degenerate shard count is clamped");
+    fn shard64_spreads_rendezvous_keys_over_every_shard() {
+        // Real rendezvous keys: operators × tags, solo and with four
+        // invocation bits, must reach all 32 shards of the slot table,
+        // each within 2% of an even share.
+        use crate::compiled::key_inv;
+        use crate::tag::{TagId, TagSplit};
+        use cf2df_dfg::OpId;
+        for split in [TagSplit::NONE, TagSplit::for_inflight(16)] {
+            let mut hits = [0u64; 32];
+            for op in 0..500 {
+                for tag in 0..40 {
+                    for inv in 0..split.slots() {
+                        hits[shard64(key_inv(OpId(op), split, inv, TagId(tag)), 32)] += 1;
+                    }
+                }
+            }
+            let even = hits.iter().sum::<u64>() / 32;
+            for (s, &h) in hits.iter().enumerate() {
+                assert!(
+                    h.abs_diff(even) * 50 <= even,
+                    "{split:?}: shard {s} got {h} keys, an even share is {even}: {hits:?}"
+                );
+            }
+        }
+        assert_eq!(shard64(7, 0), 0, "degenerate shard count yields shard 0");
     }
 
     #[test]

@@ -25,8 +25,9 @@
 //! [`vonneumann`] provides the sequential control-flow interpreter used as
 //! the baseline (the "thread descriptor" execution the paper contrasts
 //! with), and [`parallel`] a multi-threaded token-pushing executor
-//! demonstrating real parallel execution of the same graphs, built on the
-//! std-only work-stealing [`scheduler`].
+//! demonstrating real parallel execution of the same graphs: one engine
+//! ([`mod@serve`]) that runs a solo invocation or multiplexes many, built
+//! on the std-only work-stealing [`scheduler`].
 
 pub mod chaos;
 pub mod compiled;
@@ -47,9 +48,8 @@ pub use exec::{run, run_compiled, run_traced, MachineConfig, MachineError, Outco
 pub use hash::{FxBuildHasher, FxHashMap};
 pub use metrics::{ExecStats, ParMetrics, ServeStats, WorkerStats};
 pub use parallel::{
-    run_threaded, run_threaded_compiled, run_threaded_compiled_pooled_with, run_threaded_pooled,
-    run_threaded_pooled_with, run_threaded_traced, run_threaded_with, ExecutorPool, FireEvent,
-    ParConfig, ParOutcome,
+    run_threaded, run_threaded_compiled_pooled_with, ExecutorPool, ParConfig, ParOutcome,
 };
 pub use serve::{run_concurrent, serve, ReqId, ServeHandle};
 pub use tag::{TagId, TagSplit, TagTable};
+pub use trace::TraceEvent;

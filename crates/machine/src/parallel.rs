@@ -1,7 +1,7 @@
-//! A multi-threaded token-pushing executor.
+//! The threaded executor's public face and its concurrent machine state.
 //!
 //! Where [`crate::exec`] is a deterministic discrete-event *simulator*
-//! measuring idealized parallelism, this module actually executes a
+//! measuring idealized parallelism, the threaded executor actually runs a
 //! dataflow graph on OS threads: worker threads pull tokens from
 //! work-stealing run queues ([`crate::scheduler`]), rendezvous them in
 //! sharded slot tables, fire operators, and push result tokens back. It
@@ -10,8 +10,13 @@
 //! permit yields the same final memory, which the tests check against
 //! the deterministic simulator.
 //!
-//! Everything here is std-only (offline/no-deps build policy), and the
-//! shared state is engineered so independent memory operations really do
+//! There is one threaded engine, in [`mod@crate::serve`]: a solo run
+//! ([`run_threaded`], [`run_threaded_compiled_pooled_with`]) is one
+//! admitted invocation of it, and [`crate::serve::serve`] multiplexes
+//! many. This module holds what both share: the run configuration and
+//! outcome, the worker pool, and the per-invocation machine state.
+//! Everything is std-only (offline/no-deps build policy), and the shared
+//! state is engineered so independent memory operations really do
 //! proceed in parallel, as Schema 2 promises:
 //!
 //! * ordinary memory cells are `AtomicI64`s — loads and stores never take
@@ -19,44 +24,32 @@
 //! * I-structure cells are lock-striped by address;
 //! * the tag (iteration-context) interner is sharded by
 //!   `(parent, loop, iteration)`, each shard allocating `TagId`s from a
-//!   disjoint arithmetic progression;
-//! * rendezvous slots are sharded by `(operator, tag)` hash, as before;
-//! * two-input operators whose partner token is produced by the *same
-//!   worker in the same batch* rendezvous in a worker-local pair map and
-//!   never touch the sharded table at all (the fast path, visible as
-//!   [`ParMetrics::fast_path_fires`]); unpaired entries are flushed back
-//!   to the ordinary queue at the end of every batch, so the global
-//!   table remains the single point of truth between batches.
+//!   disjoint arithmetic progression.
 //!
 //! Shutdown is explicit: a sent token is never dropped. Workers drain
-//! until the token population hits zero (clean completion after `End`,
-//! or quiescence without `End` — reported as deadlock) or a recorded
-//! [`MachineError`] halts the run. The scheduler's debug assertion and
-//! [`tests::no_token_is_dropped_without_a_recorded_error`] pin this down.
-//!
-//! Timing metrics are not meaningful here (wall-clock benches live in
-//! `cf2df-bench/benches/executor.rs`); the executor reports
-//! fired-operator and memory-op counts.
+//! until the token population hits zero — clean completion after `End`,
+//! or quiescence without `End`, reported as deadlock — or the session
+//! halts (watchdog, escaped panic). The scheduler's debug assertion and
+//! the `no_token_is_dropped_without_a_recorded_error` test pin this
+//! down.
 
-use crate::chaos::{ChaosConfig, ChaosRng, ChaosTallies};
-use crate::compiled::{
-    compile, fire_op, key, unkey, CKind, CompiledGraph, Engine, FireInputs, FireVals, SlotVals,
-};
+use crate::chaos::{ChaosConfig, ChaosRng};
+use crate::compiled::{compile, CompiledGraph};
 use crate::exec::MachineError;
 use crate::hash::FxHashMap;
 use crate::memory::{DeferredRead, MemError};
 use crate::metrics::ParMetrics;
-use crate::scheduler::{Ctx, Scheduler, WorkerPool};
+use crate::scheduler::{lock, WorkerPool};
 use crate::tag::TagId;
+use crate::trace::TraceEvent;
 use cf2df_cfg::{LoopId, MemLayout, VarId};
-use cf2df_dfg::{Dfg, OpId, Port};
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use cf2df_dfg::{Dfg, OpId};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Execution limits and fault injection for a threaded run. The
-/// defaults ([`ParConfig::default`]) reproduce the plain entry points:
+/// defaults ([`ParConfig::default`]) are what [`run_threaded`] uses:
 /// unlimited fuel, no watchdog, no trace, no chaos, full tag space.
 #[derive(Clone, Debug)]
 pub struct ParConfig {
@@ -70,15 +63,15 @@ pub struct ParConfig {
     /// run exceeds it, and the run returns
     /// [`MachineError::WatchdogTimeout`]. `None` means no watchdog.
     pub watchdog: Option<Duration>,
-    /// Capacity of the bounded fire-event ring ([`FireEvent`]); `None`
-    /// disables tracing entirely (zero allocation).
+    /// Capacity of the bounded ring of the last fire events
+    /// ([`TraceEvent`]) a solo run returns; `None` disables tracing
+    /// entirely (zero allocation). Serving sessions ignore it.
     pub trace_capacity: Option<usize>,
     /// Fault-injection plan (see [`crate::chaos`]); `None` on ordinary
     /// runs.
     pub chaos: Option<ChaosConfig>,
-    /// Largest admissible tag id. Interning beyond it returns
-    /// [`MachineError::TagSpaceExhausted`] through the halt path instead
-    /// of panicking. The default (`u32::MAX`) is the type's full range —
+    /// Largest admissible tag id. Interning beyond it fails the run with
+    /// [`MachineError::TagSpaceExhausted`] instead of panicking. The default (`u32::MAX`) is the type's full range —
     /// the error every deep-enough loop nest would eventually hit.
     pub tag_cap: u32,
 }
@@ -110,74 +103,11 @@ pub struct ParOutcome {
     pub metrics: ParMetrics,
 }
 
-/// One operator firing captured by the optional trace ring
-/// ([`run_threaded_traced`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FireEvent {
-    /// Global firing sequence number (total order across workers).
-    pub seq: u64,
-    /// Worker that fired the operator.
-    pub worker: usize,
-    /// The operator.
-    pub op: OpId,
-    /// The iteration tag, rendered (e.g. `root.L0[3]`).
-    pub tag: String,
-}
-
-/// Bounded ring of fire events for post-mortem debugging of deadlocks
-/// and tag mismatches. Keeps the *last* `cap` firings. Absent (and
-/// therefore allocation-free) on ordinary [`run_threaded`] runs.
-struct TraceRing {
-    cap: usize,
-    seq: AtomicU64,
-    buf: Mutex<VecDeque<(u64, usize, OpId, TagId)>>,
-}
-
-impl TraceRing {
-    fn new(cap: usize) -> TraceRing {
-        let cap = cap.max(1);
-        TraceRing {
-            cap,
-            seq: AtomicU64::new(0),
-            // Preallocation is bounded: callers may ask for an effectively
-            // unbounded ring (cap = usize::MAX) and let it grow on demand.
-            buf: Mutex::new(VecDeque::with_capacity(cap.min(4096))),
-        }
-    }
-
-    fn push(&self, worker: usize, op: OpId, tag: TagId) {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let mut buf = lock(&self.buf);
-        if buf.len() == self.cap {
-            buf.pop_front();
-        }
-        buf.push_back((seq, worker, op, tag));
-    }
-}
-
-#[derive(Clone, Copy, Debug)]
-struct Token {
-    to: Port,
-    tag: TagId,
-    value: i64,
-}
-
-/// Shards in the rendezvous-slot table.
-pub(crate) const SLOT_SHARDS: usize = 32;
 /// Stripes in the I-structure store.
 const IST_STRIPES: usize = 16;
 /// Shards in the tag interner.
 const TAG_SHARDS: usize = 16;
 
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// One shard of the rendezvous-slot table, keyed by the packed
-/// `(operator, tag)` word ([`crate::compiled::key`]) on the vendored
-/// integer hasher — one 64-bit hash per probe instead of SipHash over a
-/// two-field tuple.
-pub(crate) type SlotShard = Mutex<FxHashMap<u64, SlotVals>>;
 
 // ---------------------------------------------------------------------
 // Sharded memory
@@ -196,7 +126,7 @@ enum IstSlot {
 /// I-structure overlay. The dataflow graph's access tokens are
 /// responsible for ordering, exactly as in the sequential [`crate::memory::Memory`];
 /// the cells only have to be individually race-free. Crate-visible:
-/// [`crate::serve`] instantiates one per inflight invocation.
+/// [`mod@crate::serve`] instantiates one per admitted invocation.
 pub(crate) struct ParMemory {
     cells: Vec<AtomicI64>,
     /// Stripe `s` holds the cells of every address `a ≡ s (mod IST_STRIPES)`,
@@ -378,7 +308,7 @@ struct TagShard {
 /// lookups. Interning still guarantees that every token line entering
 /// the same iteration of the same loop under the same parent receives
 /// the *same* tag, because one shard owns each `(parent, loop, iter)` key.
-/// Crate-visible: [`crate::serve`] gives every inflight invocation its
+/// Crate-visible: [`mod@crate::serve`] gives every admitted invocation its
 /// own table over its reserved slice of the tag space.
 pub(crate) struct ParTagTable {
     shards: Vec<Mutex<TagShard>>,
@@ -386,19 +316,16 @@ pub(crate) struct ParTagTable {
     /// [`MachineError::TagSpaceExhausted`], not a panic.
     cap: u32,
     /// Request id carried into [`MachineError::TagSpaceExhausted`] when
-    /// this interner serves one multiplexed invocation; `None` for
-    /// whole-run interners.
+    /// this interner serves one multiplexed invocation; `None` for a
+    /// solo run's.
     invocation: Option<u64>,
 }
 
 impl ParTagTable {
-    fn new(cap: u32) -> ParTagTable {
-        Self::new_for(cap, None)
-    }
-
-    /// An interner whose exhaustion error names the multiplexed
-    /// invocation (request) it belongs to.
-    pub(crate) fn new_for(cap: u32, invocation: Option<u64>) -> ParTagTable {
+    /// An interner admitting tag ids up to `cap`, whose exhaustion
+    /// error names `invocation` (the multiplexed request it belongs to;
+    /// `None` for a solo run).
+    pub(crate) fn new(cap: u32, invocation: Option<u64>) -> ParTagTable {
         let mut shards: Vec<Mutex<TagShard>> = (0..TAG_SHARDS)
             .map(|_| Mutex::new(TagShard::default()))
             .collect();
@@ -420,8 +347,8 @@ impl ParTagTable {
     }
 
     /// The tag for iteration `iter` of loop `loop_id` under `parent`.
-    /// Fails with [`MachineError::TagSpaceExhausted`] — routed through
-    /// the halt path by the callers — once the shard's arithmetic
+    /// Fails with [`MachineError::TagSpaceExhausted`] — recorded by the
+    /// engine as the invocation's failure — once the shard's arithmetic
     /// progression would pass the cap (or overflow the id type).
     pub(crate) fn child(
         &self,
@@ -478,26 +405,6 @@ impl ParTagTable {
     }
 }
 
-// ---------------------------------------------------------------------
-// The executor
-// ---------------------------------------------------------------------
-
-/// Per-worker rendezvous state for the same-batch fast path. Only ever
-/// locked by its owning worker (and once more at the end of the run to
-/// collect counters), so the mutex is effectively uncontended.
-#[derive(Default)]
-struct WorkerLocal {
-    /// Half-filled two-input rendezvous, keyed like the global table
-    /// (packed `(op, tag)` word, integer hasher). Drained back to the
-    /// run queue at the end of every batch.
-    pairs: FxHashMap<u64, [Option<i64>; 2]>,
-    /// Locally completed joins awaiting firing, drained after each
-    /// token (firing can complete further joins).
-    ready: Vec<(u64, [i64; 2])>,
-    /// Joins completed through this fast path.
-    fast_path: u64,
-}
-
 /// Executor-level fault injection state: per-worker fault streams (a
 /// *different* stream family than the scheduler's delay/steal faults,
 /// so the two layers draw uncorrelated decisions from one campaign
@@ -529,94 +436,9 @@ impl ChaosState {
     }
 }
 
-struct Shared<'g> {
-    /// The dense lowered graph: CSR destination slices, Copy operator
-    /// descriptors, flattened immediates and macro steps. What used to
-    /// be per-run `dests`/`live`/`fast_ok`/`dup_ok` side tables is
-    /// computed once in [`compile`] and carried in [`crate::compiled::OpDesc`]
-    /// flags (see there for the `dup_ok` detectability argument).
-    cg: &'g CompiledGraph,
-    layout: MemLayout,
-    /// Firing budget; `u64::MAX` means unlimited.
-    fuel: u64,
-    /// Fault injection for panics/drops/dups. Boxed so an ordinary run
-    /// pays one null check per firing / per [`emit`] call and the chaos
-    /// machinery stays off the `Shared` hot cache lines.
-    chaos: Option<Box<ChaosState>>,
-    /// Worker-local fast-path state, indexed by worker.
-    locals: Vec<Mutex<WorkerLocal>>,
-    /// Rendezvous slots, sharded by (op, tag) hash.
-    slots: Vec<SlotShard>,
-    tags: ParTagTable,
-    mem: ParMemory,
-    end_seen: AtomicBool,
-    failed: Mutex<Option<MachineError>>,
-    fired: AtomicU64,
-    /// Tokens that rendezvoused into a slot without completing it.
-    merged: AtomicU64,
-    /// Compound `Macro` firings and the operator firings they elided.
-    macro_fires: AtomicU64,
-    ops_elided: AtomicU64,
-    /// Currently occupied rendezvous slots (whole table) and the peak.
-    slots_occupied: AtomicU64,
-    slots_peak: AtomicU64,
-    /// Per-shard high-water marks of the slot table.
-    slot_high: Vec<AtomicU64>,
-    /// Optional bounded fire-event ring; `None` (zero allocation, one
-    /// branch per firing) on ordinary runs.
-    trace: Option<TraceRing>,
-}
-
-impl Shared<'_> {
-    fn shard(&self, op: OpId, tag: TagId) -> usize {
-        (op.0 as usize)
-            .wrapping_mul(0x9e37_79b1)
-            .wrapping_add(tag.0 as usize)
-            % SLOT_SHARDS
-    }
-
-    /// Record the first failure and halt the run. Tokens still queued are
-    /// abandoned *only* on this path — with an error recorded — which is
-    /// what makes a silently dropped token impossible.
-    fn fail(&self, ctx: &Ctx<'_, Token>, e: MachineError) {
-        let mut f = lock(&self.failed);
-        if f.is_none() {
-            *f = Some(e);
-        }
-        drop(f);
-        ctx.halt();
-    }
-
-    /// Describe every partially-filled rendezvous slot — operator, tag,
-    /// and which input ports are filled — mirroring the simulator's
-    /// deadlock report. Sorted for determinism, truncated to 10.
-    fn describe_pending(&self) -> Vec<String> {
-        let mut out: Vec<String> = Vec::new();
-        for shard in &self.slots {
-            for (&k, vals) in lock(shard).iter() {
-                let (op, tag) = unkey(k);
-                let filled = vals.filled_ports();
-                out.push(format!(
-                    "{} {op:?} tag {} waiting (filled ports {filled:?})",
-                    self.cg.mnemonic(op),
-                    self.tags.render(tag),
-                ));
-            }
-        }
-        out.sort();
-        out.truncate(10);
-        if out.is_empty() {
-            out.push(
-                "no partially-filled rendezvous slots: tokens drained without reaching End"
-                    .to_owned(),
-            );
-        }
-        out
-    }
-}
-
 /// A persistent set of executor worker threads, reusable across
-/// [`run_threaded_pooled`] calls. Spawning OS threads costs tens of
+/// [`run_threaded_compiled_pooled_with`] runs and [`crate::serve::serve`]
+/// sessions. Spawning OS threads costs tens of
 /// microseconds — comparable to an entire corpus-program execution — so
 /// repeated runs (benchmarks, servers) should spawn a pool once and
 /// park it between runs rather than pay that price inside every run.
@@ -638,722 +460,42 @@ impl ExecutorPool {
     }
 }
 
-/// Execute a dataflow graph on `n_threads` worker threads. Compiles the
-/// graph internally; callers running the same graph repeatedly should
-/// [`compile`] once and use [`run_threaded_compiled`].
+/// Execute a dataflow graph on `n_threads` worker threads: compile it,
+/// spawn a pool for this one run, and run it with the default
+/// [`ParConfig`]. Callers running graphs repeatedly should [`compile`]
+/// once, keep an [`ExecutorPool`], and use
+/// [`run_threaded_compiled_pooled_with`].
 pub fn run_threaded(
     g: &Dfg,
     layout: &MemLayout,
     n_threads: usize,
 ) -> Result<ParOutcome, MachineError> {
     let cg = compile(g)?;
-    run_inner(&cg, layout, n_threads, None, &ParConfig::default()).0
+    let pool = ExecutorPool::new(n_threads);
+    run_threaded_compiled_pooled_with(&cg, layout, &pool, &ParConfig::default()).0
 }
 
-/// As [`run_threaded`], but on an already-[`compile`]d graph: the
-/// lowering cost is paid once and the dense tables are reused across
-/// runs.
-pub fn run_threaded_compiled(
-    cg: &CompiledGraph,
-    layout: &MemLayout,
-    n_threads: usize,
-) -> Result<ParOutcome, MachineError> {
-    run_inner(cg, layout, n_threads, None, &ParConfig::default()).0
-}
-
-/// As [`run_threaded`], but on a pre-spawned [`ExecutorPool`] — the
-/// worker count is the pool's width and no threads are created or torn
-/// down inside the call.
-pub fn run_threaded_pooled(
-    g: &Dfg,
-    layout: &MemLayout,
-    pool: &ExecutorPool,
-) -> Result<ParOutcome, MachineError> {
-    let cg = compile(g)?;
-    run_inner(&cg, layout, pool.workers(), Some(pool), &ParConfig::default()).0
-}
-
-/// As [`run_threaded`], additionally capturing the last `capacity` fire
-/// events in a bounded ring for post-mortem analysis. The trace is
-/// returned on *both* the success and the failure path — the failure
-/// path (deadlock, tag mismatch) is what it is for.
-pub fn run_threaded_traced(
-    g: &Dfg,
-    layout: &MemLayout,
-    n_threads: usize,
-    capacity: usize,
-) -> (Result<ParOutcome, MachineError>, Vec<FireEvent>) {
-    let cfg = ParConfig {
-        trace_capacity: Some(capacity),
-        ..ParConfig::default()
-    };
-    let cg = match compile(g) {
-        Ok(cg) => cg,
-        Err(e) => return (Err(e), Vec::new()),
-    };
-    let (result, _metrics, trace) = run_inner(&cg, layout, n_threads, None, &cfg);
-    (result, trace)
-}
-
-/// The fully-configurable entry point: limits and fault injection from
-/// `cfg`, metrics returned on *every* path. On success the returned
-/// [`ParMetrics`] equals `outcome.metrics`; on failure it is the
-/// partial metrics gathered up to the halt — which is how a
-/// [`MachineError::WorkerPanicked`] run still reports what its workers
-/// did, including the injected-fault tallies.
-pub fn run_threaded_with(
-    g: &Dfg,
-    layout: &MemLayout,
-    n_threads: usize,
-    cfg: &ParConfig,
-) -> (Result<ParOutcome, MachineError>, ParMetrics, Vec<FireEvent>) {
-    let cg = match compile(g) {
-        Ok(cg) => cg,
-        Err(e) => return (Err(e), ParMetrics::default(), Vec::new()),
-    };
-    run_inner(&cg, layout, n_threads, None, cfg)
-}
-
-/// As [`run_threaded_with`], on a pre-spawned [`ExecutorPool`]. The
-/// pool survives contained worker panics and stays usable for
-/// subsequent runs.
-pub fn run_threaded_pooled_with(
-    g: &Dfg,
-    layout: &MemLayout,
-    pool: &ExecutorPool,
-    cfg: &ParConfig,
-) -> (Result<ParOutcome, MachineError>, ParMetrics, Vec<FireEvent>) {
-    let cg = match compile(g) {
-        Ok(cg) => cg,
-        Err(e) => return (Err(e), ParMetrics::default(), Vec::new()),
-    };
-    run_inner(&cg, layout, pool.workers(), Some(pool), cfg)
-}
-
-/// As [`run_threaded_pooled_with`], on an already-[`compile`]d graph —
-/// the zero-recompile entry point for benchmarks and pooled servers.
+/// Run an already-[`compile`]d graph once on a pre-spawned
+/// [`ExecutorPool`], with limits, tracing and fault injection from
+/// `cfg`: the zero-recompile entry point for benchmarks and pooled
+/// servers. The worker count is the pool's width; no threads are created
+/// or torn down inside the call, and the pool survives contained worker
+/// panics and stays usable for subsequent runs.
+///
+/// Metrics are returned on *every* path: on success the returned
+/// [`ParMetrics`] equals `outcome.metrics`; on failure it holds what the
+/// workers did up to the verdict — which is how a
+/// [`MachineError::WorkerPanicked`] run still reports its injected-fault
+/// tallies. The trace holds the last `cfg.trace_capacity` firings, on
+/// the failure path too (deadlock, tag mismatch) — which is what it is
+/// for.
 pub fn run_threaded_compiled_pooled_with(
     cg: &CompiledGraph,
     layout: &MemLayout,
     pool: &ExecutorPool,
     cfg: &ParConfig,
-) -> (Result<ParOutcome, MachineError>, ParMetrics, Vec<FireEvent>) {
-    run_inner(cg, layout, pool.workers(), Some(pool), cfg)
-}
-
-fn run_inner(
-    cg: &CompiledGraph,
-    layout: &MemLayout,
-    n_threads: usize,
-    pool: Option<&ExecutorPool>,
-    cfg: &ParConfig,
-) -> (Result<ParOutcome, MachineError>, ParMetrics, Vec<FireEvent>) {
-    let n_threads = n_threads.max(1);
-    // clone() audit: the per-run `dests`/`live`/`fast_ok`/`dup_ok`
-    // rebuild (four graph walks and a nest of Vecs) is gone — all of it
-    // lives in the [`CompiledGraph`], built once per compile.
-    let shared = Shared {
-        cg,
-        layout: layout.clone(),
-        fuel: cfg.fuel,
-        chaos: cfg.chaos.map(|c| Box::new(ChaosState::new(c, n_threads))),
-        locals: (0..n_threads)
-            .map(|_| Mutex::new(WorkerLocal::default()))
-            .collect(),
-        slots: std::iter::repeat_with(|| Mutex::new(FxHashMap::default()))
-            .take(SLOT_SHARDS)
-            .collect(),
-        tags: ParTagTable::new(cfg.tag_cap),
-        mem: ParMemory::new(layout),
-        end_seen: AtomicBool::new(false),
-        failed: Mutex::new(None),
-        fired: AtomicU64::new(0),
-        merged: AtomicU64::new(0),
-        macro_fires: AtomicU64::new(0),
-        ops_elided: AtomicU64::new(0),
-        slots_occupied: AtomicU64::new(0),
-        slots_peak: AtomicU64::new(0),
-        slot_high: (0..SLOT_SHARDS).map(|_| AtomicU64::new(0)).collect(),
-        trace: cfg.trace_capacity.map(TraceRing::new),
-    };
-
-    let sched: Scheduler<Token> = Scheduler::new(n_threads).with_chaos(cfg.chaos);
-    // Seed initial tokens by *operator locality*, not round-robin: the
-    // start fan-out frequently feeds both halves of two-input joins, and
-    // spreading those halves across workers defeats the worker-local
-    // rendezvous fast path before the run even begins. Blocking the
-    // operator-id space over the workers keeps join halves together
-    // (destination ports of one op are adjacent ids) while still giving
-    // every worker a contiguous share of the graph to start on.
-    // clone() audit: seeding borrows the CSR destination slice directly
-    // (it used to clone the start op's dest vector).
-    let start = cg.start();
-    let n_ops = cg.len().max(1);
-    sched.seed_with(
-        cg.dests(start, 0).iter().map(|&to| Token {
-            to,
-            tag: TagId::ROOT,
-            value: 0,
-        }),
-        |t: &Token| t.to.op.index() * n_threads / n_ops,
-    );
-
-    let body = |ctx: &Ctx<'_, Token>, batch: &mut Vec<Token>| {
-        let local = &shared.locals[ctx.worker()];
-        for t in batch.drain(..) {
-            process(&shared, ctx, t);
-            drain_ready(&shared, local, ctx);
-        }
-        // End of batch: the fast-path window closes. Unpaired halves go
-        // back through the ordinary queue (and, from there, the global
-        // rendezvous table), so nothing is held across a park.
-        flush_local_pairs(local, ctx);
-    };
-    let run_sched = || match pool {
-        Some(p) => sched.run_in(&p.pool, body),
-        None => sched.run(body),
-    };
-    // With a watchdog, a monitor thread converts a wedged run into an
-    // explicit halt: it waits on a condvar with a deadline, and the run
-    // thread flips `done` under the same lock on completion, so exactly
-    // one of {completed, timed out} wins — a timeout can never be
-    // recorded after a successful finish races past it.
-    let mut timed_out = false;
-    let outcome = match cfg.watchdog {
-        None => run_sched(),
-        Some(bound) => {
-            let done = Mutex::new(false);
-            let done_cv = Condvar::new();
-            let fired_watchdog = AtomicBool::new(false);
-            let out = std::thread::scope(|scope| {
-                scope.spawn(|| {
-                    let guard = lock(&done);
-                    let (guard, wait) = done_cv
-                        .wait_timeout_while(guard, bound, |finished| !*finished)
-                        .unwrap_or_else(|e| e.into_inner());
-                    if wait.timed_out() && !*guard {
-                        fired_watchdog.store(true, Ordering::SeqCst);
-                        drop(guard);
-                        sched.halt_external();
-                    }
-                });
-                let out = run_sched();
-                *lock(&done) = true;
-                done_cv.notify_all();
-                out
-            });
-            timed_out = fired_watchdog.load(Ordering::SeqCst);
-            out
-        }
-    };
-
-    // Fold the fast-path joins into the per-worker and global tallies:
-    // each join consumed two tokens that never transited a run queue
-    // (2 × processed), fired one operator and merged one half-pair, so
-    // `tokens_processed == fired + merged` keeps holding.
-    let mut workers = outcome.workers;
-    let mut total_fast = 0u64;
-    for (w, local) in shared.locals.iter().enumerate() {
-        let l = lock(local);
-        // On a halted run (error, panic, watchdog) a batch may have been
-        // cut short with unpaired fast-path halves still parked here.
-        debug_assert!(outcome.halted || (l.pairs.is_empty() && l.ready.is_empty()));
-        workers[w].fast_path = l.fast_path;
-        workers[w].processed += 2 * l.fast_path;
-        total_fast += l.fast_path;
-    }
-
-    let chaos_tallies = ChaosTallies {
-        delays: workers.iter().map(|w| w.chaos_delays).sum(),
-        forced_steals: workers.iter().map(|w| w.chaos_forced_steals).sum(),
-        panics: shared
-            .chaos
-            .as_ref()
-            .map_or(0, |c| c.panics.load(Ordering::Relaxed)),
-        drops: shared
-            .chaos
-            .as_ref()
-            .map_or(0, |c| c.drops.load(Ordering::Relaxed)),
-        dups: shared
-            .chaos
-            .as_ref()
-            .map_or(0, |c| c.dups.load(Ordering::Relaxed)),
-    };
-    let metrics = ParMetrics {
-        workers,
-        tokens_processed: outcome.processed + 2 * total_fast,
-        merged: shared.merged.load(Ordering::Relaxed),
-        fast_path_fires: total_fast,
-        max_pending_slots: shared.slots_peak.load(Ordering::Relaxed),
-        slot_shard_high_water: shared
-            .slot_high
-            .iter()
-            .map(|h| h.load(Ordering::Relaxed))
-            .collect(),
-        tags_created: shared.tags.created(),
-        deferred_reads: shared.mem.deferred_reads.load(Ordering::Relaxed),
-        deferred_read_peak: shared.mem.deferred_peak.load(Ordering::Relaxed),
-        macro_fires: shared.macro_fires.load(Ordering::Relaxed),
-        ops_elided: shared.ops_elided.load(Ordering::Relaxed),
-        chaos: chaos_tallies,
-    };
-    let trace: Vec<FireEvent> = match &shared.trace {
-        None => Vec::new(),
-        Some(ring) => lock(&ring.buf)
-            .iter()
-            .map(|&(seq, worker, op, tag)| FireEvent {
-                seq,
-                worker,
-                op,
-                tag: shared.tags.render(tag),
-            })
-            .collect(),
-    };
-
-    // Classify the run. Precedence matters:
-    //
-    //  1. a recorded `MachineError` (collision, tag fault, memory fault,
-    //     fuel, tag exhaustion) is the root cause — it is what halted
-    //     the run;
-    //  2. a contained worker panic;
-    //  3. injected token drops — deterministically a `TokenLeak`,
-    //     whether the missing tokens stranded rendezvous partners
-    //     (would-be deadlock) or queue residue: a vanished token must
-    //     never masquerade as anything else, and never hang;
-    //  4. a watchdog halt that interrupted an unfinished run;
-    //  5. the ordinary no-chaos invariants: queue residue without a
-    //     recorded error is a leak, quiescence without `End` a deadlock.
-    //
-    // A spurious watchdog firing at the completion instant (the halt
-    // raced the last batch) falls through to `Ok`: the run *did* finish.
-    let end_seen = shared.end_seen.load(Ordering::SeqCst);
-    let chaos_drops = metrics.chaos.drops;
-    let result = if let Some(e) = lock(&shared.failed).take() {
-        Err(e)
-    } else if let Some((worker, payload)) = outcome.panicked {
-        Err(MachineError::WorkerPanicked { worker, payload })
-    } else if chaos_drops > 0 {
-        Err(MachineError::TokenLeak {
-            leftover: chaos_drops + outcome.leftover,
-        })
-    } else if timed_out && outcome.halted && !(end_seen && outcome.leftover == 0) {
-        Err(MachineError::WatchdogTimeout {
-            millis: cfg.watchdog.map_or(0, |d| d.as_millis() as u64),
-        })
-    } else if outcome.leftover != 0 {
-        // No failure recorded, yet tokens were left in queues: an
-        // executor invariant violation. Report it as a hard error —
-        // never let a dropped token pass silently, in release builds
-        // included.
-        Err(MachineError::TokenLeak {
-            leftover: outcome.leftover,
-        })
-    } else if !end_seen {
-        Err(MachineError::Deadlock {
-            pending: shared.describe_pending(),
-        })
-    } else {
-        Ok(ParOutcome {
-            memory: shared.mem.cells_snapshot(),
-            ist_memory: shared.mem.ist_snapshot(),
-            fired: shared.fired.load(Ordering::SeqCst),
-            metrics: metrics.clone(),
-        })
-    };
-    (result, metrics, trace)
-}
-
-fn process(sh: &Shared<'_>, ctx: &Ctx<'_, Token>, t: Token) {
-    let op = t.to.op;
-    let port = t.to.port as usize;
-    let cg = sh.cg;
-    let desc = cg.desc(op);
-    if let CKind::LoopSwitch(loop_id) = desc.kind {
-        return deposit_loop_switch(sh, ctx, op, port, t, loop_id);
-    }
-    if desc.merge_like() {
-        return fire(
-            sh,
-            ctx,
-            op,
-            t.tag,
-            FireInputs::Single {
-                port,
-                value: t.value,
-            },
-        );
-    }
-    if desc.live <= 1 {
-        // Single live input: fires immediately.
-        // clone() audit: the per-firing `Vec::with_capacity(n_in)` is
-        // gone — values assemble in an inline stack buffer (only
-        // >INLINE_VALS fan-ins spill, counted by the audit).
-        let vals = FireVals::from_imms(cg.imms(op), port, t.value, desc.is_hot());
-        return fire(sh, ctx, op, t.tag, FireInputs::Full(vals.as_slice()));
-    }
-    let k = key(op, t.tag);
-    let complete = {
-        let shard_idx = sh.shard(op, t.tag);
-        let mut shard = lock(&sh.slots[shard_idx]);
-        let mut inserted = false;
-        let slot = shard.entry(k).or_insert_with(|| {
-            inserted = true;
-            SlotVals::new(cg.imms(op), desc.is_hot())
-        });
-        if slot.is_filled(port) {
-            drop(shard);
-            let tag = sh.tags.render(t.tag);
-            sh.fail(ctx, MachineError::TokenCollision { op, port, tag });
-            return;
-        }
-        slot.set(port, t.value);
-        let complete = slot.is_complete();
-        if inserted {
-            // Waiting-matching pressure: whole-table peak plus a
-            // per-shard high-water mark (the shard length is
-            // exact under its lock).
-            let occupied = sh.slots_occupied.fetch_add(1, Ordering::Relaxed) + 1;
-            sh.slots_peak.fetch_max(occupied, Ordering::Relaxed);
-            sh.slot_high[shard_idx].fetch_max(shard.len() as u64, Ordering::Relaxed);
-        }
-        if complete {
-            let vals = shard.remove(&k).expect("present").into_vals();
-            drop(shard);
-            sh.slots_occupied.fetch_sub(1, Ordering::Relaxed);
-            Some(vals)
-        } else {
-            drop(shard);
-            sh.merged.fetch_add(1, Ordering::Relaxed);
-            None
-        }
-    };
-    if let Some(vals) = complete {
-        fire(sh, ctx, op, t.tag, FireInputs::Full(vals.as_slice()));
-    }
-}
-
-/// Deposit for a fused loop-entry/switch pair: a token on port 0 or 1 is
-/// retagged exactly as the fused loop-entry would retag it (outside →
-/// iteration 0, backedge → next iteration), then joins the predicate in a
-/// two-value slot keyed by the *iteration* tag. The predicate (port 2)
-/// already carries that tag and fills the other half. The incomplete
-/// deposit counts as `merged` — the same wait the unfused switch's
-/// rendezvous recorded — so fused and unfused runs agree on `merged`
-/// while the loop-entry's separate firing and output token are elided.
-fn deposit_loop_switch(
-    sh: &Shared<'_>,
-    ctx: &Ctx<'_, Token>,
-    op: OpId,
-    port: usize,
-    t: Token,
-    loop_id: cf2df_cfg::LoopId,
-) {
-    let (slot_tag, idx) = match port {
-        0 => match sh.tags.child(t.tag, loop_id, 0) {
-            Ok(nt) => (nt, 0),
-            Err(e) => return sh.fail(ctx, e),
-        },
-        1 => match sh.tags.info(t.tag) {
-            Some((p, l, i)) if l == loop_id => match sh.tags.child(p, loop_id, i + 1) {
-                Ok(nt) => (nt, 0),
-                Err(e) => return sh.fail(ctx, e),
-            },
-            other => {
-                return sh.fail(
-                    ctx,
-                    MachineError::TagMismatch {
-                        op,
-                        detail: format!(
-                            "backedge token tagged {other:?}, expected loop {loop_id:?}"
-                        ),
-                    },
-                )
-            }
-        },
-        _ => (t.tag, 1),
-    };
-    let k = key(op, slot_tag);
-    let complete = {
-        let shard_idx = sh.shard(op, slot_tag);
-        let mut shard = lock(&sh.slots[shard_idx]);
-        let mut inserted = false;
-        let slot = shard.entry(k).or_insert_with(|| {
-            inserted = true;
-            SlotVals::pair()
-        });
-        if slot.is_filled(idx) {
-            drop(shard);
-            let tag = sh.tags.render(slot_tag);
-            sh.fail(ctx, MachineError::TokenCollision { op, port, tag });
-            return;
-        }
-        slot.set(idx, t.value);
-        let complete = slot.is_complete();
-        if inserted {
-            let occupied = sh.slots_occupied.fetch_add(1, Ordering::Relaxed) + 1;
-            sh.slots_peak.fetch_max(occupied, Ordering::Relaxed);
-            sh.slot_high[shard_idx].fetch_max(shard.len() as u64, Ordering::Relaxed);
-        }
-        if complete {
-            let vals = shard.remove(&k).expect("present").into_vals();
-            drop(shard);
-            sh.slots_occupied.fetch_sub(1, Ordering::Relaxed);
-            Some(vals)
-        } else {
-            drop(shard);
-            sh.merged.fetch_add(1, Ordering::Relaxed);
-            None
-        }
-    };
-    if let Some(vals) = complete {
-        fire(sh, ctx, op, slot_tag, FireInputs::Full(vals.as_slice()));
-    }
-}
-
-/// Send an output token to every destination of `(op, out_port)`.
-///
-/// Destinations that are plain two-input rendezvous go through the
-/// *worker-local* pair map first: if this worker produced the partner
-/// token earlier in the same batch, the two join right here — no run
-/// queue, no sharded table, no cross-worker synchronization — and the
-/// completed firing is parked on the worker's ready stack. Unpaired
-/// halves wait in the map until the end of the batch, then rejoin the
-/// ordinary path.
-fn emit(sh: &Shared<'_>, ctx: &Ctx<'_, Token>, op: OpId, out_port: usize, value: i64, tag: TagId) {
-    // One null check per emit call; the per-destination fault draws live
-    // in the out-of-line chaos variant so ordinary runs keep a clean
-    // inner loop.
-    if sh.chaos.is_some() {
-        return emit_chaos(sh, ctx, op, out_port, value, tag);
-    }
-    for &to in sh.cg.dests(op, out_port) {
-        send(sh, ctx, to, value, tag);
-    }
-}
-
-/// [`emit`] with per-destination fault injection: each outgoing token may
-/// be dropped (vanishes — surfaced as [`MachineError::TokenLeak`]) or
-/// duplicated. Duplicates are only injected toward ops where the
-/// waiting-matching store can detect them (see `dup_ok`), and the copy
-/// goes through the ordinary queue — not the worker-local fast path — so
-/// it rendezvouses in the global table like a genuinely mis-sent token
-/// would.
-#[cold]
-#[inline(never)]
-fn emit_chaos(
-    sh: &Shared<'_>,
-    ctx: &Ctx<'_, Token>,
-    op: OpId,
-    out_port: usize,
-    value: i64,
-    tag: TagId,
-) {
-    let ch = sh.chaos.as_deref().expect("checked by emit");
-    for &to in sh.cg.dests(op, out_port) {
-        let dst = to.op;
-        {
-            let mut rng = lock(&ch.rngs[ctx.worker()]);
-            if ch.cfg.drop_prob > 0.0 && rng.chance(ch.cfg.drop_prob) {
-                drop(rng);
-                ch.drops.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            if ch.cfg.dup_prob > 0.0
-                && sh.cg.desc(dst).dup_ok()
-                && rng.chance(ch.cfg.dup_prob)
-            {
-                drop(rng);
-                ch.dups.fetch_add(1, Ordering::Relaxed);
-                ctx.push(Token { to, tag, value });
-            }
-        }
-        send(sh, ctx, to, value, tag);
-    }
-}
-
-/// Route one token to `to`: through the worker-local pair map when the
-/// destination is fast-path eligible, otherwise onto the run queue.
-#[inline]
-fn send(sh: &Shared<'_>, ctx: &Ctx<'_, Token>, to: Port, value: i64, tag: TagId) {
-    let dst = to.op;
-    if sh.cg.desc(dst).fast_ok() {
-        let port = to.port as usize;
-        let k = key(dst, tag);
-        let mut l = lock(&sh.locals[ctx.worker()]);
-        let slot = l.pairs.entry(k).or_insert([None, None]);
-        if slot[port].is_some() {
-            drop(l);
-            let tag = sh.tags.render(tag);
-            sh.fail(ctx, MachineError::TokenCollision { op: dst, port, tag });
-            return;
-        }
-        slot[port] = Some(value);
-        if let [Some(a), Some(b)] = *slot {
-            l.pairs.remove(&k);
-            l.ready.push((k, [a, b]));
-            l.fast_path += 1;
-            drop(l);
-            sh.merged.fetch_add(1, Ordering::Relaxed);
-        }
-        return;
-    }
-    ctx.push(Token { to, tag, value });
-}
-
-/// Fire every locally-completed join on worker's ready stack; firing can
-/// complete further joins, so loop until the stack is empty. The lock is
-/// released around each firing (firing re-enters [`emit`]).
-fn drain_ready(sh: &Shared<'_>, local: &Mutex<WorkerLocal>, ctx: &Ctx<'_, Token>) {
-    loop {
-        let next = lock(local).ready.pop();
-        match next {
-            Some((k, [a, b])) => {
-                // clone() audit: fast-path joins fire off a stack pair —
-                // the old per-firing `vec![a, b]` is gone.
-                let (op, tag) = unkey(k);
-                fire(sh, ctx, op, tag, FireInputs::Full(&[a, b]));
-            }
-            None => return,
-        }
-    }
-}
-
-/// End-of-batch: push every unpaired fast-path half back onto the run
-/// queue as an ordinary token. It will rendezvous in the sharded global
-/// table like any cross-worker token — the fast path is only ever a
-/// same-batch shortcut, never a place where a token can be stranded.
-fn flush_local_pairs(local: &Mutex<WorkerLocal>, ctx: &Ctx<'_, Token>) {
-    let leftovers: Vec<(u64, [Option<i64>; 2])> = {
-        let mut l = lock(local);
-        debug_assert!(l.ready.is_empty(), "ready drained after every token");
-        l.pairs.drain().collect()
-    };
-    for (k, slot) in leftovers {
-        let (op, tag) = unkey(k);
-        for (port, v) in slot.into_iter().enumerate() {
-            if let Some(value) = v {
-                ctx.push(Token {
-                    to: Port::new(op, port),
-                    tag,
-                    value,
-                });
-            }
-        }
-    }
-}
-
-/// Pre-firing hooks run by [`fire`] before the shared kernel: spend
-/// one unit of fuel (recording [`MachineError::FuelExhausted`] and
-/// skipping the firing once the budget is gone) and, under chaos, maybe
-/// panic in the operator's stead. Returns `false` when the firing must
-/// not proceed.
-fn fire_admitted(sh: &Shared<'_>, ctx: &Ctx<'_, Token>, op: OpId, tag: TagId) -> bool {
-    let prev = sh.fired.fetch_add(1, Ordering::Relaxed);
-    if prev >= sh.fuel {
-        sh.fail(ctx, MachineError::FuelExhausted);
-        return false;
-    }
-    if let Some(ch) = &sh.chaos {
-        if ch.cfg.panic_prob > 0.0 && lock(&ch.rngs[ctx.worker()]).chance(ch.cfg.panic_prob) {
-            ch.panics.fetch_add(1, Ordering::Relaxed);
-            panic!("chaos: injected operator panic at {op:?}");
-        }
-    }
-    if let Some(ring) = &sh.trace {
-        ring.push(ctx.worker(), op, tag);
-    }
-    true
-}
-
-/// The threaded executor's side of the shared firing kernel
-/// ([`fire_op`]): operator semantics live in the kernel, once, for both
-/// backends; this engine supplies the concurrent effects — CSR-sliced
-/// emission with the fast-path pair map, atomic/striped memory, sharded
-/// tag interning, halt-by-flag.
-struct ParEngine<'a, 'b, 'g> {
-    sh: &'a Shared<'g>,
-    ctx: &'a Ctx<'b, Token>,
-}
-
-impl Engine for ParEngine<'_, '_, '_> {
-    fn emit(&mut self, op: OpId, out_port: usize, value: i64, tag: TagId) {
-        emit(self.sh, self.ctx, op, out_port, value, tag);
-    }
-
-    fn halt(&mut self) {
-        // Mark completion but keep draining: workers exit when the
-        // token population reaches zero, so nothing is dropped.
-        self.sh.end_seen.store(true, Ordering::SeqCst);
-    }
-
-    fn tag_child(
-        &mut self,
-        parent: TagId,
-        loop_id: LoopId,
-        iter: u32,
-    ) -> Result<TagId, MachineError> {
-        self.sh.tags.child(parent, loop_id, iter)
-    }
-
-    fn tag_info(&self, tag: TagId) -> Option<(TagId, LoopId, u32)> {
-        self.sh.tags.info(tag)
-    }
-
-    fn read_scalar(&mut self, var: VarId) -> i64 {
-        self.sh.mem.read_scalar(&self.sh.layout, var)
-    }
-
-    fn write_scalar(&mut self, var: VarId, value: i64) {
-        self.sh.mem.write_scalar(&self.sh.layout, var, value)
-    }
-
-    fn read_element(&mut self, var: VarId, index: i64) -> Result<i64, MemError> {
-        self.sh.mem.read_element(&self.sh.layout, var, index)
-    }
-
-    fn write_element(&mut self, var: VarId, index: i64, value: i64) -> Result<(), MemError> {
-        self.sh.mem.write_element(&self.sh.layout, var, index, value)
-    }
-
-    fn ist_read(
-        &mut self,
-        var: VarId,
-        index: i64,
-        op: OpId,
-        tag: TagId,
-    ) -> Result<Option<i64>, MemError> {
-        // Deferral accounting happens inside ParMemory (note_deferred).
-        self.sh.mem.ist_read(&self.sh.layout, var, index, (op, tag))
-    }
-
-    fn ist_write(
-        &mut self,
-        var: VarId,
-        index: i64,
-        value: i64,
-    ) -> Result<Vec<DeferredRead<(OpId, TagId)>>, MemError> {
-        self.sh.mem.ist_write(&self.sh.layout, var, index, value)
-    }
-
-    fn macro_fired(&mut self, elided: u64) {
-        self.sh.macro_fires.fetch_add(1, Ordering::Relaxed);
-        self.sh.ops_elided.fetch_add(elided, Ordering::Relaxed);
-    }
-}
-
-/// Fire one operator through the shared kernel: admission (fuel, chaos
-/// panic, trace ring) first, then [`fire_op`] with this executor's
-/// engine; a kernel error becomes the run's recorded failure.
-fn fire(sh: &Shared<'_>, ctx: &Ctx<'_, Token>, op: OpId, tag: TagId, inputs: FireInputs<'_>) {
-    if !fire_admitted(sh, ctx, op, tag) {
-        return;
-    }
-    // clone() audit: the per-firing `g.kind(op).clone()` is gone — the
-    // kernel reads a 24-byte Copy descriptor from the compiled table.
-    let mut eng = ParEngine { sh, ctx };
-    if let Err(e) = fire_op(sh.cg, op, tag, inputs, &mut eng) {
-        sh.fail(ctx, e);
-    }
+) -> (Result<ParOutcome, MachineError>, ParMetrics, Vec<TraceEvent>) {
+    crate::serve::run_solo(cg, layout, pool, cfg)
 }
 
 #[cfg(test)]
@@ -1361,7 +503,24 @@ mod tests {
     use super::*;
     use cf2df_cfg::{BinOp, VarTable};
     use cf2df_dfg::graph::ArcKind;
-    use cf2df_dfg::OpKind;
+    use cf2df_dfg::{OpKind, Port};
+
+    /// Run `g` on `workers` threads, keeping the last `capacity` firings.
+    fn traced_run(
+        g: &Dfg,
+        layout: &MemLayout,
+        workers: usize,
+        capacity: usize,
+    ) -> (Result<ParOutcome, MachineError>, Vec<TraceEvent>) {
+        let cfg = ParConfig {
+            trace_capacity: Some(capacity),
+            ..ParConfig::default()
+        };
+        let cg = compile(g).unwrap();
+        let (result, _, trace) =
+            run_threaded_compiled_pooled_with(&cg, layout, &ExecutorPool::new(workers), &cfg);
+        (result, trace)
+    }
 
     #[test]
     fn threaded_matches_simulator_on_straight_line() {
@@ -1445,18 +604,18 @@ mod tests {
         g.connect(Port::new(st, 0), Port::new(e, 0), ArcKind::Access);
 
         // Full capacity: one event per firing, in sequence order.
-        let (out, trace) = run_threaded_traced(&g, &layout, 1, 64);
+        let (out, trace) = traced_run(&g, &layout, 1, 64);
         let out = out.unwrap();
         assert_eq!(trace.len() as u64, out.fired);
         for (i, ev) in trace.iter().enumerate() {
-            assert_eq!(ev.seq, i as u64);
+            assert_eq!(ev.time, i as u64);
             assert_eq!(ev.tag, "root");
         }
         // Bounded: capacity 2 keeps only the last two firings.
-        let (out, tail) = run_threaded_traced(&g, &layout, 1, 2);
+        let (out, tail) = traced_run(&g, &layout, 1, 2);
         let out = out.unwrap();
         assert_eq!(tail.len(), 2);
-        assert_eq!(tail.last().unwrap().seq, out.fired - 1);
+        assert_eq!(tail.last().unwrap().time, out.fired - 1);
 
         // Failure path: a deadlocked graph still yields its trace.
         let mut g2 = Dfg::new();
@@ -1467,7 +626,7 @@ mod tests {
         g2.connect(Port::new(s2, 0), Port::new(id, 0), ArcKind::Access);
         g2.connect(Port::new(id, 0), Port::new(sy, 0), ArcKind::Access);
         g2.connect(Port::new(sy, 0), Port::new(e2, 0), ArcKind::Access);
-        let (res, trace) = run_threaded_traced(&g2, &layout, 2, 8);
+        let (res, trace) = traced_run(&g2, &layout, 2, 8);
         assert!(matches!(res, Err(MachineError::Deadlock { .. })));
         assert_eq!(trace.len(), 1, "the identity fired before the stall");
         assert_eq!(trace[0].op, id);
@@ -1513,7 +672,7 @@ mod tests {
 
     #[test]
     fn sharded_tags_intern_consistently() {
-        let tags = ParTagTable::new(u32::MAX);
+        let tags = ParTagTable::new(u32::MAX, None);
         assert_eq!(tags.info(TagId::ROOT), None);
         assert_eq!(tags.render(TagId::ROOT), "root");
         let a = tags.child(TagId::ROOT, LoopId(0), 3).unwrap();
@@ -1532,7 +691,7 @@ mod tests {
     /// key keeps resolving after the cap is hit.
     #[test]
     fn capped_tag_interner_errors_instead_of_panicking() {
-        let tags = ParTagTable::new(2 * TAG_SHARDS as u32);
+        let tags = ParTagTable::new(2 * TAG_SHARDS as u32, None);
         let mut made = Vec::new();
         let mut exhausted = false;
         for i in 0..200u32 {
@@ -1556,7 +715,7 @@ mod tests {
 
     #[test]
     fn sharded_tags_safe_under_contention() {
-        let tags = ParTagTable::new(u32::MAX);
+        let tags = ParTagTable::new(u32::MAX, None);
         let ids: Vec<TagId> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..8)
                 .map(|_| {

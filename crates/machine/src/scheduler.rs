@@ -1,7 +1,7 @@
 //! A std-only work-stealing task scheduler with batched queues and a
 //! reusable worker pool.
 //!
-//! This is the execution core under [`crate::parallel`]. Each worker
+//! This is the execution core under [`mod@crate::serve`]. Each worker
 //! owns a run queue; a worker pushes the tasks it creates onto its own
 //! queue and pops them back LIFO for cache locality. The hot paths are
 //! *batched*: a worker takes up to [`BATCH`] tasks in one queue
@@ -56,7 +56,7 @@
 //!
 //! The scheduler knows nothing about dataflow; it moves opaque `T`s. The
 //! machine semantics (rendezvous, firing, memory) live in
-//! [`crate::parallel`].
+//! [`mod@crate::serve`].
 
 use crate::chaos::{ChaosConfig, ChaosRng};
 use crate::metrics::WorkerStats;
@@ -81,7 +81,7 @@ pub const STEAL_MIN: usize = 4;
 
 /// Lock, recovering the guard if a panicking worker poisoned it (the
 /// panic itself still propagates through the scope join).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -170,6 +170,15 @@ pub struct Ctx<'s, T> {
     buf: RefCell<Vec<T>>,
 }
 
+/// A panic payload as text: its message when it is a string.
+pub(crate) fn render_panic(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
+}
+
 impl<T: Send> Scheduler<T> {
     /// A scheduler with `n` worker queues (`n >= 1`).
     pub fn new(n_workers: usize) -> Scheduler<T> {
@@ -225,30 +234,6 @@ impl<T: Send> Scheduler<T> {
         self.queued.fetch_add(count, Ordering::SeqCst);
     }
 
-    /// Seed initial tasks onto the queues chosen by `place` (clamped to
-    /// the worker count by modulus). Unlike the round-robin [`seed`],
-    /// this lets the caller co-locate tasks that will rendezvous — e.g.
-    /// both halves of a two-input join — so the worker-local fast path
-    /// is not defeated by the seeding pattern.
-    ///
-    /// [`seed`]: Scheduler::seed
-    pub fn seed_with<I, F>(&self, tasks: I, place: F)
-    where
-        I: IntoIterator<Item = T>,
-        F: Fn(&T) -> usize,
-    {
-        let n = self.queues.len();
-        let mut count = 0usize;
-        for t in tasks {
-            let w = place(&t) % n;
-            lock(&self.queues[w]).push_back(t);
-            self.mark_fed(w);
-            count += 1;
-        }
-        self.pending.fetch_add(count, Ordering::SeqCst);
-        self.queued.fetch_add(count, Ordering::SeqCst);
-    }
-
     /// Record that worker `w` has been given work (seed, donation, or
     /// its own first batch), retiring it as a donation target.
     fn mark_fed(&self, w: usize) {
@@ -268,11 +253,11 @@ impl<T: Send> Scheduler<T> {
 
     /// Inject a group of tasks from outside the worker pool in one
     /// synchronization (one injector lock, one pair of counter updates,
-    /// one wake) — the admission path for multiplexed request execution
-    /// ([`crate::serve`]), where every request seeds several tokens at
-    /// once. All sleepers are woken: a batch is exactly the situation
-    /// where several parked workers can be put to use at once. Returns
-    /// how many tasks were injected.
+    /// one wake) — the threaded engine's admission path
+    /// ([`mod@crate::serve`]), where every invocation seeds several
+    /// tokens at once. All sleepers are woken: a batch is exactly the
+    /// situation where several parked workers can be put to use at once.
+    /// Returns how many tasks were injected.
     pub fn inject_batch<I: IntoIterator<Item = T>>(&self, tasks: I) -> usize {
         let mut buf: Vec<T> = tasks.into_iter().collect();
         let m = buf.len();
@@ -564,14 +549,9 @@ impl<T: Send> Scheduler<T> {
     /// observe `stop` and exit, sleepers are woken, and `finish` surfaces
     /// the report in [`Outcome::panicked`].
     fn record_panic(&self, w: usize, payload: &(dyn std::any::Any + Send)) {
-        let msg = payload
-            .downcast_ref::<&str>()
-            .map(|s| s.to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "non-string panic payload".to_string());
         let mut slot = lock(&self.panic);
         if slot.is_none() {
-            *slot = Some((w, msg));
+            *slot = Some((w, render_panic(payload)));
         }
         drop(slot);
         self.halt_external();
@@ -772,7 +752,7 @@ struct PoolShared {
 
 /// A fixed set of OS threads that parks between jobs, so repeated
 /// executor runs pay for thread spawning once instead of per run. Used
-/// through [`Scheduler::run_in`] / `parallel::ExecutorPool`.
+/// through [`Scheduler::run_in`] / [`crate::parallel::ExecutorPool`].
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
     handles: Vec<std::thread::JoinHandle<()>>,

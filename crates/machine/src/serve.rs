@@ -1,17 +1,22 @@
-//! Concurrent multi-invocation execution: many independent runs of one
-//! compiled graph multiplexed onto a single shared [`ExecutorPool`].
+//! The threaded engine: any number of invocations of one compiled graph,
+//! multiplexed onto a single shared [`ExecutorPool`].
 //!
-//! The threaded executor ([`crate::parallel`]) runs *one* invocation at a
-//! time: small graphs leave most of the pool idle between the seed
-//! fan-out and the final drain, and back-to-back requests serialize on
-//! the full start/stop latency of a run. This module exploits the
-//! tagged-token machine's own answer to that problem. On a Monsoon-style
-//! explicit-token-store machine, unrelated activations coexist in one
-//! waiting-matching store because their tokens carry disjoint contexts —
-//! the hardware never needs to know where one program ends and the next
-//! begins. We reproduce that here by adding an *invocation* dimension to
-//! the tag space: every rendezvous key packs a small invocation index
-//! into the high bits of the tag word ([`TagSplit`],
+//! This is the only threaded executor. A solo run
+//! ([`crate::parallel::run_threaded_compiled_pooled_with`]) admits one
+//! invocation and runs the scheduler on the calling thread; a serving
+//! session ([`serve`]) keeps the scheduler open on a thread of its own
+//! while its caller submits requests. Both go through the same
+//! admission, token processing, quiescence detection and failure
+//! classification.
+//!
+//! The engine follows the tagged-token machine's own answer to sharing
+//! one machine between programs. On a Monsoon-style explicit-token-store
+//! machine, unrelated activations coexist in one waiting-matching store
+//! because their tokens carry disjoint contexts — the hardware never
+//! needs to know where one program ends and the next begins. We
+//! reproduce that here by adding an *invocation* dimension to the tag
+//! space: every rendezvous key packs a small invocation index into the
+//! high bits of the tag word ([`TagSplit`],
 //! [`crate::compiled::key_inv`]), so tokens of concurrent requests flow
 //! through the *same* sharded slot table, the same run queues and the
 //! same workers, yet can never match each other.
@@ -20,7 +25,15 @@
 //! tag interner (each invocation gets its own reserved slice of the tag
 //! space), fuel, metrics, failure — lives in an invocation slot; the
 //! expensive shared machinery (worker threads, run queues, rendezvous
-//! shards) is allocated once per serving session.
+//! shards) is allocated once per session.
+//!
+//! Two-input operators whose partner token is produced by the *same
+//! worker in the same batch* rendezvous in a worker-local pair map keyed
+//! like the shared table, and never touch the sharded table at all (the
+//! fast path, visible as [`ParMetrics::fast_path_fires`]); unpaired
+//! entries are flushed back to the ordinary queue at the end of every
+//! batch, so the shared table remains the single point of truth between
+//! batches.
 //!
 //! Isolation invariants (pinned by the tests here and in
 //! `tests/chaos.rs` / `tests/parallel_equivalence.rs`):
@@ -31,19 +44,21 @@
 //!   tag exhaustion — fails *that request only*: its remaining tokens
 //!   drain as tombstones, its slot is reclaimed, and neighbors and the
 //!   pool are untouched;
-//! * a request's result is bit-identical to a solo
-//!   [`crate::parallel::run_threaded_compiled`] run of the same graph
-//!   (equivalence tests check all of them against the deterministic
-//!   simulator).
+//! * a request's result is bit-identical to a solo run of the same
+//!   graph (equivalence tests check all of them against the
+//!   deterministic simulator).
 //!
-//! Quiescence is detected per invocation with a live-token count: a
-//! token is live from the moment it is queued until its processing (and
-//! every emission that processing performs) has finished. The count
-//! reaching zero therefore means no token of that invocation exists
-//! anywhere — queued, stolen, or mid-fire — at which point the slot is
-//! finalized: its leftover rendezvous entries are purged from the
-//! shared table and the run is classified exactly like a solo run
-//! (recorded error > injected drops > deadlock > success).
+//! Quiescence is detected per invocation with a live-token count, settled
+//! once per batch: at the end of a batch each invocation's count rises by
+//! the tokens the batch queued for it and falls by the tokens the batch
+//! consumed, in one atomic step, before the scheduler makes the queued
+//! tokens visible. A token is therefore counted from before anyone can
+//! take it until the batch that consumed it has settled, and the count
+//! reaching zero means no token of that invocation exists anywhere —
+//! queued, stolen, mid-fire or parked in a worker's pair map — at which
+//! point the slot is finalized: its leftover rendezvous entries are
+//! purged from the shared table and the run is classified (recorded
+//! error > injected drops > deadlock > success).
 
 use crate::chaos::ChaosTallies;
 use crate::compiled::{
@@ -52,21 +67,23 @@ use crate::compiled::{
 use crate::exec::MachineError;
 use crate::hash::{shard64, FxHashMap};
 use crate::memory::{DeferredRead, MemError};
-use crate::metrics::{ParMetrics, ServeStats};
+use crate::metrics::{ParMetrics, ServeStats, WorkerStats};
 use crate::parallel::{ChaosState, ExecutorPool, ParConfig, ParMemory, ParOutcome, ParTagTable};
-use crate::scheduler::{Ctx, Scheduler};
+use crate::scheduler::{lock, render_panic, Ctx, Outcome, Scheduler};
 use crate::tag::{TagId, TagSplit};
+use crate::trace::TraceEvent;
 use cf2df_cfg::{LoopId, MemLayout, VarId};
 use cf2df_dfg::{OpId, Port};
 use std::cell::UnsafeCell;
+use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex};
+use std::time::Duration;
 
-/// Shards in the session's shared rendezvous-slot table (same count as
-/// the solo executor's table; the invocation bits are mixed into the
-/// shard hash so concurrent requests spread instead of stacking).
+/// Shards in the session's shared rendezvous-slot table, chosen by
+/// [`shard64`] over the invocation-packed key.
 const SLOT_SHARDS: usize = 32;
 
 /// Identifies one submitted request within a serving session. Sequential
@@ -76,14 +93,10 @@ const SLOT_SHARDS: usize = 32;
 /// to their submissions.
 pub type ReqId = u64;
 
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 /// A token in flight, extended with the invocation index that scopes its
 /// tag.
 #[derive(Clone, Copy, Debug)]
-struct MToken {
+struct Token {
     to: Port,
     tag: TagId,
     inv: u32,
@@ -99,8 +112,54 @@ struct InvCore {
     tags: ParTagTable,
 }
 
-/// One admission slot. The atomics are the invocation's always-on
-/// counters; `core` is the heap state rebuilt on every admission.
+/// The counters workers write while an invocation runs, aligned onto
+/// cache lines of their own: the per-firing writes never invalidate the
+/// line holding `core` and `failed_flag`, which every token reads. All
+/// but `live` are statistics written `Relaxed`; a worker writes them
+/// before its batch's `SeqCst` settlement of `live`, and the finalizer
+/// reads them after its own read-modify-write of `live` found zero,
+/// which orders every earlier settlement before it.
+#[repr(align(64))]
+#[derive(Default)]
+struct InvCounters {
+    /// Tokens of this invocation that exist anywhere (queued, being
+    /// processed, or waiting in a worker's pair map), settled once per
+    /// batch. Zero means quiescent — finalize.
+    live: AtomicU64,
+    fired: AtomicU64,
+    merged: AtomicU64,
+    macro_fires: AtomicU64,
+    ops_elided: AtomicU64,
+    /// Tokens taken off a run queue, settled once per batch.
+    processed: AtomicU64,
+    /// Joins completed on the worker-local fast path, settled once per
+    /// batch.
+    fast_path: AtomicU64,
+    /// Chaos-injected token drops / duplicates charged to this
+    /// invocation.
+    drops: AtomicU64,
+    dups: AtomicU64,
+}
+
+impl InvCounters {
+    fn reset(&self) {
+        for c in [
+            &self.fired,
+            &self.merged,
+            &self.macro_fires,
+            &self.ops_elided,
+            &self.processed,
+            &self.fast_path,
+            &self.drops,
+            &self.dups,
+        ] {
+            c.store(0, Ordering::SeqCst);
+        }
+    }
+}
+
+/// One admission slot: the private state of the admitted request and
+/// its always-on counters.
 struct InvSlot {
     /// Private state of the currently admitted request.
     ///
@@ -111,31 +170,22 @@ struct InvSlot {
     /// list and *before* injecting any of its tokens (the scheduler's
     /// queue locks give the necessary happens-before edge to workers);
     /// workers only read it while processing a token of this invocation,
-    /// which holds `live > 0`; finalization reads it only after `live`
-    /// reached zero — i.e. after every such reader finished — and the
-    /// slot returns to the free list only after finalization completes.
+    /// which holds `live > 0` until their batch settles; finalization
+    /// reads it only after `live` reached zero — i.e. after every such
+    /// reader finished — and the slot returns to the free list only
+    /// after finalization completes. A solo run reads it once more after
+    /// its workers have exited.
     core: UnsafeCell<Option<InvCore>>,
-    /// Tokens of this invocation that exist anywhere (queued or being
-    /// processed). Zero means quiescent — finalize.
-    live: AtomicU64,
     /// The request id occupying this slot (valid while off the free
     /// list).
     req: AtomicU64,
     end_seen: AtomicBool,
-    fired: AtomicU64,
-    merged: AtomicU64,
-    processed: AtomicU64,
-    macro_fires: AtomicU64,
-    ops_elided: AtomicU64,
-    /// Chaos-injected token drops / duplicates charged to this
-    /// invocation.
-    drops: AtomicU64,
-    dups: AtomicU64,
     /// First failure recorded for this invocation; `failed_flag` is the
     /// lock-free fast check that turns its remaining tokens into
     /// tombstones.
     failed: Mutex<Option<MachineError>>,
     failed_flag: AtomicBool,
+    n: InvCounters,
 }
 
 // SAFETY: see the `core` field — all access to the UnsafeCell is
@@ -147,26 +197,22 @@ impl InvSlot {
     fn new() -> InvSlot {
         InvSlot {
             core: UnsafeCell::new(None),
-            live: AtomicU64::new(0),
             req: AtomicU64::new(0),
             end_seen: AtomicBool::new(false),
-            fired: AtomicU64::new(0),
-            merged: AtomicU64::new(0),
-            processed: AtomicU64::new(0),
-            macro_fires: AtomicU64::new(0),
-            ops_elided: AtomicU64::new(0),
-            drops: AtomicU64::new(0),
-            dups: AtomicU64::new(0),
             failed: Mutex::new(None),
             failed_flag: AtomicBool::new(false),
+            n: InvCounters::default(),
         }
     }
 
     /// The admitted request's private state.
     ///
-    /// SAFETY: caller must hold one of the access rights documented on
-    /// the `core` field (token of this invocation in hand, or exclusive
-    /// ownership during admission/finalization).
+    /// # Safety
+    ///
+    /// The caller must hold one of the access rights documented on the
+    /// `core` field: a token of this invocation in hand, exclusive
+    /// ownership during admission or finalization, or a solo run whose
+    /// workers have exited.
     unsafe fn core(&self) -> &InvCore {
         (*self.core.get()).as_ref().expect("slot admitted")
     }
@@ -193,9 +239,103 @@ struct ServeState {
     dead: Option<MachineError>,
 }
 
+/// Whole-table rendezvous occupancy and its peak, on a cache line apart
+/// from the session fields every token reads.
+#[repr(align(64))]
+#[derive(Default)]
+struct Occupancy {
+    now: AtomicU64,
+    peak: AtomicU64,
+}
+
+/// One worker's private state: the same-batch rendezvous fast path and
+/// the per-invocation tallies settled at the end of each batch. Only its
+/// own worker locks it — once per batch — so the mutex is uncontended.
+#[derive(Default)]
+struct WorkerLocal {
+    /// Half-filled two-input rendezvous, keyed like the shared table
+    /// (invocation-packed `(op, tag)` word). Drained back to the run
+    /// queue at the end of every batch.
+    pairs: FxHashMap<u64, [Option<i64>; 2]>,
+    /// Locally completed joins awaiting firing, drained after each
+    /// token (firing can complete further joins).
+    ready: Vec<(u64, [i64; 2])>,
+    /// This batch's per-invocation counts.
+    tallies: Vec<Tally>,
+    /// Index in `tallies` of the invocation whose token is being
+    /// processed; every token its firings queue is charged there.
+    cur: usize,
+    /// Joins completed through the fast path over the whole session.
+    fast_path: u64,
+}
+
+/// What one batch did to one invocation.
+#[derive(Clone, Copy)]
+struct Tally {
+    inv: u32,
+    /// Tokens taken off the run queue.
+    consumed: u64,
+    /// Tokens queued (and so made live).
+    pushed: u64,
+    /// Fast-path joins: two tokens born and consumed within the batch.
+    fast: u64,
+}
+
+impl WorkerLocal {
+    /// Index of `inv`'s tally in this batch, created on first use.
+    fn tally(&mut self, inv: u32) -> usize {
+        match self.tallies.iter().rposition(|t| t.inv == inv) {
+            Some(i) => i,
+            None => {
+                self.tallies.push(Tally {
+                    inv,
+                    consumed: 0,
+                    pushed: 0,
+                    fast: 0,
+                });
+                self.tallies.len() - 1
+            }
+        }
+    }
+}
+
+/// Bounded ring of fire events for post-mortem debugging of deadlocks
+/// and tag mismatches. Keeps the *last* `cap` firings. Absent (and
+/// therefore allocation-free) unless a solo run asks for it through
+/// [`ParConfig::trace_capacity`].
+struct TraceRing {
+    cap: usize,
+    seq: AtomicU64,
+    /// `(sequence number, worker, op, tag)` of the solo invocation.
+    buf: Mutex<VecDeque<(u64, usize, OpId, TagId)>>,
+}
+
+impl TraceRing {
+    fn new(cap: usize) -> TraceRing {
+        let cap = cap.max(1);
+        TraceRing {
+            cap,
+            seq: AtomicU64::new(0),
+            // Preallocation is bounded: callers may ask for an effectively
+            // unbounded ring (cap = usize::MAX) and let it grow on demand.
+            buf: Mutex::new(VecDeque::with_capacity(cap.min(4096))),
+        }
+    }
+
+    fn push(&self, worker: usize, op: OpId, tag: TagId) {
+        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+        let mut buf = lock(&self.buf);
+        if buf.len() == self.cap {
+            buf.pop_front();
+        }
+        buf.push_back((seq, worker, op, tag));
+    }
+}
+
 /// Session-wide shared state: the compiled graph, the invocation-keyed
-/// rendezvous table, the admission slots.
-struct MultiShared<'g> {
+/// rendezvous table, the per-worker fast-path state, the admission
+/// slots.
+struct Session<'g> {
     cg: &'g CompiledGraph,
     /// How the 32-bit tag word is split between invocation index (high
     /// bits) and per-invocation tag (low bits).
@@ -205,13 +345,24 @@ struct MultiShared<'g> {
     tag_cap: u32,
     /// Per-invocation firing budget.
     fuel: u64,
+    /// A solo run: its tag interner names no invocation, and only it
+    /// keeps a fire-event ring.
+    solo: bool,
+    /// Fault injection for panics/drops/dups. Boxed so an ordinary run
+    /// pays one null check per firing / per emit call and the chaos
+    /// machinery stays off the session's hot cache lines.
     chaos: Option<Box<ChaosState>>,
     /// Rendezvous slots shared by all invocations, keyed by
-    /// [`key_inv`]; sharded by the mixed hash ([`shard64`]) so the
-    /// high invocation bits disperse.
+    /// [`key_inv`]; sharded by [`shard64`].
     slots: Vec<Mutex<FxHashMap<u64, SlotVals>>>,
-    slots_occupied: AtomicU64,
-    slots_peak: AtomicU64,
+    /// Per-shard high-water marks of the slot table.
+    slot_high: Vec<AtomicU64>,
+    occupancy: Occupancy,
+    /// Worker-local fast-path state and batch tallies, indexed by worker.
+    locals: Vec<Mutex<WorkerLocal>>,
+    /// Optional bounded fire-event ring; `None` (zero allocation, one
+    /// branch per firing) on ordinary runs.
+    trace: Option<TraceRing>,
     inv: Vec<InvSlot>,
     state: Mutex<ServeState>,
     /// Signaled when a slot frees (admission backpressure).
@@ -220,7 +371,50 @@ struct MultiShared<'g> {
     done_cv: Condvar,
 }
 
-impl MultiShared<'_> {
+impl<'g> Session<'g> {
+    fn new(
+        cg: &'g CompiledGraph,
+        n_workers: usize,
+        max_inflight: usize,
+        cfg: &ParConfig,
+        solo: bool,
+    ) -> Session<'g> {
+        let split = TagSplit::for_inflight(max_inflight);
+        Session {
+            cg,
+            split,
+            tag_cap: split.tag_cap().min(cfg.tag_cap),
+            fuel: cfg.fuel,
+            solo,
+            chaos: cfg.chaos.map(|c| Box::new(ChaosState::new(c, n_workers))),
+            slots: std::iter::repeat_with(|| Mutex::new(FxHashMap::default()))
+                .take(SLOT_SHARDS)
+                .collect(),
+            slot_high: (0..SLOT_SHARDS).map(|_| AtomicU64::new(0)).collect(),
+            occupancy: Occupancy::default(),
+            locals: (0..n_workers)
+                .map(|_| Mutex::new(WorkerLocal::default()))
+                .collect(),
+            trace: cfg.trace_capacity.filter(|_| solo).map(TraceRing::new),
+            inv: (0..max_inflight).map(|_| InvSlot::new()).collect(),
+            state: Mutex::new(ServeState {
+                free: (0..max_inflight as u32).rev().collect(),
+                completed: VecDeque::new(),
+                inflight: 0,
+                submitted: 0,
+                collected: 0,
+                completed_ok: 0,
+                completed_err: 0,
+                peak_inflight: 0,
+                dead: None,
+            }),
+            submit_cv: Condvar::new(),
+            done_cv: Condvar::new(),
+        }
+    }
+}
+
+impl Session<'_> {
     /// Record the first failure of invocation `inv` and tombstone its
     /// remaining tokens. Neighbors, the shared table and the pool are
     /// deliberately untouched: failure is a per-invocation event.
@@ -234,13 +428,151 @@ impl MultiShared<'_> {
         slot.failed_flag.store(true, Ordering::SeqCst);
     }
 
-    /// One token of `inv` finished processing (emissions included); if it
-    /// was the last live token anywhere, the invocation is quiescent and
-    /// this thread finalizes it.
-    fn dec_live(&self, inv: u32) {
-        if self.inv[inv as usize].live.fetch_sub(1, Ordering::SeqCst) == 1 {
-            self.finalize(inv);
+    /// Run one batch: process every token (each inside its own
+    /// `catch_unwind`, so an operator panic fails only its invocation),
+    /// flush unpaired fast-path halves, then settle each touched
+    /// invocation's counts.
+    fn run_batch(&self, ctx: &Ctx<'_, Token>, batch: &mut Vec<Token>) {
+        let mut guard = lock(&self.locals[ctx.worker()]);
+        let local = &mut *guard;
+        for t in batch.drain(..) {
+            local.cur = local.tally(t.inv);
+            local.tallies[local.cur].consumed += 1;
+            let slot = &self.inv[t.inv as usize];
+            if slot.failed_flag.load(Ordering::SeqCst) {
+                // Tombstone: the invocation already failed; its tokens
+                // drain without firing so the slot can be reclaimed.
+                continue;
+            }
+            // SAFETY: this token holds the invocation live (> 0) until
+            // the settlement at the end of this batch.
+            let core = unsafe { slot.core() };
+            let r = catch_unwind(AssertUnwindSafe(|| {
+                let mut f = Firing {
+                    sh: self,
+                    ctx,
+                    local: &mut *local,
+                    core,
+                    inv: t.inv,
+                };
+                f.process(t);
+                f.drain_ready();
+            }));
+            if let Err(payload) = r {
+                // Every pending ready join belongs to the failed
+                // invocation; drop them with it.
+                local.ready.clear();
+                self.fail_inv(
+                    t.inv,
+                    MachineError::WorkerPanicked {
+                        worker: ctx.worker(),
+                        payload: render_panic(&*payload),
+                    },
+                );
+            }
         }
+        self.flush_pairs(ctx, local);
+        self.settle(local);
+    }
+
+    /// End of batch: push every unpaired fast-path half back onto the
+    /// run queue as an ordinary token. It will rendezvous in the shared
+    /// table like any cross-worker token — the fast path is only ever a
+    /// same-batch shortcut, never a place where a token can be stranded.
+    fn flush_pairs(&self, ctx: &Ctx<'_, Token>, local: &mut WorkerLocal) {
+        debug_assert!(local.ready.is_empty(), "ready drained after every token");
+        if local.pairs.is_empty() {
+            return;
+        }
+        let mut pairs = std::mem::take(&mut local.pairs);
+        for (k, halves) in pairs.drain() {
+            let (op, inv, tag) = unkey_inv(k, self.split);
+            let i = local.tally(inv);
+            for (port, v) in halves.into_iter().enumerate() {
+                if let Some(value) = v {
+                    local.tallies[i].pushed += 1;
+                    ctx.push(Token {
+                        to: Port::new(op, port),
+                        tag,
+                        inv,
+                        value,
+                    });
+                }
+            }
+        }
+        local.pairs = pairs;
+    }
+
+    /// Settle the batch's tallies, one live-count update per invocation.
+    /// It runs before the scheduler flushes the batch's queued tokens, so
+    /// a token is counted before anyone can take it; the count can only
+    /// reach zero here when no token of the invocation is left anywhere,
+    /// and the settler that sees zero finalizes it.
+    fn settle(&self, local: &mut WorkerLocal) {
+        for t in local.tallies.drain(..) {
+            let n = &self.inv[t.inv as usize].n;
+            n.processed.fetch_add(t.consumed, Ordering::Relaxed);
+            if t.fast > 0 {
+                // Each join consumed two tokens that never transited a
+                // run queue, fired one operator and merged one half.
+                n.fast_path.fetch_add(t.fast, Ordering::Relaxed);
+                n.merged.fetch_add(t.fast, Ordering::Relaxed);
+                local.fast_path += t.fast;
+            }
+            if t.pushed >= t.consumed {
+                n.live.fetch_add(t.pushed - t.consumed, Ordering::SeqCst);
+            } else {
+                let gone = t.consumed - t.pushed;
+                if n.live.fetch_sub(gone, Ordering::SeqCst) == gone {
+                    self.finalize(t.inv);
+                }
+            }
+        }
+    }
+
+    /// Rendezvous one value in the shared table.
+    fn deposit(
+        &self,
+        inv: u32,
+        k: u64,
+        idx: usize,
+        value: i64,
+        mk: impl FnOnce() -> SlotVals,
+    ) -> Deposit {
+        let s = shard64(k, SLOT_SHARDS);
+        let mut shard = lock(&self.slots[s]);
+        match shard.entry(k) {
+            Entry::Occupied(mut e) => {
+                let vals = e.get_mut();
+                if vals.is_filled(idx) {
+                    return Deposit::Collision;
+                }
+                vals.set(idx, value);
+                if vals.is_complete() {
+                    let vals = e.remove().into_vals();
+                    drop(shard);
+                    self.occupancy.now.fetch_sub(1, Ordering::Relaxed);
+                    return Deposit::Fire(vals);
+                }
+            }
+            Entry::Vacant(e) => {
+                let mut vals = mk();
+                vals.set(idx, value);
+                if vals.is_complete() {
+                    return Deposit::Fire(vals.into_vals());
+                }
+                e.insert(vals);
+                // Waiting-matching pressure: whole-table peak plus a
+                // per-shard high-water mark (the shard length is exact
+                // under its lock).
+                let now = self.occupancy.now.fetch_add(1, Ordering::Relaxed) + 1;
+                self.occupancy.peak.fetch_max(now, Ordering::Relaxed);
+                self.slot_high[s].fetch_max(shard.len() as u64, Ordering::Relaxed);
+            }
+        }
+        drop(shard);
+        self.inv[inv as usize].n.merged.fetch_add(1, Ordering::Relaxed);
+        Deposit::Wait
     }
 
     /// Purge every rendezvous entry of `inv` from the shared table,
@@ -251,7 +583,12 @@ impl MultiShared<'_> {
     fn purge(&self, inv: u32, core: &InvCore) -> (u64, Vec<String>) {
         let mut parked = 0u64;
         let mut pending: Vec<String> = Vec::new();
-        for shard in &self.slots {
+        // An empty table holds none of `inv`'s entries: each insert
+        // raised `now` before its batch settled `live`, which ordered it
+        // before this finalization, and every decrement follows its own
+        // entry's increment.
+        let occupied = self.occupancy.now.load(Ordering::Relaxed) > 0;
+        for shard in self.slots.iter().filter(|_| occupied) {
             let mut shard = lock(shard);
             shard.retain(|&k, vals| {
                 let (op, k_inv, tag) = unkey_inv(k, self.split);
@@ -271,7 +608,7 @@ impl MultiShared<'_> {
             });
         }
         if parked > 0 {
-            self.slots_occupied.fetch_sub(parked, Ordering::Relaxed);
+            self.occupancy.now.fetch_sub(parked, Ordering::Relaxed);
         }
         pending.sort();
         pending.truncate(10);
@@ -284,16 +621,21 @@ impl MultiShared<'_> {
         (parked, pending)
     }
 
-    /// Classify a quiescent invocation exactly like a solo run (recorded
-    /// failure > injected drops > deadlock > success), push the result,
-    /// and return its slot to the free list.
+    /// Classify a quiescent invocation, push the result, and return its
+    /// slot to the free list. Precedence: a recorded failure (collision,
+    /// tag or memory fault, fuel, tag exhaustion, a caught operator
+    /// panic) is the root cause; injected drops are deterministically a
+    /// `TokenLeak`, whether the missing tokens stranded rendezvous
+    /// partners or not — a vanished token must never masquerade as
+    /// anything else; quiescence without `End` is a deadlock. A slot
+    /// left parked after `End` (a chaos duplicate whose partner was
+    /// already consumed) does not fail the run.
     fn finalize(&self, inv: u32) {
         let slot = &self.inv[inv as usize];
         // SAFETY: live == 0 — exclusive access per the slot protocol.
         let core = unsafe { slot.core() };
         let (parked, pending) = self.purge(inv, core);
-        let drops = slot.drops.load(Ordering::Relaxed);
-        let end_seen = slot.end_seen.load(Ordering::SeqCst);
+        let drops = slot.n.drops.load(Ordering::Relaxed);
         let failure = lock(&slot.failed).take();
         let result = if let Some(e) = failure {
             Err(e)
@@ -301,35 +643,14 @@ impl MultiShared<'_> {
             Err(MachineError::TokenLeak {
                 leftover: drops + parked,
             })
-        } else if parked > 0 || !end_seen {
+        } else if !slot.end_seen.load(Ordering::SeqCst) {
             Err(MachineError::Deadlock { pending })
         } else {
-            let metrics = ParMetrics {
-                // The workers are shared across invocations; their
-                // scheduler counters live in the session's ServeStats.
-                workers: Vec::new(),
-                tokens_processed: slot.processed.load(Ordering::Relaxed),
-                merged: slot.merged.load(Ordering::Relaxed),
-                // The serving executor has no worker-local fast path.
-                fast_path_fires: 0,
-                max_pending_slots: 0,
-                slot_shard_high_water: Vec::new(),
-                tags_created: core.tags.created(),
-                deferred_reads: core.mem.deferred_reads.load(Ordering::Relaxed),
-                deferred_read_peak: core.mem.deferred_peak.load(Ordering::Relaxed),
-                macro_fires: slot.macro_fires.load(Ordering::Relaxed),
-                ops_elided: slot.ops_elided.load(Ordering::Relaxed),
-                chaos: ChaosTallies {
-                    drops,
-                    dups: slot.dups.load(Ordering::Relaxed),
-                    ..ChaosTallies::default()
-                },
-            };
             Ok(ParOutcome {
                 memory: core.mem.cells_snapshot(),
                 ist_memory: core.mem.ist_snapshot(),
-                fired: slot.fired.load(Ordering::SeqCst),
-                metrics,
+                fired: slot.n.fired.load(Ordering::SeqCst),
+                metrics: self.metrics(inv),
             })
         };
         let req = slot.req.load(Ordering::SeqCst);
@@ -343,8 +664,12 @@ impl MultiShared<'_> {
         st.free.push(inv);
         st.inflight -= 1;
         drop(st);
-        self.submit_cv.notify_one();
-        self.done_cv.notify_all();
+        // A notification is a system call even when nobody waits; only a
+        // serving session has threads waiting for a slot or a result.
+        if !self.solo {
+            self.submit_cv.notify_one();
+            self.done_cv.notify_all();
+        }
     }
 
     /// The session itself died (escaped worker panic or watchdog): fail
@@ -368,127 +693,119 @@ impl MultiShared<'_> {
         self.submit_cv.notify_all();
         self.done_cv.notify_all();
     }
-}
 
-/// The submission side of a serving session, handed to the closure of
-/// [`serve`]. Cloneable by shared reference across threads: `submit` and
-/// `collect` are both `&self`.
-pub struct ServeHandle<'a, 'g> {
-    sh: &'a MultiShared<'g>,
-    sched: &'a Scheduler<MToken>,
-}
-
-impl ServeHandle<'_, '_> {
-    /// Admit one invocation of the session's graph over `layout`,
-    /// blocking while the admission window (`max_inflight`) is full —
-    /// the session's backpressure. Returns the request id; the result is
-    /// retrieved with [`ServeHandle::collect`]. On a dead session the
-    /// request completes immediately with the session's error.
-    pub fn submit(&self, layout: &MemLayout) -> ReqId {
-        let sh = self.sh;
-        let mut st = lock(&sh.state);
-        loop {
-            if let Some(err) = st.dead.clone() {
-                let req = st.submitted;
-                st.submitted += 1;
-                st.completed.push_back((req, Err(err)));
-                st.completed_err += 1;
-                drop(st);
-                sh.done_cv.notify_all();
-                return req;
-            }
-            if let Some(inv) = st.free.pop() {
-                let req = st.submitted;
-                st.submitted += 1;
-                st.inflight += 1;
-                st.peak_inflight = st.peak_inflight.max(st.inflight);
-                sh.inv[inv as usize].req.store(req, Ordering::SeqCst);
-                drop(st);
-                self.admit(inv, req, layout);
-                return req;
-            }
-            st = sh.submit_cv.wait(st).unwrap_or_else(|e| e.into_inner());
+    /// Per-invocation metrics. The per-worker scheduler counters and the
+    /// slot-table pressure belong to the session; a solo run adds them.
+    fn metrics(&self, inv: u32) -> ParMetrics {
+        let slot = &self.inv[inv as usize];
+        // SAFETY: called at quiescence of `inv` (see `core`).
+        let core = unsafe { slot.core() };
+        let n = &slot.n;
+        let fast = n.fast_path.load(Ordering::Relaxed);
+        ParMetrics {
+            workers: Vec::new(),
+            tokens_processed: n.processed.load(Ordering::Relaxed) + 2 * fast,
+            merged: n.merged.load(Ordering::Relaxed),
+            fast_path_fires: fast,
+            max_pending_slots: 0,
+            slot_shard_high_water: Vec::new(),
+            tags_created: core.tags.created(),
+            deferred_reads: core.mem.deferred_reads.load(Ordering::Relaxed),
+            deferred_read_peak: core.mem.deferred_peak.load(Ordering::Relaxed),
+            macro_fires: n.macro_fires.load(Ordering::Relaxed),
+            ops_elided: n.ops_elided.load(Ordering::Relaxed),
+            chaos: ChaosTallies {
+                drops: n.drops.load(Ordering::Relaxed),
+                dups: n.dups.load(Ordering::Relaxed),
+                ..ChaosTallies::default()
+            },
         }
     }
 
-    /// Install the request's private state in its slot and seed its
-    /// start tokens. The slot is exclusively ours between the free-list
-    /// pop and the injection below.
-    fn admit(&self, inv: u32, req: ReqId, layout: &MemLayout) {
-        let sh = self.sh;
-        let slot = &sh.inv[inv as usize];
-        let core = InvCore {
-            layout: layout.clone(),
-            mem: ParMemory::new(layout),
-            tags: ParTagTable::new_for(sh.tag_cap, Some(req)),
+    /// Fold the fast-path joins into the scheduler's per-worker tallies:
+    /// each join consumed two tokens that never transited a run queue,
+    /// so `processed` counts it twice.
+    fn worker_stats(&self, mut workers: Vec<WorkerStats>) -> Vec<WorkerStats> {
+        for (w, local) in self.locals.iter().enumerate() {
+            let fast = lock(local).fast_path;
+            workers[w].fast_path = fast;
+            workers[w].processed += 2 * fast;
+        }
+        workers
+    }
+
+    /// Faults injected over the whole session.
+    fn chaos_tallies(&self, workers: &[WorkerStats]) -> ChaosTallies {
+        let injected = |f: fn(&ChaosState) -> &AtomicU64| {
+            self.chaos
+                .as_deref()
+                .map_or(0, |c| f(c).load(Ordering::Relaxed))
         };
-        // SAFETY: exclusive slot ownership (popped from the free list,
-        // no tokens injected yet); see the `core` field protocol.
-        unsafe {
-            *slot.core.get() = Some(core);
+        ChaosTallies {
+            delays: workers.iter().map(|w| w.chaos_delays).sum(),
+            forced_steals: workers.iter().map(|w| w.chaos_forced_steals).sum(),
+            panics: injected(|c| &c.panics),
+            drops: injected(|c| &c.drops),
+            dups: injected(|c| &c.dups),
         }
-        slot.end_seen.store(false, Ordering::SeqCst);
-        slot.fired.store(0, Ordering::SeqCst);
-        slot.merged.store(0, Ordering::SeqCst);
-        slot.processed.store(0, Ordering::SeqCst);
-        slot.macro_fires.store(0, Ordering::SeqCst);
-        slot.ops_elided.store(0, Ordering::SeqCst);
-        slot.drops.store(0, Ordering::SeqCst);
-        slot.dups.store(0, Ordering::SeqCst);
-        *lock(&slot.failed) = None;
-        slot.failed_flag.store(false, Ordering::SeqCst);
-
-        let seeds = sh.cg.dests(sh.cg.start(), 0);
-        // Live count covers the seeds *before* they become visible to
-        // workers, so a fast drain cannot underflow it.
-        slot.live.store(seeds.len() as u64, Ordering::SeqCst);
-        if seeds.is_empty() {
-            // A graph whose start feeds nothing can never reach End;
-            // classify immediately (same verdict a solo run reaches).
-            return self.sh.finalize(inv);
-        }
-        self.sched.inject_batch(seeds.iter().map(|&to| MToken {
-            to,
-            tag: TagId::ROOT,
-            inv,
-            value: 0,
-        }));
     }
 
-    /// Wait for the next finished request (any invocation — completions
-    /// are delivered in finish order, not submission order) and return
-    /// its id and result.
-    ///
-    /// # Panics
-    ///
-    /// Panics if nothing is outstanding: every submitted request was
-    /// already collected.
-    pub fn collect(&self) -> (ReqId, Result<ParOutcome, MachineError>) {
-        let sh = self.sh;
-        let mut st = lock(&sh.state);
-        loop {
-            if let Some(done) = st.completed.pop_front() {
-                st.collected += 1;
-                return done;
+    /// Run the scheduler on `pool` until it drains or halts, under the
+    /// optional watchdog; a halt kills the session. With a watchdog, a
+    /// monitor thread converts a wedged run into an explicit halt: it
+    /// waits on a condvar with a deadline, and this thread flips `done`
+    /// under the same lock on completion, so exactly one of {completed,
+    /// timed out} wins — a timeout can never be recorded after a
+    /// finished run races past it.
+    fn drive(
+        &self,
+        sched: &Scheduler<Token>,
+        pool: &ExecutorPool,
+        watchdog: Option<Duration>,
+    ) -> Outcome {
+        let run = || {
+            sched.run_in(&pool.pool, |ctx: &Ctx<'_, Token>, batch: &mut Vec<Token>| {
+                self.run_batch(ctx, batch)
+            })
+        };
+        let out = match watchdog {
+            None => run(),
+            Some(bound) => {
+                let done = Mutex::new(false);
+                let done_cv = Condvar::new();
+                std::thread::scope(|scope| {
+                    scope.spawn(|| {
+                        let guard = lock(&done);
+                        let (guard, wait) = done_cv
+                            .wait_timeout_while(guard, bound, |finished| !*finished)
+                            .unwrap_or_else(|e| e.into_inner());
+                        if wait.timed_out() && !*guard {
+                            drop(guard);
+                            sched.halt_external();
+                        }
+                    });
+                    let out = run();
+                    *lock(&done) = true;
+                    done_cv.notify_all();
+                    out
+                })
             }
-            assert!(
-                st.submitted > st.collected,
-                "collect called with no outstanding requests"
-            );
-            st = sh.done_cv.wait(st).unwrap_or_else(|e| e.into_inner());
+        };
+        if out.halted {
+            // Nothing in the engine halts the scheduler: the session died
+            // under live requests from an escaped worker panic or the
+            // watchdog. Fail everything still admitted.
+            let err = match out.panicked.clone() {
+                Some((worker, payload)) => MachineError::WorkerPanicked { worker, payload },
+                None => MachineError::WatchdogTimeout {
+                    millis: watchdog.map_or(0, |d| d.as_millis() as u64),
+                },
+            };
+            self.session_death(err);
         }
-    }
-
-    /// Requests submitted and not yet collected.
-    pub fn outstanding(&self) -> usize {
-        let st = lock(&self.sh.state);
-        (st.submitted - st.collected) as usize
+        out
     }
 }
-
-// ---------------------------------------------------------------------
-// Token processing (the multiplexed mirror of parallel.rs's pipeline)
-// ---------------------------------------------------------------------
 
 /// What a rendezvous deposit produced.
 enum Deposit {
@@ -500,246 +817,242 @@ enum Deposit {
     Collision,
 }
 
-fn deposit(
-    sh: &MultiShared<'_>,
-    inv: u32,
-    k: u64,
-    idx: usize,
-    value: i64,
-    mk: impl FnOnce() -> SlotVals,
-) -> Deposit {
-    let slot = &sh.inv[inv as usize];
-    let shard_idx = shard64(k, SLOT_SHARDS);
-    let mut shard = lock(&sh.slots[shard_idx]);
-    let mut inserted = false;
-    let entry = shard.entry(k).or_insert_with(|| {
-        inserted = true;
-        mk()
-    });
-    if entry.is_filled(idx) {
-        return Deposit::Collision;
-    }
-    entry.set(idx, value);
-    let complete = entry.is_complete();
-    if inserted {
-        let occupied = sh.slots_occupied.fetch_add(1, Ordering::Relaxed) + 1;
-        sh.slots_peak.fetch_max(occupied, Ordering::Relaxed);
-    }
-    if complete {
-        let vals = shard.remove(&k).expect("present").into_vals();
-        drop(shard);
-        sh.slots_occupied.fetch_sub(1, Ordering::Relaxed);
-        Deposit::Fire(vals)
-    } else {
-        drop(shard);
-        slot.merged.fetch_add(1, Ordering::Relaxed);
-        Deposit::Wait
-    }
-}
-
-fn process_one(sh: &MultiShared<'_>, ctx: &Ctx<'_, MToken>, t: MToken) {
-    let inv = t.inv;
-    let slot = &sh.inv[inv as usize];
-    if slot.failed_flag.load(Ordering::SeqCst) {
-        // Tombstone: the invocation already failed; its tokens drain
-        // without firing so the slot can be reclaimed and reused.
-        return;
-    }
-    // SAFETY: this token holds the invocation live (> 0) until the body
-    // loop decrements after we return.
-    let core = unsafe { slot.core() };
-    let op = t.to.op;
-    let port = t.to.port as usize;
-    let cg = sh.cg;
-    let desc = cg.desc(op);
-    if let CKind::LoopSwitch(loop_id) = desc.kind {
-        return deposit_loop_switch(sh, ctx, core, inv, op, port, t, loop_id);
-    }
-    if desc.merge_like() {
-        return fire_inv(
-            sh,
-            ctx,
-            core,
-            inv,
-            op,
-            t.tag,
-            FireInputs::Single {
-                port,
-                value: t.value,
-            },
-        );
-    }
-    if desc.live <= 1 {
-        let vals = FireVals::from_imms(cg.imms(op), port, t.value, desc.is_hot());
-        return fire_inv(sh, ctx, core, inv, op, t.tag, FireInputs::Full(vals.as_slice()));
-    }
-    let k = key_inv(op, sh.split, inv, t.tag);
-    match deposit(sh, inv, k, port, t.value, || {
-        SlotVals::new(cg.imms(op), desc.is_hot())
-    }) {
-        Deposit::Fire(vals) => fire_inv(sh, ctx, core, inv, op, t.tag, FireInputs::Full(vals.as_slice())),
-        Deposit::Wait => {}
-        Deposit::Collision => {
-            let tag = core.tags.render(t.tag);
-            sh.fail_inv(inv, MachineError::TokenCollision { op, port, tag });
-        }
-    }
-}
-
-/// The fused loop-entry/switch deposit, invocation-scoped: identical
-/// retagging to [`crate::parallel`]'s, but tags come from the
-/// invocation's own interner and the rendezvous key carries the
-/// invocation bits.
-#[allow(clippy::too_many_arguments)]
-fn deposit_loop_switch(
-    sh: &MultiShared<'_>,
-    ctx: &Ctx<'_, MToken>,
-    core: &InvCore,
-    inv: u32,
-    op: OpId,
-    port: usize,
-    t: MToken,
-    loop_id: LoopId,
-) {
-    let (slot_tag, idx) = match port {
-        0 => match core.tags.child(t.tag, loop_id, 0) {
-            Ok(nt) => (nt, 0),
-            Err(e) => return sh.fail_inv(inv, e),
-        },
-        1 => match core.tags.info(t.tag) {
-            Some((p, l, i)) if l == loop_id => match core.tags.child(p, loop_id, i + 1) {
-                Ok(nt) => (nt, 0),
-                Err(e) => return sh.fail_inv(inv, e),
-            },
-            other => {
-                return sh.fail_inv(
-                    inv,
-                    MachineError::TagMismatch {
-                        op,
-                        detail: format!(
-                            "backedge token tagged {other:?}, expected loop {loop_id:?}"
-                        ),
-                    },
-                )
-            }
-        },
-        _ => (t.tag, 1),
-    };
-    let k = key_inv(op, sh.split, inv, slot_tag);
-    match deposit(sh, inv, k, idx, t.value, SlotVals::pair) {
-        Deposit::Fire(vals) => {
-            fire_inv(sh, ctx, core, inv, op, slot_tag, FireInputs::Full(vals.as_slice()))
-        }
-        Deposit::Wait => {}
-        Deposit::Collision => {
-            let tag = core.tags.render(slot_tag);
-            sh.fail_inv(inv, MachineError::TokenCollision { op, port, tag });
-        }
-    }
-}
-
-/// Send one output token to every destination of `(op, out_port)`. Every
-/// pushed token raises the invocation's live count *before* it becomes
-/// visible, so quiescence cannot be declared under it. There is no
-/// worker-local fast path here: batches interleave tokens of many
-/// invocations, so same-batch pairing would buy little and cost an
-/// invocation-keyed flush on every batch boundary.
-fn emit_inv(
-    sh: &MultiShared<'_>,
-    ctx: &Ctx<'_, MToken>,
-    inv: u32,
-    op: OpId,
-    out_port: usize,
-    value: i64,
-    tag: TagId,
-) {
-    if sh.chaos.is_some() {
-        return emit_inv_chaos(sh, ctx, inv, op, out_port, value, tag);
-    }
-    let slot = &sh.inv[inv as usize];
-    for &to in sh.cg.dests(op, out_port) {
-        slot.live.fetch_add(1, Ordering::SeqCst);
-        ctx.push(MToken { to, tag, inv, value });
-    }
-}
-
-/// [`emit_inv`] with per-destination fault injection; drops and dups are
-/// charged to the emitting invocation (the drop will surface as *its*
-/// [`MachineError::TokenLeak`], nobody else's).
-#[cold]
-#[inline(never)]
-fn emit_inv_chaos(
-    sh: &MultiShared<'_>,
-    ctx: &Ctx<'_, MToken>,
-    inv: u32,
-    op: OpId,
-    out_port: usize,
-    value: i64,
-    tag: TagId,
-) {
-    let ch = sh.chaos.as_deref().expect("checked by emit_inv");
-    let slot = &sh.inv[inv as usize];
-    for &to in sh.cg.dests(op, out_port) {
-        {
-            let mut rng = lock(&ch.rngs[ctx.worker()]);
-            if ch.cfg.drop_prob > 0.0 && rng.chance(ch.cfg.drop_prob) {
-                drop(rng);
-                ch.drops.fetch_add(1, Ordering::Relaxed);
-                slot.drops.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            if ch.cfg.dup_prob > 0.0 && sh.cg.desc(to.op).dup_ok() && rng.chance(ch.cfg.dup_prob)
-            {
-                drop(rng);
-                ch.dups.fetch_add(1, Ordering::Relaxed);
-                slot.dups.fetch_add(1, Ordering::Relaxed);
-                slot.live.fetch_add(1, Ordering::SeqCst);
-                ctx.push(MToken { to, tag, inv, value });
-            }
-        }
-        slot.live.fetch_add(1, Ordering::SeqCst);
-        ctx.push(MToken { to, tag, inv, value });
-    }
-}
-
-/// Admission hooks before the shared firing kernel: spend one unit of
-/// the *invocation's* fuel, and under chaos maybe panic in the
-/// operator's stead (the panic is caught per token and fails only this
-/// invocation).
-fn fire_admitted_inv(sh: &MultiShared<'_>, ctx: &Ctx<'_, MToken>, inv: u32, op: OpId) -> bool {
-    let slot = &sh.inv[inv as usize];
-    let prev = slot.fired.fetch_add(1, Ordering::Relaxed);
-    if prev >= sh.fuel {
-        sh.fail_inv(inv, MachineError::FuelExhausted);
-        return false;
-    }
-    if let Some(ch) = &sh.chaos {
-        if ch.cfg.panic_prob > 0.0 && lock(&ch.rngs[ctx.worker()]).chance(ch.cfg.panic_prob) {
-            ch.panics.fetch_add(1, Ordering::Relaxed);
-            panic!("chaos: injected operator panic at {op:?}");
-        }
-    }
-    true
-}
-
-/// The serving executor's side of the shared firing kernel: emission
-/// raises the invocation's live count, memory and tags are the
-/// invocation's own, halt marks only this invocation's End.
-struct ServeEngine<'a, 'b, 'g> {
-    sh: &'a MultiShared<'g>,
-    ctx: &'a Ctx<'b, MToken>,
+/// One token's processing on a worker, and the engine side of the shared
+/// firing kernel ([`fire_op`]): operator semantics live in the kernel,
+/// once, for both backends; this supplies the concurrent effects —
+/// emission through the fast-path pair map onto the run queue,
+/// the invocation's atomic/striped memory and sharded tag interner,
+/// halt marking only this invocation's End.
+struct Firing<'a, 'b, 'g> {
+    sh: &'a Session<'g>,
+    ctx: &'a Ctx<'b, Token>,
+    local: &'a mut WorkerLocal,
     core: &'a InvCore,
     inv: u32,
 }
 
-impl Engine for ServeEngine<'_, '_, '_> {
+impl Firing<'_, '_, '_> {
+    fn process(&mut self, t: Token) {
+        let op = t.to.op;
+        let port = t.to.port as usize;
+        let cg = self.sh.cg;
+        let desc = cg.desc(op);
+        let loop_switch = matches!(desc.kind, CKind::LoopSwitch(_));
+        let (tag, idx) = match desc.kind {
+            CKind::LoopSwitch(loop_id) => match self.loop_switch_slot(op, port, t.tag, loop_id) {
+                Ok(slot) => slot,
+                Err(e) => return self.sh.fail_inv(self.inv, e),
+            },
+            _ if desc.merge_like() => {
+                let inputs = FireInputs::Single {
+                    port,
+                    value: t.value,
+                };
+                return self.fire(op, t.tag, inputs);
+            }
+            _ if desc.live <= 1 => {
+                // Single live input: fires immediately, its values
+                // assembled in an inline stack buffer.
+                let vals = FireVals::from_imms(cg.imms(op), port, t.value, desc.is_hot());
+                return self.fire(op, t.tag, FireInputs::Full(vals.as_slice()));
+            }
+            _ => (t.tag, port),
+        };
+        let k = key_inv(op, self.sh.split, self.inv, tag);
+        let fresh = || {
+            if loop_switch {
+                SlotVals::pair()
+            } else {
+                SlotVals::new(cg.imms(op), desc.is_hot())
+            }
+        };
+        match self.sh.deposit(self.inv, k, idx, t.value, fresh) {
+            Deposit::Fire(vals) => self.fire(op, tag, FireInputs::Full(vals.as_slice())),
+            Deposit::Wait => {}
+            Deposit::Collision => {
+                let tag = self.core.tags.render(tag);
+                self.sh
+                    .fail_inv(self.inv, MachineError::TokenCollision { op, port, tag });
+            }
+        }
+    }
+
+    /// The rendezvous of a fused loop-entry/switch pair: a token on port
+    /// 0 or 1 is retagged exactly as the fused loop-entry would retag it
+    /// (outside → iteration 0, backedge → next iteration), then joins
+    /// the predicate in value 0 of a two-value slot keyed by the
+    /// *iteration* tag. The predicate (port 2) already carries that tag
+    /// and fills value 1. The incomplete deposit counts as `merged` —
+    /// the same wait the unfused switch's rendezvous recorded — so fused
+    /// and unfused runs agree on `merged` while the loop-entry's
+    /// separate firing and output token are elided.
+    fn loop_switch_slot(
+        &self,
+        op: OpId,
+        port: usize,
+        tag: TagId,
+        loop_id: LoopId,
+    ) -> Result<(TagId, usize), MachineError> {
+        let tags = &self.core.tags;
+        match port {
+            0 => Ok((tags.child(tag, loop_id, 0)?, 0)),
+            1 => match tags.info(tag) {
+                Some((p, l, i)) if l == loop_id => Ok((tags.child(p, loop_id, i + 1)?, 0)),
+                other => Err(MachineError::TagMismatch {
+                    op,
+                    detail: format!("backedge token tagged {other:?}, expected loop {loop_id:?}"),
+                }),
+            },
+            _ => Ok((tag, 1)),
+        }
+    }
+
+    /// Fire every locally-completed join on the worker's ready stack;
+    /// firing can complete further joins, so loop until the stack is
+    /// empty. Every entry belongs to this token's invocation: only its
+    /// own firings fed the pair map since the last drain.
+    fn drain_ready(&mut self) {
+        while let Some((k, [a, b])) = self.local.ready.pop() {
+            if self.sh.inv[self.inv as usize]
+                .failed_flag
+                .load(Ordering::SeqCst)
+            {
+                self.local.ready.clear();
+                return;
+            }
+            let (op, inv, tag) = unkey_inv(k, self.sh.split);
+            debug_assert_eq!(inv, self.inv);
+            self.fire(op, tag, FireInputs::Full(&[a, b]));
+        }
+    }
+
+    /// Admission (fuel, chaos panic, trace ring) first, then
+    /// [`fire_op`]; a kernel error becomes the invocation's recorded
+    /// failure.
+    fn fire(&mut self, op: OpId, tag: TagId, inputs: FireInputs<'_>) {
+        let sh = self.sh;
+        let prev = sh.inv[self.inv as usize]
+            .n
+            .fired
+            .fetch_add(1, Ordering::Relaxed);
+        if prev >= sh.fuel {
+            return sh.fail_inv(self.inv, MachineError::FuelExhausted);
+        }
+        if let Some(ch) = &sh.chaos {
+            // Caught per token: the panic fails only this invocation.
+            if ch.cfg.panic_prob > 0.0
+                && lock(&ch.rngs[self.ctx.worker()]).chance(ch.cfg.panic_prob)
+            {
+                ch.panics.fetch_add(1, Ordering::Relaxed);
+                panic!("chaos: injected operator panic at {op:?}");
+            }
+        }
+        if let Some(ring) = &sh.trace {
+            ring.push(self.ctx.worker(), op, tag);
+        }
+        if let Err(e) = fire_op(sh.cg, op, tag, inputs, self) {
+            sh.fail_inv(self.inv, e);
+        }
+    }
+
+    /// Route one token to `to`: through the worker-local pair map when
+    /// the destination is a fast-path two-input rendezvous, otherwise
+    /// onto the run queue. If this worker produced the partner token
+    /// earlier in the same batch, the two join right here — no run
+    /// queue, no shared table, no cross-worker synchronization — and the
+    /// completed firing is parked on the ready stack.
+    #[inline]
+    fn send(&mut self, to: Port, value: i64, tag: TagId) {
+        let dst = to.op;
+        if self.sh.cg.desc(dst).fast_ok() {
+            let port = to.port as usize;
+            let k = key_inv(dst, self.sh.split, self.inv, tag);
+            let slot = self.local.pairs.entry(k).or_insert([None, None]);
+            if slot[port].is_some() {
+                let tag = self.core.tags.render(tag);
+                return self.sh.fail_inv(
+                    self.inv,
+                    MachineError::TokenCollision { op: dst, port, tag },
+                );
+            }
+            slot[port] = Some(value);
+            if let [Some(a), Some(b)] = *slot {
+                self.local.pairs.remove(&k);
+                self.local.ready.push((k, [a, b]));
+                self.local.tallies[self.local.cur].fast += 1;
+            }
+            return;
+        }
+        self.push(Token {
+            to,
+            tag,
+            inv: self.inv,
+            value,
+        });
+    }
+
+    /// Queue a token, charging it to the invocation's batch tally.
+    fn push(&mut self, t: Token) {
+        self.local.tallies[self.local.cur].pushed += 1;
+        self.ctx.push(t);
+    }
+
+    /// [`Engine::emit`] with per-destination fault injection: each
+    /// outgoing token may be dropped (vanishes — surfaced as this
+    /// invocation's [`MachineError::TokenLeak`]) or duplicated.
+    /// Duplicates are only injected toward ops where the waiting-matching
+    /// store can detect them (see `dup_ok`), and the copy goes through
+    /// the ordinary queue — not the fast path — so it rendezvouses in the
+    /// shared table like a genuinely mis-sent token would.
+    #[cold]
+    #[inline(never)]
+    fn emit_chaos(&mut self, op: OpId, out_port: usize, value: i64, tag: TagId) {
+        let sh = self.sh;
+        let ch = sh.chaos.as_deref().expect("checked by emit");
+        let n = &sh.inv[self.inv as usize].n;
+        for &to in sh.cg.dests(op, out_port) {
+            {
+                let mut rng = lock(&ch.rngs[self.ctx.worker()]);
+                if ch.cfg.drop_prob > 0.0 && rng.chance(ch.cfg.drop_prob) {
+                    drop(rng);
+                    ch.drops.fetch_add(1, Ordering::Relaxed);
+                    n.drops.fetch_add(1, Ordering::Relaxed);
+                    continue;
+                }
+                if ch.cfg.dup_prob > 0.0 && sh.cg.desc(to.op).dup_ok() && rng.chance(ch.cfg.dup_prob)
+                {
+                    drop(rng);
+                    ch.dups.fetch_add(1, Ordering::Relaxed);
+                    n.dups.fetch_add(1, Ordering::Relaxed);
+                    self.push(Token {
+                        to,
+                        tag,
+                        inv: self.inv,
+                        value,
+                    });
+                }
+            }
+            self.send(to, value, tag);
+        }
+    }
+}
+
+impl Engine for Firing<'_, '_, '_> {
     fn emit(&mut self, op: OpId, out_port: usize, value: i64, tag: TagId) {
-        emit_inv(self.sh, self.ctx, self.inv, op, out_port, value, tag);
+        // One null check per emit call; the per-destination fault draws
+        // live in the out-of-line chaos variant.
+        if self.sh.chaos.is_some() {
+            return self.emit_chaos(op, out_port, value, tag);
+        }
+        for &to in self.sh.cg.dests(op, out_port) {
+            self.send(to, value, tag);
+        }
     }
 
     fn halt(&mut self) {
-        // End fired for *this* invocation; neighbors keep running and
-        // the scheduler stays up for the whole session.
+        // End fired for *this* invocation: mark it but keep draining —
+        // the invocation finalizes when its live count reaches zero, so
+        // nothing is dropped, and neighbors keep running.
         self.sh.inv[self.inv as usize]
             .end_seen
             .store(true, Ordering::SeqCst);
@@ -781,6 +1094,7 @@ impl Engine for ServeEngine<'_, '_, '_> {
         op: OpId,
         tag: TagId,
     ) -> Result<Option<i64>, MemError> {
+        // Deferral accounting happens inside ParMemory.
         self.core.mem.ist_read(&self.core.layout, var, index, (op, tag))
     }
 
@@ -794,49 +1108,136 @@ impl Engine for ServeEngine<'_, '_, '_> {
     }
 
     fn macro_fired(&mut self, elided: u64) {
-        let slot = &self.sh.inv[self.inv as usize];
-        slot.macro_fires.fetch_add(1, Ordering::Relaxed);
-        slot.ops_elided.fetch_add(elided, Ordering::Relaxed);
+        let n = &self.sh.inv[self.inv as usize].n;
+        n.macro_fires.fetch_add(1, Ordering::Relaxed);
+        n.ops_elided.fetch_add(elided, Ordering::Relaxed);
     }
-}
-
-fn fire_inv(
-    sh: &MultiShared<'_>,
-    ctx: &Ctx<'_, MToken>,
-    core: &InvCore,
-    inv: u32,
-    op: OpId,
-    tag: TagId,
-    inputs: FireInputs<'_>,
-) {
-    if !fire_admitted_inv(sh, ctx, inv, op) {
-        return;
-    }
-    let mut eng = ServeEngine { sh, ctx, core, inv };
-    if let Err(e) = fire_op(sh.cg, op, tag, inputs, &mut eng) {
-        sh.fail_inv(inv, e);
-    }
-}
-
-fn render_panic(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
 // ---------------------------------------------------------------------
-// The session
+// Admission, sessions and solo runs
 // ---------------------------------------------------------------------
+
+/// The submission side of a serving session, handed to the closure of
+/// [`serve`]. Cloneable by shared reference across threads: `submit` and
+/// `collect` are both `&self`.
+pub struct ServeHandle<'a, 'g> {
+    sh: &'a Session<'g>,
+    sched: &'a Scheduler<Token>,
+}
+
+impl ServeHandle<'_, '_> {
+    /// Admit one invocation of the session's graph over `layout`,
+    /// blocking while the admission window (`max_inflight`) is full —
+    /// the session's backpressure. Returns the request id; the result is
+    /// retrieved with [`ServeHandle::collect`]. On a dead session the
+    /// request completes immediately with the session's error.
+    pub fn submit(&self, layout: &MemLayout) -> ReqId {
+        let sh = self.sh;
+        let mut st = lock(&sh.state);
+        loop {
+            if let Some(err) = st.dead.clone() {
+                let req = st.submitted;
+                st.submitted += 1;
+                st.completed.push_back((req, Err(err)));
+                st.completed_err += 1;
+                drop(st);
+                sh.done_cv.notify_all();
+                return req;
+            }
+            if let Some(inv) = st.free.pop() {
+                let req = st.submitted;
+                st.submitted += 1;
+                st.inflight += 1;
+                st.peak_inflight = st.peak_inflight.max(st.inflight);
+                sh.inv[inv as usize].req.store(req, Ordering::SeqCst);
+                drop(st);
+                self.admit(inv, req, layout);
+                return req;
+            }
+            st = sh.submit_cv.wait(st).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+
+    /// Install the request's private state in its slot and inject its
+    /// start tokens. The slot is exclusively ours between the free-list
+    /// pop and the injection below.
+    fn admit(&self, inv: u32, req: ReqId, layout: &MemLayout) {
+        let sh = self.sh;
+        let slot = &sh.inv[inv as usize];
+        let core = InvCore {
+            layout: layout.clone(),
+            mem: ParMemory::new(layout),
+            // A solo run's interner owns the whole tag space and names no
+            // invocation in its exhaustion error.
+            tags: ParTagTable::new(sh.tag_cap, (!sh.solo).then_some(req)),
+        };
+        // SAFETY: exclusive slot ownership (popped from the free list,
+        // no tokens injected yet); see the `core` field protocol.
+        unsafe {
+            *slot.core.get() = Some(core);
+        }
+        slot.end_seen.store(false, Ordering::SeqCst);
+        slot.n.reset();
+        *lock(&slot.failed) = None;
+        slot.failed_flag.store(false, Ordering::SeqCst);
+
+        let seeds = sh.cg.dests(sh.cg.start(), 0);
+        // Live count covers the seeds *before* they become visible to
+        // workers, so a fast drain cannot underflow it.
+        slot.n.live.store(seeds.len() as u64, Ordering::SeqCst);
+        if seeds.is_empty() {
+            // A graph whose start feeds nothing can never reach End;
+            // classify immediately.
+            return sh.finalize(inv);
+        }
+        self.sched.inject_batch(seeds.iter().map(|&to| Token {
+            to,
+            tag: TagId::ROOT,
+            inv,
+            value: 0,
+        }));
+    }
+
+    /// Wait for the next finished request (any invocation — completions
+    /// are delivered in finish order, not submission order) and return
+    /// its id and result.
+    ///
+    /// # Panics
+    ///
+    /// Panics if nothing is outstanding: every submitted request was
+    /// already collected.
+    pub fn collect(&self) -> (ReqId, Result<ParOutcome, MachineError>) {
+        let sh = self.sh;
+        let mut st = lock(&sh.state);
+        loop {
+            if let Some(done) = st.completed.pop_front() {
+                st.collected += 1;
+                return done;
+            }
+            assert!(
+                st.submitted > st.collected,
+                "collect called with no outstanding requests"
+            );
+            st = sh.done_cv.wait(st).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+
+    /// Requests submitted and not yet collected.
+    pub fn outstanding(&self) -> usize {
+        let st = lock(&self.sh.state);
+        (st.submitted - st.collected) as usize
+    }
+}
 
 /// Run a serving session: up to `max_inflight` concurrent invocations of
 /// `cg` multiplexed onto `pool`'s workers. The closure `f` drives the
 /// session through its [`ServeHandle`] — submitting requests, collecting
 /// results — from the calling thread (and may hand the handle to other
-/// threads; both methods take `&self`). When `f` returns, the session
-/// waits for every admitted request to finish, shuts the workers down,
-/// and returns `f`'s value with the session-level [`ServeStats`].
+/// threads; both methods take `&self`), while a second thread runs the
+/// scheduler. When `f` returns, the session waits for every admitted
+/// request to finish, shuts the workers down, and returns `f`'s value
+/// with the session-level [`ServeStats`].
 ///
 /// `cfg` is applied *per invocation* — `fuel` and `tag_cap` bound each
 /// request individually (the tag cap is additionally clamped to the
@@ -857,102 +1258,16 @@ pub fn serve<R>(
 ) -> (R, ServeStats) {
     let max_inflight = max_inflight.clamp(1, 1 << 16);
     let n_workers = pool.workers();
-    let split = TagSplit::for_inflight(max_inflight);
-    let sh = MultiShared {
-        cg,
-        split,
-        tag_cap: split.tag_cap().min(cfg.tag_cap),
-        fuel: cfg.fuel,
-        chaos: cfg.chaos.map(|c| Box::new(ChaosState::new(c, n_workers))),
-        slots: std::iter::repeat_with(|| Mutex::new(FxHashMap::default()))
-            .take(SLOT_SHARDS)
-            .collect(),
-        slots_occupied: AtomicU64::new(0),
-        slots_peak: AtomicU64::new(0),
-        inv: (0..max_inflight).map(|_| InvSlot::new()).collect(),
-        state: Mutex::new(ServeState {
-            free: (0..max_inflight as u32).rev().collect(),
-            completed: VecDeque::new(),
-            inflight: 0,
-            submitted: 0,
-            collected: 0,
-            completed_ok: 0,
-            completed_err: 0,
-            peak_inflight: 0,
-            dead: None,
-        }),
-        submit_cv: Condvar::new(),
-        done_cv: Condvar::new(),
-    };
-
-    let sched: Scheduler<MToken> = Scheduler::new(n_workers).with_chaos(cfg.chaos);
+    let sh = Session::new(cg, n_workers, max_inflight, cfg, false);
+    let sched: Scheduler<Token> = Scheduler::new(n_workers).with_chaos(cfg.chaos);
     // Keep the scheduler's token population artificially nonzero for the
     // whole session: workers park between requests instead of exiting,
     // and the drain-to-zero shutdown only triggers at teardown's
     // `release`.
     sched.hold();
 
-    let body = |ctx: &Ctx<'_, MToken>, batch: &mut Vec<MToken>| {
-        for t in batch.drain(..) {
-            let inv = t.inv;
-            sh.inv[inv as usize].processed.fetch_add(1, Ordering::Relaxed);
-            // Catch per token, not per batch: an operator panic fails
-            // its own invocation and the batch (other invocations'
-            // tokens included) continues.
-            let r = catch_unwind(AssertUnwindSafe(|| process_one(&sh, ctx, t)));
-            if let Err(payload) = r {
-                sh.fail_inv(
-                    inv,
-                    MachineError::WorkerPanicked {
-                        worker: ctx.worker(),
-                        payload: render_panic(&*payload),
-                    },
-                );
-            }
-            sh.dec_live(inv);
-        }
-    };
-
-    let fired_watchdog = AtomicBool::new(false);
-    let done = Mutex::new(false);
-    let done_cv = Condvar::new();
     let (ret, outcome) = std::thread::scope(|scope| {
-        if let Some(bound) = cfg.watchdog {
-            // Same exactly-one-of-{completed, timed-out} protocol as the
-            // solo executor's watchdog.
-            let (done, done_cv, fired_watchdog, sched) =
-                (&done, &done_cv, &fired_watchdog, &sched);
-            scope.spawn(move || {
-                let guard = lock(done);
-                let (guard, wait) = done_cv
-                    .wait_timeout_while(guard, bound, |finished| !*finished)
-                    .unwrap_or_else(|e| e.into_inner());
-                if wait.timed_out() && !*guard {
-                    fired_watchdog.store(true, Ordering::SeqCst);
-                    drop(guard);
-                    sched.halt_external();
-                }
-            });
-        }
-        let driver = scope.spawn(|| {
-            let out = sched.run_in(&pool.pool, body);
-            *lock(&done) = true;
-            done_cv.notify_all();
-            if out.halted {
-                // The session died under live requests: an escaped
-                // worker panic or the watchdog. Fail everything still
-                // admitted.
-                let err = if let Some((worker, payload)) = out.panicked.clone() {
-                    MachineError::WorkerPanicked { worker, payload }
-                } else {
-                    MachineError::WatchdogTimeout {
-                        millis: cfg.watchdog.map_or(0, |d| d.as_millis() as u64),
-                    }
-                };
-                sh.session_death(err);
-            }
-            out
-        });
+        let scheduling = scope.spawn(|| sh.drive(&sched, pool, cfg.watchdog));
 
         let handle = ServeHandle { sh: &sh, sched: &sched };
         let ret = catch_unwind(AssertUnwindSafe(|| f(&handle)));
@@ -968,29 +1283,26 @@ pub fn serve<R>(
             }
         }
         sched.release();
-        let outcome = driver.join().expect("serve driver does not panic");
+        let outcome = scheduling
+            .join()
+            .expect("the scheduling thread does not panic");
         match ret {
             Ok(ret) => (ret, outcome),
             Err(payload) => resume_unwind(payload),
         }
     });
 
+    let workers = sh.worker_stats(outcome.workers);
     let st = lock(&sh.state);
     let stats = ServeStats {
         requests: st.submitted,
         completed_ok: st.completed_ok,
         failed: st.completed_err,
         peak_inflight: st.peak_inflight as u64,
-        tokens_processed: outcome.processed,
-        max_pending_slots: sh.slots_peak.load(Ordering::Relaxed),
-        chaos: ChaosTallies {
-            delays: outcome.workers.iter().map(|w| w.chaos_delays).sum(),
-            forced_steals: outcome.workers.iter().map(|w| w.chaos_forced_steals).sum(),
-            panics: sh.chaos.as_ref().map_or(0, |c| c.panics.load(Ordering::Relaxed)),
-            drops: sh.chaos.as_ref().map_or(0, |c| c.drops.load(Ordering::Relaxed)),
-            dups: sh.chaos.as_ref().map_or(0, |c| c.dups.load(Ordering::Relaxed)),
-        },
-        workers: outcome.workers,
+        tokens_processed: workers.iter().map(|w| w.processed).sum(),
+        max_pending_slots: sh.occupancy.peak.load(Ordering::Relaxed),
+        chaos: sh.chaos_tallies(&workers),
+        workers,
     };
     drop(st);
     (ret, stats)
@@ -999,7 +1311,7 @@ pub fn serve<R>(
 /// Submit `requests` invocations of `cg` over `layout` with at most
 /// `max_inflight` concurrent, and return their results in submission
 /// order plus the session stats. The convenience wrapper around
-/// [`serve`] used by the CLI, the benches and the equivalence tests.
+/// [`serve()`] used by the CLI, the benches and the equivalence tests.
 pub fn run_concurrent(
     cg: &CompiledGraph,
     layout: &MemLayout,
@@ -1023,6 +1335,66 @@ pub fn run_concurrent(
             .map(|r| r.expect("every request completes exactly once"))
             .collect()
     })
+}
+
+/// A solo run: admit one invocation through the ordinary admission path,
+/// then run the scheduler on the calling thread until it drains — no
+/// hold and no second thread, since nothing else will be submitted. The
+/// session-level counters (per-worker scheduler tallies, slot-table
+/// pressure, every injected fault) all belong to this one invocation, so
+/// they join its [`ParMetrics`], which is returned on every exit path.
+pub(crate) fn run_solo(
+    cg: &CompiledGraph,
+    layout: &MemLayout,
+    pool: &ExecutorPool,
+    cfg: &ParConfig,
+) -> (Result<ParOutcome, MachineError>, ParMetrics, Vec<TraceEvent>) {
+    let n_workers = pool.workers();
+    let sh = Session::new(cg, n_workers, 1, cfg, true);
+    let sched: Scheduler<Token> = Scheduler::new(n_workers).with_chaos(cfg.chaos);
+    ServeHandle { sh: &sh, sched: &sched }.submit(layout);
+    let outcome = sh.drive(&sched, pool, cfg.watchdog);
+    let completed = lock(&sh.state).completed.pop_front();
+    let result = match completed {
+        Some((_, result)) => result,
+        // The scheduler drained while the live count still held tokens:
+        // they vanished. An engine invariant violation, reported as
+        // such in every build profile, never passed over silently.
+        None => Err(MachineError::TokenLeak {
+            leftover: sh.inv[0].n.live.load(Ordering::SeqCst),
+        }),
+    };
+
+    let mut metrics = match &result {
+        Ok(out) => out.metrics.clone(),
+        Err(_) => sh.metrics(0),
+    };
+    metrics.workers = sh.worker_stats(outcome.workers);
+    metrics.chaos = sh.chaos_tallies(&metrics.workers);
+    metrics.max_pending_slots = sh.occupancy.peak.load(Ordering::Relaxed);
+    metrics.slot_shard_high_water = sh
+        .slot_high
+        .iter()
+        .map(|h| h.load(Ordering::Relaxed))
+        .collect();
+    let trace = sh.trace.as_ref().map_or_else(Vec::new, |ring| {
+        // SAFETY: every worker has exited.
+        let tags = &unsafe { sh.inv[0].core() }.tags;
+        lock(&ring.buf)
+            .iter()
+            .map(|&(time, worker, op, tag)| TraceEvent {
+                time,
+                worker,
+                op,
+                tag: tags.render(tag),
+            })
+            .collect()
+    });
+    let result = result.map(|mut out| {
+        out.metrics = metrics.clone();
+        out
+    });
+    (result, metrics, trace)
 }
 
 #[cfg(test)]

@@ -33,7 +33,7 @@ impl std::fmt::Debug for TagId {
 
 /// The invocation/tag split of the 32-bit tag word, for executors that
 /// multiplex several concurrent invocations of one graph onto a shared
-/// worker pool ([`crate::serve`]). The high `inv_bits` of the packed
+/// worker pool ([`mod@crate::serve`]). The high `inv_bits` of the packed
 /// word name the invocation slot; the remaining low bits carry the
 /// invocation-local [`TagId`]. The split is an *explicit reservation*:
 /// each inflight invocation owns a disjoint slice of the packed space,

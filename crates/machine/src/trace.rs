@@ -1,15 +1,21 @@
 //! Execution traces: a per-firing event log with a text timeline renderer.
 //!
-//! Tracing is opt-in ([`crate::exec::run_traced`]) and has no cost on
-//! ordinary runs.
+//! Tracing is opt-in and has no cost on ordinary runs. Both backends emit
+//! the same [`TraceEvent`]: the simulator records every firing
+//! ([`crate::exec::run_traced`]), the threaded engine keeps the last
+//! `ParConfig::trace_capacity` firings of a solo run
+//! ([`crate::parallel::run_threaded_compiled_pooled_with`]).
 
 use cf2df_dfg::{Dfg, OpId};
 
 /// One operator firing.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TraceEvent {
-    /// Issue time.
+    /// The simulator's issue step, or the threaded engine's global firing
+    /// sequence number (a total order across workers).
     pub time: u64,
+    /// Worker that fired the operator (always 0 in the simulator).
+    pub worker: usize,
     /// The operator.
     pub op: OpId,
     /// The iteration tag, rendered (e.g. `root.L0[3]`).

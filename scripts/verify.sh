@@ -16,6 +16,12 @@ cargo test -q --offline
 echo "==> default features must be warning-free (full build, all targets)"
 RUSTFLAGS="-Dwarnings" cargo build --workspace --all-targets --offline
 
+echo "==> docs: rustdoc must be warning-free"
+# Intra-doc links to renamed or deleted items dangle silently unless the
+# docs are built; rustdoc's warnings (unresolved or ambiguous links
+# included) are errors here.
+RUSTDOCFLAGS=-Dwarnings cargo doc --workspace --no-deps --offline
+
 echo "==> e2ebench: build and self-test the end-to-end benchmark"
 # e2ebench/ is a Cargo workspace of its own, so the stages above never
 # compile it: a public-API change in core, dfg or machine would break the

@@ -364,8 +364,10 @@ struct ChaosRow {
 /// match the simulator or return a typed error; anything else is a
 /// violation and the process exits 1.
 fn run_chaos(mut args: Args) {
-    use cf2df::machine::parallel::run_threaded_pooled_with;
-    use cf2df::machine::{ChaosConfig, ExecutorPool, MachineError, ParConfig};
+    use cf2df::machine::{
+        compile, run_threaded_compiled_pooled_with, ChaosConfig, ExecutorPool, MachineError,
+        ParConfig,
+    };
 
     let quick = args.flag("--quick");
     let seeds: u64 = args
@@ -461,6 +463,10 @@ fn run_chaos(mut args: Args) {
                 eprintln!("{slabel}/{name}: simulator oracle failed: {e}");
                 exit(1)
             });
+            let cg = compile(&t.dfg).unwrap_or_else(|e| {
+                eprintln!("{slabel}/{name}: compile failed: {e}");
+                exit(1)
+            });
             for (pi, (plabel, destructive, make)) in profiles.iter().enumerate() {
                 for seed in 0..seeds {
                     for (wi, &w) in workers.iter().enumerate() {
@@ -471,7 +477,7 @@ fn run_chaos(mut args: Args) {
                             ..ParConfig::default()
                         };
                         let (result, metrics, _) =
-                            run_threaded_pooled_with(&t.dfg, &layout, &pools[wi], &cfg);
+                            run_threaded_compiled_pooled_with(&cg, &layout, &pools[wi], &cfg);
                         runs += 1;
                         rows[pi].faults_injected += metrics.chaos.total();
                         let ctx = || format!("{slabel}/{name} profile={plabel} seed={seed} workers={w}");

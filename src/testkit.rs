@@ -3,7 +3,7 @@
 //! The workspace builds fully offline with zero external crates, so the
 //! property suites in `tests/properties.rs` run on this harness instead
 //! of `proptest`. Each test enumerates a fixed number of cases; every
-//! case gets a [`Prng`](cf2df_bench::prng::Prng) seeded from a hash of
+//! case gets a [`Prng`] seeded from a hash of
 //! the test name and case index, so runs are reproducible bit-for-bit
 //! across machines and the failing seed is printed on panic.
 //!

@@ -12,9 +12,24 @@ use cf2df::core::pipeline::{translate, TranslateOptions};
 use cf2df::dfg::graph::ArcKind;
 use cf2df::dfg::{Dfg, OpKind, Port};
 use cf2df::lang::parse_to_cfg;
-use cf2df::machine::parallel::{run_threaded_pooled_with, run_threaded_with};
-use cf2df::machine::{run, ChaosConfig, ExecutorPool, MachineConfig, MachineError, ParConfig};
+use cf2df::machine::{
+    compile, run, run_threaded_compiled_pooled_with, ChaosConfig, ExecutorPool, MachineConfig,
+    MachineError, ParConfig, ParMetrics, ParOutcome, TraceEvent,
+};
 use std::time::Duration;
+
+type Run = (Result<ParOutcome, MachineError>, ParMetrics, Vec<TraceEvent>);
+
+/// One configured run of `g` on a fresh pool of `workers` threads.
+fn run_with(g: &Dfg, layout: &MemLayout, workers: usize, cfg: &ParConfig) -> Run {
+    run_pooled_with(g, layout, &ExecutorPool::new(workers), cfg)
+}
+
+/// One configured run of `g` on an existing pool.
+fn run_pooled_with(g: &Dfg, layout: &MemLayout, pool: &ExecutorPool, cfg: &ParConfig) -> Run {
+    let cg = compile(g).expect("test graphs compile");
+    run_threaded_compiled_pooled_with(&cg, layout, pool, cfg)
+}
 
 const WORKERS: [usize; 4] = [1, 2, 4, 8];
 
@@ -68,7 +83,7 @@ fn injected_operator_panic_is_contained_at_every_width() {
             ..ChaosConfig::off(11)
         }));
         let started = std::time::Instant::now();
-        let (result, metrics, _) = run_threaded_with(&g, &layout, workers, &cfg);
+        let (result, metrics, _) = run_with(&g, &layout, workers, &cfg);
         let err = result.expect_err("every firing panics; the run cannot succeed");
         match err {
             MachineError::WorkerPanicked { worker, payload } => {
@@ -103,13 +118,13 @@ fn pool_survives_contained_panics_and_stays_usable() {
             panic_prob: 1.0,
             ..ChaosConfig::off(round)
         }));
-        let (result, _, _) = run_threaded_pooled_with(&g, &layout, &pool, &cfg);
+        let (result, _, _) = run_pooled_with(&g, &layout, &pool, &cfg);
         assert!(
             matches!(result, Err(MachineError::WorkerPanicked { .. })),
             "round {round}: expected a contained panic"
         );
         let (clean, metrics, _) =
-            run_threaded_pooled_with(&g, &layout, &pool, &with_watchdog(None));
+            run_pooled_with(&g, &layout, &pool, &with_watchdog(None));
         let out = clean.unwrap_or_else(|e| panic!("round {round}: clean run failed: {e}"));
         assert_eq!(out.memory, sim.memory, "round {round}");
         assert_eq!(out.fired, sim.stats.fired, "round {round}");
@@ -127,7 +142,7 @@ fn dropped_tokens_surface_as_token_leak() {
             drop_prob: 1.0,
             ..ChaosConfig::off(5)
         }));
-        let (result, metrics, _) = run_threaded_with(&g, &layout, workers, &cfg);
+        let (result, metrics, _) = run_with(&g, &layout, workers, &cfg);
         match result {
             Err(MachineError::TokenLeak { leftover }) => {
                 assert!(leftover > 0, "a leak must account for the dropped tokens");
@@ -156,7 +171,7 @@ fn duplicated_tokens_collide_or_stay_equivalent() {
                 dup_prob: 1.0,
                 ..ChaosConfig::off(seed)
             }));
-            let (result, metrics, _) = run_threaded_with(&g, &layout, workers, &cfg);
+            let (result, metrics, _) = run_with(&g, &layout, workers, &cfg);
             match result {
                 Ok(out) => {
                     assert_eq!(out.memory, sim.memory, "seed {seed} workers {workers}");
@@ -195,7 +210,7 @@ fn deep_loop_nest_exhausts_capped_tag_space_cleanly() {
     ";
     let (g, layout, sim) = translated(src);
     // Sanity: uncapped, the nest runs and matches the oracle.
-    let (ok, _, _) = run_threaded_with(&g, &layout, 4, &with_watchdog(None));
+    let (ok, _, _) = run_with(&g, &layout, 4, &with_watchdog(None));
     assert_eq!(ok.unwrap().memory, sim.memory);
     // Capped far below the nest's tag demand: typed error, no panic.
     let cfg = ParConfig {
@@ -204,7 +219,7 @@ fn deep_loop_nest_exhausts_capped_tag_space_cleanly() {
         ..ParConfig::default()
     };
     for workers in WORKERS {
-        let (result, _, _) = run_threaded_with(&g, &layout, workers, &cfg);
+        let (result, _, _) = run_with(&g, &layout, workers, &cfg);
         match result {
             Err(MachineError::TagSpaceExhausted { cap, invocation }) => {
                 assert_eq!((cap, invocation), (64, None))
@@ -245,7 +260,7 @@ fn runaway_graph_is_bounded_by_fuel() {
             watchdog: Some(Duration::from_secs(10)),
             ..ParConfig::default()
         };
-        let (result, _, _) = run_threaded_with(&g, &layout, workers, &cfg);
+        let (result, _, _) = run_with(&g, &layout, workers, &cfg);
         assert_eq!(
             result.expect_err("spin graph must exhaust fuel"),
             MachineError::FuelExhausted,
@@ -262,7 +277,7 @@ fn runaway_graph_is_bounded_by_the_watchdog() {
         ..ParConfig::default()
     };
     let started = std::time::Instant::now();
-    let (result, _, _) = run_threaded_with(&g, &layout, 4, &cfg);
+    let (result, _, _) = run_with(&g, &layout, 4, &cfg);
     match result {
         Err(MachineError::WatchdogTimeout { millis }) => assert_eq!(millis, 100),
         other => panic!("expected WatchdogTimeout, got {other:?}"),
@@ -289,7 +304,7 @@ fn benign_chaos_preserves_corpus_equivalence() {
         for seed in [3, 17] {
             for workers in WORKERS {
                 let cfg = with_watchdog(Some(ChaosConfig::perturb(seed)));
-                let (result, metrics, _) = run_threaded_with(&t.dfg, &layout, workers, &cfg);
+                let (result, metrics, _) = run_with(&t.dfg, &layout, workers, &cfg);
                 let out = result.unwrap_or_else(|e| {
                     panic!("{name} seed {seed} workers {workers}: benign chaos failed: {e}")
                 });
@@ -335,7 +350,7 @@ fn fused_graphs_survive_chaos_like_unfused_ones() {
             for workers in [2, 8] {
                 // Benign chaos: schedule perturbation only, results exact.
                 let cfg = with_watchdog(Some(ChaosConfig::perturb(seed)));
-                let (result, _, _) = run_threaded_with(&fused.dfg, &layout, workers, &cfg);
+                let (result, _, _) = run_with(&fused.dfg, &layout, workers, &cfg);
                 let out = result.unwrap_or_else(|e| {
                     panic!("{name} seed {seed} workers {workers}: fused benign chaos: {e}")
                 });
@@ -347,7 +362,7 @@ fn fused_graphs_survive_chaos_like_unfused_ones() {
                     dup_prob: 1.0,
                     ..ChaosConfig::off(seed)
                 }));
-                let (result, metrics, _) = run_threaded_with(&fused.dfg, &layout, workers, &cfg);
+                let (result, metrics, _) = run_with(&fused.dfg, &layout, workers, &cfg);
                 match result {
                     Ok(out) => assert_eq!(out.memory, oracle.memory, "{name} dup w{workers}"),
                     Err(MachineError::TokenCollision { .. }) => {}
@@ -499,7 +514,7 @@ fn serve_attributes_tag_exhaustion_to_the_invocation() {
 #[test]
 fn ordinary_runs_inject_nothing() {
     let (g, layout, sim) = translated(cf2df::lang::corpus::REDUCTION);
-    let (result, metrics, _) = run_threaded_with(&g, &layout, 4, &ParConfig::default());
+    let (result, metrics, _) = run_with(&g, &layout, 4, &ParConfig::default());
     assert_eq!(result.unwrap().memory, sim.memory);
     assert_eq!(metrics.chaos, Default::default());
     for w in &metrics.workers {

@@ -9,10 +9,29 @@ use cf2df::cfg::{MemLayout, VarTable};
 use cf2df::core::pipeline::{translate, TranslateOptions};
 use cf2df::dfg::{ArcKind, Dfg, OpKind, Port};
 use cf2df::lang::parse_to_cfg;
-use cf2df::machine::parallel::run_threaded_traced;
-use cf2df::machine::{run_threaded, MachineError};
+use cf2df::machine::{
+    compile, run, run_concurrent, run_threaded, run_threaded_compiled_pooled_with, ExecutorPool,
+    MachineConfig, MachineError, ParConfig, ParOutcome, TraceEvent,
+};
 
 const WORKERS: [usize; 4] = [1, 2, 4, 8];
+
+/// Run `g` on `workers` threads, keeping the last `capacity` firings.
+fn traced_run(
+    g: &Dfg,
+    layout: &MemLayout,
+    workers: usize,
+    capacity: usize,
+) -> (Result<ParOutcome, MachineError>, Vec<TraceEvent>) {
+    let cfg = ParConfig {
+        trace_capacity: Some(capacity),
+        ..ParConfig::default()
+    };
+    let cg = compile(g).expect("test graphs compile");
+    let (result, _, trace) =
+        run_threaded_compiled_pooled_with(&cg, layout, &ExecutorPool::new(workers), &cfg);
+    (result, trace)
+}
 
 /// Every processed token either fires an operator or merges into a
 /// rendezvous slot; the per-worker tallies must account for all of them.
@@ -131,6 +150,36 @@ fn fast_path_fires_at_every_width_on_join_heavy_graphs() {
     }
 }
 
+/// Served requests take the worker-local fast path too (its pair map is
+/// keyed by the invocation-packed key), and a fast-path join counts two
+/// tokens in each request's metrics and in the session's alike.
+#[test]
+fn served_requests_take_the_fast_path() {
+    let src = cf2df::bench::workloads::loop_nest(3, 6);
+    let parsed = parse_to_cfg(&src).unwrap();
+    let opts = TranslateOptions::full_parallel_schema3();
+    let t = translate(&parsed.cfg, &parsed.alias, &opts).unwrap();
+    let layout = MemLayout::distinct(&t.cfg.vars);
+    let sim = run(&t.dfg, &layout, MachineConfig::unbounded()).unwrap();
+    let cg = compile(&t.dfg).unwrap();
+    let pool = ExecutorPool::new(1);
+    let (results, stats) = run_concurrent(&cg, &layout, &pool, 4, &ParConfig::default(), 8);
+    let mut tokens = 0;
+    for (i, r) in results.iter().enumerate() {
+        let out = r.as_ref().unwrap_or_else(|e| panic!("request {i}: {e}"));
+        assert_eq!(out.memory, sim.memory, "request {i}");
+        let m = &out.metrics;
+        assert!(m.fast_path_fires > 0, "request {i}: no fast-path joins: {m:?}");
+        assert_eq!(
+            m.tokens_processed,
+            out.fired + m.merged,
+            "request {i}: every token fires or merges"
+        );
+        tokens += m.tokens_processed;
+    }
+    assert_eq!(stats.tokens_processed, tokens, "the session counts every request's tokens");
+}
+
 /// A graph whose Synch never receives its second input must deadlock,
 /// and the error must name the starving slot: operator, tag, and which
 /// ports did arrive.
@@ -148,7 +197,7 @@ fn deadlock_error_names_partially_filled_slots() {
     g.connect(Port::new(id, 0), Port::new(sy, 0), ArcKind::Access);
     g.connect(Port::new(sy, 0), Port::new(e, 0), ArcKind::Access);
 
-    let (result, trace) = run_threaded_traced(&g, &layout, 4, 64);
+    let (result, trace) = traced_run(&g, &layout, 4, 64);
     let MachineError::Deadlock { pending } = result.unwrap_err() else {
         panic!("expected a deadlock report")
     };
@@ -177,7 +226,7 @@ fn trace_ring_matches_fired_count_on_corpus_programs() {
             Err(_) => continue,
         };
         let layout = MemLayout::distinct(&t.cfg.vars);
-        let (result, trace) = run_threaded_traced(&t.dfg, &layout, 4, usize::MAX);
+        let (result, trace) = traced_run(&t.dfg, &layout, 4, usize::MAX);
         let out = result.unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(
             trace.len() as u64,
@@ -185,7 +234,7 @@ fn trace_ring_matches_fired_count_on_corpus_programs() {
             "{name}: one trace event per firing at unbounded capacity"
         );
         // Sequence numbers are unique and dense.
-        let mut seqs: Vec<u64> = trace.iter().map(|ev| ev.seq).collect();
+        let mut seqs: Vec<u64> = trace.iter().map(|ev| ev.time).collect();
         seqs.sort_unstable();
         seqs.dedup();
         assert_eq!(seqs.len() as u64, out.fired, "{name}: unique sequence numbers");

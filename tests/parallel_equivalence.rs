@@ -141,7 +141,7 @@ fn fused_runs_match_unfused_across_the_corpus() {
 #[test]
 fn compiled_graphs_match_one_shot_runs_across_the_corpus() {
     use cf2df::machine::parallel::{run_threaded_compiled_pooled_with, ExecutorPool, ParConfig};
-    use cf2df::machine::{compile, run_compiled, run_threaded_compiled};
+    use cf2df::machine::{compile, run_compiled};
 
     let schemas = [
         ("schema2-unfused", TranslateOptions::schema2().with_fuse(false)),
@@ -172,7 +172,10 @@ fn compiled_graphs_match_one_shot_runs_across_the_corpus() {
                 assert_eq!(sim.stats, seed.stats, "{label}/{name} round {round}");
             }
             for workers in WORKERS {
-                let par = run_threaded_compiled(&cg, &layout, workers).unwrap_or_else(|e| {
+                let pool = ExecutorPool::new(workers);
+                let (res, _, _) =
+                    run_threaded_compiled_pooled_with(&cg, &layout, &pool, &ParConfig::default());
+                let par = res.unwrap_or_else(|e| {
                     panic!("{label}/{name} at {workers} workers: {e:?}")
                 });
                 assert_eq!(
