@@ -175,13 +175,15 @@ struct Shape {
 fn match_shape(g: &Dfg, built: &Built, meta: &LoopControlMeta, site: &EligibleStore) -> Option<Shape> {
     let le_node = meta.entry_node[site.loop_id.index()];
     let le = *built.ops.loop_entries.get(&(le_node, site.line))?;
-    let outs = g.out_arcs();
+    let index = g.arc_index();
+    // The destination of `op`'s only arc, when it has exactly one (every
+    // operator matched here has a single output port).
+    let only_dest = |op: OpId| match index.outs(op) {
+        &[ai] => Some(g.arcs()[ai as usize].to),
+        _ => None,
+    };
     // LE.0 must feed exactly the store's access port.
-    let le_arcs = &outs[le.index()][0];
-    if le_arcs.len() != 1 {
-        return None;
-    }
-    let store_port = g.arcs()[le_arcs[0]].to;
+    let store_port = only_dest(le)?;
     let store = store_port.op;
     if !matches!(g.kind(store), OpKind::StoreIdx { var } if *var == site.array) {
         return None;
@@ -190,23 +192,20 @@ fn match_shape(g: &Dfg, built: &Built, meta: &LoopControlMeta, site: &EligibleSt
         return None;
     }
     // store.done → switch.data.
-    let st_arcs = &outs[store.index()][0];
-    if st_arcs.len() != 1 {
-        return None;
-    }
-    let sw_port = g.arcs()[st_arcs[0]].to;
+    let sw_port = only_dest(store)?;
     let sw = sw_port.op;
     if !matches!(g.kind(sw), OpKind::Switch) || sw_port.port != 0 {
         return None;
     }
     // switch.true → LE.1; switch.false → LX.0.
-    let t_arcs = &outs[sw.index()][0];
-    let f_arcs = &outs[sw.index()][1];
-    if t_arcs.len() != 1 || f_arcs.len() != 1 {
-        return None;
-    }
-    let t_to = g.arcs()[t_arcs[0]].to;
-    let f_to = g.arcs()[f_arcs[0]].to;
+    let arm = |p: usize| {
+        let mut arcs = index.outs_on(g, Port::new(sw, p));
+        match (arcs.next(), arcs.next()) {
+            (Some(ai), None) => Some(g.arcs()[ai].to),
+            _ => None,
+        }
+    };
+    let (t_to, f_to) = (arm(0)?, arm(1)?);
     if t_to != (Port { op: le, port: 1 }) {
         return None;
     }

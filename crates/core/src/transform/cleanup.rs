@@ -9,11 +9,7 @@
 //! are *sound by construction* on the dataflow IR because arcs are exactly
 //! the dependences — no separate alias or control analysis is needed.
 
-use cf2df_dfg::{Dfg, OpId, OpKind, Port};
-use std::collections::HashMap;
-
-/// Value-numbering key: operator mnemonic, immediates, per-port sources.
-type ExprKey = (String, Vec<Option<i64>>, Vec<Vec<Port>>);
+use cf2df_dfg::{ArcIndex, ArcKind, Dfg, OpId, OpKind, Port};
 
 /// Is the operator a pure value function of its inputs (same inputs ⇒ same
 /// output, no effects, exactly one output port, not merge-like)?
@@ -24,73 +20,105 @@ fn is_pure_value_op(kind: &OpKind) -> bool {
     )
 }
 
+/// Append the value-numbering key of pure operator `op` to `key`: its
+/// kind and operator, then per input port its immediate (if any) and
+/// its sources, counted and sorted. Every part is length-prefixed or
+/// fixed-width, so two operators get equal keys exactly when their
+/// kinds, immediates and per-port source sets are equal.
+fn push_key(key: &mut Vec<u64>, g: &Dfg, index: &ArcIndex, op: OpId) {
+    key.push(match *g.kind(op) {
+        OpKind::Unary { op } => (1 << 8) | op as u64,
+        OpKind::Binary { op } => (2 << 8) | op as u64,
+        OpKind::Identity => 3 << 8,
+        _ => unreachable!("only pure value operators are numbered"),
+    });
+    for (p, imm) in g.imms(op).iter().enumerate() {
+        match *imm {
+            Some(c) => key.extend([1, c as u64]),
+            None => key.push(0),
+        }
+        let arcs = index.ins(op, p);
+        key.push(arcs.len() as u64);
+        let first = key.len();
+        key.extend(arcs.iter().map(|&ai| {
+            let from = g.arcs()[ai as usize].from;
+            (u64::from(from.op.0) << 16) | u64::from(from.port)
+        }));
+        key[first..].sort_unstable();
+    }
+}
+
+/// The arcs into every input port of `op`, as (source, destination)
+/// endpoint pairs in port then arc order.
+fn in_arcs_of(g: &Dfg, index: &ArcIndex, op: OpId) -> Vec<(Port, Port)> {
+    (0..g.kind(op).n_inputs())
+        .flat_map(|p| {
+            index
+                .ins(op, p)
+                .iter()
+                .map(move |&ai| (g.arcs()[ai as usize].from, Port::new(op, p)))
+        })
+        .collect()
+}
+
 /// Common subexpression elimination: two pure operators with identical
 /// kinds, immediates, and input sources compute identical values under
 /// every tag, so one can serve all consumers. Runs to fixpoint; returns
 /// the number of operators eliminated (the graph is compacted, id map
 /// returned).
+///
+/// Each round indexes the graph once and merges the lowest-numbered
+/// operator whose key an earlier operator already has into that earlier
+/// one, then starts over on the edited graph.
 pub fn eliminate_common_subexpressions(g: &mut Dfg) -> (usize, Vec<Option<OpId>>) {
     let mut eliminated = 0;
+    // Reused across rounds: every numbered operator's key, end to end,
+    // and per operator its (start, end, id).
+    let mut keys: Vec<u64> = Vec::new();
+    let mut spans: Vec<(u32, u32, OpId)> = Vec::new();
     loop {
-        let ins = g.in_arcs();
-        // Key: (mnemonic-kind, imms, sorted-per-port sources).
-        let mut table: HashMap<ExprKey, OpId> = HashMap::new();
-        let mut victim: Option<(OpId, OpId)> = None;
+        let index = g.arc_index();
+        keys.clear();
+        spans.clear();
         for op in g.op_ids() {
-            let kind = g.kind(op);
-            if !is_pure_value_op(kind) {
-                continue;
-            }
             // Skip fully-detached operators (left behind by earlier merges
             // until compaction): "merging" two of them would loop forever.
-            if ins[op.index()].iter().all(|arcs| arcs.is_empty()) {
-                continue;
-            }
-            let n_in = kind.n_inputs();
-            let imms: Vec<Option<i64>> = (0..n_in).map(|p| g.imm(op, p)).collect();
-            let mut srcs: Vec<Vec<Port>> = Vec::with_capacity(n_in);
-            for arcs in ins[op.index()].iter().take(n_in) {
-                let mut v: Vec<Port> = arcs.iter().map(|&ai| g.arcs()[ai].from).collect();
-                v.sort_by_key(|p| (p.op.0, p.port));
-                srcs.push(v);
-            }
-            let key = (kind.mnemonic(), imms, srcs);
-            match table.get(&key) {
-                Some(&keep) => {
-                    victim = Some((keep, op));
-                    break;
-                }
-                None => {
-                    table.insert(key, op);
-                }
+            if is_pure_value_op(g.kind(op)) && index.in_degree(op) > 0 {
+                let start = keys.len() as u32;
+                push_key(&mut keys, g, &index, op);
+                spans.push((start, keys.len() as u32, op));
             }
         }
+        // Equal keys end up adjacent, each run in id order. Scanning the
+        // operators in id order, the first repeat is the run whose second
+        // member has the lowest id; the run's first member is kept.
+        let key = |&(s, e, _): &(u32, u32, OpId)| &keys[s as usize..e as usize];
+        spans.sort_unstable_by(|a, b| key(a).cmp(key(b)).then(a.2.cmp(&b.2)));
+        let victim = spans
+            .windows(2)
+            .filter(|w| key(&w[0]) == key(&w[1]))
+            .map(|w| (w[0].2, w[1].2))
+            .min_by_key(|&(_, dup)| dup);
         let Some((keep, dup)) = victim else { break };
-        // Rewire the duplicate's consumers to the kept op and detach it.
-        let outs = g.out_arcs();
-        let dests: Vec<(Port, cf2df_dfg::ArcKind)> = outs[dup.index()][0]
+        // Read every arc to edit before the first edit moves any: rewire
+        // the duplicate's consumers to the kept op, then detach it.
+        let dests: Vec<(Port, ArcKind)> = index
+            .outs(dup)
             .iter()
-            .map(|&ai| (g.arcs()[ai].to, g.arcs()[ai].kind))
+            .map(|&ai| (g.arcs()[ai as usize].to, g.arcs()[ai as usize].kind))
             .collect();
+        let in_arcs = in_arcs_of(g, &index, dup);
         for (d, kind) in dests {
             g.disconnect(Port::new(dup, 0), d);
             g.connect(Port::new(keep, 0), d, kind);
         }
-        let mut in_srcs: Vec<(Port, Port)> = Vec::new();
-        for (p, arcs) in ins[dup.index()].iter().enumerate() {
-            for &ai in arcs {
-                in_srcs.push((g.arcs()[ai].from, Port::new(dup, p)));
-            }
-        }
-        for (src, to) in in_srcs {
+        for (src, to) in in_arcs {
             g.disconnect(src, to);
         }
         eliminated += 1;
     }
     if eliminated > 0 {
-        let (compacted, map) = g.compact();
-        *g = compacted;
-        (eliminated, map)
+        (eliminated, g.compact())
     } else {
         (0, g.op_ids().map(Some).collect())
     }
@@ -103,40 +131,23 @@ pub fn eliminate_common_subexpressions(g: &mut Dfg) -> (usize, Vec<Option<OpId>>
 pub fn eliminate_dead_code(g: &mut Dfg) -> (usize, Vec<Option<OpId>>) {
     let mut removed = 0;
     loop {
-        let outs = g.out_arcs();
-        let ins = g.in_arcs();
-        let mut victim = None;
-        for op in g.op_ids() {
+        let index = g.arc_index();
+        // An op with no inputs connected is already detached; skip it
+        // (compaction drops it).
+        let victim = g.op_ids().find(|&op| {
             let kind = g.kind(op);
-            let deletable = is_pure_value_op(kind) || matches!(kind, OpKind::Switch);
-            if !deletable {
-                continue;
-            }
-            let unused = outs[op.index()].iter().all(|arcs| arcs.is_empty());
-            // An op with no inputs connected is already detached; skip it
-            // (compaction drops it).
-            let has_inputs = ins[op.index()].iter().any(|arcs| !arcs.is_empty());
-            if unused && has_inputs {
-                victim = Some(op);
-                break;
-            }
-        }
+            (is_pure_value_op(kind) || matches!(kind, OpKind::Switch))
+                && index.outs(op).is_empty()
+                && index.in_degree(op) > 0
+        });
         let Some(op) = victim else { break };
-        let mut in_srcs: Vec<(Port, Port)> = Vec::new();
-        for (p, arcs) in ins[op.index()].iter().enumerate() {
-            for &ai in arcs {
-                in_srcs.push((g.arcs()[ai].from, Port::new(op, p)));
-            }
-        }
-        for (src, to) in in_srcs {
+        for (src, to) in in_arcs_of(g, &index, op) {
             g.disconnect(src, to);
         }
         removed += 1;
     }
     if removed > 0 {
-        let (compacted, map) = g.compact();
-        *g = compacted;
-        (removed, map)
+        (removed, g.compact())
     } else {
         (0, g.op_ids().map(Some).collect())
     }
@@ -145,8 +156,7 @@ pub fn eliminate_dead_code(g: &mut Dfg) -> (usize, Vec<Option<OpId>>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cf2df_cfg::{BinOp, MemLayout, VarId, VarTable};
-    use cf2df_dfg::graph::ArcKind;
+    use cf2df_cfg::{BinOp, MemLayout, UnOp, VarId, VarTable};
     use cf2df_machine::{run, MachineConfig};
 
     /// x loaded once, (x+1) computed twice feeding two stores.
@@ -193,6 +203,43 @@ mod tests {
         let after = run(&g, &layout, MachineConfig::unbounded()).unwrap();
         assert_eq!(after.memory, before.memory);
         assert_eq!(after.stats.fired, before.stats.fired - 1);
+    }
+
+    /// The duplicate's input arc is the last arc, so rewiring its consumer
+    /// (`disconnect` swap-removes, `connect` appends) moves that arc. Its
+    /// inputs must be read before the rewiring, or the detach misses and
+    /// a later round counts the same operator again.
+    #[test]
+    fn cse_counts_a_duplicate_whose_input_arc_is_last_once() {
+        let mut t = VarTable::new();
+        t.scalar("x");
+        t.scalar("y");
+        let layout = MemLayout::distinct(&t);
+        let mut g = Dfg::new();
+        let s = g.add(OpKind::Start);
+        let ld = g.add(OpKind::Load { var: VarId(0) });
+        let neg1 = g.add(OpKind::Unary { op: UnOp::Neg });
+        let neg2 = g.add(OpKind::Unary { op: UnOp::Neg });
+        let add = g.add(OpKind::Binary { op: BinOp::Add });
+        let st = g.add(OpKind::Store { var: VarId(1) });
+        let e = g.add(OpKind::End { inputs: 1 });
+        g.connect(Port::new(s, 0), Port::new(ld, 0), ArcKind::Access);
+        g.connect(Port::new(ld, 0), Port::new(neg1, 0), ArcKind::Value);
+        g.connect(Port::new(neg1, 0), Port::new(add, 0), ArcKind::Value);
+        g.connect(Port::new(neg2, 0), Port::new(add, 1), ArcKind::Value);
+        g.connect(Port::new(add, 0), Port::new(st, 0), ArcKind::Value);
+        g.connect(Port::new(ld, 1), Port::new(st, 1), ArcKind::Access);
+        g.connect(Port::new(st, 0), Port::new(e, 0), ArcKind::Access);
+        g.connect(Port::new(ld, 0), Port::new(neg2, 0), ArcKind::Value);
+        cf2df_dfg::validate(&g).unwrap();
+        let before = run(&g, &layout, MachineConfig::unbounded()).unwrap();
+        let (n, map) = eliminate_common_subexpressions(&mut g);
+        assert_eq!(n, 1, "one operator eliminated, counted once");
+        assert_eq!(g.len(), 6);
+        assert_eq!(map[neg2.index()], None);
+        cf2df_dfg::validate(&g).unwrap();
+        let after = run(&g, &layout, MachineConfig::unbounded()).unwrap();
+        assert_eq!(after.memory, before.memory);
     }
 
     #[test]

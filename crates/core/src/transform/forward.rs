@@ -13,54 +13,57 @@
 //! The load is deleted; its value consumers take the stored value, its
 //! access consumers take the store's completion.
 
-use cf2df_dfg::{Dfg, OpId, OpKind, Port};
+use cf2df_dfg::{ArcIndex, ArcKind, Dfg, OpId, OpKind, Port};
+
+/// The first (store, load) pair `Store{v}.0 --access--> Load{v}.0`, in
+/// store then arc order.
+fn find_pair(g: &Dfg, index: &ArcIndex) -> Option<(OpId, OpId)> {
+    g.op_ids().find_map(|st| {
+        let OpKind::Store { var } = *g.kind(st) else {
+            return None;
+        };
+        // A store's only output port is its completion.
+        index
+            .outs(st)
+            .iter()
+            .find_map(|&ai| {
+                let to = g.arcs()[ai as usize].to;
+                match *g.kind(to.op) {
+                    OpKind::Load { var: lv } if to.port == 0 && lv == var => Some(to.op),
+                    _ => None,
+                }
+            })
+            .map(|ld| (st, ld))
+    })
+}
 
 /// Apply the rewrite; returns the number of loads forwarded. The graph is
 /// compacted afterwards, so **operator ids change**; the id map is
-/// returned for callers holding references.
+/// returned for callers holding references. Each round indexes the
+/// graph once, reads every arc it will edit, then forwards one pair.
 pub fn forward_stores(g: &mut Dfg) -> (usize, Vec<Option<OpId>>) {
     let mut forwarded = 0;
     loop {
-        let ins = g.in_arcs();
-        let outs = g.out_arcs();
-        // Find a (store, load) pair: Store{v}.0 --access--> Load{v}.0.
-        let mut found = None;
-        'search: for st in g.op_ids() {
-            let OpKind::Store { var } = *g.kind(st) else {
-                continue;
-            };
-            for &ai in &outs[st.index()][0] {
-                let to = g.arcs()[ai].to;
-                if to.port == 0 {
-                    if let OpKind::Load { var: lv } = *g.kind(to.op) {
-                        if lv == var {
-                            found = Some((st, to.op));
-                            break 'search;
-                        }
-                    }
-                }
-            }
-        }
-        let Some((st, ld)) = found else {
+        let index = g.arc_index();
+        let Some((st, ld)) = find_pair(g, &index) else {
             break;
         };
 
         // The stored value: either an immediate or a source port.
         let st_value_imm = g.imm(st, 0);
-        let st_value_src = ins[st.index()][0]
+        let st_value_src = index
+            .ins(st, 0)
             .first()
-            .map(|&ai| g.arcs()[ai].from);
+            .map(|&ai| g.arcs()[ai as usize].from);
 
-        // Value consumers of the load.
-        let value_dests: Vec<(Port, cf2df_dfg::ArcKind)> = outs[ld.index()][0]
-            .iter()
-            .map(|&ai| (g.arcs()[ai].to, g.arcs()[ai].kind))
-            .collect();
-        // Access consumers of the load.
-        let access_dests: Vec<(Port, cf2df_dfg::ArcKind)> = outs[ld.index()][1]
-            .iter()
-            .map(|&ai| (g.arcs()[ai].to, g.arcs()[ai].kind))
-            .collect();
+        // Value (port 0) and access (port 1) consumers of the load.
+        let dests = |port: usize| -> Vec<(Port, ArcKind)> {
+            index
+                .outs_on(g, Port::new(ld, port))
+                .map(|ai| (g.arcs()[ai].to, g.arcs()[ai].kind))
+                .collect()
+        };
+        let (value_dests, access_dests) = (dests(0), dests(1));
 
         // The forwarded value's source port: the store's value input, or —
         // for an immediate — a gate that emits the constant once per store
@@ -72,11 +75,7 @@ pub fn forward_stores(g: &mut Dfg) -> (usize, Vec<Option<OpId>>) {
                 (Some(c), _) => {
                     let gate = g.add_labeled(OpKind::Gate, "fwd const".to_owned());
                     g.set_imm(gate, 0, c);
-                    g.connect(
-                        Port::new(st, 0),
-                        Port::new(gate, 1),
-                        cf2df_dfg::ArcKind::Access,
-                    );
+                    g.connect(Port::new(st, 0), Port::new(gate, 1), ArcKind::Access);
                     Some(Port::new(gate, 0))
                 }
                 (None, Some(src)) => Some(src),
@@ -99,12 +98,9 @@ pub fn forward_stores(g: &mut Dfg) -> (usize, Vec<Option<OpId>>) {
         forwarded += 1;
     }
     if forwarded > 0 {
-        let (compacted, map) = g.compact();
-        *g = compacted;
-        (forwarded, map)
+        (forwarded, g.compact())
     } else {
-        let map = g.op_ids().map(Some).collect();
-        (forwarded, map)
+        (forwarded, g.op_ids().map(Some).collect())
     }
 }
 

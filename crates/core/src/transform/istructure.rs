@@ -38,23 +38,23 @@ pub fn convert_arrays(g: &mut Dfg, arrays: &[VarId]) -> (usize, Vec<Option<OpId>
         })
         .collect();
     for op in sites {
-        let ins = g.in_arcs();
-        let outs = g.out_arcs();
+        let index = g.arc_index();
         // Gather everything (pure reads of arc indices) before mutating:
         // `disconnect` invalidates arc indices.
         let gather_in = |port: usize| -> (Option<i64>, Vec<(Port, ArcKind)>) {
             (
                 g.imm(op, port),
-                ins[op.index()][port]
+                index
+                    .ins(op, port)
                     .iter()
-                    .map(|&ai| (g.arcs()[ai].from, g.arcs()[ai].kind))
+                    .map(|&ai| (g.arcs()[ai as usize].from, g.arcs()[ai as usize].kind))
                     .collect(),
             )
         };
         let gather_out = |port: usize| -> Vec<(Port, ArcKind)> {
-            outs[op.index()][port]
-                .iter()
-                .map(|&ai| (g.arcs()[ai].to, g.arcs()[ai].kind))
+            index
+                .outs_on(g, Port::new(op, port))
+                .map(|ai| (g.arcs()[ai].to, g.arcs()[ai].kind))
                 .collect()
         };
         match *g.kind(op) {
@@ -138,9 +138,7 @@ pub fn convert_arrays(g: &mut Dfg, arrays: &[VarId]) -> (usize, Vec<Option<OpId>
         }
     }
     if converted > 0 {
-        let (compacted, map) = g.compact();
-        *g = compacted;
-        (converted, map)
+        (converted, g.compact())
     } else {
         (0, g.op_ids().map(Some).collect())
     }

@@ -25,9 +25,13 @@ fn load_access_ports(kind: &OpKind) -> Option<(usize, usize)> {
 }
 
 /// Apply the rewrite; returns the number of chains parallelized.
+///
+/// Every chain is planned against the unedited graph (one arc index),
+/// then rewritten in turn. A plan names the arcs it edits by their
+/// endpoints, read before any edit, so an earlier chain's `disconnect`s
+/// (which move arcs in the list) cannot redirect a later chain's edits.
 pub fn parallelize_reads(g: &mut Dfg) -> usize {
-    let outs = g.out_arcs();
-    let ins = g.in_arcs();
+    let index = g.arc_index();
 
     // next[load] = the load that receives our access token, when that
     // handoff is a simple one-to-one arc.
@@ -37,11 +41,11 @@ pub fn parallelize_reads(g: &mut Dfg) -> usize {
         let Some((_, out_p)) = load_access_ports(g.kind(op)) else {
             continue;
         };
-        let out_arcs = &outs[op.index()][out_p];
-        if out_arcs.len() != 1 {
+        let mut out_arcs = index.outs_on(g, Port::new(op, out_p));
+        let (Some(ai), None) = (out_arcs.next(), out_arcs.next()) else {
             continue; // completion already fans out: leave it alone
-        }
-        let to = g.arcs()[out_arcs[0]].to;
+        };
+        let to = g.arcs()[ai].to;
         let Some((in_p, _)) = load_access_ports(g.kind(to.op)) else {
             continue;
         };
@@ -52,8 +56,17 @@ pub fn parallelize_reads(g: &mut Dfg) -> usize {
         has_prev[to.op.index()] = true;
     }
 
-    // Walk maximal chains from heads.
-    let mut chains: Vec<Vec<OpId>> = Vec::new();
+    // Walk maximal chains from heads, and plan each: the source feeding
+    // the head's access input, the link arcs between the loads, and the
+    // tail's completion arcs.
+    struct Plan {
+        source: Port,
+        /// (link arc's source, the load it feeds), head excluded.
+        links: Vec<(Port, Port)>,
+        tail_dests: Vec<Port>,
+        completions: Vec<Port>,
+    }
+    let mut plans: Vec<Plan> = Vec::new();
     for op in g.op_ids() {
         if load_access_ports(g.kind(op)).is_none() {
             continue;
@@ -67,59 +80,53 @@ pub fn parallelize_reads(g: &mut Dfg) -> usize {
             chain.push(n);
             cur = n;
         }
-        if chain.len() >= 2 {
-            chains.push(chain);
+        if chain.len() < 2 {
+            continue;
         }
+        let ports = |ld: OpId| load_access_ports(g.kind(ld)).expect("load");
+        let (head_in, _) = ports(op);
+        let head_in_arcs = index.ins(op, head_in);
+        assert_eq!(head_in_arcs.len(), 1, "access ports are single-fed");
+        let completions: Vec<Port> = chain.iter().map(|&ld| Port::new(ld, ports(ld).1)).collect();
+        let tail_out = *completions.last().expect("non-empty");
+        plans.push(Plan {
+            source: g.arcs()[head_in_arcs[0] as usize].from,
+            links: chain
+                .windows(2)
+                .map(|w| {
+                    (
+                        Port::new(w[0], ports(w[0]).1),
+                        Port::new(w[1], ports(w[1]).0),
+                    )
+                })
+                .collect(),
+            tail_dests: index
+                .outs_on(g, tail_out)
+                .map(|ai| g.arcs()[ai].to)
+                .collect(),
+            completions,
+        });
     }
 
-    let mut rewritten = 0;
-    for chain in &chains {
-        let head = chain[0];
-        let tail = *chain.last().expect("non-empty");
-        let (head_in, _) = load_access_ports(g.kind(head)).expect("load");
-        let (_, tail_out) = load_access_ports(g.kind(tail)).expect("load");
-
-        // Source feeding the head's access input.
-        let head_in_arcs = &ins[head.index()][head_in];
-        assert_eq!(head_in_arcs.len(), 1, "access ports are single-fed");
-        let source = g.arcs()[head_in_arcs[0]].from;
-
-        // Where the tail's completion currently goes.
-        let tail_dests: Vec<Port> = outs[tail.index()][tail_out]
-            .iter()
-            .map(|&ai| g.arcs()[ai].to)
-            .collect();
-
-        // Rewire: source fans to every load; completions synch; tree output
-        // feeds the old destinations.
-        for &load in &chain[1..] {
-            let (in_p, out_p) = load_access_ports(g.kind(load)).expect("load");
-            // Remove the chain link into this load.
-            let prev = chain[chain.iter().position(|&x| x == load).unwrap() - 1];
-            let (_, prev_out) = load_access_ports(g.kind(prev)).expect("load");
-            let ok = g.disconnect(Port::new(prev, prev_out), Port::new(load, in_p));
+    // Rewire: source fans to every load; completions synch; tree output
+    // feeds the old destinations.
+    for plan in &plans {
+        for &(prev, load) in &plan.links {
+            let ok = g.disconnect(prev, load);
             debug_assert!(ok, "chain arc must exist");
-            g.connect(source, Port::new(load, in_p), ArcKind::Access);
-            let _ = out_p;
+            g.connect(plan.source, load, ArcKind::Access);
         }
-        for &d in &tail_dests {
-            let ok = g.disconnect(Port::new(tail, tail_out), d);
+        let tail_out = *plan.completions.last().expect("non-empty");
+        for &d in &plan.tail_dests {
+            let ok = g.disconnect(tail_out, d);
             debug_assert!(ok);
         }
-        let completions: Vec<Port> = chain
-            .iter()
-            .map(|&ld| {
-                let (_, out_p) = load_access_ports(g.kind(ld)).expect("load");
-                Port::new(ld, out_p)
-            })
-            .collect();
-        let tree = synch_tree(g, &completions, ArcKind::Access).expect("≥2 loads");
-        for &d in &tail_dests {
+        let tree = synch_tree(g, &plan.completions, ArcKind::Access).expect("≥2 loads");
+        for &d in &plan.tail_dests {
             g.connect(tree, d, ArcKind::Access);
         }
-        rewritten += 1;
     }
-    rewritten
+    plans.len()
 }
 
 #[cfg(test)]

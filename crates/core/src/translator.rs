@@ -33,26 +33,24 @@ pub struct LineOps {
 }
 
 impl LineOps {
-    /// Remap operator ids after a graph compaction; entries whose
-    /// operators were removed are dropped.
+    /// Remap operator ids after a graph compaction, in place; entries
+    /// whose operators were removed are dropped.
     pub fn remap(&mut self, map: &[Option<OpId>]) {
-        let remap_map = |m: &mut HashMap<(NodeId, LineId), OpId>| {
-            let old = std::mem::take(m);
-            for (k, v) in old {
-                if let Some(Some(nv)) = map.get(v.index()) {
-                    m.insert(k, *nv);
-                }
+        let new_id = |op: &mut OpId| match map.get(op.index()) {
+            Some(&Some(new)) => {
+                *op = new;
+                true
             }
+            _ => false,
         };
-        remap_map(&mut self.loop_entries);
-        remap_map(&mut self.loop_exits);
-        remap_map(&mut self.switches);
-        let old = std::mem::take(&mut self.node_ops);
-        for (k, (a, b)) in old {
-            if let (Some(Some(na)), Some(Some(nb))) = (map.get(a.index()), map.get(b.index())) {
-                self.node_ops.insert(k, (*na, *nb));
-            }
+        for m in [
+            &mut self.loop_entries,
+            &mut self.loop_exits,
+            &mut self.switches,
+        ] {
+            m.retain(|_, op| new_id(op));
         }
+        self.node_ops.retain(|_, (a, b)| new_id(a) && new_id(b));
     }
 }
 
@@ -295,9 +293,9 @@ fn translate_full_with(
 /// done in full mode (the paper's Schema 2 keeps its merges); this counts
 /// them for the §4 comparison.
 pub fn single_source_merges(g: &Dfg) -> usize {
-    let ins = g.in_arcs();
+    let index = g.arc_index();
     g.op_ids()
-        .filter(|&o| matches!(g.kind(o), OpKind::Merge) && ins[o.index()][0].len() == 1)
+        .filter(|&o| matches!(g.kind(o), OpKind::Merge) && index.ins(o, 0).len() == 1)
         .count()
 }
 
@@ -394,10 +392,10 @@ mod tests {
             .filter(|&o| matches!(g.kind(o), cf2df_dfg::OpKind::Load { .. }))
             .collect();
         assert_eq!(loads.len(), 3);
-        let outs = g.out_arcs();
+        let index = g.arc_index();
         let mut chained = 0;
         for &ld in &loads {
-            let dests = &outs[ld.index()][1];
+            let dests: Vec<usize> = index.outs_on(g, Port::new(ld, 1)).collect();
             assert_eq!(dests.len(), 1, "access token goes one place");
             let to = g.arcs()[dests[0]].to;
             if g.kind(to.op).is_memory() {
@@ -418,14 +416,15 @@ mod tests {
         let lines = lines_for(&parsed.cfg, &parsed.alias, CoverStrategy::Singletons);
         let built = translate_full(&parsed.cfg, &lines).unwrap();
         let g = &built.dfg;
-        let ins = g.in_arcs();
+        let index = g.arc_index();
         let start = g.start().unwrap();
         let mut fed_by_start = 0;
         for o in g.op_ids() {
             if matches!(g.kind(o), cf2df_dfg::OpKind::Load { .. })
-                && ins[o.index()][0]
+                && index
+                    .ins(o, 0)
                     .iter()
-                    .any(|&ai| g.arcs()[ai].from.op == start)
+                    .any(|&ai| g.arcs()[ai as usize].from.op == start)
             {
                 fed_by_start += 1;
             }

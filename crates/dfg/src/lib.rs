@@ -31,7 +31,7 @@ pub mod validate;
 pub use build::synch_tree;
 pub use certify::{certify, Defect, DefectKind};
 pub use fuse::{fuse, FuseStats};
-pub use graph::{Arc, ArcKind, Dfg, OpId, Port};
+pub use graph::{Arc, ArcIndex, ArcKind, Dfg, OpId, Port};
 pub use mutate::{mutate, Mutation, MutationClass};
 pub use op::{macro_eval, MacroSrc, MacroStep, OpKind};
 pub use stats::DfgStats;

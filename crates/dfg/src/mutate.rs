@@ -137,12 +137,10 @@ pub fn mutate(g: &mut Dfg, class: MutationClass, seed: u64) -> Option<Mutation> 
             })
         }
         MutationClass::SwapMergeForStrict => {
-            let ins = g.in_arcs();
+            let index = g.arc_index();
             let merges: Vec<OpId> = g
                 .op_ids()
-                .filter(|&o| {
-                    matches!(g.kind(o), OpKind::Merge) && ins[o.index()][0].len() >= 2
-                })
+                .filter(|&o| matches!(g.kind(o), OpKind::Merge) && index.ins(o, 0).len() >= 2)
                 .collect();
             if merges.is_empty() {
                 return None;

@@ -144,23 +144,18 @@ pub(crate) fn validate_indexed(g: &Dfg, index: &ArcIndex) -> Result<(), Vec<DfgE
 /// wiring its input straight to the merge's output changes no behaviour.
 /// The optimized construction must produce none of these.
 pub fn redundant_switches(g: &Dfg) -> Vec<OpId> {
-    let outs = g.out_arcs();
+    let index = g.arc_index();
     let mut redundant = Vec::new();
     for op in g.op_ids() {
         if !matches!(g.kind(op), OpKind::Switch) {
             continue;
         }
-        let t_arcs = &outs[op.index()][0];
-        let f_arcs = &outs[op.index()][1];
-        if t_arcs.len() != 1 || f_arcs.len() != 1 {
+        // Exactly one arc on each arm.
+        let &[a, b] = index.outs(op) else {
             continue;
-        }
-        let t_to = g.arcs()[t_arcs[0]].to;
-        let f_to = g.arcs()[f_arcs[0]].to;
-        if t_to.op == f_to.op
-            && t_to.port == f_to.port
-            && matches!(g.kind(t_to.op), OpKind::Merge)
-        {
+        };
+        let (a, b) = (g.arcs()[a as usize], g.arcs()[b as usize]);
+        if a.from.port != b.from.port && a.to == b.to && matches!(g.kind(a.to.op), OpKind::Merge) {
             redundant.push(op);
         }
     }

@@ -985,10 +985,13 @@ mod tests {
         assert_eq!(cg.dests(ld, 1), &[Port::new(c, 0)]);
         assert_eq!(cg.dests(s, 0), &[Port::new(ld, 0)]);
         // Matches the builder graph's own adjacency exactly.
-        let outs = g.out_arcs();
+        let index = g.arc_index();
         for op in g.op_ids() {
             for p in 0..g.kind(op).n_outputs() {
-                let want: Vec<Port> = outs[op.index()][p].iter().map(|&i| g.arcs()[i].to).collect();
+                let want: Vec<Port> = index
+                    .outs_on(&g, Port::new(op, p))
+                    .map(|i| g.arcs()[i].to)
+                    .collect();
                 assert_eq!(cg.dests(op, p), &want[..], "{op:?} port {p}");
             }
         }

@@ -352,3 +352,99 @@ fn certifier_output_matches_the_recorded_digest() {
         );
     }
 }
+
+/// The translated graph and its bookkeeping, as text: every operator's
+/// kind, immediates and label; every arc in arc order; the `LineOps`
+/// tables sorted by key; and the §6 and fusion counters.
+fn render_translation(out: &mut String, t: &cf2df::core::pipeline::Translated) {
+    use std::fmt::Write as _;
+    let g = &t.dfg;
+    for op in g.op_ids() {
+        let _ = writeln!(
+            out,
+            "{op:?} {:?} {:?} {:?}",
+            g.kind(op),
+            g.imms(op),
+            g.label(op)
+        );
+    }
+    for a in g.arcs() {
+        let _ = writeln!(
+            out,
+            "{:?}.{} -> {:?}.{} {:?}",
+            a.from.op, a.from.port, a.to.op, a.to.port, a.kind
+        );
+    }
+    let sorted = |m: &std::collections::HashMap<_, cf2df::dfg::OpId>| {
+        let mut v: Vec<_> = m.iter().map(|(&(n, l), &op)| (n, l, op)).collect();
+        v.sort_unstable();
+        v
+    };
+    for (name, table) in [
+        ("loop-entries", &t.ops.loop_entries),
+        ("loop-exits", &t.ops.loop_exits),
+        ("switches", &t.ops.switches),
+    ] {
+        let _ = write!(out, "{name}:");
+        for (n, l, op) in sorted(table) {
+            let _ = write!(out, " {n:?}/{l:?}={op:?}");
+        }
+        out.push('\n');
+    }
+    let mut node_ops: Vec<_> = t.ops.node_ops.iter().map(|(&n, &p)| (n, p)).collect();
+    node_ops.sort_unstable();
+    let _ = writeln!(out, "node-ops: {node_ops:?}");
+    let _ = writeln!(
+        out,
+        "cleaned {} fused {}/{} forwarded {} read-chains {} array-sites {}",
+        t.ops_cleaned,
+        t.chains_fused,
+        t.ops_fused,
+        t.stores_forwarded,
+        t.read_chains_parallelized,
+        t.array_sites_parallelized
+    );
+}
+
+/// Byte-identity pin for the translation output. Renders the final graph
+/// (operators, immediates, labels and arcs in order), the sorted
+/// `LineOps` and the rewrite counters for every digest input under every
+/// cell of the `validate` matrix plus `full` with fusion off, and
+/// compares one digest of it all with a value recorded from an earlier
+/// pipeline. Arc order is part of the output: certify's digest and the
+/// mutation harness both see it, so a graph rewrite must reproduce it
+/// exactly. On a mismatch the rendering is written to the temp
+/// directory for diffing.
+#[test]
+fn translation_output_matches_the_recorded_digest() {
+    use std::fmt::Write as _;
+    const EXPECTED: u64 = 0x2327_04f3_7eb5_161a;
+    let mut configs = matrix();
+    configs.push((
+        "full-unfused",
+        TranslateOptions::full_parallel_schema3().with_fuse(false),
+    ));
+    let mut out = String::new();
+    for (name, src) in digest_inputs() {
+        let parsed = cf2df::lang::parse_to_cfg(&src).unwrap();
+        for (label, opts) in &configs {
+            let _ = writeln!(out, "== {name}/{label}");
+            match translate(&parsed.cfg, &parsed.alias, opts) {
+                Ok(t) => render_translation(&mut out, &t),
+                Err(e) => {
+                    let _ = writeln!(out, "error: {e}");
+                }
+            }
+        }
+    }
+    let digest = fnv1a(out.as_bytes());
+    if digest != EXPECTED {
+        let path = std::env::temp_dir().join("cf2df-translation-digest.txt");
+        let _ = std::fs::write(&path, &out);
+        panic!(
+            "translation digest {digest:#018x} != recorded {EXPECTED:#018x} ({} bytes rendered to {})",
+            out.len(),
+            path.display()
+        );
+    }
+}
