@@ -51,8 +51,8 @@ impl ControlDeps {
         &self.deps[n.index()]
     }
 
-    /// `CD⁺` of a *set* of seed nodes (Definition 5 extended to sets, as the
-    /// switch-placement algorithm of Fig 10 uses it): the least set `S`
+    /// `CD⁺` of a *set* of seed nodes (Definition 5 extended to sets, as
+    /// Fig 10 states the switch-placement algorithm): the least set `S`
     /// containing `CD(seed)` for every seed and closed under `CD`.
     ///
     /// Returns a boolean mask over nodes: `mask[f]` iff `f ∈ CD⁺(seeds)`.

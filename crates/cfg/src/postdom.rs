@@ -12,6 +12,59 @@
 
 use crate::graph::{Cfg, NodeId};
 
+/// Compressed adjacency rows: row `v` is `items[offsets[v]..offsets[v + 1]]`.
+/// One flat allocation per table instead of one `Vec` per node; the
+/// dominator trees and the loop forest walk their graphs through these.
+pub(crate) struct Rows {
+    offsets: Vec<u32>,
+    items: Vec<u32>,
+}
+
+impl Rows {
+    /// Rows over `n` nodes from `(row, item)` pairs, each row keeping its
+    /// items in the order the pairs come (a counting sort). `pairs` is
+    /// walked twice.
+    pub(crate) fn from_pairs<I>(n: usize, pairs: impl Fn() -> I) -> Rows
+    where
+        I: Iterator<Item = (usize, usize)>,
+    {
+        let mut offsets = vec![0u32; n + 1];
+        for (r, _) in pairs() {
+            offsets[r + 1] += 1;
+        }
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        let mut fill = offsets[..n].to_vec();
+        let mut items = vec![0u32; offsets[n] as usize];
+        for (r, item) in pairs() {
+            items[fill[r] as usize] = item as u32;
+            fill[r] += 1;
+        }
+        Rows { offsets, items }
+    }
+
+    /// Predecessor rows of `cfg`, in edge order.
+    pub(crate) fn preds(cfg: &Cfg) -> Rows {
+        Rows::from_pairs(cfg.len(), || {
+            cfg.edges().map(|(a, _, b)| (b.index(), a.index()))
+        })
+    }
+
+    /// Successor rows of `cfg`, in out-edge order.
+    pub(crate) fn succs(cfg: &Cfg) -> Rows {
+        Rows::from_pairs(cfg.len(), || {
+            cfg.edges().map(|(a, _, b)| (a.index(), b.index()))
+        })
+    }
+
+    /// The items of row `v`.
+    #[inline]
+    pub(crate) fn row(&self, v: usize) -> &[u32] {
+        &self.items[self.offsets[v] as usize..self.offsets[v + 1] as usize]
+    }
+}
+
 /// A dominator tree over the nodes of a [`Cfg`] — either the (forward)
 /// dominator tree rooted at `start`, or the postdominator tree rooted at
 /// `end`.
@@ -24,8 +77,10 @@ pub struct DomTree {
     idom: Vec<Option<NodeId>>,
     /// Depth of each node in the tree (root = 0).
     depth: Vec<u32>,
-    /// Children lists, for top-down walks.
-    children: Vec<Vec<NodeId>>,
+    /// Children of node `v`, ascending, are
+    /// `children[child_start[v]..child_start[v + 1]]`, for top-down walks.
+    child_start: Vec<u32>,
+    children: Vec<NodeId>,
 }
 
 impl DomTree {
@@ -34,68 +89,54 @@ impl DomTree {
     /// Requires every node to reach `end` (guaranteed by
     /// [`Cfg::validate`]).
     pub fn postdominators(cfg: &Cfg) -> DomTree {
-        let n = cfg.len();
-        // Reverse graph: preds of the reverse graph are the succs of the CFG.
-        let mut succs = vec![Vec::new(); n]; // reverse-graph successors
-        let mut preds = vec![Vec::new(); n]; // reverse-graph predecessors
-        for (from, _, to) in cfg.edges() {
-            succs[to.index()].push(from.index());
-            preds[from.index()].push(to.index());
-        }
-        Self::compute(n, cfg.end().index(), &succs, &preds)
+        // The reverse graph: its successors are the CFG's predecessors.
+        Self::compute(cfg.end().index(), &Rows::preds(cfg), &Rows::succs(cfg))
     }
 
     /// Compute the (forward) dominator tree of `cfg`, rooted at `start`.
     pub fn dominators(cfg: &Cfg) -> DomTree {
-        let n = cfg.len();
-        let mut succs = vec![Vec::new(); n];
-        let mut preds = vec![Vec::new(); n];
-        for (from, _, to) in cfg.edges() {
-            succs[from.index()].push(to.index());
-            preds[to.index()].push(from.index());
-        }
-        Self::compute(n, cfg.start().index(), &succs, &preds)
+        Self::compute(cfg.start().index(), &Rows::succs(cfg), &Rows::preds(cfg))
     }
 
-    /// Cooper–Harvey–Kennedy on an explicit adjacency representation.
-    fn compute(n: usize, root: usize, succs: &[Vec<usize>], preds: &[Vec<usize>]) -> DomTree {
-        // Reverse postorder from root.
-        let mut postorder = Vec::with_capacity(n);
-        let mut state = vec![0u8; n]; // 0 = unvisited, 1 = on stack, 2 = done
-        let mut stack: Vec<(usize, usize)> = vec![(root, 0)];
-        state[root] = 1;
+    /// Cooper–Harvey–Kennedy on compressed adjacency rows.
+    fn compute(root: usize, succs: &Rows, preds: &Rows) -> DomTree {
+        let n = succs.offsets.len() - 1;
+        // Postorder from root; `po_num` doubles as the visited mark
+        // (`ON_STACK` until the node is finished).
+        const UNSEEN: u32 = u32::MAX;
+        const ON_STACK: u32 = u32::MAX - 1;
+        let mut po_num = vec![UNSEEN; n];
+        let mut postorder: Vec<u32> = Vec::with_capacity(n);
+        let mut stack: Vec<(u32, u32)> = vec![(root as u32, 0)];
+        po_num[root] = ON_STACK;
         while let Some(&mut (node, ref mut i)) = stack.last_mut() {
-            if *i < succs[node].len() {
-                let next = succs[node][*i];
+            let row = succs.row(node as usize);
+            if (*i as usize) < row.len() {
+                let next = row[*i as usize];
                 *i += 1;
-                if state[next] == 0 {
-                    state[next] = 1;
+                if po_num[next as usize] == UNSEEN {
+                    po_num[next as usize] = ON_STACK;
                     stack.push((next, 0));
                 }
             } else {
-                state[node] = 2;
+                po_num[node as usize] = postorder.len() as u32;
                 postorder.push(node);
                 stack.pop();
             }
         }
-        let mut po_num = vec![usize::MAX; n];
-        for (i, &node) in postorder.iter().enumerate() {
-            po_num[node] = i;
-        }
-        let rpo: Vec<usize> = postorder.iter().rev().copied().collect();
 
-        // idoms stored as postorder numbers during iteration.
-        let undef = usize::MAX;
+        // idoms stored as node indices during iteration.
+        let undef = u32::MAX;
         let mut idom = vec![undef; n];
-        idom[root] = root;
+        idom[root] = root as u32;
 
-        let intersect = |idom: &[usize], po_num: &[usize], mut a: usize, mut b: usize| {
+        let intersect = |idom: &[u32], mut a: u32, mut b: u32| {
             while a != b {
-                while po_num[a] < po_num[b] {
-                    a = idom[a];
+                while po_num[a as usize] < po_num[b as usize] {
+                    a = idom[a as usize];
                 }
-                while po_num[b] < po_num[a] {
-                    b = idom[b];
+                while po_num[b as usize] < po_num[a as usize] {
+                    b = idom[b as usize];
                 }
             }
             a
@@ -104,46 +145,56 @@ impl DomTree {
         let mut changed = true;
         while changed {
             changed = false;
-            for &b in &rpo {
-                if b == root {
+            for &b in postorder.iter().rev() {
+                if b as usize == root {
                     continue;
                 }
                 // First processed predecessor.
                 let mut new_idom = undef;
-                for &p in &preds[b] {
-                    if po_num[p] == usize::MAX {
+                for &p in preds.row(b as usize) {
+                    if po_num[p as usize] == UNSEEN {
                         continue; // unreachable in this direction
                     }
-                    if idom[p] != undef {
+                    if idom[p as usize] != undef {
                         new_idom = if new_idom == undef {
                             p
                         } else {
-                            intersect(&idom, &po_num, p, new_idom)
+                            intersect(&idom, p, new_idom)
                         };
                     }
                 }
-                if new_idom != undef && idom[b] != new_idom {
-                    idom[b] = new_idom;
+                if new_idom != undef && idom[b as usize] != new_idom {
+                    idom[b as usize] = new_idom;
                     changed = true;
                 }
             }
         }
 
-        let mut idom_out = vec![None; n];
-        let mut children = vec![Vec::new(); n];
+        let parent = |v: usize| (v != root && idom[v] != undef).then(|| idom[v] as usize);
+        let idom_out: Vec<Option<NodeId>> = (0..n)
+            .map(|v| parent(v).map(|p| NodeId(p as u32)))
+            .collect();
+        // Children rows by counting sort over ascending node ids.
+        let mut child_start = vec![0u32; n + 1];
+        for p in (0..n).filter_map(parent) {
+            child_start[p + 1] += 1;
+        }
         for v in 0..n {
-            if v != root && idom[v] != undef {
-                idom_out[v] = Some(NodeId(idom[v] as u32));
-                children[idom[v]].push(NodeId(v as u32));
+            child_start[v + 1] += child_start[v];
+        }
+        let mut fill = child_start[..n].to_vec();
+        let mut children = vec![NodeId(0); child_start[n] as usize];
+        for v in 0..n {
+            if let Some(p) = parent(v) {
+                children[fill[p] as usize] = NodeId(v as u32);
+                fill[p] += 1;
             }
         }
-        // Depths via BFS down the tree.
+        // Depths in reverse postorder: a node's idom precedes it.
         let mut depth = vec![0u32; n];
-        let mut queue = std::collections::VecDeque::from([root]);
-        while let Some(v) = queue.pop_front() {
-            for &c in &children[v] {
-                depth[c.index()] = depth[v] + 1;
-                queue.push_back(c.index());
+        for &v in postorder.iter().rev() {
+            if let Some(p) = parent(v as usize) {
+                depth[v as usize] = depth[p] + 1;
             }
         }
 
@@ -151,6 +202,7 @@ impl DomTree {
             root: NodeId(root as u32),
             idom: idom_out,
             depth,
+            child_start,
             children,
         }
     }
@@ -167,9 +219,10 @@ impl DomTree {
         self.idom[n.index()]
     }
 
-    /// Children of `n` in the tree.
+    /// Children of `n` in the tree, ascending.
     pub fn children(&self, n: NodeId) -> &[NodeId] {
-        &self.children[n.index()]
+        let i = n.index();
+        &self.children[self.child_start[i] as usize..self.child_start[i + 1] as usize]
     }
 
     /// Depth of `n` (root = 0).
@@ -177,18 +230,18 @@ impl DomTree {
         self.depth[n.index()]
     }
 
-    /// Reflexive dominance: does `a` (post)dominate `b`?
+    /// Reflexive dominance: does `a` (post)dominate `b`? Walks up from
+    /// `b` only as far as `a`'s depth.
     pub fn dominates(&self, a: NodeId, b: NodeId) -> bool {
+        let stop = self.depth(a);
         let mut cur = b;
-        loop {
-            if cur == a {
-                return true;
-            }
+        while self.depth(cur) > stop {
             match self.idom(cur) {
                 Some(p) => cur = p,
                 None => return false,
             }
         }
+        cur == a
     }
 
     /// Strict dominance: `a` (post)dominates `b` and `a != b`.
@@ -212,6 +265,42 @@ impl DomTree {
         order.reverse();
         order
     }
+}
+
+/// Quadratic reference: the set-based iterative dominance computation, for
+/// differential testing. Returns, for each node, the full set of its
+/// dominators as a bitvector (`result[n][m] == true` iff `m` dominates
+/// `n`).
+pub fn naive_dominator_sets(cfg: &Cfg) -> Vec<Vec<bool>> {
+    let n = cfg.len();
+    let start = cfg.start().index();
+    let preds = cfg.preds();
+    let mut dom: Vec<Vec<bool>> = vec![vec![true; n]; n];
+    dom[start] = vec![false; n];
+    dom[start][start] = true;
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for v in cfg.node_ids() {
+            let vi = v.index();
+            if vi == start {
+                continue;
+            }
+            // dom(v) = {v} ∪ ∩_{p ∈ pred(v)} dom(p)
+            let mut new = vec![!preds[vi].is_empty(); n];
+            for &(p, _) in &preds[vi] {
+                for m in 0..n {
+                    new[m] = new[m] && dom[p.index()][m];
+                }
+            }
+            new[vi] = true;
+            if new != dom[vi] {
+                dom[vi] = new;
+                changed = true;
+            }
+        }
+    }
+    dom
 }
 
 /// Quadratic reference: the set-based iterative dominance computation, for
@@ -368,6 +457,23 @@ mod tests {
                         pd.dominates(a, b),
                         sets[b.index()][a.index()],
                         "postdom({a:?}, {b:?}) mismatch"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dominators_match_naive_sets_on_examples() {
+        for cfg in [running_example(), diamond().0] {
+            let d = DomTree::dominators(&cfg);
+            let sets = naive_dominator_sets(&cfg);
+            for a in cfg.node_ids() {
+                for b in cfg.node_ids() {
+                    assert_eq!(
+                        d.dominates(a, b),
+                        sets[b.index()][a.index()],
+                        "dom({a:?}, {b:?}) mismatch"
                     );
                 }
             }

@@ -178,11 +178,12 @@ impl fmt::Display for CertifyReport {
 ///
 /// Differences from the production algorithm, deliberate so the two do
 /// not share failure modes: `CD⁺` is taken per *node* (Definition 5
-/// directly, one closure per referencing node) rather than from per-line
-/// seed sets, and the circulation fixpoint is grown from the needed-set
-/// of each round rather than interleaved with the placement bitmaps.
-/// Closures, loop bodies, circulation and the needed set are bitsets
-/// (rows of nodes or of lines).
+/// directly, one closure per referencing node, as a row of nodes) rather
+/// than by pushing rows of lines along control-dependence edges, and the
+/// needed set is recomputed from scratch each round of the circulation
+/// fixpoint rather than resumed from the last round's rows. Closures,
+/// loop bodies, circulation and the needed set are bitsets (rows of
+/// nodes or of lines).
 pub fn theorem1_switches(
     cfg: &Cfg,
     cd: &ControlDeps,

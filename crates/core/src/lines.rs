@@ -11,7 +11,7 @@
 //! variable's current value, loads become taps, and stores become gated
 //! value replacements.
 
-use cf2df_cfg::{AliasStructure, Cover, Stmt, VarId, VarKind, VarTable};
+use cf2df_cfg::{AliasStructure, Cover, VarId, VarKind, VarTable};
 
 /// Index of a token line (= cover element).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -141,22 +141,6 @@ impl Lines {
         &self.access[v.index()]
     }
 
-    /// Lines a statement touches: the union of the access sets of every
-    /// variable it references (read or written). Switch placement
-    /// (Definition 3, generalized to cover elements) seeds from this.
-    pub fn referenced_lines(&self, stmt: &Stmt) -> Vec<LineId> {
-        let mut out: Vec<LineId> = Vec::new();
-        for v in stmt.referenced_vars() {
-            for &l in self.access_lines(v) {
-                if !out.contains(&l) {
-                    out.push(l);
-                }
-            }
-        }
-        out.sort();
-        out
-    }
-
     /// Human-readable name of a line.
     pub fn name(&self, l: LineId) -> &str {
         &self.names[l.index()]
@@ -232,21 +216,6 @@ mod tests {
         assert_eq!(lines2.mode(lines2.access_lines(v)[0]), LineMode::Value(v));
         // Arrays stay in access mode.
         assert_eq!(lines2.mode(lines2.access_lines(arr)[0]), LineMode::Access);
-    }
-
-    #[test]
-    fn referenced_lines_of_statement() {
-        let (t, a) = fortran();
-        let cover = Cover::build(&CoverStrategy::Singletons, &a);
-        let lines = Lines::new(&t, &a, &cover, false);
-        // X := Y reads Y, writes X: lines = C[X] ∪ C[Y] = {X,Z} ∪ {Y,Z}.
-        let stmt = Stmt::Assign {
-            lhs: cf2df_cfg::LValue::Var(VarId(0)),
-            rhs: cf2df_cfg::Expr::Var(VarId(1)),
-        };
-        let ls = lines.referenced_lines(&stmt);
-        assert_eq!(ls, vec![LineId(0), LineId(1), LineId(2)]);
-        let _ = t;
     }
 
     #[test]

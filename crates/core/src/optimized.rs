@@ -13,7 +13,6 @@ use cf2df_cfg::reach::topo_order_ignoring_backedges;
 use cf2df_cfg::{Cfg, FunctionContext, LoopForest, NodeId, OutDir, Stmt};
 use cf2df_dfg::build::merge as merge_build;
 use cf2df_dfg::{ArcKind, Dfg, OpKind, Port};
-use std::collections::HashMap;
 
 fn arc_kind(lines: &Lines, l: LineId) -> ArcKind {
     match lines.mode(l) {
@@ -76,28 +75,39 @@ fn construct_body(
     });
     let mut ops = LineOps::default();
 
-    // Resolved output port per (node, out-direction, line).
-    let mut port_of: HashMap<(NodeId, OutDir, LineId), Port> = HashMap::new();
-    let resolve = |port_of: &HashMap<(NodeId, OutDir, LineId), Port>, s: SvSrc, l: LineId| {
-        *port_of
-            .get(&(s.node, s.dir, l))
+    // Resolved output port per (out-edge slot, line): out-direction `d` of
+    // node `n` is slot `first_edge[n] + d`.
+    let mut first_edge = Vec::with_capacity(cfg.len() + 1);
+    first_edge.push(0usize);
+    for n in cfg.node_ids() {
+        first_edge.push(first_edge[n.index()] + cfg.succs(n).len());
+    }
+    let cell = |n: NodeId, dir: OutDir, l: LineId| {
+        (first_edge[n.index()] + dir.edge_index()) * n_lines + l.index()
+    };
+    let mut port_of: Vec<Option<Port>> = vec![None; first_edge[cfg.len()] * n_lines];
+    let resolve = |port_of: &[Option<Port>], s: SvSrc, l: LineId| {
+        port_of[cell(s.node, s.dir, l)]
             .unwrap_or_else(|| panic!("unresolved source {s:?} for {l:?}"))
     };
+
+    // Per-statement scratch, reused across statements.
+    let mut cur: Vec<Option<Port>> = vec![None; n_lines];
+    let mut srcs: Vec<Port> = Vec::new();
+    let mut pred_lines: Vec<LineId> = Vec::new();
+    let mut switched: Vec<LineId> = Vec::new();
 
     for &n in order {
         match cfg.stmt(n) {
             Stmt::Start => {
                 for l in lines.ids() {
-                    port_of.insert((n, OutDir::TRUE, l), Port::new(start_op, 0));
+                    port_of[cell(n, OutDir::TRUE, l)] = Some(Port::new(start_op, 0));
                 }
             }
             Stmt::End => {
                 for (i, l) in lines.ids().enumerate() {
-                    let srcs: Vec<Port> = sv
-                        .at(n, l)
-                        .iter()
-                        .map(|&s| resolve(&port_of, s, l))
-                        .collect();
+                    srcs.clear();
+                    srcs.extend(sv.at(n, l).iter().map(|&s| resolve(&port_of, s, l)));
                     assert!(!srcs.is_empty(), "line {l:?} never reaches end");
                     let mut src =
                         merge_build(&mut g, &srcs, arc_kind(lines, l)).expect("non-empty");
@@ -118,74 +128,64 @@ fn construct_body(
             }
             Stmt::Join => {
                 for l in lines.ids() {
-                    let srcs = sv.at(n, l);
-                    if srcs.len() >= 2 {
-                        let resolved: Vec<Port> =
-                            srcs.iter().map(|&s| resolve(&port_of, s, l)).collect();
+                    let from = sv.at(n, l);
+                    if from.len() >= 2 {
                         let m = g.add_labeled(
                             OpKind::Merge,
                             format!("{} @{n:?}", lines.name(l)),
                         );
-                        for p in resolved {
-                            g.connect(p, Port::new(m, 0), arc_kind(lines, l));
+                        for &s in from {
+                            g.connect(resolve(&port_of, s, l), Port::new(m, 0), arc_kind(lines, l));
                         }
-                        port_of.insert((n, OutDir::TRUE, l), Port::new(m, 0));
+                        port_of[cell(n, OutDir::TRUE, l)] = Some(Port::new(m, 0));
                     }
                 }
             }
             Stmt::Assign { lhs, rhs } => {
-                let refs = sp.refs(n).to_vec();
-                let mut cur: Vec<Option<Port>> = vec![None; n_lines];
-                for &l in &refs {
-                    let srcs = sv.at(n, l);
-                    assert_eq!(srcs.len(), 1, "statement source must be unique");
-                    cur[l.index()] = Some(resolve(&port_of, srcs[0], l));
+                let refs = sp.refs(n);
+                cur.fill(None);
+                for &l in refs {
+                    let from = sv.at(n, l);
+                    assert_eq!(from.len(), 1, "statement source must be unique");
+                    cur[l.index()] = Some(resolve(&port_of, from[0], l));
                 }
-                {
-                    let mut ctx = StmtCtx::new(&mut g, lines, &mut cur);
-                    ctx.assign(lhs, rhs);
-                }
-                for &l in &refs {
-                    port_of.insert((n, OutDir::TRUE, l), cur[l.index()].expect("threaded"));
+                StmtCtx::new(&mut g, lines, &mut cur).assign(lhs, rhs);
+                for &l in refs {
+                    port_of[cell(n, OutDir::TRUE, l)] = Some(cur[l.index()].expect("threaded"));
                 }
             }
             Stmt::Branch { pred } | Stmt::Case { selector: pred } => {
-                let pred_lines: Vec<LineId> = {
-                    let mut v = Vec::new();
-                    for var in pred.vars() {
-                        for &l in lines.access_lines(var) {
-                            if !v.contains(&l) {
-                                v.push(l);
-                            }
+                pred_lines.clear();
+                for var in pred.vars() {
+                    for &l in lines.access_lines(var) {
+                        if !pred_lines.contains(&l) {
+                            pred_lines.push(l);
                         }
                     }
-                    v
-                };
-                let switched = sp.switch_lines(n, lines);
-                let mut cur: Vec<Option<Port>> = vec![None; n_lines];
-                for l in pred_lines.iter().chain(switched.iter()) {
+                }
+                switched.clear();
+                switched.extend(sp.switch_lines(n));
+                cur.fill(None);
+                for &l in pred_lines.iter().chain(&switched) {
                     if cur[l.index()].is_none() {
-                        let srcs = sv.at(n, *l);
-                        assert_eq!(srcs.len(), 1, "switch/pred source must be unique");
-                        cur[l.index()] = Some(resolve(&port_of, srcs[0], *l));
+                        let from = sv.at(n, l);
+                        assert_eq!(from.len(), 1, "switch/pred source must be unique");
+                        cur[l.index()] = Some(resolve(&port_of, from[0], l));
                     }
                 }
                 let n_dirs = cfg.succs(n).len();
-                let outs = translate_fork(&mut g, lines, &mut cur, pred, n_dirs, &switched);
-                for (l, ports) in outs {
-                    ops.switches.insert((n, l), ports[0].op);
-                    for (i, &p) in ports.iter().enumerate() {
-                        port_of.insert((n, OutDir::from_edge_index(i), l), p);
+                for (l, sw) in translate_fork(&mut g, lines, &mut cur, pred, n_dirs, &switched) {
+                    ops.switches.insert((n, l), sw);
+                    for i in 0..n_dirs {
+                        port_of[cell(n, OutDir::from_edge_index(i), l)] = Some(Port::new(sw, i));
                     }
                 }
                 // Predicate-read lines without a switch: regenerated by the
                 // read block, then bypass to the postdominator.
                 for &l in &pred_lines {
                     if !switched.contains(&l) {
-                        port_of.insert(
-                            (n, OutDir::TRUE, l),
-                            cur[l.index()].expect("read block regenerates"),
-                        );
+                        port_of[cell(n, OutDir::TRUE, l)] =
+                            Some(cur[l.index()].expect("read block regenerates"));
                     }
                 }
             }
@@ -200,21 +200,21 @@ fn construct_body(
                         let p = resolve(&port_of, s, l);
                         g.connect(p, Port::new(le, 0), arc_kind(lines, l));
                     }
-                    port_of.insert((n, OutDir::TRUE, l), Port::new(le, 0));
+                    port_of[cell(n, OutDir::TRUE, l)] = Some(Port::new(le, 0));
                 }
             }
             Stmt::LoopExit { loop_id } => {
                 for &l in sp.refs(n) {
-                    let srcs = sv.at(n, l);
-                    assert_eq!(srcs.len(), 1, "loop exit source must be unique");
-                    let p = resolve(&port_of, srcs[0], l);
+                    let from = sv.at(n, l);
+                    assert_eq!(from.len(), 1, "loop exit source must be unique");
+                    let p = resolve(&port_of, from[0], l);
                     let lx = g.add_labeled(
                         OpKind::LoopExit { loop_id: *loop_id },
                         format!("{} @{n:?}", lines.name(l)),
                     );
                     ops.loop_exits.insert((n, l), lx);
                     g.connect(p, Port::new(lx, 0), arc_kind(lines, l));
-                    port_of.insert((n, OutDir::TRUE, l), Port::new(lx, 0));
+                    port_of[cell(n, OutDir::TRUE, l)] = Some(Port::new(lx, 0));
                 }
             }
         }

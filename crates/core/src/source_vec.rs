@@ -22,7 +22,6 @@ use cf2df_cfg::intervals::Irreducible;
 use cf2df_cfg::loop_control::{LoopControlMeta, LoopControlled};
 use cf2df_cfg::reach::topo_order_ignoring_backedges;
 use cf2df_cfg::{Cfg, DomTree, FunctionContext, LoopForest, NodeId, OutDir, Stmt};
-use std::collections::HashMap;
 
 /// One source of a token: a node and the out-direction it leaves along.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
@@ -33,44 +32,32 @@ pub struct SvSrc {
     pub dir: OutDir,
 }
 
-/// The computed source vectors.
-#[derive(Clone, Debug, Default)]
+/// The computed source vectors: one cell per (node, line) for the forward
+/// sources, then one per (node, line) for the backedge sources arriving
+/// at loop-entry nodes (wired to the loop-entry operator's port 1). Cell
+/// `c` holds `srcs[start[c]..start[c + 1]]`.
+#[derive(Clone, Debug)]
 pub struct SourceVectors {
-    sv: HashMap<(NodeId, LineId), Vec<SvSrc>>,
-    /// Backedge sources arriving at loop-entry nodes (wired to the
-    /// loop-entry operator's port 1).
-    sv_back: HashMap<(NodeId, LineId), Vec<SvSrc>>,
+    n_lines: usize,
+    /// Number of forward cells (nodes × lines); the backedge cells follow.
+    back_base: usize,
+    start: Vec<u32>,
+    srcs: Vec<SvSrc>,
 }
 
 impl SourceVectors {
     /// The forward sources of line `l` at node `n`.
     pub fn at(&self, n: NodeId, l: LineId) -> &[SvSrc] {
-        self.sv.get(&(n, l)).map(Vec::as_slice).unwrap_or(&[])
+        self.cell(n.index() * self.n_lines + l.index())
     }
 
     /// The backedge sources of line `l` at loop-entry node `n`.
     pub fn back_at(&self, n: NodeId, l: LineId) -> &[SvSrc] {
-        self.sv_back.get(&(n, l)).map(Vec::as_slice).unwrap_or(&[])
+        self.cell(self.back_base + n.index() * self.n_lines + l.index())
     }
 
-    fn add(&mut self, n: NodeId, l: LineId, src: SvSrc) {
-        let v = self.sv.entry((n, l)).or_default();
-        if !v.contains(&src) {
-            v.push(src);
-        }
-    }
-
-    fn add_all(&mut self, n: NodeId, l: LineId, srcs: &[SvSrc]) {
-        for &s in srcs {
-            self.add(n, l, s);
-        }
-    }
-
-    fn add_back(&mut self, n: NodeId, l: LineId, src: SvSrc) {
-        let v = self.sv_back.entry((n, l)).or_default();
-        if !v.contains(&src) {
-            v.push(src);
-        }
+    fn cell(&self, c: usize) -> &[SvSrc] {
+        &self.srcs[self.start[c] as usize..self.start[c + 1] as usize]
     }
 
     /// Compute source vectors for a loop-controlled CFG under a switch
@@ -119,27 +106,30 @@ impl SourceVectors {
         lines: &Lines,
         sp: &SwitchPlacement,
     ) -> SourceVectors {
-        let mut out = SourceVectors::default();
+        let n_lines = lines.n();
+        let back_base = cfg.len() * n_lines;
+        // The forward cell of (n, l), or with `back` its backedge cell.
+        let cell = |n: NodeId, l: LineId, back: bool| {
+            usize::from(back) * back_base + n.index() * n_lines + l.index()
+        };
+        let mut out = CellLists::new(2 * back_base);
 
         // Route a source to a successor along a concrete out-edge,
         // honouring backedges (whose targets are loop entries and which are
         // wired to the entry operator's backedge port).
-        let is_back =
-            |n: NodeId, idx: usize, be: &[Vec<usize>]| be[n.index()].contains(&idx);
+        let is_back = |n: NodeId, idx: usize| forest_backedges[n.index()].contains(&idx);
+        let mut pred_lines: Vec<LineId> = Vec::new();
 
         for &n in order {
+            let own = SvSrc {
+                node: n,
+                dir: OutDir::TRUE,
+            };
             match cfg.stmt(n) {
                 Stmt::Start => {
                     let s = cfg.succs(n)[0];
                     for l in lines.ids() {
-                        out.add(
-                            s,
-                            l,
-                            SvSrc {
-                                node: n,
-                                dir: OutDir::TRUE,
-                            },
-                        );
+                        out.add(cell(s, l, false), own);
                     }
                 }
                 Stmt::End => {}
@@ -148,34 +138,17 @@ impl SourceVectors {
                 | Stmt::LoopEntry { .. }
                 | Stmt::Join => {
                     let s = cfg.succs(n)[0];
-                    let back = is_back(n, 0, forest_backedges);
+                    let back = is_back(n, 0);
                     let refs = sp.refs(n);
                     for l in lines.ids() {
-                        let produced: Vec<SvSrc> = if refs.contains(&l) {
-                            vec![SvSrc {
-                                node: n,
-                                dir: OutDir::TRUE,
-                            }]
-                        } else if matches!(cfg.stmt(n), Stmt::Join) {
+                        let here = cell(n, l, false);
+                        if refs.binary_search(&l).is_ok()
                             // A join is a producer only when it merges.
-                            let srcs = out.at(n, l).to_vec();
-                            match srcs.len() {
-                                0 => Vec::new(),
-                                1 => srcs,
-                                _ => vec![SvSrc {
-                                    node: n,
-                                    dir: OutDir::TRUE,
-                                }],
-                            }
+                            || matches!(cfg.stmt(n), Stmt::Join) && out.len(here) >= 2
+                        {
+                            out.add(cell(s, l, back), own);
                         } else {
-                            out.at(n, l).to_vec()
-                        };
-                        for src in produced {
-                            if back {
-                                out.add_back(s, l, src);
-                            } else {
-                                out.add(s, l, src);
-                            }
+                            out.copy(here, cell(s, l, back));
                         }
                     }
                 }
@@ -195,56 +168,114 @@ impl SourceVectors {
                         Stmt::LoopEntry { loop_id } => meta.forest.info(*loop_id).contains(n),
                         _ => false,
                     };
-                    let pred_lines: Vec<LineId> = {
-                        let mut v = Vec::new();
-                        for var in pred.vars() {
-                            for &l in lines.access_lines(var) {
-                                if !v.contains(&l) {
-                                    v.push(l);
-                                }
+                    pred_lines.clear();
+                    for var in pred.vars() {
+                        for &l in lines.access_lines(var) {
+                            if !pred_lines.contains(&l) {
+                                pred_lines.push(l);
                             }
                         }
-                        v
-                    };
+                    }
                     for l in lines.ids() {
-                        let switched = sp.needs_switch(n, l);
-                        if switched {
+                        if sp.needs_switch(n, l) {
                             for (i, &s) in cfg.succs(n).iter().enumerate() {
-                                let dir = OutDir::from_edge_index(i);
-                                let src = SvSrc { node: n, dir };
-                                if is_back(n, i, forest_backedges) {
-                                    out.add_back(s, l, src);
-                                } else {
-                                    out.add(s, l, src);
-                                }
+                                let src = SvSrc {
+                                    node: n,
+                                    dir: OutDir::from_edge_index(i),
+                                };
+                                out.add(cell(s, l, is_back(n, i)), src);
                             }
                         } else if pred_lines.contains(&l) {
                             // Read by the predicate, then bypasses to the
                             // postdominator.
-                            let src = SvSrc {
-                                node: n,
-                                dir: OutDir::TRUE,
-                            };
-                            if bypass_is_back {
-                                out.add_back(p, l, src);
-                            } else {
-                                out.add(p, l, src);
-                            }
+                            out.add(cell(p, l, bypass_is_back), own);
                         } else {
-                            let srcs = out.at(n, l).to_vec();
-                            if bypass_is_back {
-                                for src in srcs {
-                                    out.add_back(p, l, src);
-                                }
-                            } else {
-                                out.add_all(p, l, &srcs);
-                            }
+                            out.copy(cell(n, l, false), cell(p, l, bypass_is_back));
                         }
                     }
                 }
             }
         }
-        out
+        out.freeze(n_lines, back_base)
+    }
+}
+
+/// Source lists under construction: one insertion-ordered, duplicate-free
+/// list per cell, chained through one arena.
+struct CellLists {
+    head: Vec<u32>,
+    tail: Vec<u32>,
+    /// Arena entries: a source and the index of the next entry in its
+    /// cell's list.
+    entries: Vec<(SvSrc, u32)>,
+}
+
+const NIL: u32 = u32::MAX;
+
+impl CellLists {
+    fn new(cells: usize) -> CellLists {
+        CellLists {
+            head: vec![NIL; cells],
+            tail: vec![NIL; cells],
+            entries: Vec::new(),
+        }
+    }
+
+    /// The entries of cell `c`, in insertion order.
+    fn iter(&self, c: usize) -> impl Iterator<Item = SvSrc> + '_ {
+        let mut i = self.head[c];
+        std::iter::from_fn(move || {
+            (i != NIL).then(|| {
+                let (src, next) = self.entries[i as usize];
+                i = next;
+                src
+            })
+        })
+    }
+
+    fn len(&self, c: usize) -> usize {
+        self.iter(c).count()
+    }
+
+    /// Append `src` to cell `c` unless it is already there.
+    fn add(&mut self, c: usize, src: SvSrc) {
+        if self.iter(c).any(|s| s == src) {
+            return;
+        }
+        let i = self.entries.len() as u32;
+        self.entries.push((src, NIL));
+        match self.tail[c] {
+            NIL => self.head[c] = i,
+            t => self.entries[t as usize].1 = i,
+        }
+        self.tail[c] = i;
+    }
+
+    /// Append every source of cell `from` to cell `to`.
+    fn copy(&mut self, from: usize, to: usize) {
+        let mut i = self.head[from];
+        while i != NIL {
+            let (src, next) = self.entries[i as usize];
+            self.add(to, src);
+            i = next;
+        }
+    }
+
+    /// Freeze into compressed rows.
+    fn freeze(self, n_lines: usize, back_base: usize) -> SourceVectors {
+        let mut start = Vec::with_capacity(self.head.len() + 1);
+        let mut srcs = Vec::with_capacity(self.entries.len());
+        start.push(0);
+        for c in 0..self.head.len() {
+            srcs.extend(self.iter(c));
+            start.push(srcs.len() as u32);
+        }
+        SourceVectors {
+            n_lines,
+            back_base,
+            start,
+            srcs,
+        }
     }
 }
 

@@ -15,10 +15,9 @@
 //! to all uses.
 
 use crate::lines::{LineId, LineMode, Lines};
-use cf2df_cfg::{Expr, LValue, Stmt, VarId};
+use cf2df_cfg::{Expr, LValue, VarId};
 use cf2df_dfg::build::{synch_flat, synch_tree};
-use cf2df_dfg::{ArcKind, Dfg, OpKind, Port};
-use std::collections::HashMap;
+use cf2df_dfg::{ArcKind, Dfg, OpId, OpKind, Port};
 
 /// A compiled operand: either a constant (becomes an immediate slot) or a
 /// port carrying the value.
@@ -39,7 +38,9 @@ pub struct StmtCtx<'a> {
     pub lines: &'a Lines,
     /// Current token source per line.
     pub cur: &'a mut Vec<Option<Port>>,
-    loaded: HashMap<VarId, Operand>,
+    /// Scalars already read by this statement (a handful at most, so a
+    /// linear search beats hashing).
+    loaded: Vec<(VarId, Operand)>,
 }
 
 impl<'a> StmtCtx<'a> {
@@ -49,7 +50,7 @@ impl<'a> StmtCtx<'a> {
             g,
             lines,
             cur,
-            loaded: HashMap::new(),
+            loaded: Vec::new(),
         }
     }
 
@@ -62,19 +63,25 @@ impl<'a> StmtCtx<'a> {
     /// Thread a memory operation on `v` through its access set: collect the
     /// tokens, feed the op's access input, and regenerate every token from
     /// the op's access output.
-    fn thread_mem(&mut self, v: VarId, op: cf2df_dfg::OpId, in_port: usize, out_port: usize) {
-        let ls: Vec<LineId> = self.lines.access_lines(v).to_vec();
+    fn thread_mem(&mut self, v: VarId, op: OpId, in_port: usize, out_port: usize) {
+        let lines = self.lines;
+        let ls = lines.access_lines(v);
         debug_assert!(!ls.is_empty(), "every variable has an access set");
-        let ins: Vec<Port> = ls.iter().map(|&l| self.take_line(l)).collect();
-        let gathered = if self.lines.flat_synch() {
-            synch_flat(self.g, &ins, ArcKind::Access)
+        let gathered = if let [l] = *ls {
+            // A single token needs no synch.
+            self.take_line(l)
         } else {
-            synch_tree(self.g, &ins, ArcKind::Access)
-        }
-        .expect("non-empty access set");
+            let ins: Vec<Port> = ls.iter().map(|&l| self.take_line(l)).collect();
+            if lines.flat_synch() {
+                synch_flat(self.g, &ins, ArcKind::Access)
+            } else {
+                synch_tree(self.g, &ins, ArcKind::Access)
+            }
+            .expect("non-empty access set")
+        };
         self.g
             .connect(gathered, Port::new(op, in_port), ArcKind::Access);
-        for &l in &ls {
+        for &l in ls {
             self.cur[l.index()] = Some(Port::new(op, out_port));
         }
     }
@@ -82,7 +89,7 @@ impl<'a> StmtCtx<'a> {
     /// Read a scalar variable, returning its value operand. Cached per
     /// statement.
     pub fn read_scalar(&mut self, v: VarId) -> Operand {
-        if let Some(&op) = self.loaded.get(&v) {
+        if let Some(&(_, op)) = self.loaded.iter().find(|(u, _)| *u == v) {
             return op;
         }
         let ls = self.lines.access_lines(v);
@@ -93,7 +100,7 @@ impl<'a> StmtCtx<'a> {
                 let p = self.cur[l.index()]
                     .unwrap_or_else(|| panic!("value line {l:?} missing at read"));
                 let op = Operand::P(p);
-                self.loaded.insert(v, op);
+                self.loaded.push((v, op));
                 return op;
             }
             let ld = self.g.add(OpKind::Load { var: v });
@@ -104,7 +111,7 @@ impl<'a> StmtCtx<'a> {
             self.thread_mem(v, ld, 0, 1);
             Operand::P(Port::new(ld, 0))
         };
-        self.loaded.insert(v, operand);
+        self.loaded.push((v, operand));
         operand
     }
 
@@ -146,7 +153,7 @@ impl<'a> StmtCtx<'a> {
 
     /// Feed an operand into an input port: immediates become literal slots,
     /// ports become arcs.
-    pub fn feed(&mut self, op: cf2df_dfg::OpId, port: usize, operand: Operand, kind: ArcKind) {
+    pub fn feed(&mut self, op: OpId, port: usize, operand: Operand, kind: ArcKind) {
         match operand {
             Operand::Imm(c) => self.g.set_imm(op, port, c),
             Operand::P(p) => self.g.connect(p, Port::new(op, port), kind),
@@ -205,9 +212,9 @@ impl<'a> StmtCtx<'a> {
 
 /// Translate a fork's selector and create one switch per given line.
 /// `n_dirs == 2` produces the paper's binary `switch`; larger arities
-/// produce the multi-way `case` switch of footnote 3. Returns, per
-/// switched line, its output ports in out-direction order. The selector
-/// value fans out to every switch.
+/// produce the multi-way `case` switch of footnote 3. Returns each
+/// switched line with its switch, whose output port `i` is out-direction
+/// `i`. The selector value fans out to every switch.
 pub fn translate_fork(
     g: &mut Dfg,
     lines: &Lines,
@@ -215,7 +222,7 @@ pub fn translate_fork(
     selector: &Expr,
     n_dirs: usize,
     switch_lines: &[LineId],
-) -> Vec<(LineId, Vec<Port>)> {
+) -> Vec<(LineId, OpId)> {
     debug_assert!(n_dirs >= 2, "forks have at least two out-directions");
     let p = {
         let mut ctx = StmtCtx::new(g, lines, cur);
@@ -243,7 +250,7 @@ pub fn translate_fork(
             Operand::Imm(c) => g.set_imm(sw, 1, c),
             Operand::P(pp) => g.connect(pp, Port::new(sw, 1), ArcKind::Value),
         }
-        out.push((l, (0..n_dirs).map(|i| Port::new(sw, i)).collect()));
+        out.push((l, sw));
     }
     out
 }
@@ -258,14 +265,8 @@ pub fn translate_branch(
 ) -> Vec<(LineId, Port, Port)> {
     translate_fork(g, lines, cur, pred, 2, switch_lines)
         .into_iter()
-        .map(|(l, ports)| (l, ports[0], ports[1]))
+        .map(|(l, sw)| (l, Port::new(sw, 0), Port::new(sw, 1)))
         .collect()
-}
-
-/// The lines whose tokens a statement actually manipulates (as opposed to
-/// passing through): the union of its variables' access sets.
-pub fn touched_lines(lines: &Lines, stmt: &Stmt) -> Vec<LineId> {
-    lines.referenced_lines(stmt)
 }
 
 #[cfg(test)]

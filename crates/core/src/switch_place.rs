@@ -17,58 +17,54 @@ use crate::lines::{LineId, Lines};
 use cf2df_cfg::loop_control::{LoopControlMeta, LoopControlled};
 use cf2df_cfg::{between, Cfg, ControlDeps, DomTree, FunctionContext, NodeId, Stmt};
 
-/// The per-line switch-placement and circulation solution.
+/// The per-line switch-placement and circulation solution, stored as
+/// bitset rows of lines (`words` 64-bit words per row).
 #[derive(Clone, Debug)]
 pub struct SwitchPlacement {
-    /// `needs[l][f]` — fork `f` needs a switch for line `l`.
-    needs: Vec<Vec<bool>>,
-    /// `circ[loop][l]` — line `l` circulates through the loop's
-    /// entry/exit operators.
-    circ: Vec<Vec<bool>>,
-    /// `refs[node]` — lines referenced by the node, including the derived
-    /// references of loop-entry/exit statements at the fixpoint.
-    refs: Vec<Vec<LineId>>,
+    words: usize,
+    /// Row `f` — the lines needing a switch at fork `f`.
+    needs: Vec<u64>,
+    /// Row `loop` — the lines circulating through the loop's entry/exit
+    /// operators.
+    circ: Vec<u64>,
+    /// Lines referenced by node `n`, ascending, are
+    /// `ref_lines[ref_start[n]..ref_start[n + 1]]`: the statement's
+    /// access-set lines, or for loop-entry/exit statements the loop's
+    /// circulating lines at the fixpoint.
+    ref_start: Vec<u32>,
+    ref_lines: Vec<LineId>,
 }
 
 impl SwitchPlacement {
     /// Does fork `f` need a switch for line `l`?
     pub fn needs_switch(&self, f: NodeId, l: LineId) -> bool {
-        self.needs[l.index()][f.index()]
+        has_bit(self.row(&self.needs, f.index()), l.index())
     }
 
     /// Lines needing a switch at fork `f`, in id order.
-    pub fn switch_lines(&self, f: NodeId, lines: &Lines) -> Vec<LineId> {
-        lines
-            .ids()
-            .filter(|l| self.needs_switch(f, *l))
-            .collect()
+    pub fn switch_lines(&self, f: NodeId) -> impl Iterator<Item = LineId> + '_ {
+        bits(self.row(&self.needs, f.index()))
     }
 
     /// Does line `l` circulate through loop `loop_idx`?
     pub fn circulates(&self, loop_idx: usize, l: LineId) -> bool {
-        self.circ[loop_idx][l.index()]
-    }
-
-    /// Lines circulating through loop `loop_idx`, in id order.
-    pub fn circulating_lines(&self, loop_idx: usize, lines: &Lines) -> Vec<LineId> {
-        lines
-            .ids()
-            .filter(|l| self.circulates(loop_idx, *l))
-            .collect()
+        has_bit(self.row(&self.circ, loop_idx), l.index())
     }
 
     /// Lines referenced by a node under the fixpoint (loop-control nodes
-    /// reference their circulating lines).
+    /// reference their circulating lines), in id order.
     pub fn refs(&self, n: NodeId) -> &[LineId] {
-        &self.refs[n.index()]
+        let i = n.index();
+        &self.ref_lines[self.ref_start[i] as usize..self.ref_start[i + 1] as usize]
     }
 
     /// Total switches the optimized construction will create.
     pub fn total_switches(&self) -> usize {
-        self.needs
-            .iter()
-            .map(|per_line| per_line.iter().filter(|&&b| b).count())
-            .sum()
+        self.needs.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    fn row<'a>(&self, table: &'a [u64], i: usize) -> &'a [u64] {
+        &table[i * self.words..][..self.words]
     }
 
     /// Compute switch placement and circulation for a loop-controlled CFG.
@@ -90,120 +86,176 @@ impl SwitchPlacement {
     }
 
     /// The Fig 10 fixpoint, parameterized over precomputed analyses.
+    ///
+    /// Fig 10 marks, per line, `CD⁺` of the nodes referencing it. Here
+    /// every line is handled at once: each node's referenced-line row is
+    /// pushed along its control-dependence edges by a worklist until the
+    /// rows stop growing, which leaves at each fork `F` the lines of every
+    /// `N` with `F ∈ CD⁺(N)`.
     fn compute_with(
         cfg: &Cfg,
         cd: &ControlDeps,
         meta: &LoopControlMeta,
         lines: &Lines,
     ) -> SwitchPlacement {
-        let n_loops = meta.forest.len();
-        let n_lines = lines.n();
+        let n = cfg.len();
+        let words = lines.n().div_ceil(64);
 
-        // Base references: statements' access-set lines.
-        let base_refs: Vec<Vec<LineId>> = cfg
-            .node_ids()
-            .map(|n| lines.referenced_lines(cfg.stmt(n)))
-            .collect();
-
-        // circ starts as "referenced in the original loop body".
-        let mut circ = vec![vec![false; n_lines]; n_loops];
-        for (lid, info) in meta.forest.iter() {
-            for &b in &info.body {
-                for &l in &base_refs[b.index()] {
-                    circ[lid.index()][l.index()] = true;
+        // Base references: statements' access-set lines, one row per node.
+        let mut base = vec![0u64; n * words];
+        for v in cfg.node_ids() {
+            let row = &mut base[v.index() * words..][..words];
+            for var in cfg.stmt(v).referenced_vars() {
+                for l in lines.access_lines(var) {
+                    set_bit(row, l.index());
                 }
             }
         }
+        // Loop-entry/exit statements reference their loop's circulating
+        // lines instead.
+        let loop_of = |v: NodeId| match cfg.stmt(v) {
+            Stmt::LoopEntry { loop_id } | Stmt::LoopExit { loop_id } => Some(loop_id.index()),
+            _ => None,
+        };
+        let switchable = |v: NodeId| cfg.stmt(v).is_fork() && v != cfg.start();
 
-        let mut needs = vec![vec![false; cfg.len()]; n_lines];
+        // circ starts as "referenced in the original loop body".
+        let n_loops = meta.forest.len();
+        let mut circ = vec![0u64; n_loops * words];
+        for (lid, info) in meta.forest.iter() {
+            let row = &mut circ[lid.index() * words..][..words];
+            for &b in &info.body {
+                or_into(row, &base[b.index() * words..][..words]);
+            }
+        }
+
+        // `acc` row f: the lines of every node N with f ∈ CD⁺(N). Rows only
+        // grow as circulation grows, so each round resumes from the last
+        // one's rows and re-queues only the loop-control nodes whose
+        // references grew.
+        let mut acc = vec![0u64; n * words];
+        let mut out = vec![0u64; words];
+        let mut queued = vec![false; n];
+        let mut work: Vec<NodeId> = Vec::new();
+        for v in cfg.node_ids() {
+            if loop_of(v).is_some() || base[v.index() * words..][..words].iter().any(|&w| w != 0) {
+                queued[v.index()] = true;
+                work.push(v);
+            }
+        }
+        let mut grew = vec![false; n_loops];
         loop {
-            // Effective reference sets under current circulation.
-            let refs: Vec<Vec<LineId>> = cfg
-                .node_ids()
-                .map(|n| match cfg.stmt(n) {
-                    Stmt::LoopEntry { loop_id } | Stmt::LoopExit { loop_id } => lines
-                        .ids()
-                        .filter(|l| circ[loop_id.index()][l.index()])
-                        .collect(),
-                    // Owned copy: the table mixes these static entries
-                    // with per-iteration computed ones above.
-                    _ => base_refs[n.index()].clone(),
-                })
-                .collect();
-
-            // Fig 10: per line, iterate control dependence from the
-            // referencing nodes.
-            for l in lines.ids() {
-                let seeds: Vec<NodeId> = cfg
-                    .node_ids()
-                    .filter(|n| refs[n.index()].contains(&l))
-                    .collect();
-                let marked = cd.iterated(&seeds);
-                for n in cfg.node_ids() {
-                    // `start` is a fork only by the start→end convention;
-                    // its "switch" has a constant predicate, so tokens are
-                    // emitted directly instead (Fig 11's start case).
-                    if marked[n.index()] && cfg.stmt(n).is_fork() && n != cfg.start() {
-                        needs[l.index()][n.index()] = true;
+            while let Some(v) = work.pop() {
+                queued[v.index()] = false;
+                let own = match loop_of(v) {
+                    Some(lp) => &circ[lp * words..][..words],
+                    None => &base[v.index() * words..][..words],
+                };
+                for ((o, &r), &a) in out.iter_mut().zip(own).zip(&acc[v.index() * words..]) {
+                    *o = r | a;
+                }
+                for &f in cd.deps_of(v) {
+                    let grown = or_into(&mut acc[f.index() * words..][..words], &out);
+                    if grown && !queued[f.index()] {
+                        queued[f.index()] = true;
+                        work.push(f);
                     }
                 }
             }
 
             // Grow circulation: switched-at-a-fork-inside-the-body, then
             // upward closure (a line circulating in an inner loop must
-            // circulate in every enclosing loop).
-            let mut changed = false;
+            // circulate in every enclosing loop). Parents sort after their
+            // children, so one pass in forest order closes it.
+            grew.fill(false);
             for (lid, info) in meta.forest.iter() {
+                let row = &mut circ[lid.index() * words..][..words];
                 for &b in &info.body {
-                    if !cfg.stmt(b).is_fork() || b == cfg.start() {
-                        continue;
-                    }
-                    for l in lines.ids() {
-                        if needs[l.index()][b.index()] && !circ[lid.index()][l.index()] {
-                            circ[lid.index()][l.index()] = true;
-                            changed = true;
-                        }
+                    if switchable(b) {
+                        grew[lid.index()] |= or_into(row, &acc[b.index() * words..][..words]);
                     }
                 }
             }
             for (lid, info) in meta.forest.iter() {
                 if let Some(parent) = info.parent {
-                    // Snapshot the inner loop's row: the parent's row in
-                    // the same table is mutated below.
-                    let inner = circ[lid.index()].clone();
-                    for (li, inner_has) in inner.iter().enumerate() {
-                        if *inner_has && !circ[parent.index()][li] {
-                            circ[parent.index()][li] = true;
-                            changed = true;
-                        }
-                    }
+                    let (inner, outer) = circ.split_at_mut(parent.index() * words);
+                    grew[parent.index()] |=
+                        or_into(&mut outer[..words], &inner[lid.index() * words..][..words]);
                 }
             }
-            if !changed {
-                // Recompute final refs for the solution.
-                let final_refs: Vec<Vec<LineId>> = cfg
-                    .node_ids()
-                    .map(|n| match cfg.stmt(n) {
-                        Stmt::LoopEntry { loop_id } | Stmt::LoopExit { loop_id } => lines
-                            .ids()
-                            .filter(|l| circ[loop_id.index()][l.index()])
-                            .collect(),
-                        _ => base_refs[n.index()].clone(),
-                    })
-                    .collect();
-                return SwitchPlacement {
-                    needs,
-                    circ,
-                    refs: final_refs,
-                };
+            if !grew.contains(&true) {
+                break;
             }
-            // Reset `needs` for the next round (monotone, but recompute
-            // cleanly for clarity).
-            for per_line in &mut needs {
-                per_line.iter_mut().for_each(|b| *b = false);
+            for v in cfg.node_ids() {
+                if loop_of(v).is_some_and(|lp| grew[lp]) && !queued[v.index()] {
+                    queued[v.index()] = true;
+                    work.push(v);
+                }
             }
         }
+
+        // `start` is a fork only by the start→end convention; its
+        // "switch" has a constant predicate, so tokens are emitted
+        // directly instead (Fig 11's start case).
+        for v in cfg.node_ids() {
+            if !switchable(v) {
+                acc[v.index() * words..][..words].fill(0);
+            }
+        }
+        let mut ref_start = Vec::with_capacity(n + 1);
+        let mut ref_lines = Vec::new();
+        ref_start.push(0);
+        for v in cfg.node_ids() {
+            let row = match loop_of(v) {
+                Some(lp) => &circ[lp * words..][..words],
+                None => &base[v.index() * words..][..words],
+            };
+            ref_lines.extend(bits(row));
+            ref_start.push(ref_lines.len() as u32);
+        }
+        SwitchPlacement {
+            words,
+            needs: acc,
+            circ,
+            ref_start,
+            ref_lines,
+        }
     }
+}
+
+// Row helpers. Certify's Theorem 1 oracle keeps its own copies, so the
+// two placements share no code and no failure modes.
+
+fn set_bit(row: &mut [u64], i: usize) {
+    row[i / 64] |= 1 << (i % 64);
+}
+
+fn has_bit(row: &[u64], i: usize) -> bool {
+    row[i / 64] >> (i % 64) & 1 != 0
+}
+
+/// `dst |= src`; returns whether `dst` grew.
+fn or_into(dst: &mut [u64], src: &[u64]) -> bool {
+    let mut grew = false;
+    for (d, &s) in dst.iter_mut().zip(src) {
+        grew |= s & !*d != 0;
+        *d |= s;
+    }
+    grew
+}
+
+/// The lines of a row, ascending.
+fn bits(row: &[u64]) -> impl Iterator<Item = LineId> + '_ {
+    row.iter().enumerate().flat_map(|(i, &w)| {
+        let mut w = w;
+        std::iter::from_fn(move || {
+            (w != 0).then(|| {
+                let bit = w.trailing_zeros();
+                w &= w - 1;
+                LineId(i as u32 * 64 + bit)
+            })
+        })
+    })
 }
 
 /// Brute-force oracle for Definition 3 via Definition 1: fork `f` needs a
@@ -258,6 +310,25 @@ mod tests {
         // fork and its postdominator: no switch for w either.
         assert!(!sp.needs_switch(fork, var("w")));
         assert_eq!(sp.total_switches(), 2);
+    }
+
+    #[test]
+    fn refs_are_the_access_set_lines_of_the_statement() {
+        // X ~ Z and Y ~ Z: X := Y reads Y and writes X, so it references
+        // C[X] ∪ C[Y] = {X,Z} ∪ {Y,Z}, every line, in id order.
+        let (lc, lines) = setup("alias X ~ Z; alias Y ~ Z; X := Y;");
+        let sp = SwitchPlacement::compute(&lc, &lines);
+        let cfg = &lc.cfg;
+        let var = |name: &str| cfg.vars.lookup(name).unwrap();
+        assert_eq!(lines.access_lines(var("X")).len(), 2);
+        assert_eq!(lines.access_lines(var("Y")).len(), 2);
+        let assign = cfg
+            .node_ids()
+            .find(|&n| matches!(cfg.stmt(n), Stmt::Assign { .. }))
+            .unwrap();
+        assert_eq!(sp.refs(assign), &[LineId(0), LineId(1), LineId(2)]);
+        assert!(sp.refs(cfg.start()).is_empty());
+        assert!(sp.refs(cfg.end()).is_empty());
     }
 
     #[test]

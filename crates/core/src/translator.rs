@@ -236,10 +236,10 @@ fn translate_full_with(
                 let all: Vec<LineId> = lines.ids().collect();
                 let n_dirs = cfg.succs(n).len();
                 let outs = translate_fork(&mut g, lines, &mut cur, sel, n_dirs, &all);
-                for (l, ports) in outs {
-                    ops.switches.insert((n, l), ports[0].op);
-                    for (i, &p) in ports.iter().enumerate() {
-                        edge_src.insert((n, i, l), p);
+                for (l, sw) in outs {
+                    ops.switches.insert((n, l), sw);
+                    for i in 0..n_dirs {
+                        edge_src.insert((n, i, l), Port::new(sw, i));
                     }
                 }
             }

@@ -86,8 +86,11 @@ pub struct WorkerStats {
     pub local_pops: u64,
     /// Tasks taken from the global injector.
     pub injector_hits: u64,
-    /// Tasks stolen from a sibling's queue (tasks, not steal operations —
-    /// a single steal-half grabs many).
+    /// Tasks stolen from a sibling's queue straight into a batch (tasks,
+    /// not steal operations — a single steal-half grabs many). A steal's
+    /// surplus beyond one batch moves to the thief's own queue and is
+    /// counted in `local_pops` when popped, so every task has exactly one
+    /// source.
     pub steals: u64,
     /// Idle episodes in which the worker blocked on the condvar.
     pub parks: u64,

@@ -362,14 +362,14 @@ impl<T: Send> Scheduler<T> {
                 let rest = q.split_off(half);
                 std::mem::replace(&mut *q, rest)
             };
-            let total = stolen.len();
-            stats.steals += total as u64;
-            let k = total.min(BATCH);
+            let k = stolen.len().min(BATCH);
+            stats.steals += k as u64;
             for _ in 0..k {
                 batch.push(stolen.pop_front().expect("len checked"));
             }
             // Surplus beyond one batch moves to our own queue; it stays
-            // queued (only the batch leaves the resting count).
+            // queued (only the batch leaves the resting count) and is
+            // tallied as a local pop when it is popped.
             if !stolen.is_empty() {
                 lock(&self.queues[w]).extend(stolen);
             }
@@ -1082,9 +1082,10 @@ mod tests {
         let mut batch = Vec::new();
         let k = sched.fill_batch(1, &mut batch, &mut stats, false);
         // Worker 1 stole half the queue (50): one batch in hand, the
-        // surplus relocated to its own queue.
-        assert_eq!(stats.steals, 50);
+        // surplus relocated to its own queue. Only the batch counts as
+        // stolen; the surplus counts when its owner pops it.
         assert_eq!(k, BATCH.min(50));
+        assert_eq!(stats.steals, k as u64);
         assert_eq!(lock(&sched.queues[0]).len(), 50);
         assert_eq!(lock(&sched.queues[1]).len(), 50 - k);
         // The oldest tasks were taken, in order.

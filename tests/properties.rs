@@ -6,8 +6,15 @@
 
 use cf2df::bench::prng::Prng;
 use cf2df::bench::workloads::{goto_soup, random_program, GenConfig};
-use cf2df::cfg::{between, ControlDeps, CoverStrategy, DomTree, MemLayout};
+use cf2df::cfg::loop_control::{insert_loop_control, split_irreducible};
+use cf2df::cfg::postdom::{naive_dominator_sets, naive_postdominator_sets};
+use cf2df::cfg::{
+    between, Cfg, ControlDeps, Cover, CoverStrategy, DomTree, LoopForest, MemLayout, NodeId, Stmt,
+};
+use cf2df::core::lines::Lines;
 use cf2df::core::pipeline::{translate, TranslateOptions};
+use cf2df::core::source_vec::SourceVectors;
+use cf2df::core::switch_place::{needs_switch_bruteforce, SwitchPlacement};
 use cf2df::lang::parse_to_cfg;
 use cf2df::machine::{run, vonneumann, MachineConfig};
 use cf2df::testkit;
@@ -71,10 +78,269 @@ fn postdominators_match_naive() {
         let parsed = parse_to_cfg(&src).unwrap();
         let cfg = &parsed.cfg;
         let pd = DomTree::postdominators(cfg);
-        let sets = cf2df::cfg::postdom::naive_postdominator_sets(cfg);
+        let sets = naive_postdominator_sets(cfg);
         for a in cfg.node_ids() {
             for b in cfg.node_ids() {
                 assert_eq!(pd.dominates(a, b), sets[b.index()][a.index()]);
+            }
+        }
+    });
+}
+
+/// A random program or a goto soup of 2–8 blocks (often irreducible).
+fn program_or_soup(rng: &mut Prng) -> String {
+    if rng.below(2) == 0 {
+        let cfgen = gen_config(rng);
+        random_program(rng.next_u64(), &cfgen)
+    } else {
+        let blocks = rng.range_usize(2, 9);
+        goto_soup(rng.next_u64(), blocks)
+    }
+}
+
+/// Check a dominator tree against reference sets (`sets[n][m]` iff `m`
+/// (post)dominates `n`): dominance, each node's idom (its deepest strict
+/// dominator) and depth, and the children lists.
+fn check_tree_against_sets(cfg: &Cfg, tree: &DomTree, sets: &[Vec<bool>], what: &str, src: &str) {
+    let size = |v: NodeId| sets[v.index()].iter().filter(|&&b| b).count();
+    let mut children: Vec<Vec<NodeId>> = vec![Vec::new(); cfg.len()];
+    for b in cfg.node_ids() {
+        for a in cfg.node_ids() {
+            assert_eq!(
+                tree.dominates(a, b),
+                sets[b.index()][a.index()],
+                "{what}: dominates({a:?}, {b:?})\n{src}"
+            );
+        }
+        let idom = cfg
+            .node_ids()
+            .filter(|&d| d != b && sets[b.index()][d.index()])
+            .max_by_key(|&d| size(d));
+        assert_eq!(tree.idom(b), idom, "{what}: idom({b:?})\n{src}");
+        assert_eq!(
+            tree.depth(b) as usize,
+            size(b) - 1,
+            "{what}: depth({b:?})\n{src}"
+        );
+        if let Some(d) = idom {
+            children[d.index()].push(b);
+        }
+    }
+    for a in cfg.node_ids() {
+        assert_eq!(
+            tree.children(a),
+            &children[a.index()][..],
+            "{what}: children({a:?})\n{src}"
+        );
+    }
+}
+
+/// Both dominator trees agree with the set-based references on the raw
+/// CFGs of random programs and goto soups, irreducible ones included.
+/// After node splitting, every loop of the forest is the natural loop of
+/// its header's backedges (`a → h` with `h` dominating `a`, read off the
+/// sets), and each node's innermost loop is the smallest one holding it.
+#[test]
+fn dominator_trees_and_loop_forest_match_set_references() {
+    testkit::cases("dominators_naive", 48, |rng| {
+        let src = program_or_soup(rng);
+        let parsed = parse_to_cfg(&src).unwrap();
+        let cfg = &parsed.cfg;
+        let dom = naive_dominator_sets(cfg);
+        check_tree_against_sets(cfg, &DomTree::dominators(cfg), &dom, "dominators", &src);
+        let pdom = naive_postdominator_sets(cfg);
+        check_tree_against_sets(
+            cfg,
+            &DomTree::postdominators(cfg),
+            &pdom,
+            "postdominators",
+            &src,
+        );
+
+        let split = split_irreducible(cfg).unwrap();
+        let dom = naive_dominator_sets(&split);
+        let forest = LoopForest::compute(&split).unwrap();
+        let preds = split.preds();
+        let mut headers = 0;
+        for h in split.node_ids() {
+            let backedges: Vec<(NodeId, usize)> = split
+                .edges()
+                .filter(|&(a, _, to)| to == h && dom[a.index()][h.index()])
+                .map(|(a, idx, _)| (a, idx))
+                .collect();
+            if backedges.is_empty() {
+                continue;
+            }
+            headers += 1;
+            // Natural loop: h plus the nodes reaching a backedge source
+            // without passing through h.
+            let mut in_body = vec![false; split.len()];
+            in_body[h.index()] = true;
+            let mut stack: Vec<NodeId> = Vec::new();
+            for &(a, _) in &backedges {
+                if !in_body[a.index()] {
+                    in_body[a.index()] = true;
+                    stack.push(a);
+                }
+            }
+            while let Some(v) = stack.pop() {
+                for &(p, _) in &preds[v.index()] {
+                    if !in_body[p.index()] {
+                        in_body[p.index()] = true;
+                        stack.push(p);
+                    }
+                }
+            }
+            let body: Vec<NodeId> = split.node_ids().filter(|v| in_body[v.index()]).collect();
+            let (_, info) = forest
+                .iter()
+                .find(|(_, info)| info.header == h)
+                .unwrap_or_else(|| panic!("no loop headed by {h:?}\n{src}"));
+            assert_eq!(info.body, body, "body of the loop at {h:?}\n{src}");
+            assert_eq!(
+                info.backedges, backedges,
+                "backedges of the loop at {h:?}\n{src}"
+            );
+        }
+        assert_eq!(forest.len(), headers, "one loop per header\n{src}");
+        for v in split.node_ids() {
+            let innermost = forest
+                .iter()
+                .filter(|(_, info)| info.contains(v))
+                .min_by_key(|(_, info)| info.body.len())
+                .map(|(id, _)| id);
+            assert_eq!(
+                forest.innermost(v),
+                innermost,
+                "innermost loop of {v:?}\n{src}"
+            );
+        }
+    });
+}
+
+/// A search loop appended to a random program over `n_vars` scalars: it
+/// exits early from inside its body (or from an inner loop, past an
+/// outer one) through an arm that writes a variable the body never
+/// touches, as `binsearch` does. The fork on that arm needs a switch for
+/// the variable's line, so circulation must grow past the lines the body
+/// references.
+fn early_exit_search(rng: &mut Prng, n_vars: usize) -> String {
+    let (p, q) = (rng.range_usize(0, n_vars), rng.range_usize(0, n_vars));
+    let bound = rng.range_usize(1, 6);
+    let search = format!(
+        "s := 0;\n\
+         li:\n\
+         if s > {bound} then {{ goto xi; }} else {{ skip; }}\n\
+         if v{p} == s then {{ v{q} := s; goto xo; }} else {{ skip; }}\n\
+         s := s + 1;\n\
+         goto li;\n\
+         xi:\n"
+    );
+    if rng.below(2) == 0 {
+        format!("{search}xo:\nskip;\n")
+    } else {
+        format!(
+            "o := 0;\nlo:\nif o > 2 then {{ goto xo; }} else {{ skip; }}\n\
+             {search}o := o + 1;\ngoto lo;\nxo:\nskip;\n"
+        )
+    }
+}
+
+/// The production Fig 10 and Fig 11 on random programs (aliasing and
+/// arrays, either cover, memory elimination on and off; half of them end
+/// in an [`early_exit_search`]) and node-split goto soups, after loop
+/// control:
+/// - every fork's switches agree with Definition 1's path search under
+///   the fixpoint reference sets;
+/// - circulation is a fixpoint: it holds the lines referenced in the
+///   body and switched at the body's forks, and is upward-closed over
+///   the loop forest;
+/// - every line reaches `end`;
+/// - statement and switch sources are singletons.
+#[test]
+fn switch_placement_and_source_vectors_hold_on_random_programs() {
+    testkit::cases("fig10_fig11", 48, |rng| {
+        let src = if rng.below(4) == 0 {
+            let blocks = rng.range_usize(2, 6);
+            goto_soup(rng.next_u64(), blocks)
+        } else {
+            let mut cfgen = gen_config(rng);
+            cfgen.alias_percent = 50;
+            cfgen.n_arrays = rng.range_usize(1, 3);
+            let mut src = random_program(rng.next_u64(), &cfgen);
+            if rng.below(2) == 0 {
+                src += &early_exit_search(rng, cfgen.n_vars);
+            }
+            src
+        };
+        let strategy = if rng.below(2) == 0 {
+            CoverStrategy::Singletons
+        } else {
+            CoverStrategy::AliasClasses
+        };
+        let eliminate_memory = rng.below(2) == 0;
+        let parsed = parse_to_cfg(&src).unwrap();
+        let lc = insert_loop_control(&split_irreducible(&parsed.cfg).unwrap()).unwrap();
+        let cover = Cover::build(&strategy, &parsed.alias);
+        let lines = Lines::new(&lc.cfg.vars, &parsed.alias, &cover, eliminate_memory);
+        let sp = SwitchPlacement::compute(&lc, &lines);
+        let sv = SourceVectors::compute(&lc, &lines, &sp).unwrap();
+        let cfg = &lc.cfg;
+        let ctx = format!("{strategy:?} elim={eliminate_memory}\n{src}");
+        let switchable = |f: NodeId| cfg.stmt(f).is_fork() && f != cfg.start();
+
+        let refs = |n: NodeId| sp.refs(n).to_vec();
+        for f in cfg.node_ids().filter(|&f| switchable(f)) {
+            for l in lines.ids() {
+                assert_eq!(
+                    sp.needs_switch(f, l),
+                    needs_switch_bruteforce(cfg, &refs, f, l),
+                    "fork {f:?}, line {l:?}\n{ctx}"
+                );
+            }
+        }
+
+        let forest = &lc.meta.forest;
+        for (lid, info) in forest.iter() {
+            for l in lines.ids() {
+                if !sp.circulates(lid.index(), l) {
+                    let referenced = info.body.iter().any(|&b| sp.refs(b).contains(&l));
+                    let switched = info
+                        .body
+                        .iter()
+                        .any(|&b| switchable(b) && sp.needs_switch(b, l));
+                    assert!(
+                        !referenced && !switched,
+                        "{lid:?} must circulate {l:?}\n{ctx}"
+                    );
+                } else if let Some(parent) = info.parent {
+                    assert!(
+                        sp.circulates(parent.index(), l),
+                        "{l:?} circulates in {lid:?} but not in its parent {parent:?}\n{ctx}"
+                    );
+                }
+            }
+        }
+
+        for l in lines.ids() {
+            assert!(
+                !sv.at(cfg.end(), l).is_empty(),
+                "line {l:?} never reaches end\n{ctx}"
+            );
+        }
+        for n in cfg.node_ids() {
+            match cfg.stmt(n) {
+                Stmt::Assign { .. } => {
+                    for &l in sp.refs(n) {
+                        assert_eq!(sv.at(n, l).len(), 1, "{n:?} line {l:?}\n{ctx}");
+                    }
+                }
+                Stmt::Branch { .. } | Stmt::Case { .. } => {
+                    for l in lines.ids().filter(|&l| sp.needs_switch(n, l)) {
+                        assert_eq!(sv.at(n, l).len(), 1, "switch {n:?} line {l:?}\n{ctx}");
+                    }
+                }
+                _ => {}
             }
         }
     });
