@@ -4,7 +4,7 @@
 //! deterministic simulator and the threaded executor at 1/2/4/8 workers,
 //! collecting [`crate::harness::Measurement`]s, executor metrics
 //! ([`cf2df_machine::ParMetrics`]), and wall-clock timings
-//! ([`crate::timing`]), and renders two artifacts:
+//! ([`crate::timing`]), and renders four artifacts:
 //!
 //! * `BENCH_pipeline.json` — simulated (idealized-parallelism) metrics
 //!   per workload per translation configuration;
@@ -23,10 +23,12 @@
 //! [`validate_artifact`] schema validator: every required field must be
 //! present and every numeric field finite (a non-finite float renders as
 //! `null` and is rejected), so a bench regression can never hide behind
-//! a malformed artifact. These artifacts are the repo's performance
-//! trajectory: every perf PR regenerates them and is judged against the
-//! committed baseline.
+//! a malformed artifact. The quick artifacts' deterministic counters are
+//! pinned by the committed `BENCH_*.quick.json` baselines through the
+//! exact gate of [`crate::compare`]; their wall-clock fields are for
+//! reading, and are never compared across runs.
 
+use crate::compare::{gate_of, rows};
 use crate::harness::{measure, measure_baseline, Measurement};
 use crate::json::{self, Json, Obj};
 use crate::timing::{Stats, Timer};
@@ -48,29 +50,8 @@ pub const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// against — not as a serve session with a window of one.
 pub const INFLIGHT_LEVELS: [usize; 3] = [1, 4, 16];
 
-/// Current artifact schema version. Version 2 added `p95_ns` to every
-/// wall-clock stats block and, on the executor artifact,
-/// `speedup_vs_1w`/`fast_path_fires` per thread entry plus
-/// `batches`/`fast_path` per worker. Version 3 records macro-op fusion:
-/// a top-level `fused` flag on every artifact (the suites run fused by
-/// default and unfused under `--no-fuse`), `macro_fires`/`ops_elided`
-/// per executor thread entry plus `fired_unfused` per workload, and
-/// `macros`/`fused_ops` per translate config. Version 4 records the
-/// compiled-graph lowering ([`cf2df_machine::compile`]): every executor
-/// run goes through the compile-once entry points (the graph is lowered
-/// to its dense [`cf2df_machine::CompiledGraph`] exactly once per
-/// workload, outside the timed region), and each executor workload
-/// entry gains `compile_wall_ns` (wall-clock stats of the lowering
-/// itself) plus a `compiled` footprint block (`ops`, `out_ports`,
-/// `dest_slots`, `imm_slots`, `macro_steps`, `bytes`, `max_hot_arity`).
-/// Version 5 adds the *throughput* artifact (`BENCH_throughput.json`):
-/// requests-per-second of the tag-space-multiplexed serve engine
-/// ([`cf2df_machine::serve()`]) at [`WORKER_COUNTS`] ×
-/// [`INFLIGHT_LEVELS`], each arm judged against the back-to-back serial
-/// baseline on the same pool. The three existing artifact kinds are
-/// structurally unchanged by v5. [`validate_artifact`] still accepts
-/// version-1 through -4 documents so old committed baselines keep
-/// validating.
+/// Current artifact schema version, the only one [`validate_artifact`]
+/// accepts.
 pub const SCHEMA_VERSION: u64 = 5;
 
 /// The canonical workload suite, sized for `quick` (CI smoke) or full
@@ -131,10 +112,9 @@ fn timer(quick: bool) -> Timer {
     if quick {
         Timer::with_budgets(Duration::from_millis(5), Duration::from_millis(20)).quiet()
     } else {
-        // Means gate perf regressions (see `crate::compare`), and on a
-        // shared host they converge slowly: give full mode a generous
-        // measurement budget so scheduler-interference outliers average
-        // out instead of deciding the comparison.
+        // On a shared host timings converge slowly: give full mode a
+        // generous measurement budget so scheduler-interference outliers
+        // average out.
         Timer::with_budgets(Duration::from_millis(200), Duration::from_millis(1000)).quiet()
     }
 }
@@ -464,8 +444,8 @@ fn throughput_requests(quick: bool) -> usize {
 /// graphs. A short program exposes little intra-request parallelism, so
 /// a multi-worker pool starves running one request at a time — these
 /// are exactly the workloads where admitting several invocations into
-/// the shared tag space should pay, and where the acceptance gate
-/// ([`crate::compare::require_inflight_speedup`]) demands it does.
+/// the shared tag space should pay, and where the multiplexing gate
+/// ([`crate::compare::Multiplexing`]) demands it does.
 fn throughput_suite(quick: bool) -> Vec<(&'static str, String)> {
     if quick {
         vec![
@@ -667,12 +647,9 @@ fn req_arr<'a>(v: &'a Json, ctx: &str, key: &str) -> Result<&'a [Json], String> 
     Ok(a)
 }
 
-fn check_stats(v: &Json, ctx: &str, version: u64) -> Result<(), String> {
-    for key in ["mean_ns", "median_ns", "min_ns", "max_ns", "iters"] {
+fn check_stats(v: &Json, ctx: &str) -> Result<(), String> {
+    for key in ["mean_ns", "median_ns", "p95_ns", "min_ns", "max_ns", "iters"] {
         req_num(v, ctx, key)?;
-    }
-    if version >= 2 {
-        req_num(v, ctx, "p95_ns")?;
     }
     if req_num(v, ctx, "iters")? < 1.0 {
         return Err(format!("{ctx}: zero iterations measured"));
@@ -680,88 +657,33 @@ fn check_stats(v: &Json, ctx: &str, version: u64) -> Result<(), String> {
     Ok(())
 }
 
-/// The document's declared schema version — required, and must be one
-/// this validator understands (1 through [`SCHEMA_VERSION`]). Version 3
-/// and later documents additionally declare `fused` as a boolean.
-fn schema_version(doc: &Json, ctx: &str) -> Result<u64, String> {
-    let v = req_num(doc, ctx, "schema_version")?;
-    let v = v as u64;
-    if !(1..=SCHEMA_VERSION).contains(&v) {
+/// The document's declared schema version — required, and must be
+/// [`SCHEMA_VERSION`] — and its `fused` flag, a boolean.
+fn check_header(doc: &Json, ctx: &str) -> Result<(), String> {
+    let v = req_num(doc, ctx, "schema_version")? as u64;
+    if v != SCHEMA_VERSION {
         return Err(format!(
-            "{ctx}: unsupported schema_version {v} (understood: 1..={SCHEMA_VERSION})"
+            "{ctx}: unsupported schema_version {v} (understood: {SCHEMA_VERSION})"
         ));
     }
-    if v >= 3 && !matches!(req(doc, ctx, "fused")?, Json::Bool(_)) {
+    if !matches!(req(doc, ctx, "fused")?, Json::Bool(_)) {
         return Err(format!("{ctx}: field 'fused' is not a boolean"));
-    }
-    Ok(v)
-}
-
-fn validate_pipeline_value(doc: &Json) -> Result<(), String> {
-    schema_version(doc, "pipeline")?;
-    for (wi, w) in req_arr(doc, "pipeline", "workloads")?.iter().enumerate() {
-        let name = req_str(w, &format!("workloads[{wi}]"), "name")?.to_owned();
-        for (mi, m) in req_arr(w, &name, "measurements")?.iter().enumerate() {
-            let ctx = format!("{name}.measurements[{mi}]");
-            req_str(m, &ctx, "label")?;
-            for key in [
-                "ops",
-                "arcs",
-                "switches",
-                "merges",
-                "fired",
-                "makespan",
-                "avg_parallelism",
-                "max_parallelism",
-                "mem_ops",
-            ] {
-                req_num(m, &ctx, key)?;
-            }
-        }
     }
     Ok(())
 }
 
 fn validate_executor_value(doc: &Json) -> Result<(), String> {
-    let version = schema_version(doc, "executor")?;
     let counts: Vec<f64> = req_arr(doc, "executor", "worker_counts")?
         .iter()
         .map(|c| c.as_num().ok_or("worker_counts entry is not a number".to_owned()))
         .collect::<Result<_, _>>()?;
     for (wi, w) in req_arr(doc, "executor", "workloads")?.iter().enumerate() {
         let name = req_str(w, &format!("workloads[{wi}]"), "name")?.to_owned();
-        req_num(w, &name, "fired")?;
-        if version >= 3 {
-            let unfused = req_num(w, &name, "fired_unfused")?;
-            if unfused < req_num(w, &name, "fired")? {
-                return Err(format!("{name}: fired_unfused below fired"));
-            }
+        if req_num(w, &name, "fired_unfused")? < req_num(w, &name, "fired")? {
+            return Err(format!("{name}: fired_unfused below fired"));
         }
-        if version >= 4 {
-            check_stats(
-                req(w, &name, "compile_wall_ns")?,
-                &format!("{name}.compile_wall_ns"),
-                version,
-            )?;
-            let c = req(w, &name, "compiled")?;
-            let cctx = format!("{name}.compiled");
-            for key in [
-                "ops",
-                "out_ports",
-                "dest_slots",
-                "imm_slots",
-                "macro_steps",
-                "bytes",
-                "max_hot_arity",
-            ] {
-                req_num(c, &cctx, key)?;
-            }
-        }
-        check_stats(
-            req(w, &name, "simulator_wall_ns")?,
-            &format!("{name}.simulator_wall_ns"),
-            version,
-        )?;
+        check_stats(req(w, &name, "compile_wall_ns")?, &format!("{name}.compile_wall_ns"))?;
+        check_stats(req(w, &name, "simulator_wall_ns")?, &format!("{name}.simulator_wall_ns"))?;
         let threads = req_arr(w, &name, "threads")?;
         for c in &counts {
             if !threads
@@ -774,28 +696,12 @@ fn validate_executor_value(doc: &Json) -> Result<(), String> {
         for t in threads {
             let workers = req_num(t, &name, "workers")?;
             let ctx = format!("{name}.threads[workers={workers}]");
-            check_stats(req(t, &ctx, "wall_ns")?, &format!("{ctx}.wall_ns"), version)?;
-            for key in [
-                "fired",
-                "tokens_processed",
-                "merged",
-                "max_pending_slots",
-                "tags_created",
-                "deferred_reads",
-                "deferred_read_peak",
-            ] {
+            check_stats(req(t, &ctx, "wall_ns")?, &format!("{ctx}.wall_ns"))?;
+            for key in ["max_pending_slots", "deferred_reads", "deferred_read_peak", "fast_path_fires"] {
                 req_num(t, &ctx, key)?;
             }
-            if version >= 2 {
-                let speedup = req_num(t, &ctx, "speedup_vs_1w")?;
-                if speedup <= 0.0 {
-                    return Err(format!("{ctx}: speedup_vs_1w must be positive"));
-                }
-                req_num(t, &ctx, "fast_path_fires")?;
-            }
-            if version >= 3 {
-                req_num(t, &ctx, "macro_fires")?;
-                req_num(t, &ctx, "ops_elided")?;
+            if req_num(t, &ctx, "speedup_vs_1w")? <= 0.0 {
+                return Err(format!("{ctx}: speedup_vs_1w must be positive"));
             }
             let per_worker = req_arr(t, &ctx, "per_worker")?;
             if per_worker.len() != workers as usize {
@@ -814,12 +720,10 @@ fn validate_executor_value(doc: &Json) -> Result<(), String> {
                     "steals",
                     "parks",
                     "unparks",
+                    "batches",
+                    "fast_path",
                 ] {
                     req_num(pw, &pctx, key)?;
-                }
-                if version >= 2 {
-                    req_num(pw, &pctx, "batches")?;
-                    req_num(pw, &pctx, "fast_path")?;
                 }
             }
         }
@@ -828,30 +732,13 @@ fn validate_executor_value(doc: &Json) -> Result<(), String> {
 }
 
 fn validate_translate_value(doc: &Json) -> Result<(), String> {
-    let version = schema_version(doc, "translate")?;
     for (wi, w) in req_arr(doc, "translate", "workloads")?.iter().enumerate() {
         let name = req_str(w, &format!("workloads[{wi}]"), "name")?.to_owned();
         for (ci, c) in req_arr(w, &name, "configs")?.iter().enumerate() {
             let ctx = format!("{name}.configs[{ci}]");
-            req_str(c, &ctx, "label")?;
-            check_stats(req(c, &ctx, "wall_ns")?, &format!("{ctx}.wall_ns"), version)?;
-            for key in [
-                "passes",
-                "revisions",
-                "analyses_computed",
-                "cache_hits",
-                "ops",
-                "arcs",
-                "switches",
-            ] {
-                req_num(c, &ctx, key)?;
-            }
+            check_stats(req(c, &ctx, "wall_ns")?, &format!("{ctx}.wall_ns"))?;
             if req_num(c, &ctx, "passes")? < 1.0 {
                 return Err(format!("{ctx}: no passes recorded"));
-            }
-            if version >= 3 {
-                req_num(c, &ctx, "macros")?;
-                req_num(c, &ctx, "fused_ops")?;
             }
         }
     }
@@ -859,12 +746,6 @@ fn validate_translate_value(doc: &Json) -> Result<(), String> {
 }
 
 fn validate_throughput_value(doc: &Json) -> Result<(), String> {
-    let version = schema_version(doc, "throughput")?;
-    if version < 5 {
-        return Err(format!(
-            "throughput: artifact kind requires schema_version >= 5, got {version}"
-        ));
-    }
     if req_num(doc, "throughput", "requests")? < 1.0 {
         return Err("throughput: zero requests per batch".to_owned());
     }
@@ -881,7 +762,6 @@ fn validate_throughput_value(doc: &Json) -> Result<(), String> {
     let levels = num_list("inflight_levels")?;
     for (wi, w) in req_arr(doc, "throughput", "workloads")?.iter().enumerate() {
         let name = req_str(w, &format!("workloads[{wi}]"), "name")?.to_owned();
-        req_num(w, &name, "fired")?;
         let arms = req_arr(w, &name, "arms")?;
         for c in &counts {
             for l in &levels {
@@ -897,10 +777,7 @@ fn validate_throughput_value(doc: &Json) -> Result<(), String> {
             let workers = req_num(a, &name, "workers")?;
             let inflight = req_num(a, &name, "inflight")?;
             let ctx = format!("{name}.arms[{workers}w/{inflight}in]");
-            check_stats(req(a, &ctx, "wall_ns")?, &format!("{ctx}.wall_ns"), version)?;
-            for key in ["requests", "tokens_processed"] {
-                req_num(a, &ctx, key)?;
-            }
+            check_stats(req(a, &ctx, "wall_ns")?, &format!("{ctx}.wall_ns"))?;
             if req_num(a, &ctx, "req_per_sec")? <= 0.0 {
                 return Err(format!("{ctx}: req_per_sec must be positive"));
             }
@@ -912,16 +789,21 @@ fn validate_throughput_value(doc: &Json) -> Result<(), String> {
     Ok(())
 }
 
-/// Validate a bench artifact: well-formed JSON, a recognized `artifact`
-/// kind, every required field present, every numeric field finite.
+/// Validate a bench artifact: well-formed JSON, a kind from the gate
+/// table ([`crate::compare::GATES`]), schema version
+/// [`SCHEMA_VERSION`], every row key and gated counter the table names,
+/// every required timing and scheduler field present, and every numeric
+/// field finite.
 pub fn validate_artifact(text: &str) -> Result<(), String> {
     let doc = json::parse(text)?;
-    match doc.get("artifact").and_then(Json::as_str) {
-        Some("pipeline") => validate_pipeline_value(&doc),
-        Some("executor") => validate_executor_value(&doc),
-        Some("translate") => validate_translate_value(&doc),
-        Some("throughput") => validate_throughput_value(&doc),
-        other => Err(format!("unrecognized artifact kind {other:?}")),
+    let gate = gate_of(&doc)?;
+    check_header(&doc, gate.kind)?;
+    rows(&doc, gate)?;
+    match gate.kind {
+        "executor" => validate_executor_value(&doc),
+        "translate" => validate_translate_value(&doc),
+        "throughput" => validate_throughput_value(&doc),
+        _ => Ok(()),
     }
 }
 
@@ -1038,11 +920,6 @@ mod tests {
                 assert!(a.get("tokens_processed").unwrap().as_num().unwrap() > 0.0);
             }
         }
-        // A throughput document claiming a pre-v5 schema is rejected:
-        // the artifact kind did not exist before version 5.
-        let v4 = doc.replace("\"schema_version\":5", "\"schema_version\":4");
-        let err = validate_artifact(&v4).unwrap_err();
-        assert!(err.contains("requires schema_version >= 5"), "{err}");
     }
 
     #[test]
@@ -1050,52 +927,40 @@ mod tests {
         assert!(validate_artifact("{}").is_err());
         assert!(validate_artifact("{\"artifact\":\"nope\"}").is_err());
         // A null (= non-finite) required field fails.
-        let bad = r#"{"artifact":"pipeline","schema_version":1,"workloads":[{"name":"w","measurements":[
+        let bad = r#"{"artifact":"pipeline","schema_version":5,"fused":true,"workloads":[{"name":"w","measurements":[
             {"label":"l","ops":1,"arcs":1,"switches":0,"merges":0,"fired":1,
              "makespan":0,"avg_parallelism":null,"max_parallelism":1,"mem_ops":0}]}]}"#;
         let err = validate_artifact(bad).unwrap_err();
         assert!(err.contains("avg_parallelism"), "{err}");
         // A missing field fails.
-        let missing = r#"{"artifact":"pipeline","schema_version":1,"workloads":[{"name":"w","measurements":[
+        let missing = r#"{"artifact":"pipeline","schema_version":5,"fused":true,"workloads":[{"name":"w","measurements":[
             {"label":"l"}]}]}"#;
         let err = validate_artifact(missing).unwrap_err();
         assert!(err.contains("missing field"), "{err}");
+        // Two rows under one label fail: the exact gate matches rows by label.
+        let twice = r#"{"artifact":"pipeline","schema_version":5,"fused":true,"workloads":[{"name":"w","measurements":[
+            {"label":"l","ops":1,"arcs":1,"switches":0,"merges":0,"fired":1,
+             "makespan":0,"avg_parallelism":1,"max_parallelism":1,"mem_ops":0},
+            {"label":"l","ops":1,"arcs":1,"switches":0,"merges":0,"fired":1,
+             "makespan":0,"avg_parallelism":1,"max_parallelism":1,"mem_ops":0}]}]}"#;
+        let err = validate_artifact(twice).unwrap_err();
+        assert!(err.contains("share this label"), "{err}");
     }
 
     #[test]
-    fn validator_handles_both_schema_versions() {
-        // A minimal version-1 executor artifact (no p95_ns, no
-        // speedup/fast-path/batch fields) must still validate — old
-        // committed baselines are compared against forever.
-        let v1 = r#"{"artifact":"executor","schema_version":1,"quick":true,
-            "worker_counts":[1],
-            "workloads":[{"name":"w","fired":3,
-              "simulator_wall_ns":{"mean_ns":1.0,"median_ns":1.0,"min_ns":1.0,"max_ns":1.0,"iters":5},
-              "threads":[{"workers":1,
-                "wall_ns":{"mean_ns":1.0,"median_ns":1.0,"min_ns":1.0,"max_ns":1.0,"iters":5},
-                "fired":3,"tokens_processed":3,"merged":0,"max_pending_slots":1,
-                "tags_created":0,"deferred_reads":0,"deferred_read_peak":0,
-                "per_worker":[{"worker":0,"processed":3,"local_pops":2,
-                  "injector_hits":1,"steals":0,"parks":0,"unparks":0}]}]}]}"#;
-        validate_artifact(v1).unwrap();
-        // The same document claiming version 2 must fail: v2 requires
-        // the new fields.
-        let v2_missing = v1.replace("\"schema_version\":1", "\"schema_version\":2");
-        let err = validate_artifact(&v2_missing).unwrap_err();
-        assert!(err.contains("p95_ns"), "{err}");
-        // The same document claiming version 4 must fail: v4 requires
-        // the v3 fusion fields and the compile-once lowering record
-        // (the first missing one — `fused` — is what it trips on).
-        let v4_missing = v1.replace("\"schema_version\":1", "\"schema_version\":4");
-        let err = validate_artifact(&v4_missing).unwrap_err();
-        assert!(err.contains("fused"), "{err}");
-        // A version this validator does not understand is rejected.
-        let v9 = v1.replace("\"schema_version\":1", "\"schema_version\":9");
-        let err = validate_artifact(&v9).unwrap_err();
-        assert!(err.contains("unsupported schema_version"), "{err}");
-        // No version at all is rejected.
-        let none = v1.replace("\"schema_version\":1,", "");
+    fn validator_accepts_only_schema_version_5() {
+        let v5 = include_str!("../../../BENCH_executor.quick.json");
+        validate_artifact(v5).unwrap();
+        for other in ["4", "1", "9"] {
+            let doc = v5.replace("\"schema_version\":5", &format!("\"schema_version\":{other}"));
+            let err = validate_artifact(&doc).unwrap_err();
+            assert!(err.contains("unsupported schema_version"), "{err}");
+        }
+        let none = v5.replace("\"schema_version\":5,", "");
         let err = validate_artifact(&none).unwrap_err();
         assert!(err.contains("schema_version"), "{err}");
+        let unflagged = v5.replace("\"fused\":true,", "");
+        let err = validate_artifact(&unflagged).unwrap_err();
+        assert!(err.contains("fused"), "{err}");
     }
 }

@@ -1,544 +1,405 @@
-//! Artifact-to-artifact regression comparison: the engine behind
-//! `cf2df check-bench --compare OLD.json`.
+//! The bench gate behind `cf2df check-bench`: one table, [`GATES`], says
+//! for each artifact kind how its rows are keyed, which of their fields
+//! are deterministic counters, and which gates a single run decides.
 //!
-//! Wall-clock comparisons use the *median* of the per-batch samples (the
-//! mean is still poisoned by outlier batches on noisy machines) and flag
-//! a regression only when the new median exceeds the old by more than a
-//! relative tolerance **and** an absolute floor — a 25% swing on a 2 µs
-//! workload is scheduler jitter, not a regression. Deterministic
-//! quantities (operators fired, simulated makespan) are compared
-//! exactly: they may improve, but a silent increase fails the gate.
+//! Two artifacts of one kind compare equal only when every gated counter
+//! is equal, row by row. A decrease fails as an increase does, and a row
+//! present on only one side fails, so a change that moves a counter
+//! regenerates the committed quick baseline and the move shows in
+//! review. Wall-clock fields are never compared across runs: two runs of
+//! one binary on a shared host differ by more than any tolerance that
+//! could still catch a regression. Timing across commits is judged only
+//! in alternating pairs of the end-to-end benchmark.
 //!
-//! Both documents must individually pass
-//! [`crate::artifacts::validate_artifact`] first, and may be of
-//! different schema versions — comparing a new version-2 artifact
-//! against an old committed version-1 baseline is the expected upgrade
-//! path.
+//! The two gates that need no committed baseline are table entries too:
+//! [`Fusion`] compares a fused artifact with its unfused twin, and
+//! [`Multiplexing`] compares two arms of one throughput artifact.
 
 use crate::artifacts::validate_artifact;
 use crate::json::{self, Json};
+use std::collections::BTreeMap;
 
-/// Default relative tolerance for wall-clock comparisons (25%).
-pub const DEFAULT_TOLERANCE: f64 = 0.25;
-
-/// Absolute slack added on top of the relative tolerance: medians within
-/// this many nanoseconds of each other never count as regressions,
-/// whatever the ratio. Guards the short workloads, whose medians sit
-/// well inside scheduler jitter.
-pub const ABSOLUTE_FLOOR_NS: f64 = 10_000.0;
-
-/// Jitter allowance for [`Comparison::require_wall_leq`] (20%): the
-/// ceiling gate means "at or below the baseline", but two honest runs
-/// of the same binary differ by double-digit percentages on a busy
-/// single-core host (the in-verify bench runs right after full builds,
-/// which leave the box measurably warmer than a standalone run), so a
-/// literal `<=` would flake. 20% is under the margin the compiled
-/// representation actually holds (25–40% on the gated workloads) and
-/// strictly tighter than the 25% ordinary regression tolerance.
-pub const WALL_CEILING_JITTER: f64 = 0.20;
-
-/// Outcome of comparing one measured quantity across two artifacts.
-#[derive(Clone, Debug)]
-pub struct Delta {
-    /// What was compared, e.g. `loop_nest/threaded/4 wall_ns`.
-    pub what: String,
-    /// Baseline (old artifact) value.
-    pub old: f64,
-    /// Candidate (new artifact) value.
-    pub new: f64,
-    /// Whether this delta breaches the gate.
-    pub regressed: bool,
+/// Where one set of an artifact kind's rows sits, what names a row, and
+/// which of its fields must be equal.
+#[derive(Debug)]
+pub struct Rows {
+    /// The array under each workload entry that holds the rows; `None`
+    /// makes each workload entry one row.
+    pub array: Option<&'static str>,
+    /// Fields that name a row within its workload.
+    pub key: &'static [&'static str],
+    /// Deterministic counters that must be equal; `a.b` names field `b`
+    /// of the object in field `a`.
+    pub exact: &'static [&'static str],
 }
 
-impl Delta {
-    /// One aligned report line, flagging regressions.
-    pub fn line(&self) -> String {
-        let ratio = if self.old > 0.0 { self.new / self.old } else { f64::NAN };
-        format!(
-            "{:<52} {:>12.1} -> {:>12.1}  ({:>6.2}x){}",
-            self.what,
-            self.old,
-            self.new,
-            ratio,
-            if self.regressed { "  REGRESSED" } else { "" }
-        )
-    }
+/// The fusion gate: when exactly one of two compared artifacts is fused,
+/// every row whose label starts with `prefix` must show `field` at least
+/// `min_reduction` lower in the fused artifact, in place of equality.
+#[derive(Debug)]
+pub struct Fusion {
+    /// Workload-name prefix of the gated rows.
+    pub prefix: &'static str,
+    /// The counter fusion must lower.
+    pub field: &'static str,
+    /// Least fraction by which the fused count must be lower.
+    pub min_reduction: f64,
 }
 
-/// Full result of an artifact comparison.
-#[derive(Clone, Debug, Default)]
-pub struct Comparison {
-    /// Every quantity compared, in document order.
-    pub deltas: Vec<Delta>,
-    /// Workloads present in only one of the two artifacts (reported,
-    /// not fatal: suites evolve).
-    pub unmatched: Vec<String>,
+/// The multiplexing gate on one throughput artifact: at `workers`
+/// workers, req/s at inflight `inflight` must be at least `factor` times
+/// req/s at inflight 1 on at least `min_workloads` workloads. Both arms
+/// come from one paired measurement, so host drift cancels.
+#[derive(Debug)]
+pub struct Multiplexing {
+    /// Pool width of the two compared arms.
+    pub workers: f64,
+    /// Admission window of the multiplexed arm.
+    pub inflight: f64,
+    /// Least req/s ratio over the serial arm.
+    pub factor: f64,
+    /// Workloads that must reach `factor`.
+    pub min_workloads: usize,
 }
 
-impl Comparison {
-    /// Deltas that breached the gate.
-    pub fn regressions(&self) -> Vec<&Delta> {
-        self.deltas.iter().filter(|d| d.regressed).collect()
-    }
-
-    /// Enforce a *minimum improvement*: every `tokens_processed` delta
-    /// for a workload whose name starts with `prefix` must show `new`
-    /// at least `frac` below `old`. This is the fusion acceptance gate —
-    /// comparing a fused artifact against its unfused twin must show
-    /// the promised token-traffic reduction, not merely "no increase".
-    /// Token counts are deterministic, so no tolerance applies. Returns
-    /// the violations as report lines (empty = gate passed).
-    pub fn require_token_reduction(&self, frac: f64, prefix: &str) -> Vec<String> {
-        let mut violations = Vec::new();
-        let mut matched = false;
-        for d in &self.deltas {
-            let Some(rest) = d.what.strip_suffix(" tokens_processed") else {
-                continue;
-            };
-            if !rest.starts_with(prefix) {
-                continue;
-            }
-            matched = true;
-            let reduction = if d.old > 0.0 { 1.0 - d.new / d.old } else { 0.0 };
-            if reduction < frac {
-                violations.push(format!(
-                    "{}: tokens {} -> {} is only a {:.1}% reduction (need >= {:.1}%)",
-                    rest,
-                    d.old,
-                    d.new,
-                    reduction * 100.0,
-                    frac * 100.0
-                ));
-            }
-        }
-        if !matched {
-            violations.push(format!(
-                "no tokens_processed deltas matched workload prefix '{prefix}'"
-            ));
-        }
-        violations
-    }
-
-    /// Enforce a *ceiling*: every executor/simulator `wall_ns` median
-    /// for a workload whose name starts with `prefix` must be at or
-    /// below the baseline's, modulo [`WALL_CEILING_JITTER`] and the
-    /// [`ABSOLUTE_FLOOR_NS`] floor — much tighter than the ordinary
-    /// regression tolerance. This is the compiled-graph acceptance
-    /// gate: lowering to the dense runtime representation must not cost
-    /// wall time against the committed baseline on the named workloads,
-    /// at any worker width. Returns the violations as report lines
-    /// (empty = gate passed).
-    pub fn require_wall_leq(&self, prefix: &str) -> Vec<String> {
-        let mut violations = Vec::new();
-        let mut matched = false;
-        for d in &self.deltas {
-            let Some(rest) = d.what.strip_suffix(" wall_ns") else {
-                continue;
-            };
-            if !rest.starts_with(prefix) {
-                continue;
-            }
-            matched = true;
-            let ceiling = d.old * (1.0 + WALL_CEILING_JITTER) + ABSOLUTE_FLOOR_NS;
-            if d.new > ceiling {
-                violations.push(format!(
-                    "{}: median wall {:.0} ns -> {:.0} ns exceeds the baseline \
-                     (ceiling {:.0} ns)",
-                    rest, d.old, d.new, ceiling
-                ));
-            }
-        }
-        if !matched {
-            violations.push(format!("no wall_ns deltas matched workload prefix '{prefix}'"));
-        }
-        violations
-    }
+/// The gate of one artifact kind.
+#[derive(Debug)]
+pub struct Gate {
+    /// The artifact's `artifact` field.
+    pub kind: &'static str,
+    /// Every set of rows the kind holds.
+    pub rows: &'static [Rows],
+    /// Fields left ungated because they depend on timing or scheduling.
+    /// A listed object (a stats block, `per_worker`) is left out whole.
+    pub not_gated: &'static [&'static str],
+    /// Gate applied when the compared artifacts differ in `fused`.
+    pub fusion: Option<Fusion>,
+    /// Gate every artifact of this kind must pass on its own.
+    pub multiplexing: Option<Multiplexing>,
 }
 
-fn wall_median(v: &Json, ctx: &str) -> Result<f64, String> {
-    v.get("median_ns")
-        .and_then(Json::as_num)
-        .ok_or_else(|| format!("{ctx}: missing median_ns"))
+/// The gate table: every deterministic counter of the four artifact
+/// kinds, and the two gates that need no committed baseline.
+pub const GATES: [Gate; 4] = [
+    Gate {
+        kind: "pipeline",
+        rows: &[Rows {
+            array: Some("measurements"),
+            key: &["label"],
+            exact: &[
+                "ops",
+                "arcs",
+                "switches",
+                "merges",
+                "fired",
+                "makespan",
+                "avg_parallelism",
+                "max_parallelism",
+                "mem_ops",
+            ],
+        }],
+        not_gated: &[],
+        fusion: None,
+        multiplexing: None,
+    },
+    Gate {
+        kind: "translate",
+        rows: &[Rows {
+            array: Some("configs"),
+            key: &["label"],
+            exact: &[
+                "passes",
+                "revisions",
+                "analyses_computed",
+                "cache_hits",
+                "ops",
+                "arcs",
+                "switches",
+                "macros",
+                "fused_ops",
+            ],
+        }],
+        not_gated: &["wall_ns"],
+        fusion: None,
+        multiplexing: None,
+    },
+    Gate {
+        kind: "executor",
+        rows: &[
+            Rows {
+                array: None,
+                key: &[],
+                exact: &[
+                    "fired",
+                    "fired_unfused",
+                    "compiled.ops",
+                    "compiled.out_ports",
+                    "compiled.dest_slots",
+                    "compiled.imm_slots",
+                    "compiled.macro_steps",
+                    "compiled.bytes",
+                    "compiled.max_hot_arity",
+                ],
+            },
+            Rows {
+                array: Some("threads"),
+                key: &["workers"],
+                exact: &[
+                    "fired",
+                    "tokens_processed",
+                    "merged",
+                    "macro_fires",
+                    "ops_elided",
+                    "tags_created",
+                ],
+            },
+        ],
+        not_gated: &[
+            "compile_wall_ns",
+            "simulator_wall_ns",
+            "wall_ns",
+            "speedup_vs_1w",
+            "fast_path_fires",
+            "max_pending_slots",
+            "deferred_reads",
+            "deferred_read_peak",
+            "per_worker",
+        ],
+        fusion: Some(Fusion {
+            prefix: "loop_nest",
+            field: "tokens_processed",
+            min_reduction: 0.25,
+        }),
+        multiplexing: None,
+    },
+    Gate {
+        kind: "throughput",
+        rows: &[
+            Rows {
+                array: None,
+                key: &[],
+                exact: &["fired"],
+            },
+            Rows {
+                array: Some("arms"),
+                key: &["workers", "inflight", "requests"],
+                exact: &["tokens_processed"],
+            },
+        ],
+        not_gated: &["wall_ns", "req_per_sec", "speedup_vs_inflight1"],
+        fusion: None,
+        multiplexing: Some(Multiplexing {
+            workers: 4.0,
+            inflight: 4.0,
+            factor: 1.3,
+            min_workloads: 2,
+        }),
+    },
+];
+
+/// The table entry for the document's `artifact` kind.
+pub(crate) fn gate_of(doc: &Json) -> Result<&'static Gate, String> {
+    let kind = doc.get("artifact").and_then(Json::as_str);
+    GATES
+        .iter()
+        .find(|g| Some(g.kind) == kind)
+        .ok_or_else(|| format!("unrecognized artifact kind {kind:?}"))
 }
 
-/// A wall-clock delta regresses when the new median exceeds the old by
-/// both the relative tolerance and the absolute floor.
-fn wall_regressed(old: f64, new: f64, tolerance: f64) -> bool {
-    new > old * (1.0 + tolerance) + ABSOLUTE_FLOOR_NS
-}
+/// A row's gated counters, in table order.
+pub(crate) type Counters = Vec<(&'static str, f64)>;
 
-fn by_name<'a>(doc: &'a Json, ctx: &str) -> Result<Vec<(&'a str, &'a Json)>, String> {
-    Ok(doc
+/// Every row of a document under `gate`, by label (`workload`, then each
+/// key: a string key's value, a numeric key as `key=value`). Fails on a
+/// missing workload name, row array, key or gated counter, and on two
+/// rows with one label, so the validator can rely on it.
+pub(crate) fn rows(doc: &Json, gate: &Gate) -> Result<BTreeMap<String, Counters>, String> {
+    let kind = gate.kind;
+    let workloads = doc
         .get("workloads")
         .and_then(Json::as_arr)
-        .ok_or_else(|| format!("{ctx}: missing workloads array"))?
-        .iter()
-        .filter_map(|w| w.get("name").and_then(Json::as_str).map(|n| (n, w)))
-        .collect())
-}
-
-fn lookup<'a>(rows: &[(&'a str, &'a Json)], name: &str) -> Option<&'a Json> {
-    rows.iter().find(|(n, _)| *n == name).map(|(_, w)| *w)
-}
-
-fn compare_pipeline(
-    old: &Json,
-    new: &Json,
-    out: &mut Comparison,
-) -> Result<(), String> {
-    let old_rows = by_name(old, "old pipeline")?;
-    let new_rows = by_name(new, "new pipeline")?;
-    for (name, nw) in &new_rows {
-        let Some(ow) = lookup(&old_rows, name) else {
-            out.unmatched.push(format!("{name} (new only)"));
-            continue;
-        };
-        let olds = ow.get("measurements").and_then(Json::as_arr).unwrap_or(&[]);
-        let news = nw.get("measurements").and_then(Json::as_arr).unwrap_or(&[]);
-        for nm in news {
-            let label = nm.get("label").and_then(Json::as_str).unwrap_or("?");
-            let Some(om) = olds
-                .iter()
-                .find(|m| m.get("label").and_then(Json::as_str) == Some(label))
-            else {
-                continue;
+        .filter(|w| !w.is_empty())
+        .ok_or_else(|| format!("{kind}: missing or empty array 'workloads'"))?;
+    let mut out = BTreeMap::new();
+    for (wi, w) in workloads.iter().enumerate() {
+        let name = w
+            .get("name")
+            .and_then(Json::as_str)
+            .ok_or_else(|| format!("{kind}: workloads[{wi}]: missing field 'name'"))?;
+        for set in gate.rows {
+            let entries = match set.array {
+                None => std::slice::from_ref(w),
+                Some(a) => w
+                    .get(a)
+                    .and_then(Json::as_arr)
+                    .filter(|r| !r.is_empty())
+                    .ok_or_else(|| format!("{name}: missing or empty array '{a}'"))?,
             };
-            // Deterministic simulator quantities: a larger makespan or
-            // firing count is a real translation/scheduling regression,
-            // no tolerance applies.
-            for key in ["fired", "makespan"] {
-                let (Some(o), Some(n)) = (
-                    om.get(key).and_then(Json::as_num),
-                    nm.get(key).and_then(Json::as_num),
-                ) else {
-                    continue;
-                };
-                out.deltas.push(Delta {
-                    what: format!("{name}/{label} {key}"),
-                    old: o,
-                    new: n,
-                    regressed: n > o,
-                });
+            for e in entries {
+                let mut label = name.to_owned();
+                for k in set.key {
+                    let part = match e.get(k) {
+                        Some(Json::Str(s)) => s.clone(),
+                        Some(Json::Num(x)) if x.is_finite() => format!("{k}={x}"),
+                        _ => return Err(format!("{label}: missing field '{k}'")),
+                    };
+                    label = format!("{label}/{part}");
+                }
+                let mut counters = Vec::with_capacity(set.exact.len());
+                for &f in set.exact {
+                    let v = f.split('.').try_fold(e, |v, k| v.get(k));
+                    let x = v.ok_or_else(|| format!("{label}: missing field '{f}'"))?;
+                    let x = x
+                        .as_num()
+                        .ok_or_else(|| format!("{label}: field '{f}' is not a finite number"))?;
+                    counters.push((f, x));
+                }
+                if out.insert(label.clone(), counters).is_some() {
+                    return Err(format!("{label}: two rows share this label"));
+                }
             }
         }
     }
-    for (name, _) in &old_rows {
-        if lookup(&new_rows, name).is_none() {
-            out.unmatched.push(format!("{name} (old only)"));
-        }
-    }
-    Ok(())
+    Ok(out)
 }
 
-fn compare_executor(
-    old: &Json,
-    new: &Json,
-    tolerance: f64,
-    out: &mut Comparison,
-) -> Result<(), String> {
-    let old_rows = by_name(old, "old executor")?;
-    let new_rows = by_name(new, "new executor")?;
-    for (name, nw) in &new_rows {
-        let Some(ow) = lookup(&old_rows, name) else {
-            out.unmatched.push(format!("{name} (new only)"));
-            continue;
-        };
-        // Compile wall (v4+): present only when both documents record
-        // the compile-once lowering; a v3-baseline upgrade simply skips
-        // the delta.
-        if let (Some(oc), Some(nc)) = (ow.get("compile_wall_ns"), nw.get("compile_wall_ns")) {
-            let o = wall_median(oc, &format!("old {name}.compile_wall_ns"))?;
-            let n = wall_median(nc, &format!("new {name}.compile_wall_ns"))?;
-            out.deltas.push(Delta {
-                what: format!("{name}/compile wall_ns"),
-                old: o,
-                new: n,
-                regressed: wall_regressed(o, n, tolerance),
-            });
-        }
-        if let (Some(osim), Some(nsim)) = (ow.get("simulator_wall_ns"), nw.get("simulator_wall_ns"))
-        {
-            let o = wall_median(osim, &format!("old {name}.simulator_wall_ns"))?;
-            let n = wall_median(nsim, &format!("new {name}.simulator_wall_ns"))?;
-            out.deltas.push(Delta {
-                what: format!("{name}/simulator wall_ns"),
-                old: o,
-                new: n,
-                regressed: wall_regressed(o, n, tolerance),
-            });
-        }
-        let olds = ow.get("threads").and_then(Json::as_arr).unwrap_or(&[]);
-        let news = nw.get("threads").and_then(Json::as_arr).unwrap_or(&[]);
-        for nt in news {
-            let workers = nt.get("workers").and_then(Json::as_num).unwrap_or(-1.0);
-            let Some(ot) = olds
-                .iter()
-                .find(|t| t.get("workers").and_then(Json::as_num) == Some(workers))
-            else {
-                continue;
-            };
-            let ctx = format!("{name}/threaded/{workers}");
-            let o = wall_median(
-                ot.get("wall_ns").ok_or_else(|| format!("old {ctx}: no wall_ns"))?,
-                &format!("old {ctx}"),
-            )?;
-            let n = wall_median(
-                nt.get("wall_ns").ok_or_else(|| format!("new {ctx}: no wall_ns"))?,
-                &format!("new {ctx}"),
-            )?;
-            out.deltas.push(Delta {
-                what: format!("{ctx} wall_ns"),
-                old: o,
-                new: n,
-                regressed: wall_regressed(o, n, tolerance),
-            });
-            // Token traffic is deterministic per workload: more tokens
-            // through the rendezvous store than the baseline means a
-            // coarsening (fusion) or scheduling change went backwards.
-            if let (Some(o), Some(n)) = (
-                ot.get("tokens_processed").and_then(Json::as_num),
-                nt.get("tokens_processed").and_then(Json::as_num),
-            ) {
-                out.deltas.push(Delta {
-                    what: format!("{ctx} tokens_processed"),
-                    old: o,
-                    new: n,
-                    regressed: n > o,
-                });
-            }
-        }
-    }
-    for (name, _) in &old_rows {
-        if lookup(&new_rows, name).is_none() {
-            out.unmatched.push(format!("{name} (old only)"));
-        }
-    }
-    Ok(())
-}
-
-fn compare_translate(
-    old: &Json,
-    new: &Json,
-    tolerance: f64,
-    out: &mut Comparison,
-) -> Result<(), String> {
-    let old_rows = by_name(old, "old translate")?;
-    let new_rows = by_name(new, "new translate")?;
-    for (name, nw) in &new_rows {
-        let Some(ow) = lookup(&old_rows, name) else {
-            out.unmatched.push(format!("{name} (new only)"));
-            continue;
-        };
-        let olds = ow.get("configs").and_then(Json::as_arr).unwrap_or(&[]);
-        let news = nw.get("configs").and_then(Json::as_arr).unwrap_or(&[]);
-        for nc in news {
-            let label = nc.get("label").and_then(Json::as_str).unwrap_or("?");
-            let Some(oc) = olds
-                .iter()
-                .find(|c| c.get("label").and_then(Json::as_str) == Some(label))
-            else {
-                continue;
-            };
-            let ctx = format!("{name}/{label}");
-            let o = wall_median(
-                oc.get("wall_ns").ok_or_else(|| format!("old {ctx}: no wall_ns"))?,
-                &format!("old {ctx}"),
-            )?;
-            let n = wall_median(
-                nc.get("wall_ns").ok_or_else(|| format!("new {ctx}: no wall_ns"))?,
-                &format!("new {ctx}"),
-            )?;
-            out.deltas.push(Delta {
-                what: format!("{ctx} wall_ns"),
-                old: o,
-                new: n,
-                regressed: wall_regressed(o, n, tolerance),
-            });
-            // The cache discipline gates exactly: computing an analysis
-            // more often than the baseline means a stage stopped sharing.
-            if let (Some(o), Some(n)) = (
-                oc.get("analyses_computed").and_then(Json::as_num),
-                nc.get("analyses_computed").and_then(Json::as_num),
-            ) {
-                out.deltas.push(Delta {
-                    what: format!("{ctx} analyses_computed"),
-                    old: o,
-                    new: n,
-                    regressed: n > o,
-                });
-            }
-        }
-    }
-    for (name, _) in &old_rows {
-        if lookup(&new_rows, name).is_none() {
-            out.unmatched.push(format!("{name} (old only)"));
-        }
-    }
-    Ok(())
-}
-
-fn compare_throughput(
-    old: &Json,
-    new: &Json,
-    tolerance: f64,
-    out: &mut Comparison,
-) -> Result<(), String> {
-    let old_rows = by_name(old, "old throughput")?;
-    let new_rows = by_name(new, "new throughput")?;
-    for (name, nw) in &new_rows {
-        let Some(ow) = lookup(&old_rows, name) else {
-            out.unmatched.push(format!("{name} (new only)"));
-            continue;
-        };
-        let olds = ow.get("arms").and_then(Json::as_arr).unwrap_or(&[]);
-        let news = nw.get("arms").and_then(Json::as_arr).unwrap_or(&[]);
-        for na in news {
-            let workers = na.get("workers").and_then(Json::as_num).unwrap_or(-1.0);
-            let inflight = na.get("inflight").and_then(Json::as_num).unwrap_or(-1.0);
-            let Some(oa) = olds.iter().find(|a| {
-                a.get("workers").and_then(Json::as_num) == Some(workers)
-                    && a.get("inflight").and_then(Json::as_num) == Some(inflight)
-            }) else {
-                continue;
-            };
-            let ctx = format!("{name}/throughput/{workers}w/{inflight}in");
-            // Throughput is a rate, so the regression sense is inverted
-            // — new below old flags — but the *gate* is computed on the
-            // underlying batch wall medians, so the relative tolerance
-            // and the absolute nanosecond floor apply exactly as they
-            // do to every other wall-clock comparison.
-            let o_wall = wall_median(
-                oa.get("wall_ns").ok_or_else(|| format!("old {ctx}: no wall_ns"))?,
-                &format!("old {ctx}"),
-            )?;
-            let n_wall = wall_median(
-                na.get("wall_ns").ok_or_else(|| format!("new {ctx}: no wall_ns"))?,
-                &format!("new {ctx}"),
-            )?;
-            if let (Some(o), Some(n)) = (
-                oa.get("req_per_sec").and_then(Json::as_num),
-                na.get("req_per_sec").and_then(Json::as_num),
-            ) {
-                out.deltas.push(Delta {
-                    what: format!("{ctx} req_per_sec"),
-                    old: o,
-                    new: n,
-                    regressed: wall_regressed(o_wall, n_wall, tolerance),
-                });
-            }
-            // Token traffic through the multiplexed rendezvous store is
-            // deterministic per batch: a silent increase means the serve
-            // engine started pushing more tokens per request.
-            if let (Some(o), Some(n)) = (
-                oa.get("tokens_processed").and_then(Json::as_num),
-                na.get("tokens_processed").and_then(Json::as_num),
-            ) {
-                out.deltas.push(Delta {
-                    what: format!("{ctx} tokens_processed"),
-                    old: o,
-                    new: n,
-                    regressed: n > o,
-                });
-            }
-        }
-    }
-    for (name, _) in &old_rows {
-        if lookup(&new_rows, name).is_none() {
-            out.unmatched.push(format!("{name} (old only)"));
-        }
-    }
-    Ok(())
-}
-
-/// Enforce the multiplexing acceptance gate on a *single* throughput
-/// artifact: at `workers` workers, the `req_per_sec` median at
-/// admission window `inflight` must be at least `factor` × the
-/// inflight-1 serial baseline on at least `min_workloads` workloads.
-/// This is what "concurrent invocations beat back-to-back runs" means,
-/// measured: the multiplexed engine must convert the idle worker time a
-/// small graph leaves behind into cross-request throughput, not merely
-/// avoid slowing down. Returns the violations as report lines (empty =
-/// gate passed); an artifact of the wrong kind is an error.
-pub fn require_inflight_speedup(
-    text: &str,
-    workers: f64,
-    inflight: f64,
-    factor: f64,
-    min_workloads: usize,
-) -> Result<Vec<String>, String> {
+/// Validate one artifact and apply the gate its kind decides within one
+/// run. Returns the gate's failures, one line each (empty = passed); an
+/// invalid artifact is an error.
+pub fn check_artifact(text: &str) -> Result<Vec<String>, String> {
     validate_artifact(text)?;
     let doc = json::parse(text)?;
-    if doc.get("artifact").and_then(Json::as_str) != Some("throughput") {
-        return Err("the inflight-speedup gate needs a throughput artifact".to_owned());
-    }
-    let mut cleared = 0usize;
-    let mut lines = Vec::new();
-    for (name, w) in by_name(&doc, "throughput")? {
+    let Some(m) = &gate_of(&doc)?.multiplexing else {
+        return Ok(Vec::new());
+    };
+    let mut ratios = Vec::new();
+    for w in doc.get("workloads").and_then(Json::as_arr).unwrap_or(&[]) {
         let arms = w.get("arms").and_then(Json::as_arr).unwrap_or(&[]);
-        let rate = |k: f64| {
+        let rate = |inflight: f64| {
             arms.iter()
                 .find(|a| {
-                    a.get("workers").and_then(Json::as_num) == Some(workers)
-                        && a.get("inflight").and_then(Json::as_num) == Some(k)
+                    a.get("workers").and_then(Json::as_num) == Some(m.workers)
+                        && a.get("inflight").and_then(Json::as_num) == Some(inflight)
                 })
                 .and_then(|a| a.get("req_per_sec").and_then(Json::as_num))
         };
-        let (Some(base), Some(multi)) = (rate(1.0), rate(inflight)) else {
-            continue;
-        };
-        let ratio = multi / base;
-        if ratio >= factor {
-            cleared += 1;
-        } else {
-            lines.push(format!(
-                "{name}: {multi:.0} req/s at inflight {inflight} vs {base:.0} serial is only \
-                 {ratio:.2}x (need >= {factor:.2}x)"
-            ));
+        if let (Some(serial), Some(multi)) = (rate(1.0), rate(m.inflight)) {
+            let name = w.get("name").and_then(Json::as_str).unwrap_or("?");
+            ratios.push((name, multi / serial));
         }
     }
-    if cleared >= min_workloads {
+    if ratios.iter().filter(|(_, r)| *r >= m.factor).count() >= m.min_workloads {
         return Ok(Vec::new());
     }
-    lines.push(format!(
-        "only {cleared} workload(s) cleared the {factor:.2}x inflight-{inflight} speedup at \
-         {workers} workers (need >= {min_workloads})"
-    ));
-    Ok(lines)
+    let seen: Vec<String> = ratios.iter().map(|(n, r)| format!("{n} {r:.2}x")).collect();
+    Ok(vec![format!(
+        "multiplexing gate: fewer than {} workloads reach {:.2}x req/s at inflight {} over \
+         inflight 1 on {} workers ({})",
+        m.min_workloads,
+        m.factor,
+        m.inflight,
+        m.workers,
+        seen.join(", ")
+    )])
 }
 
-/// Compare a new artifact against an old baseline of the same kind.
+/// Result of comparing two artifacts of one kind.
+#[derive(Debug)]
+pub struct Comparison {
+    /// The artifact kind compared.
+    pub kind: &'static str,
+    /// Whether the artifacts differed in `fused`, so the fusion gate
+    /// replaced equality.
+    pub fusion: bool,
+    /// Counters compared for equality, or rows checked by the fusion
+    /// gate.
+    pub compared: usize,
+    /// What the gate found wrong, one line each; empty when it passed.
+    pub failures: Vec<String>,
+}
+
+/// Compare a new artifact with an old one of the same kind.
 ///
-/// Both documents must validate on their own. Wall-clock medians are
-/// gated by `tolerance` (relative) plus [`ABSOLUTE_FLOOR_NS`];
-/// deterministic counters are gated exactly. The two documents must
-/// agree on `quick` — quick and full runs use differently sized
-/// workloads under the same names, so comparing them would be
-/// meaningless.
-pub fn compare_artifacts(
-    old_text: &str,
-    new_text: &str,
-    tolerance: f64,
-) -> Result<Comparison, String> {
+/// Both must validate, and their headers (every top-level field but
+/// `workloads` and `fused`: kind, schema version, quick mode, sweep)
+/// must be equal. Rows are matched by label: a row on one side only
+/// fails. If both sides agree on `fused`, every gated counter must be
+/// equal; otherwise the kind's [`Fusion`] gate decides, and a kind
+/// without one is an error.
+pub fn compare_artifacts(old_text: &str, new_text: &str) -> Result<Comparison, String> {
     validate_artifact(old_text).map_err(|e| format!("old artifact invalid: {e}"))?;
     validate_artifact(new_text).map_err(|e| format!("new artifact invalid: {e}"))?;
-    let old = json::parse(old_text)?;
-    let new = json::parse(new_text)?;
-    let kind = |d: &Json| d.get("artifact").and_then(Json::as_str).map(str::to_owned);
-    let (ok, nk) = (kind(&old), kind(&new));
-    if ok != nk {
-        return Err(format!("artifact kinds differ: old {ok:?} vs new {nk:?}"));
+    let (old, new) = (json::parse(old_text)?, json::parse(new_text)?);
+    for doc in [&old, &new] {
+        let Json::Obj(fields) = doc else { continue };
+        for (k, _) in fields
+            .iter()
+            .filter(|(k, _)| k != "workloads" && k != "fused")
+        {
+            let (o, n) = (old.get(k), new.get(k));
+            if o != n {
+                return Err(format!(
+                    "cannot compare artifacts whose '{k}' differs: {o:?} vs {n:?}"
+                ));
+            }
+        }
     }
-    let quick = |d: &Json| matches!(d.get("quick"), Some(Json::Bool(true)));
-    if quick(&old) != quick(&new) {
-        return Err("cannot compare a quick artifact against a full one".to_owned());
+    let gate = gate_of(&old)?;
+    let fused = |d: &Json| matches!(d.get("fused"), Some(Json::Bool(true)));
+    let fusion = fused(&old) != fused(&new);
+    if fusion && gate.fusion.is_none() {
+        return Err(format!(
+            "{} artifacts have no fusion gate: both must agree on 'fused'",
+            gate.kind
+        ));
     }
-    let mut out = Comparison::default();
-    match ok.as_deref() {
-        Some("pipeline") => compare_pipeline(&old, &new, &mut out)?,
-        Some("executor") => compare_executor(&old, &new, tolerance, &mut out)?,
-        Some("translate") => compare_translate(&old, &new, tolerance, &mut out)?,
-        Some("throughput") => compare_throughput(&old, &new, tolerance, &mut out)?,
-        other => return Err(format!("unrecognized artifact kind {other:?}")),
+    let (o, n) = (rows(&old, gate)?, rows(&new, gate)?);
+    let mut out = Comparison {
+        kind: gate.kind,
+        fusion,
+        compared: 0,
+        failures: Vec::new(),
+    };
+    for (side, a, b) in [("old", &o, &n), ("new", &n, &o)] {
+        for label in a.keys().filter(|l| !b.contains_key(*l)) {
+            out.failures
+                .push(format!("{label}: row only in the {side} artifact"));
+        }
+    }
+    if let (true, Some(g)) = (fusion, &gate.fusion) {
+        let (fused_rows, unfused_rows) = if fused(&new) { (&n, &o) } else { (&o, &n) };
+        let value = |c: &Counters| c.iter().find(|(f, _)| *f == g.field).map(|&(_, x)| x);
+        for (label, fc) in fused_rows.iter().filter(|(l, _)| l.starts_with(g.prefix)) {
+            let (Some(f), Some(u)) = (value(fc), unfused_rows.get(label).and_then(value)) else {
+                continue;
+            };
+            out.compared += 1;
+            let reduction = if u > 0.0 { 1.0 - f / u } else { 0.0 };
+            if reduction < g.min_reduction {
+                out.failures.push(format!(
+                    "{label} {}: {u} unfused -> {f} fused is a {:.1}% reduction (need >= {:.1}%)",
+                    g.field,
+                    reduction * 100.0,
+                    g.min_reduction * 100.0
+                ));
+            }
+        }
+        if out.compared == 0 {
+            out.failures.push(format!(
+                "fusion gate: no '{}' row carries {}",
+                g.prefix, g.field
+            ));
+        }
+        return Ok(out);
+    }
+    for (label, oc) in &o {
+        let Some(nc) = n.get(label) else { continue };
+        for (&(f, a), &(_, b)) in oc.iter().zip(nc) {
+            out.compared += 1;
+            if a != b {
+                out.failures.push(format!("{label} {f}: {a} -> {b}"));
+            }
+        }
     }
     Ok(out)
 }
@@ -550,187 +411,238 @@ mod tests {
         executor_artifact, pipeline_artifact, throughput_artifact, translate_artifact,
     };
 
-    #[test]
-    fn identical_artifacts_never_regress() {
-        for doc in [
+    const PIPELINE: &str = include_str!("../../../BENCH_pipeline.quick.json");
+    const TRANSLATE: &str = include_str!("../../../BENCH_translate.quick.json");
+    const EXECUTOR: &str = include_str!("../../../BENCH_executor.quick.json");
+    const THROUGHPUT: &str = include_str!("../../../BENCH_throughput.quick.json");
+
+    /// Rewrite the number after each `"key":`, or after only the first
+    /// `nth + 1`-th one when `nth` is given.
+    fn edit(doc: &str, key: &str, nth: Option<usize>, f: impl Fn(f64) -> f64) -> String {
+        let pat = format!("\"{key}\":");
+        let mut out = String::new();
+        let mut rest = doc;
+        let mut seen = 0;
+        while let Some(at) = rest.find(&pat) {
+            let start = at + pat.len();
+            let len = rest[start..]
+                .find(|c: char| !(c.is_ascii_digit() || "-+.eE".contains(c)))
+                .unwrap_or(rest.len() - start);
+            out.push_str(&rest[..start]);
+            let old = &rest[start..start + len];
+            if nth.is_none_or(|n| n == seen) {
+                out.push_str(&json::float(f(old.parse().unwrap())));
+            } else {
+                out.push_str(old);
+            }
+            seen += 1;
+            rest = &rest[start + len..];
+        }
+        assert!(seen > nth.unwrap_or(0), "no {pat} to edit");
+        out.push_str(rest);
+        out
+    }
+
+    fn failures(old: &str, new: &str) -> Vec<String> {
+        compare_artifacts(old, new).unwrap().failures
+    }
+
+    fn fresh_quick() -> [String; 4] {
+        [
             pipeline_artifact(true, true).unwrap(),
-            executor_artifact(true, true).unwrap(),
             translate_artifact(true, true).unwrap(),
+            executor_artifact(true, true).unwrap(),
             throughput_artifact(true, true).unwrap(),
+        ]
+    }
+
+    #[test]
+    fn committed_quick_baselines_gate_every_counter() {
+        let mut total = 0;
+        for (doc, want) in [
+            (PIPELINE, 252),
+            (TRANSLATE, 315),
+            (EXECUTOR, 132),
+            (THROUGHPUT, 39),
         ] {
-            let cmp = compare_artifacts(&doc, &doc, DEFAULT_TOLERANCE).unwrap();
-            assert!(!cmp.deltas.is_empty());
-            assert!(cmp.regressions().is_empty(), "{:?}", cmp.regressions());
-            assert!(cmp.unmatched.is_empty());
+            let cmp = compare_artifacts(doc, doc).unwrap();
+            assert!(cmp.failures.is_empty(), "{:?}", cmp.failures);
+            assert!(!cmp.fusion);
+            assert_eq!(cmp.compared, want, "{}", cmp.kind);
+            total += cmp.compared;
+            assert!(check_artifact(doc).unwrap().is_empty(), "{}", cmp.kind);
+        }
+        assert_eq!(total, 738);
+    }
+
+    #[test]
+    fn quick_counters_repeat_exactly_across_runs() {
+        let first = fresh_quick();
+        let second = fresh_quick();
+        for (a, b) in first.iter().zip(&second) {
+            let cmp = compare_artifacts(a, b).unwrap();
+            assert!(cmp.failures.is_empty(), "{}: {:?}", cmp.kind, cmp.failures);
+        }
+        // A real unfused run clears the fusion gate.
+        let unfused = executor_artifact(true, false).unwrap();
+        let cmp = compare_artifacts(&unfused, &first[2]).unwrap();
+        assert!(cmp.fusion);
+        assert!(cmp.failures.is_empty(), "{:?}", cmp.failures);
+        assert!(cmp.compared >= 4, "{cmp:?}");
+    }
+
+    /// Every numeric leaf of a fresh quick artifact is a gated counter, a
+    /// row key, a header field (compared by `compare_artifacts`), or on
+    /// the kind's `not_gated` list, so a counter added later cannot go
+    /// ungated unnoticed.
+    #[test]
+    fn every_numeric_field_is_gated_or_listed() {
+        fn leaves(v: &Json, path: &mut Vec<String>, out: &mut Vec<Vec<String>>) {
+            match v {
+                Json::Num(_) => out.push(path.clone()),
+                Json::Arr(items) => items.iter().for_each(|i| leaves(i, path, out)),
+                Json::Obj(fields) => {
+                    for (k, x) in fields {
+                        path.push(k.clone());
+                        leaves(x, path, out);
+                        path.pop();
+                    }
+                }
+                _ => {}
+            }
+        }
+        for doc in fresh_quick() {
+            let doc = json::parse(&doc).unwrap();
+            let gate = gate_of(&doc).unwrap();
+            let mut all = Vec::new();
+            leaves(&doc, &mut Vec::new(), &mut all);
+            for path in all {
+                let covered = path[0] != "workloads"
+                    || path.iter().any(|p| gate.not_gated.contains(&p.as_str()))
+                    || gate.rows.iter().any(|set| {
+                        let field = match set.array {
+                            None => path[1..].join("."),
+                            Some(a) if path.get(1).map(String::as_str) == Some(a) => {
+                                path[2..].join(".")
+                            }
+                            Some(_) => return false,
+                        };
+                        set.exact.contains(&field.as_str()) || set.key.contains(&field.as_str())
+                    });
+                assert!(
+                    covered,
+                    "{}: {} is neither gated nor listed",
+                    gate.kind,
+                    path.join(".")
+                );
+            }
         }
     }
 
     #[test]
-    fn wall_clock_gate_has_relative_and_absolute_components() {
-        // Under the floor: a 10x swing on a 500 ns median is jitter.
-        assert!(!wall_regressed(500.0, 5_000.0, 0.25));
-        // Over the floor and over the tolerance: regression.
-        assert!(wall_regressed(100_000.0, 200_000.0, 0.25));
-        // Over the floor but within tolerance: fine.
-        assert!(!wall_regressed(100_000.0, 120_000.0, 0.25));
-        // Exactly at the boundary is not a regression (strict >).
-        assert!(!wall_regressed(100_000.0, 125_000.0 + ABSOLUTE_FLOOR_NS, 0.25));
+    fn any_changed_counter_fails() {
+        let cases = [
+            (
+                "translate ops + 1",
+                TRANSLATE,
+                edit(TRANSLATE, "ops", Some(0), |x| x + 1.0),
+            ),
+            (
+                "executor merged + 1",
+                EXECUTOR,
+                edit(EXECUTOR, "merged", Some(0), |x| x + 1.0),
+            ),
+            (
+                "pipeline avg_parallelism",
+                PIPELINE,
+                edit(PIPELINE, "avg_parallelism", Some(3), |x| x * 1.01),
+            ),
+            (
+                "decreased fired",
+                PIPELINE,
+                edit(PIPELINE, "fired", Some(0), |x| x - 1.0),
+            ),
+            (
+                "executor compiled bytes",
+                EXECUTOR,
+                edit(EXECUTOR, "bytes", Some(1), |x| x - 8.0),
+            ),
+            (
+                "throughput tokens",
+                THROUGHPUT,
+                edit(THROUGHPUT, "tokens_processed", Some(5), |x| x + 1.0),
+            ),
+        ];
+        for (what, old, new) in cases {
+            let f = failures(old, &new);
+            assert_eq!(f.len(), 1, "{what}: {f:?}");
+            // Direction does not matter: the reverse comparison fails too.
+            assert_eq!(failures(&new, old).len(), 1, "{what}");
+        }
     }
 
     #[test]
-    fn deterministic_pipeline_counters_gate_exactly() {
-        let doc = pipeline_artifact(true, true).unwrap();
-        // Inflate every fired count in the "new" artifact by editing the
-        // JSON: any increase must be flagged.
-        // Prepending a digit makes every count strictly larger.
-        let inflated = doc.replace("\"fired\":", "\"fired\":1");
-        let cmp = compare_artifacts(&doc, &inflated, DEFAULT_TOLERANCE).unwrap();
-        assert!(
-            cmp.regressions().iter().any(|d| d.what.contains("fired")),
-            "inflated fired counts must regress: {:?}",
-            cmp.deltas
-        );
-        // And the reverse direction (a decrease) is an improvement.
-        let cmp = compare_artifacts(&inflated, &doc, DEFAULT_TOLERANCE).unwrap();
-        assert!(cmp.regressions().is_empty());
+    fn a_row_on_one_side_fails() {
+        let renamed = EXECUTOR.replace("\"name\":\"loop_nest\"", "\"name\":\"loop_nest_v2\"");
+        let f = failures(EXECUTOR, &renamed);
+        assert!(f.iter().any(|l| l.contains("only in the old")), "{f:?}");
+        assert!(f.iter().any(|l| l.contains("only in the new")), "{f:?}");
     }
 
     #[test]
-    fn executor_token_traffic_gates_exactly() {
-        let doc = executor_artifact(true, true).unwrap();
-        let inflated = doc.replace("\"tokens_processed\":", "\"tokens_processed\":1");
-        let cmp = compare_artifacts(&doc, &inflated, DEFAULT_TOLERANCE).unwrap();
-        assert!(
-            cmp.regressions()
-                .iter()
-                .any(|d| d.what.contains("tokens_processed")),
-            "inflated token traffic must regress: {:?}",
-            cmp.deltas
-        );
-        // A reduction (what fusion buys) is an improvement, not a flag.
-        let cmp = compare_artifacts(&inflated, &doc, DEFAULT_TOLERANCE).unwrap();
-        assert!(cmp
-            .regressions()
-            .iter()
-            .all(|d| !d.what.contains("tokens_processed")));
+    fn wall_clock_fields_are_not_compared() {
+        for doc in [PIPELINE, TRANSLATE, EXECUTOR, THROUGHPUT] {
+            if !doc.contains("\"median_ns\":") {
+                continue;
+            }
+            let slower = edit(doc, "median_ns", None, |x| x * 10.0);
+            assert!(failures(doc, &slower).is_empty());
+        }
     }
 
     #[test]
-    fn translate_cache_counters_gate_exactly() {
-        let doc = translate_artifact(true, true).unwrap();
-        let inflated = doc.replace("\"analyses_computed\":", "\"analyses_computed\":1");
-        let cmp = compare_artifacts(&doc, &inflated, DEFAULT_TOLERANCE).unwrap();
-        assert!(
-            cmp.regressions()
-                .iter()
-                .any(|d| d.what.contains("analyses_computed")),
-            "recomputing analyses must regress: {:?}",
-            cmp.deltas
-        );
-        // Fewer computations (better caching) is an improvement.
-        let cmp = compare_artifacts(&inflated, &doc, DEFAULT_TOLERANCE).unwrap();
-        assert!(cmp.regressions().is_empty());
-    }
-
-    #[test]
-    fn token_reduction_floor_flags_insufficient_improvement() {
-        let doc = executor_artifact(true, true).unwrap();
-        // Identical artifacts: 0% reduction, so any positive floor fails
-        // for the matching workloads and passes at a 0% floor.
-        let cmp = compare_artifacts(&doc, &doc, DEFAULT_TOLERANCE).unwrap();
-        assert!(!cmp.require_token_reduction(0.25, "loop_nest").is_empty());
-        assert!(cmp.require_token_reduction(0.0, "loop_nest").is_empty());
-        // A prefix matching nothing is itself a violation, not a pass.
-        let misses = cmp.require_token_reduction(0.25, "no_such_workload");
-        assert_eq!(misses.len(), 1, "{misses:?}");
-        // A genuine 30% reduction clears the 25% floor. Scaling every
-        // token count up in the *old* document fakes an unfused
-        // baseline with more traffic.
-        let unfused_like = executor_artifact(true, false).unwrap();
-        let cmp = compare_artifacts(&unfused_like, &doc, DEFAULT_TOLERANCE).unwrap();
-        let violations = cmp.require_token_reduction(0.25, "loop_nest");
-        assert!(
-            violations.is_empty(),
-            "fused-vs-unfused quick loop_nest must clear the 25% floor: {violations:?}"
-        );
-    }
-
-    #[test]
-    fn wall_ceiling_gate_flags_medians_above_baseline() {
-        let doc = executor_artifact(true, true).unwrap();
-        let cmp = compare_artifacts(&doc, &doc, DEFAULT_TOLERANCE).unwrap();
-        // Identical medians sit exactly at the ceiling: the gate passes.
-        assert!(cmp.require_wall_leq("loop_nest").is_empty());
-        // A prefix matching nothing is itself a violation, not a pass.
-        assert_eq!(cmp.require_wall_leq("no_such_workload").len(), 1);
-        // Inflating every median ~10x in the new document must breach
-        // the ceiling on the loop_nest wall deltas (prepending a digit
-        // makes each positive median strictly larger).
-        let slower = doc.replace("\"median_ns\":", "\"median_ns\":9");
-        let cmp = compare_artifacts(&doc, &slower, DEFAULT_TOLERANCE).unwrap();
-        assert!(!cmp.require_wall_leq("loop_nest").is_empty());
-        // The reverse direction — the new document is faster — passes.
-        let cmp = compare_artifacts(&slower, &doc, DEFAULT_TOLERANCE).unwrap();
-        assert!(cmp.require_wall_leq("loop_nest").is_empty());
-    }
-
-    #[test]
-    fn throughput_rates_gate_with_inverted_sense() {
-        let doc = throughput_artifact(true, true).unwrap();
-        // Inflating every batch median ~10x in the new document (a
-        // throughput collapse) must flag req_per_sec deltas.
-        let slower = doc.replace("\"median_ns\":", "\"median_ns\":9");
-        let cmp = compare_artifacts(&doc, &slower, DEFAULT_TOLERANCE).unwrap();
-        assert!(
-            cmp.regressions().iter().any(|d| d.what.contains("req_per_sec")),
-            "a throughput collapse must regress: {:?}",
-            cmp.deltas
-        );
-        // The reverse direction — the new document is faster — passes.
-        let cmp = compare_artifacts(&slower, &doc, DEFAULT_TOLERANCE).unwrap();
-        assert!(cmp.regressions().is_empty(), "{:?}", cmp.regressions());
-        // Pushing more tokens per batch is an exact-gated regression.
-        let chattier = doc.replace("\"tokens_processed\":", "\"tokens_processed\":1");
-        let cmp = compare_artifacts(&doc, &chattier, DEFAULT_TOLERANCE).unwrap();
-        assert!(cmp.regressions().iter().any(|d| d.what.contains("tokens_processed")));
-    }
-
-    #[test]
-    fn inflight_speedup_gate_counts_clearing_workloads() {
-        let doc = throughput_artifact(true, true).unwrap();
-        // Any positive rate clears a zero factor.
-        assert!(require_inflight_speedup(&doc, 4.0, 4.0, 0.0, 2).unwrap().is_empty());
-        // No real machine clears an astronomically large factor; the
-        // violations name the workloads and the shortfall.
-        let violations = require_inflight_speedup(&doc, 4.0, 4.0, 1e9, 2).unwrap();
-        assert!(!violations.is_empty());
-        assert!(violations.last().unwrap().contains("need >= 2"), "{violations:?}");
-        // The gate refuses non-throughput artifacts.
-        let e = executor_artifact(true, true).unwrap();
-        assert!(require_inflight_speedup(&e, 4.0, 4.0, 1.0, 1)
+    fn fusion_gate_needs_a_quarter_fewer_loop_nest_tokens() {
+        let unfused = |scale: f64| {
+            edit(EXECUTOR, "tokens_processed", None, |x| (x * scale).round())
+                .replace("\"fused\":true", "\"fused\":false")
+        };
+        // Fused 20% below unfused: fails, whichever side is passed as new.
+        let short = unfused(1.25);
+        let cmp = compare_artifacts(&short, EXECUTOR).unwrap();
+        assert!(cmp.fusion);
+        assert_eq!(cmp.failures.len(), cmp.compared, "{:?}", cmp.failures);
+        assert!(!failures(EXECUTOR, &short).is_empty());
+        // A third below: passes, and every loop_nest* thread row counts.
+        let cmp = compare_artifacts(&unfused(1.5), EXECUTOR).unwrap();
+        assert!(cmp.failures.is_empty(), "{:?}", cmp.failures);
+        assert_eq!(cmp.compared, 8);
+        // Kinds without a fusion gate refuse a fused-vs-unfused compare.
+        let p = PIPELINE.replace("\"fused\":true", "\"fused\":false");
+        assert!(compare_artifacts(&p, PIPELINE)
             .unwrap_err()
-            .contains("throughput artifact"));
+            .contains("no fusion gate"));
     }
 
     #[test]
-    fn mismatched_kinds_and_modes_are_rejected() {
-        let p = pipeline_artifact(true, true).unwrap();
-        let e = executor_artifact(true, true).unwrap();
-        assert!(compare_artifacts(&p, &e, DEFAULT_TOLERANCE)
-            .unwrap_err()
-            .contains("kinds differ"));
-        let full_claimed = p.replace("\"quick\":true", "\"quick\":false");
-        assert!(compare_artifacts(&p, &full_claimed, DEFAULT_TOLERANCE)
-            .unwrap_err()
-            .contains("quick"));
+    fn multiplexing_gate_needs_1_3x_on_two_workloads() {
+        assert!(check_artifact(THROUGHPUT).unwrap().is_empty());
+        let flat = edit(THROUGHPUT, "req_per_sec", None, |_| 1000.0);
+        let f = check_artifact(&flat).unwrap();
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].contains("multiplexing gate"), "{f:?}");
+        // Other kinds have no one-run gate.
+        assert!(check_artifact(EXECUTOR).unwrap().is_empty());
     }
 
     #[test]
-    fn suite_changes_surface_as_unmatched_not_errors() {
-        let doc = pipeline_artifact(true, true).unwrap();
-        let renamed = doc.replace("\"name\":\"loop_nest\"", "\"name\":\"loop_nest_v2\"");
-        let cmp = compare_artifacts(&doc, &renamed, DEFAULT_TOLERANCE).unwrap();
-        assert!(cmp.unmatched.iter().any(|u| u.contains("new only")), "{:?}", cmp.unmatched);
-        assert!(cmp.unmatched.iter().any(|u| u.contains("old only")), "{:?}", cmp.unmatched);
+    fn mismatched_headers_are_rejected() {
+        let err = compare_artifacts(PIPELINE, EXECUTOR).unwrap_err();
+        assert!(err.contains("'artifact' differs"), "{err}");
+        let full_claimed = PIPELINE.replace("\"quick\":true", "\"quick\":false");
+        let err = compare_artifacts(PIPELINE, &full_claimed).unwrap_err();
+        assert!(err.contains("'quick' differs"), "{err}");
+        let resized = THROUGHPUT.replacen("\"requests\":8", "\"requests\":9", 1);
+        let err = compare_artifacts(THROUGHPUT, &resized).unwrap_err();
+        assert!(err.contains("'requests' differs"), "{err}");
     }
 }

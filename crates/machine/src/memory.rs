@@ -189,13 +189,6 @@ impl<T> Memory<T> {
         &self.cells
     }
 
-    /// Overwrite ordinary cells from a snapshot (testing helper; does not
-    /// count as writes).
-    pub fn copy_cells_from(&mut self, snapshot: &[i64]) {
-        let n = self.cells.len().min(snapshot.len());
-        self.cells[..n].copy_from_slice(&snapshot[..n]);
-    }
-
     /// Snapshot of I-structure memory (empty cells read as 0).
     pub fn ist_cells(&self) -> Vec<i64> {
         self.ist

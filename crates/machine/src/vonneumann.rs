@@ -197,25 +197,6 @@ pub fn interpret(
     })
 }
 
-/// Evaluate an expression against a memory snapshot (testing helper).
-pub fn eval_in(
-    cfg: &Cfg,
-    layout: &MemLayout,
-    memory: &[i64],
-    e: &Expr,
-) -> Result<i64, VnError> {
-    let mut mem: Memory<()> = Memory::new(layout);
-    mem.copy_cells_from(memory);
-    let mut it = Interp {
-        cfg,
-        layout,
-        mem,
-        element_loads: 0,
-        alu_ops: 0,
-    };
-    it.eval(e)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

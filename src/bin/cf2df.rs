@@ -12,11 +12,7 @@
 //! cf2df validate   <file.imp|file.dfg|corpus> [SCHEMA] [TRANSFORMS]
 //!                  [--json] [--mutations] [--seeds <n>]
 //! cf2df bench      [--quick] [--out-dir <dir>] [--no-fuse]
-//! cf2df check-bench <artifact.json> [<artifact.json>…]
-//!                   [--compare <old.json>] [--tolerance <frac>]
-//!                   [--min-token-reduction <frac>:<workload-prefix>]
-//!                   [--require-wall-leq <workload-prefix>]
-//!                   [--require-inflight-speedup <factor>]
+//! cf2df check-bench <artifact.json> [<artifact.json>…] | <new.json> --compare <old.json>
 //! cf2df fuse-check [--workers <n>]
 //! cf2df chaos      [--quick] [--seeds <n>] [--workers <a,b,…>]
 //!                  [--programs <p1,p2,…>] [--fuel <n>] [--watchdog-ms <n>]
@@ -71,19 +67,17 @@
 //! shrinks workloads and timing budgets for CI smoke runs; `--no-fuse`
 //! benches with macro-op fusion disabled, for fused-vs-unfused
 //! baselines). `check-bench` validates artifact files against the schema
-//! and exits non-zero on the first invalid one; with `--compare
-//! OLD.json` it additionally diffs the (single) artifact against the old
-//! baseline and fails on wall-clock regressions beyond the tolerance
-//! (default 0.25 = 25%, plus a 10 µs absolute floor) or on any increase
-//! in deterministic counters (fired, makespan, tokens_processed).
-//! `--require-wall-leq PREFIX` additionally demands that every
-//! wall-clock median on workloads matching PREFIX is at or below the
-//! baseline's, modulo a 20% jitter allowance (tighter than the
-//! regression tolerance) — the compiled-graph acceptance gate.
-//! `--require-inflight-speedup FACTOR` gates a throughput artifact (no
-//! baseline needed): req/sec at inflight 4 on 4 workers must beat the
-//! serial baseline by FACTOR on at least two workloads — the
-//! multiplexed-serving acceptance gate.
+//! and applies the gate an artifact's kind decides on its own: on a
+//! throughput artifact, req/s at inflight 4 on 4 workers must be at
+//! least 1.3x the serial req/s on at least two workloads. With
+//! `--compare OLD.json` it also compares the (single) new artifact with
+//! `OLD.json` through one table of deterministic counters (fired,
+//! tokens, operators, arcs, analyses computed, …): every counter must be
+//! equal and every row present on both sides. When exactly one side is
+//! fused, the fusion gate replaces equality: every `loop_nest` row must
+//! process at least 25% fewer tokens fused. Wall-clock fields are never
+//! compared across runs; timing across commits is judged in alternating
+//! pairs of the end-to-end benchmark (`e2ebench/`).
 //!
 //! `serve` exercises the concurrent multi-invocation engine: it
 //! translates `program` (default `running_example`), spawns one executor
@@ -914,151 +908,58 @@ fn main() {
     }
     if cmd == "check-bench" {
         let mut args = Args { rest: argv };
-        let compare_against = args.value("--compare");
-        let tolerance = match args.value("--tolerance") {
-            Some(t) => t.parse::<f64>().unwrap_or_else(|_| {
-                eprintln!("--tolerance needs a numeric fraction, e.g. 0.25");
-                exit(2)
-            }),
-            None => cf2df::bench::compare::DEFAULT_TOLERANCE,
-        };
-        // `--min-token-reduction FRAC:PREFIX` — with --compare, demand
-        // that every tokens_processed delta on workloads matching PREFIX
-        // improved by at least FRAC (the fusion acceptance gate).
-        let min_reduction = args.value("--min-token-reduction").map(|spec| {
-            let Some((frac, prefix)) = spec.split_once(':') else {
-                eprintln!("--min-token-reduction needs FRAC:PREFIX, e.g. 0.25:loop_nest");
-                exit(2)
-            };
-            let frac: f64 = frac.parse().unwrap_or_else(|_| {
-                eprintln!("--min-token-reduction needs a numeric fraction, e.g. 0.25:loop_nest");
-                exit(2)
-            });
-            (frac, prefix.to_owned())
-        });
-        // `--require-wall-leq PREFIX` — with --compare, demand that
-        // every wall-clock median on workloads matching PREFIX is at or
-        // below the baseline's (the compiled-graph acceptance gate).
-        let wall_leq = args.value("--require-wall-leq");
-        // `--require-inflight-speedup FACTOR` — on a throughput
-        // artifact, demand req/sec at inflight 4 on 4 workers beats the
-        // serial baseline by FACTOR on at least two workloads (the
-        // multiplexed-serving acceptance gate). Applies to the new
-        // artifact; needs no baseline.
-        let inflight_gain = args.value("--require-inflight-speedup").map(|f| {
-            f.parse::<f64>().unwrap_or_else(|_| {
-                eprintln!("--require-inflight-speedup needs a numeric factor, e.g. 1.3");
-                exit(2)
-            })
-        });
-        let run_inflight_gate = |text: &str, path: &str| {
-            let Some(factor) = inflight_gain else { return };
-            let violations =
-                cf2df::bench::compare::require_inflight_speedup(text, 4.0, 4.0, factor, 2)
-                    .unwrap_or_else(|e| {
-                        eprintln!("inflight-speedup gate: {e}");
-                        exit(1)
-                    });
-            if !violations.is_empty() {
-                for v in &violations {
-                    eprintln!("inflight-speedup gate: {v}");
-                }
-                exit(1)
-            }
-            println!(
-                "inflight-speedup gate: {path} clears {factor:.2}x at inflight 4 on 4 workers"
-            );
-        };
-        if args.rest.is_empty() {
+        let baseline = args.value("--compare");
+        if args.rest.is_empty() || (baseline.is_some() && args.rest.len() != 1) {
             usage();
         }
-        if let Some(old_path) = compare_against {
-            if args.rest.len() != 1 {
-                eprintln!("check-bench --compare takes exactly one new artifact");
-                exit(2)
-            }
-            let read = |p: &str| {
-                std::fs::read_to_string(p).unwrap_or_else(|e| {
+        let docs: Vec<(&String, String)> = args
+            .rest
+            .iter()
+            .chain(&baseline)
+            .map(|p| {
+                let text = std::fs::read_to_string(p).unwrap_or_else(|e| {
                     eprintln!("cannot read {p}: {e}");
                     exit(2)
-                })
-            };
-            let (old_text, new_text) = (read(&old_path), read(&args.rest[0]));
-            let cmp = cf2df::bench::compare::compare_artifacts(&old_text, &new_text, tolerance)
-                .unwrap_or_else(|e| {
-                    eprintln!("compare failed: {e}");
-                    exit(1)
                 });
-            for d in &cmp.deltas {
-                println!("{}", d.line());
-            }
-            for u in &cmp.unmatched {
-                println!("unmatched workload: {u}");
-            }
-            if let Some((frac, prefix)) = &min_reduction {
-                let violations = cmp.require_token_reduction(*frac, prefix);
-                if !violations.is_empty() {
-                    for v in &violations {
-                        eprintln!("token-reduction gate: {v}");
-                    }
-                    exit(1)
-                }
-                println!(
-                    "token-reduction gate: '{prefix}' workloads improved >= {:.0}%",
-                    frac * 100.0
-                );
-            }
-            if let Some(prefix) = &wall_leq {
-                let violations = cmp.require_wall_leq(prefix);
-                if !violations.is_empty() {
-                    for v in &violations {
-                        eprintln!("wall-ceiling gate: {v}");
-                    }
-                    exit(1)
-                }
-                println!("wall-ceiling gate: '{prefix}' medians at or below baseline");
-            }
-            run_inflight_gate(&new_text, &args.rest[0]);
-            let regressions = cmp.regressions();
-            if regressions.is_empty() {
-                println!(
-                    "{}: ok vs {old_path} ({} quantities compared, tolerance {tolerance})",
-                    args.rest[0],
-                    cmp.deltas.len()
-                );
-            } else {
-                eprintln!(
-                    "{}: {} REGRESSION(S) vs {old_path}",
-                    args.rest[0],
-                    regressions.len()
-                );
-                exit(1)
-            }
-            return;
-        }
-        let mut gated = false;
-        for path in &args.rest {
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("cannot read {path}: {e}");
-                exit(2)
-            });
-            match cf2df::bench::artifacts::validate_artifact(&text) {
-                Ok(()) => println!("{path}: ok"),
+                (p, text)
+            })
+            .collect();
+        // Every artifact read, a baseline included, must validate and
+        // pass the gate its kind decides on its own.
+        let mut failed = false;
+        for (path, text) in &docs {
+            match cf2df::bench::compare::check_artifact(text) {
                 Err(e) => {
                     eprintln!("{path}: INVALID: {e}");
                     exit(1)
                 }
-            }
-            // The inflight-speedup gate needs no baseline, so it also
-            // runs in plain validation mode — on the throughput
-            // artifact(s) among the arguments.
-            if text.contains("\"artifact\":\"throughput\"") {
-                run_inflight_gate(&text, path);
-                gated = true;
+                Ok(failures) if failures.is_empty() => println!("{path}: ok"),
+                Ok(failures) => {
+                    failures.iter().for_each(|f| eprintln!("{path}: {f}"));
+                    failed = true;
+                }
             }
         }
-        if inflight_gain.is_some() && !gated {
-            eprintln!("--require-inflight-speedup: no throughput artifact among the arguments");
+        if let (Some(_), [(new_path, new_text), (old_path, old_text)]) = (&baseline, &docs[..]) {
+            let cmp = cf2df::bench::compare::compare_artifacts(old_text, new_text)
+                .unwrap_or_else(|e| {
+                    eprintln!("compare failed: {e}");
+                    exit(1)
+                });
+            cmp.failures.iter().for_each(|f| eprintln!("{new_path}: {f}"));
+            let what = if cmp.fusion {
+                format!("{} rows checked by the fusion gate", cmp.compared)
+            } else {
+                format!("{} {} values compared exactly", cmp.compared, cmp.kind)
+            };
+            if cmp.failures.is_empty() {
+                println!("{new_path}: ok vs {old_path}: {what}");
+            } else {
+                eprintln!("{new_path}: {} FAILURE(S) vs {old_path}: {what}", cmp.failures.len());
+                failed = true;
+            }
+        }
+        if failed {
             exit(1)
         }
         return;
