@@ -524,33 +524,100 @@ impl Interval {
 /// interval. The result partitions the nodes into maximal single-entry
 /// regions in which every cycle passes through the header.
 pub fn interval_partition(cfg: &Cfg) -> Vec<Interval> {
-    let preds = cfg.preds();
-    let mut interval_of: Vec<Option<usize>> = vec![None; cfg.len()];
-    let mut intervals: Vec<Interval> = Vec::new();
-    let mut header_queue: Vec<NodeId> = vec![cfg.start()];
-    let mut queued = vec![false; cfg.len()];
-    queued[cfg.start().index()] = true;
+    intervals(&pred_indices(cfg), cfg.start().index())
+        .into_iter()
+        .map(|members| {
+            let members: Vec<NodeId> = members.into_iter().map(|m| NodeId(m as u32)).collect();
+            Interval {
+                header: members[0],
+                members,
+            }
+        })
+        .collect()
+}
+
+/// The sizes of the derived sequence of interval graphs. `G0` is the part
+/// of `cfg` reachable from start; `G(i+1)` has one node per interval of
+/// `Gi` and an edge wherever `Gi` has one between two intervals. The
+/// sequence stops at the first graph whose intervals are all single
+/// nodes, which is its own interval graph. The graph is reducible exactly
+/// when this limit is a single node — an oracle that shares nothing with
+/// the dominator-based [`LoopForest::compute`].
+pub fn derived_sequence(cfg: &Cfg) -> Vec<usize> {
+    let mut preds = pred_indices(cfg);
+    let mut entry = cfg.start().index();
+    let mut sizes = Vec::new();
+    loop {
+        let parts = intervals(&preds, entry);
+        let covered: usize = parts.iter().map(Vec::len).sum();
+        if sizes.is_empty() {
+            sizes.push(covered);
+        }
+        if parts.len() == covered {
+            return sizes;
+        }
+        sizes.push(parts.len());
+        let mut part_of = vec![None; preds.len()];
+        for (i, members) in parts.iter().enumerate() {
+            for &m in members {
+                part_of[m] = Some(i);
+            }
+        }
+        // Edges from outside an interval enter it only at its header.
+        preds = parts
+            .iter()
+            .enumerate()
+            .map(|(j, members)| {
+                let mut ps: Vec<usize> = preds[members[0]]
+                    .iter()
+                    .filter_map(|&p| part_of[p])
+                    .filter(|&i| i != j)
+                    .collect();
+                ps.sort_unstable();
+                ps.dedup();
+                ps
+            })
+            .collect();
+        entry = part_of[entry].expect("the entry heads the first interval");
+    }
+}
+
+/// Each node's predecessors, as node indices.
+fn pred_indices(cfg: &Cfg) -> Vec<Vec<usize>> {
+    cfg.preds()
+        .iter()
+        .map(|ps| ps.iter().map(|&(p, _)| p.index()).collect())
+        .collect()
+}
+
+/// Allen–Cocke intervals of the graph with predecessor lists `preds`,
+/// grown from `entry`: each interval's members in addition order, header
+/// first. Nodes unreachable from `entry` are in none.
+fn intervals(preds: &[Vec<usize>], entry: usize) -> Vec<Vec<usize>> {
+    let n = preds.len();
+    let mut interval_of: Vec<Option<usize>> = vec![None; n];
+    let mut intervals: Vec<Vec<usize>> = Vec::new();
+    let mut header_queue: Vec<usize> = vec![entry];
+    let mut queued = vec![false; n];
+    queued[entry] = true;
 
     while let Some(h) = header_queue.pop() {
-        if interval_of[h.index()].is_some() {
+        if interval_of[h].is_some() {
             continue;
         }
         let id = intervals.len();
         let mut members = vec![h];
-        interval_of[h.index()] = Some(id);
+        interval_of[h] = Some(id);
         // Grow: absorb nodes whose predecessors all lie in this interval.
         loop {
             let mut grew = false;
-            for n in cfg.node_ids() {
-                if interval_of[n.index()].is_some() || preds[n.index()].is_empty() {
+            for v in 0..n {
+                if interval_of[v].is_some() || preds[v].is_empty() {
                     continue;
                 }
-                let all_inside = preds[n.index()]
-                    .iter()
-                    .all(|&(p, _)| interval_of[p.index()] == Some(id));
-                if all_inside {
-                    interval_of[n.index()] = Some(id);
-                    members.push(n);
+                if preds[v].iter().all(|&p| interval_of[p] == Some(id)) {
+                    interval_of[v] = Some(id);
+                    members.push(v);
                     grew = true;
                 }
             }
@@ -558,17 +625,15 @@ pub fn interval_partition(cfg: &Cfg) -> Vec<Interval> {
                 break;
             }
         }
-        intervals.push(Interval { header: h, members });
+        intervals.push(members);
         // New headers: uncovered nodes with a covered predecessor.
-        for n in cfg.node_ids() {
-            if interval_of[n.index()].is_none()
-                && !queued[n.index()]
-                && preds[n.index()]
-                    .iter()
-                    .any(|&(p, _)| interval_of[p.index()].is_some())
+        for v in 0..n {
+            if interval_of[v].is_none()
+                && !queued[v]
+                && preds[v].iter().any(|&p| interval_of[p].is_some())
             {
-                queued[n.index()] = true;
-                header_queue.push(n);
+                queued[v] = true;
+                header_queue.push(v);
             }
         }
     }

@@ -115,8 +115,10 @@ pub struct WorkerStats {
 }
 
 /// Metrics of one threaded-executor run ([`crate::parallel::run_threaded`]),
-/// surfaced in [`crate::parallel::ParOutcome`]. All counters are cheap
-/// relaxed atomics or thread-local tallies — they are always on.
+/// surfaced in [`crate::parallel::ParOutcome`]. Always on: every
+/// counter is a worker-local tally, settled into the invocation's totals
+/// once per batch, so none costs a shared write per token. The counts
+/// are exact at every worker count.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ParMetrics {
     /// Per-worker scheduler counters, indexed by worker.
@@ -135,11 +137,15 @@ pub struct ParMetrics {
     /// into [`ParMetrics::tokens_processed`] and one into
     /// [`ParMetrics::merged`], so the accounting invariant holds.
     pub fast_path_fires: u64,
-    /// High-water mark of simultaneously occupied rendezvous slots across
-    /// the whole table — the waiting-matching (frame memory) pressure,
-    /// the parallel analogue of [`ExecStats::max_pending_slots`].
+    /// Rendezvous entries the slot table's shards grew to hold: the sum
+    /// of [`ParMetrics::slot_shard_high_water`]. The waiting-matching
+    /// (frame memory) pressure as the table's capacity, and so its
+    /// memory, follows it; at least the whole table's peak occupancy,
+    /// which is not tracked, so it is not the simulator's exact
+    /// [`ExecStats::max_pending_slots`]. Depends on the schedule.
     pub max_pending_slots: u64,
-    /// Per-shard high-water marks of the rendezvous-slot table.
+    /// Per-shard high-water marks of the rendezvous-slot table, each
+    /// exact under its shard's lock.
     pub slot_shard_high_water: Vec<u64>,
     /// Distinct iteration tags interned (tag-interner occupancy).
     pub tags_created: u64,
@@ -204,10 +210,9 @@ pub struct ServeStats {
     /// Tokens processed across all invocations (sum of the per-worker
     /// `processed`).
     pub tokens_processed: u64,
-    /// High-water mark of occupied rendezvous slots across the shared
-    /// (invocation-keyed) table — the session's waiting-matching
-    /// pressure, the multiplexed analogue of
-    /// [`ParMetrics::max_pending_slots`].
+    /// Rendezvous entries the shards of the shared (invocation-keyed)
+    /// slot table grew to hold over the session: the sum of their
+    /// high-water marks, as in [`ParMetrics::max_pending_slots`].
     pub max_pending_slots: u64,
     /// Faults injected by the chaos plan over the whole session (all
     /// zero on ordinary runs).

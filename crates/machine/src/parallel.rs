@@ -33,7 +33,7 @@
 //! the `no_token_is_dropped_without_a_recorded_error` test pin this
 //! down.
 
-use crate::chaos::{ChaosConfig, ChaosRng};
+use crate::chaos::ChaosConfig;
 use crate::compiled::{compile, CompiledGraph};
 use crate::exec::MachineError;
 use crate::hash::FxHashMap;
@@ -99,7 +99,7 @@ pub struct ParOutcome {
     pub fired: u64,
     /// Executor metrics: per-worker scheduler counters, rendezvous
     /// pressure, tag occupancy, deferred-read peaks. Always collected —
-    /// the counters are relaxed atomics and thread-local tallies.
+    /// the counters are worker-local tallies, settled once per batch.
     pub metrics: ParMetrics,
 }
 
@@ -132,8 +132,6 @@ pub(crate) struct ParMemory {
     /// Stripe `s` holds the cells of every address `a ≡ s (mod IST_STRIPES)`,
     /// at index `a / IST_STRIPES`.
     ist: Vec<Mutex<Vec<IstSlot>>>,
-    reads: AtomicU64,
-    writes: AtomicU64,
     /// Total I-structure reads deferred (arrived before their write).
     pub(crate) deferred_reads: AtomicU64,
     /// Currently outstanding deferred reads, and the observed peak.
@@ -156,8 +154,6 @@ impl ParMemory {
                     )
                 })
                 .collect(),
-            reads: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
             deferred_reads: AtomicU64::new(0),
             deferred_now: AtomicU64::new(0),
             deferred_peak: AtomicU64::new(0),
@@ -172,12 +168,10 @@ impl ParMemory {
     }
 
     pub(crate) fn read_scalar(&self, layout: &MemLayout, var: VarId) -> i64 {
-        self.reads.fetch_add(1, Ordering::Relaxed);
         self.cells[layout.base(var) as usize].load(Ordering::SeqCst)
     }
 
     pub(crate) fn write_scalar(&self, layout: &MemLayout, var: VarId, value: i64) {
-        self.writes.fetch_add(1, Ordering::Relaxed);
         self.cells[layout.base(var) as usize].store(value, Ordering::SeqCst);
     }
 
@@ -185,7 +179,6 @@ impl ParMemory {
         let addr = layout
             .element(var, index)
             .ok_or(MemError::OutOfBounds { var, index })?;
-        self.reads.fetch_add(1, Ordering::Relaxed);
         Ok(self.cells[addr as usize].load(Ordering::SeqCst))
     }
 
@@ -199,7 +192,6 @@ impl ParMemory {
         let addr = layout
             .element(var, index)
             .ok_or(MemError::OutOfBounds { var, index })?;
-        self.writes.fetch_add(1, Ordering::Relaxed);
         self.cells[addr as usize].store(value, Ordering::SeqCst);
         Ok(())
     }
@@ -214,7 +206,6 @@ impl ParMemory {
         let addr = layout
             .element(var, index)
             .ok_or(MemError::OutOfBounds { var, index })? as usize;
-        self.reads.fetch_add(1, Ordering::Relaxed);
         let mut stripe = lock(&self.ist[addr % IST_STRIPES]);
         let slot = &mut stripe[addr / IST_STRIPES];
         match slot {
@@ -244,7 +235,6 @@ impl ParMemory {
         let addr = layout
             .element(var, index)
             .ok_or(MemError::OutOfBounds { var, index })? as usize;
-        self.writes.fetch_add(1, Ordering::Relaxed);
         let mut stripe = lock(&self.ist[addr % IST_STRIPES]);
         let slot = &mut stripe[addr / IST_STRIPES];
         match std::mem::take(slot) {
@@ -402,37 +392,6 @@ impl ParTagTable {
     pub(crate) fn created(&self) -> u64 {
         let total: u64 = self.shards.iter().map(|s| lock(s).ctxs.len() as u64).sum();
         total - 1
-    }
-}
-
-/// Executor-level fault injection state: per-worker fault streams (a
-/// *different* stream family than the scheduler's delay/steal faults,
-/// so the two layers draw uncorrelated decisions from one campaign
-/// seed) plus tallies of the destructive faults actually fired.
-pub(crate) struct ChaosState {
-    pub(crate) cfg: ChaosConfig,
-    /// Per-worker streams; each mutex is only ever taken by its owning
-    /// worker, so it is uncontended.
-    pub(crate) rngs: Vec<Mutex<ChaosRng>>,
-    pub(crate) panics: AtomicU64,
-    pub(crate) drops: AtomicU64,
-    pub(crate) dups: AtomicU64,
-}
-
-impl ChaosState {
-    pub(crate) fn new(cfg: ChaosConfig, n_workers: usize) -> ChaosState {
-        ChaosState {
-            cfg,
-            rngs: (0..n_workers)
-                // Offset the seed so the executor's panic/drop/dup
-                // stream differs from the scheduler's delay/steal
-                // stream for the same (seed, worker).
-                .map(|w| Mutex::new(ChaosRng::for_worker(cfg.seed ^ 0x517c_c1b7_2722_0a95, w)))
-                .collect(),
-            panics: AtomicU64::new(0),
-            drops: AtomicU64::new(0),
-            dups: AtomicU64::new(0),
-        }
     }
 }
 

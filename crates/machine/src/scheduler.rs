@@ -7,10 +7,11 @@
 //! *batched*: a worker takes up to [`BATCH`] tasks in one queue
 //! synchronization, runs the whole batch, and flushes every task the
 //! batch produced back onto its queue in a single push — one lock
-//! acquisition and one pair of counter updates per batch instead of per
-//! task. A dry worker drains the global injector, then steals *half* of
-//! a sibling's queue — but only from queues at least [`STEAL_MIN`]
-//! deep. Shallow queues mark a narrow, mostly serial task chain;
+//! acquisition and at most one update of the shared in-flight count per
+//! batch instead of per task; per-worker statistics are thread-local
+//! arithmetic. A dry worker drains the global injector, then steals
+//! *half* of a sibling's queue — but only from queues at least
+//! [`STEAL_MIN`] deep. Shallow queues mark a narrow, mostly serial task chain;
 //! robbing them migrates the chain between workers (trashing locality
 //! and the executor's same-batch rendezvous fast path) without buying
 //! any parallelism. A queue holding fewer tasks than the floor keeps
@@ -88,7 +89,7 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// What `run` observed by the time every worker exited.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Outcome {
-    /// Tasks fully processed.
+    /// Tasks fully processed: the sum of the workers' `processed`.
     pub processed: u64,
     /// Tasks still sitting in run queues when the workers exited. Zero
     /// unless [`Ctx::halt`] cut execution short.
@@ -123,8 +124,6 @@ pub struct Scheduler<T> {
     /// worker is currently running). Zero means no task exists and none
     /// can ever appear — the quiescence/termination signal.
     pending: AtomicUsize,
-    /// Tasks currently resting in some queue, awaiting pickup.
-    queued: AtomicUsize,
     /// Event count for parking: bumped whenever meaningful new work
     /// appears (threshold flush, injection, halt, quiescence). A sleeper
     /// snapshots it before its last look at the queues and only blocks
@@ -147,7 +146,6 @@ pub struct Scheduler<T> {
     /// every worker) to skip the donation scan entirely.
     unfed: AtomicUsize,
     stop: AtomicBool,
-    processed: AtomicU64,
     /// First contained worker panic: `(worker, rendered payload)`.
     /// Recording a panic also raises `stop`, so later workers exit
     /// instead of processing a poisoned run further.
@@ -187,13 +185,11 @@ impl<T: Send> Scheduler<T> {
             queues: (0..n).map(|_| Mutex::new(VecDeque::new())).collect(),
             inject: Mutex::new(VecDeque::new()),
             pending: AtomicUsize::new(0),
-            queued: AtomicUsize::new(0),
             wake_epoch: AtomicU64::new(0),
             sleeper_count: AtomicUsize::new(0),
             fed: (0..n).map(|_| AtomicBool::new(false)).collect(),
             unfed: AtomicUsize::new(n),
             stop: AtomicBool::new(false),
-            processed: AtomicU64::new(0),
             panic: Mutex::new(None),
             chaos: None,
             park: Park {
@@ -231,7 +227,6 @@ impl<T: Send> Scheduler<T> {
             count += 1;
         }
         self.pending.fetch_add(count, Ordering::SeqCst);
-        self.queued.fetch_add(count, Ordering::SeqCst);
     }
 
     /// Record that worker `w` has been given work (seed, donation, or
@@ -247,13 +242,12 @@ impl<T: Send> Scheduler<T> {
     pub fn inject(&self, t: T) {
         self.pending.fetch_add(1, Ordering::SeqCst);
         lock(&self.inject).push_back(t);
-        self.queued.fetch_add(1, Ordering::SeqCst);
         self.wake(false);
     }
 
     /// Inject a group of tasks from outside the worker pool in one
-    /// synchronization (one injector lock, one pair of counter updates,
-    /// one wake) — the threaded engine's admission path
+    /// synchronization (one injector lock, one counter update, one
+    /// wake) — the threaded engine's admission path
     /// ([`mod@crate::serve`]), where every invocation seeds several
     /// tokens at once. All sleepers are woken: a batch is exactly the
     /// situation where several parked workers can be put to use at once.
@@ -269,7 +263,6 @@ impl<T: Send> Scheduler<T> {
         // it must never drive `pending` below the true in-flight count.
         self.pending.fetch_add(m, Ordering::SeqCst);
         lock(&self.inject).extend(buf.drain(..));
-        self.queued.fetch_add(m, Ordering::SeqCst);
         self.wake(true);
         m
     }
@@ -340,7 +333,6 @@ impl<T: Send> Scheduler<T> {
             }
             if k > 0 {
                 drop(inj);
-                self.queued.fetch_sub(k, Ordering::SeqCst);
                 stats.injector_hits += k as u64;
                 if force_steal {
                     stats.chaos_forced_steals += 1;
@@ -367,13 +359,11 @@ impl<T: Send> Scheduler<T> {
             for _ in 0..k {
                 batch.push(stolen.pop_front().expect("len checked"));
             }
-            // Surplus beyond one batch moves to our own queue; it stays
-            // queued (only the batch leaves the resting count) and is
+            // Surplus beyond one batch moves to our own queue, and is
             // tallied as a local pop when it is popped.
             if !stolen.is_empty() {
                 lock(&self.queues[w]).extend(stolen);
             }
-            self.queued.fetch_sub(k, Ordering::SeqCst);
             if force_steal {
                 stats.chaos_forced_steals += 1;
             }
@@ -397,31 +387,44 @@ impl<T: Send> Scheduler<T> {
         }
         if k > 0 {
             drop(q);
-            self.queued.fetch_sub(k, Ordering::SeqCst);
             stats.local_pops += k as u64;
         }
         k
     }
 
-    /// Flush the batch's produced tasks onto worker `w`'s queue in one
-    /// push; bump the wake epoch when the queue crosses the wake
-    /// threshold and somebody is parked. While some worker has never run
-    /// a batch, one task is donated straight to it instead (see
-    /// `virgin`).
-    fn flush(&self, ctx: &Ctx<'_, T>) {
+    /// Retire a batch of `consumed` tasks: settle `pending` by the net
+    /// of the tasks the batch produced and consumed — one update, none
+    /// when the two are equal — then flush the produced tasks onto the
+    /// worker's queue in one push, bumping the wake epoch when the queue
+    /// crosses the wake threshold and somebody is parked. While some
+    /// worker has never been given work, one task is donated straight to
+    /// it instead (see `fed`).
+    ///
+    /// The update precedes the push, so `pending` never undercounts: the
+    /// batch's consumed tasks hold their place until the produced ones
+    /// are counted. It reaches zero only when the batch produced nothing
+    /// and no task exists anywhere, and then everyone is woken to
+    /// observe quiescence.
+    fn flush(&self, ctx: &Ctx<'_, T>, consumed: usize) {
         let mut buf = ctx.buf.borrow_mut();
         let m = buf.len();
+        if m > consumed {
+            self.pending.fetch_add(m - consumed, Ordering::SeqCst);
+        } else if m < consumed {
+            let gone = consumed - m;
+            if self.pending.fetch_sub(gone, Ordering::SeqCst) == gone {
+                self.wake(true);
+            }
+        }
         if m == 0 {
             return;
         }
-        self.pending.fetch_add(m, Ordering::SeqCst);
         let donated = self.unfed.load(Ordering::SeqCst) > 0 && self.donate(ctx, &mut buf);
         let qlen = {
             let mut q = lock(&self.queues[ctx.worker]);
             q.extend(buf.drain(..));
             q.len()
         };
-        self.queued.fetch_add(m, Ordering::SeqCst);
         if donated {
             self.wake(true);
         } else if qlen >= WAKE_THRESHOLD && self.sleeper_count.load(Ordering::SeqCst) > 0 {
@@ -537,7 +540,7 @@ impl<T: Send> Scheduler<T> {
              a task was lost without an explicit halt"
         );
         Outcome {
-            processed: self.processed.load(Ordering::SeqCst),
+            processed: workers.iter().map(|w| w.processed).sum(),
             leftover,
             halted,
             panicked,
@@ -622,14 +625,8 @@ impl<T: Send> Scheduler<T> {
                     "body must drain its batch"
                 );
                 batch.clear(); // release-build safety: never reprocess
-                self.flush(&ctx);
+                self.flush(&ctx, k);
                 stats.processed += k as u64;
-                self.processed.fetch_add(k as u64, Ordering::SeqCst);
-                if self.pending.fetch_sub(k, Ordering::SeqCst) == k {
-                    // Last in-flight tasks: nothing can create work any
-                    // more. Wake everyone so they observe pending == 0.
-                    self.wake(true);
-                }
                 if let Err(payload) = run {
                     // Contain the panic: record it, halt the run, and
                     // exit this worker with its stats intact.
@@ -1077,7 +1074,6 @@ mod tests {
             q.extend(0..100u32);
         }
         sched.pending.fetch_add(100, Ordering::SeqCst);
-        sched.queued.fetch_add(100, Ordering::SeqCst);
         let mut stats = WorkerStats::default();
         let mut batch = Vec::new();
         let k = sched.fill_batch(1, &mut batch, &mut stats, false);
@@ -1095,7 +1091,6 @@ mod tests {
         let lone: Scheduler<u32> = Scheduler::new(2);
         lock(&lone.queues[0]).push_back(7);
         lone.pending.fetch_add(1, Ordering::SeqCst);
-        lone.queued.fetch_add(1, Ordering::SeqCst);
         let mut batch = Vec::new();
         let k = lone.fill_batch(1, &mut batch, &mut stats, false);
         assert_eq!(k, 0, "the last task belongs to its owner");

@@ -48,19 +48,34 @@
 //!   graph (equivalence tests check all of them against the
 //!   deterministic simulator).
 //!
+//! Nothing on the per-token path writes a shared counter. Each worker
+//! tallies what a batch did to each invocation it touched — tokens
+//! consumed and queued, firings, merges, macro firings, entries parked
+//! in the shared table, injected faults — in plain worker-local fields,
+//! and settles the tally once, at the end of the batch.
+//!
 //! Quiescence is detected per invocation with a live-token count, settled
-//! once per batch: at the end of a batch each invocation's count rises by
-//! the tokens the batch queued for it and falls by the tokens the batch
-//! consumed, in one atomic step, before the scheduler makes the queued
-//! tokens visible. A token is therefore counted from before anyone can
-//! take it until the batch that consumed it has settled, and the count
-//! reaching zero means no token of that invocation exists anywhere —
-//! queued, stolen, mid-fire or parked in a worker's pair map — at which
-//! point the slot is finalized: its leftover rendezvous entries are
-//! purged from the shared table and the run is classified (recorded
-//! error > injected drops > deadlock > success).
+//! with the rest of the tally: at the end of a batch each invocation's
+//! count rises by the tokens the batch queued for it and falls by the
+//! tokens the batch consumed, in one atomic step, after the tally's
+//! statistics and before the scheduler makes the queued tokens visible.
+//! A token is therefore counted from before anyone can take it until the
+//! batch that consumed it has settled, and the count reaching zero means
+//! no token of that invocation exists anywhere — queued, stolen, mid-fire
+//! or parked in a worker's pair map — and that every batch that touched
+//! the invocation has settled. At that point the slot is finalized: its
+//! leftover rendezvous entries, if its settled parked count says it has
+//! any, are purged from the shared table, and the run is classified
+//! (recorded error > fuel overrun > injected drops > deadlock > success).
+//!
+//! Fuel is checked against the settled firing count plus the checking
+//! batch's own, so a single worker refuses exactly the first firing past
+//! the budget. Several workers can each fire within their batch's view of
+//! the budget and overrun it together; finalize turns a settled total
+//! above the budget into [`MachineError::FuelExhausted`], so the verdict
+//! is the same at every worker count.
 
-use crate::chaos::ChaosTallies;
+use crate::chaos::{ChaosConfig, ChaosRng, ChaosTallies};
 use crate::compiled::{
     fire_op, key_inv, unkey_inv, CKind, CompiledGraph, Engine, FireInputs, FireVals, SlotVals,
 };
@@ -68,7 +83,7 @@ use crate::exec::MachineError;
 use crate::hash::{shard64, FxHashMap};
 use crate::memory::{DeferredRead, MemError};
 use crate::metrics::{ParMetrics, ServeStats, WorkerStats};
-use crate::parallel::{ChaosState, ExecutorPool, ParConfig, ParMemory, ParOutcome, ParTagTable};
+use crate::parallel::{ExecutorPool, ParConfig, ParMemory, ParOutcome, ParTagTable};
 use crate::scheduler::{lock, render_panic, Ctx, Outcome, Scheduler};
 use crate::tag::{TagId, TagSplit};
 use crate::trace::TraceEvent;
@@ -78,7 +93,7 @@ use std::cell::UnsafeCell;
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
@@ -112,29 +127,34 @@ struct InvCore {
     tags: ParTagTable,
 }
 
-/// The counters workers write while an invocation runs, aligned onto
-/// cache lines of their own: the per-firing writes never invalidate the
-/// line holding `core` and `failed_flag`, which every token reads. All
-/// but `live` are statistics written `Relaxed`; a worker writes them
-/// before its batch's `SeqCst` settlement of `live`, and the finalizer
-/// reads them after its own read-modify-write of `live` found zero,
-/// which orders every earlier settlement before it.
+/// An invocation's settled totals: every field is the sum of the
+/// [`Tally`] fields of the batches that have settled. Aligned onto a
+/// cache line of its own, so a settlement never invalidates the line
+/// holding `core` and `failed_flag`, which every token reads. All but
+/// `live` are statistics written `Relaxed`; a worker adds them before its
+/// batch's `SeqCst` settlement of `live`, and the finalizer reads them
+/// after its own read-modify-write of `live` found zero, which orders
+/// every earlier settlement before it.
 #[repr(align(64))]
 #[derive(Default)]
 struct InvCounters {
     /// Tokens of this invocation that exist anywhere (queued, being
-    /// processed, or waiting in a worker's pair map), settled once per
-    /// batch. Zero means quiescent — finalize.
+    /// processed, or waiting in a worker's pair map). Zero means
+    /// quiescent — finalize.
     live: AtomicU64,
     fired: AtomicU64,
     merged: AtomicU64,
     macro_fires: AtomicU64,
     ops_elided: AtomicU64,
-    /// Tokens taken off a run queue, settled once per batch.
+    /// Tokens taken off a run queue.
     processed: AtomicU64,
-    /// Joins completed on the worker-local fast path, settled once per
-    /// batch.
+    /// Joins completed on the worker-local fast path.
     fast_path: AtomicU64,
+    /// Entries of this invocation parked in the shared rendezvous table,
+    /// exact once the invocation is quiescent. One batch may complete
+    /// an entry another parked, and settle first, so a tally's share and
+    /// the running sum can be negative.
+    parked: AtomicI64,
     /// Chaos-injected token drops / duplicates charged to this
     /// invocation.
     drops: AtomicU64,
@@ -154,6 +174,38 @@ impl InvCounters {
             &self.dups,
         ] {
             c.store(0, Ordering::SeqCst);
+        }
+        self.parked.store(0, Ordering::SeqCst);
+    }
+
+    /// Add one batch's tally, statistics first and `live` last, and
+    /// report whether the invocation is now quiescent.
+    fn settle(&self, t: &Tally) -> bool {
+        for (c, v) in [
+            (&self.processed, t.consumed),
+            (&self.fired, t.fired),
+            (&self.merged, t.merged),
+            (&self.macro_fires, t.macro_fires),
+            (&self.ops_elided, t.ops_elided),
+            (&self.fast_path, t.fast),
+            (&self.drops, t.drops),
+            (&self.dups, t.dups),
+        ] {
+            if v > 0 {
+                c.fetch_add(v, Ordering::Relaxed);
+            }
+        }
+        if t.parked != 0 {
+            self.parked.fetch_add(t.parked, Ordering::Relaxed);
+        }
+        if t.pushed >= t.consumed {
+            // Equal counts still settle `live`: this read-modify-write is
+            // what orders the statistics above before the finalizer's.
+            self.live.fetch_add(t.pushed - t.consumed, Ordering::SeqCst);
+            false
+        } else {
+            let gone = t.consumed - t.pushed;
+            self.live.fetch_sub(gone, Ordering::SeqCst) == gone
         }
     }
 }
@@ -239,18 +291,19 @@ struct ServeState {
     dead: Option<MachineError>,
 }
 
-/// Whole-table rendezvous occupancy and its peak, on a cache line apart
-/// from the session fields every token reads.
-#[repr(align(64))]
+/// One shard of the shared rendezvous table.
 #[derive(Default)]
-struct Occupancy {
-    now: AtomicU64,
-    peak: AtomicU64,
+struct Shard {
+    map: FxHashMap<u64, SlotVals>,
+    /// The most entries `map` has held at once — what its capacity grew
+    /// to. Exact under the shard's lock; read once, when the run ends.
+    high: u64,
 }
 
-/// One worker's private state: the same-batch rendezvous fast path and
-/// the per-invocation tallies settled at the end of each batch. Only its
-/// own worker locks it — once per batch — so the mutex is uncontended.
+/// One worker's private state: the same-batch rendezvous fast path, the
+/// per-invocation tallies settled at the end of each batch, and the
+/// worker's share of the session's counters. Only its own worker locks
+/// it — once per batch — so the mutex is uncontended.
 #[derive(Default)]
 struct WorkerLocal {
     /// Half-filled two-input rendezvous, keyed like the shared table
@@ -263,41 +316,70 @@ struct WorkerLocal {
     /// This batch's per-invocation counts.
     tallies: Vec<Tally>,
     /// Index in `tallies` of the invocation whose token is being
-    /// processed; every token its firings queue is charged there.
+    /// processed; its firings are charged there.
     cur: usize,
     /// Joins completed through the fast path over the whole session.
     fast_path: u64,
+    /// This worker's fault stream; `None` (one branch per firing and per
+    /// emit call) on ordinary runs.
+    chaos: Option<Box<WorkerChaos>>,
 }
 
-/// What one batch did to one invocation.
-#[derive(Clone, Copy)]
+/// The executor's fault injection on one worker: the worker's own
+/// stream — a different stream family than the scheduler's delay/steal
+/// faults, so the two layers draw uncorrelated decisions from one
+/// campaign seed — and the destructive faults it injected.
+struct WorkerChaos {
+    cfg: ChaosConfig,
+    rng: ChaosRng,
+    panics: u64,
+    drops: u64,
+    dups: u64,
+}
+
+impl WorkerChaos {
+    fn new(cfg: ChaosConfig, worker: usize) -> WorkerChaos {
+        WorkerChaos {
+            cfg,
+            // Offset the seed so the executor's panic/drop/dup stream
+            // differs from the scheduler's delay/steal stream for the
+            // same (seed, worker).
+            rng: ChaosRng::for_worker(cfg.seed ^ 0x517c_c1b7_2722_0a95, worker),
+            panics: 0,
+            drops: 0,
+            dups: 0,
+        }
+    }
+}
+
+/// What one batch did to one invocation: the increments [`InvCounters`]
+/// receives when the batch settles.
+#[derive(Clone, Copy, Default)]
 struct Tally {
     inv: u32,
+    /// Firings this batch may make: the fuel the invocation's settled
+    /// firings left when the tally was opened.
+    fuel: u64,
     /// Tokens taken off the run queue.
     consumed: u64,
     /// Tokens queued (and so made live).
     pushed: u64,
+    fired: u64,
+    /// Deposits that waited for a partner: one per fast-path join, one
+    /// per shared-table deposit that left its slot incomplete.
+    merged: u64,
+    macro_fires: u64,
+    ops_elided: u64,
     /// Fast-path joins: two tokens born and consumed within the batch.
     fast: u64,
+    /// Entries parked in the shared table minus entries completed there.
+    parked: i64,
+    drops: u64,
+    dups: u64,
 }
 
-impl WorkerLocal {
-    /// Index of `inv`'s tally in this batch, created on first use.
-    fn tally(&mut self, inv: u32) -> usize {
-        match self.tallies.iter().rposition(|t| t.inv == inv) {
-            Some(i) => i,
-            None => {
-                self.tallies.push(Tally {
-                    inv,
-                    consumed: 0,
-                    pushed: 0,
-                    fast: 0,
-                });
-                self.tallies.len() - 1
-            }
-        }
-    }
-}
+/// `(sequence number, worker, op, tag)` of one firing of a solo run.
+type FireEvent = (u64, usize, OpId, TagId);
 
 /// Bounded ring of fire events for post-mortem debugging of deadlocks
 /// and tag mismatches. Keeps the *last* `cap` firings. Absent (and
@@ -305,9 +387,8 @@ impl WorkerLocal {
 /// [`ParConfig::trace_capacity`].
 struct TraceRing {
     cap: usize,
-    seq: AtomicU64,
-    /// `(sequence number, worker, op, tag)` of the solo invocation.
-    buf: Mutex<VecDeque<(u64, usize, OpId, TagId)>>,
+    /// The next sequence number, and the last firings.
+    buf: Mutex<(u64, VecDeque<FireEvent>)>,
 }
 
 impl TraceRing {
@@ -315,20 +396,20 @@ impl TraceRing {
         let cap = cap.max(1);
         TraceRing {
             cap,
-            seq: AtomicU64::new(0),
             // Preallocation is bounded: callers may ask for an effectively
             // unbounded ring (cap = usize::MAX) and let it grow on demand.
-            buf: Mutex::new(VecDeque::with_capacity(cap.min(4096))),
+            buf: Mutex::new((0, VecDeque::with_capacity(cap.min(4096)))),
         }
     }
 
     fn push(&self, worker: usize, op: OpId, tag: TagId) {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let mut buf = lock(&self.buf);
+        let mut guard = lock(&self.buf);
+        let (seq, buf) = &mut *guard;
         if buf.len() == self.cap {
             buf.pop_front();
         }
-        buf.push_back((seq, worker, op, tag));
+        buf.push_back((*seq, worker, op, tag));
+        *seq += 1;
     }
 }
 
@@ -348,17 +429,11 @@ struct Session<'g> {
     /// A solo run: its tag interner names no invocation, and only it
     /// keeps a fire-event ring.
     solo: bool,
-    /// Fault injection for panics/drops/dups. Boxed so an ordinary run
-    /// pays one null check per firing / per emit call and the chaos
-    /// machinery stays off the session's hot cache lines.
-    chaos: Option<Box<ChaosState>>,
     /// Rendezvous slots shared by all invocations, keyed by
     /// [`key_inv`]; sharded by [`shard64`].
-    slots: Vec<Mutex<FxHashMap<u64, SlotVals>>>,
-    /// Per-shard high-water marks of the slot table.
-    slot_high: Vec<AtomicU64>,
-    occupancy: Occupancy,
-    /// Worker-local fast-path state and batch tallies, indexed by worker.
+    slots: Vec<Mutex<Shard>>,
+    /// Worker-local fast-path state, batch tallies and fault streams,
+    /// indexed by worker.
     locals: Vec<Mutex<WorkerLocal>>,
     /// Optional bounded fire-event ring; `None` (zero allocation, one
     /// branch per firing) on ordinary runs.
@@ -386,14 +461,16 @@ impl<'g> Session<'g> {
             tag_cap: split.tag_cap().min(cfg.tag_cap),
             fuel: cfg.fuel,
             solo,
-            chaos: cfg.chaos.map(|c| Box::new(ChaosState::new(c, n_workers))),
-            slots: std::iter::repeat_with(|| Mutex::new(FxHashMap::default()))
+            slots: std::iter::repeat_with(|| Mutex::new(Shard::default()))
                 .take(SLOT_SHARDS)
                 .collect(),
-            slot_high: (0..SLOT_SHARDS).map(|_| AtomicU64::new(0)).collect(),
-            occupancy: Occupancy::default(),
             locals: (0..n_workers)
-                .map(|_| Mutex::new(WorkerLocal::default()))
+                .map(|w| {
+                    Mutex::new(WorkerLocal {
+                        chaos: cfg.chaos.map(|c| Box::new(WorkerChaos::new(c, w))),
+                        ..WorkerLocal::default()
+                    })
+                })
                 .collect(),
             trace: cfg.trace_capacity.filter(|_| solo).map(TraceRing::new),
             inv: (0..max_inflight).map(|_| InvSlot::new()).collect(),
@@ -436,7 +513,7 @@ impl Session<'_> {
         let mut guard = lock(&self.locals[ctx.worker()]);
         let local = &mut *guard;
         for t in batch.drain(..) {
-            local.cur = local.tally(t.inv);
+            local.cur = self.tally(local, t.inv);
             local.tallies[local.cur].consumed += 1;
             let slot = &self.inv[t.inv as usize];
             if slot.failed_flag.load(Ordering::SeqCst) {
@@ -487,7 +564,7 @@ impl Session<'_> {
         let mut pairs = std::mem::take(&mut local.pairs);
         for (k, halves) in pairs.drain() {
             let (op, inv, tag) = unkey_inv(k, self.split);
-            let i = local.tally(inv);
+            let i = self.tally(local, inv);
             for (port, v) in halves.into_iter().enumerate() {
                 if let Some(value) = v {
                     local.tallies[i].pushed += 1;
@@ -503,76 +580,33 @@ impl Session<'_> {
         local.pairs = pairs;
     }
 
-    /// Settle the batch's tallies, one live-count update per invocation.
-    /// It runs before the scheduler flushes the batch's queued tokens, so
-    /// a token is counted before anyone can take it; the count can only
+    /// Index of `inv`'s tally in this batch, opened on first use with
+    /// the fuel the invocation's settled firings leave.
+    fn tally(&self, local: &mut WorkerLocal, inv: u32) -> usize {
+        if let Some(i) = local.tallies.iter().rposition(|t| t.inv == inv) {
+            return i;
+        }
+        let fired = self.inv[inv as usize].n.fired.load(Ordering::Relaxed);
+        local.tallies.push(Tally {
+            inv,
+            fuel: self.fuel.saturating_sub(fired),
+            ..Tally::default()
+        });
+        local.tallies.len() - 1
+    }
+
+    /// Settle the batch's tallies, one settlement per invocation. It runs
+    /// before the scheduler flushes the batch's queued tokens, so a token
+    /// is counted before anyone can take it; the live count can only
     /// reach zero here when no token of the invocation is left anywhere,
     /// and the settler that sees zero finalizes it.
     fn settle(&self, local: &mut WorkerLocal) {
         for t in local.tallies.drain(..) {
-            let n = &self.inv[t.inv as usize].n;
-            n.processed.fetch_add(t.consumed, Ordering::Relaxed);
-            if t.fast > 0 {
-                // Each join consumed two tokens that never transited a
-                // run queue, fired one operator and merged one half.
-                n.fast_path.fetch_add(t.fast, Ordering::Relaxed);
-                n.merged.fetch_add(t.fast, Ordering::Relaxed);
-                local.fast_path += t.fast;
-            }
-            if t.pushed >= t.consumed {
-                n.live.fetch_add(t.pushed - t.consumed, Ordering::SeqCst);
-            } else {
-                let gone = t.consumed - t.pushed;
-                if n.live.fetch_sub(gone, Ordering::SeqCst) == gone {
-                    self.finalize(t.inv);
-                }
+            local.fast_path += t.fast;
+            if self.inv[t.inv as usize].n.settle(&t) {
+                self.finalize(t.inv);
             }
         }
-    }
-
-    /// Rendezvous one value in the shared table.
-    fn deposit(
-        &self,
-        inv: u32,
-        k: u64,
-        idx: usize,
-        value: i64,
-        mk: impl FnOnce() -> SlotVals,
-    ) -> Deposit {
-        let s = shard64(k, SLOT_SHARDS);
-        let mut shard = lock(&self.slots[s]);
-        match shard.entry(k) {
-            Entry::Occupied(mut e) => {
-                let vals = e.get_mut();
-                if vals.is_filled(idx) {
-                    return Deposit::Collision;
-                }
-                vals.set(idx, value);
-                if vals.is_complete() {
-                    let vals = e.remove().into_vals();
-                    drop(shard);
-                    self.occupancy.now.fetch_sub(1, Ordering::Relaxed);
-                    return Deposit::Fire(vals);
-                }
-            }
-            Entry::Vacant(e) => {
-                let mut vals = mk();
-                vals.set(idx, value);
-                if vals.is_complete() {
-                    return Deposit::Fire(vals.into_vals());
-                }
-                e.insert(vals);
-                // Waiting-matching pressure: whole-table peak plus a
-                // per-shard high-water mark (the shard length is exact
-                // under its lock).
-                let now = self.occupancy.now.fetch_add(1, Ordering::Relaxed) + 1;
-                self.occupancy.peak.fetch_max(now, Ordering::Relaxed);
-                self.slot_high[s].fetch_max(shard.len() as u64, Ordering::Relaxed);
-            }
-        }
-        drop(shard);
-        self.inv[inv as usize].n.merged.fetch_add(1, Ordering::Relaxed);
-        Deposit::Wait
     }
 
     /// Purge every rendezvous entry of `inv` from the shared table,
@@ -583,14 +617,13 @@ impl Session<'_> {
     fn purge(&self, inv: u32, core: &InvCore) -> (u64, Vec<String>) {
         let mut parked = 0u64;
         let mut pending: Vec<String> = Vec::new();
-        // An empty table holds none of `inv`'s entries: each insert
-        // raised `now` before its batch settled `live`, which ordered it
-        // before this finalization, and every decrement follows its own
-        // entry's increment.
-        let occupied = self.occupancy.now.load(Ordering::Relaxed) > 0;
+        // The settled parked count is exact here: every batch that parked
+        // or completed one of `inv`'s entries settled before `live` could
+        // reach zero. With none parked, no shard is locked.
+        let occupied = self.inv[inv as usize].n.parked.load(Ordering::Relaxed) > 0;
         for shard in self.slots.iter().filter(|_| occupied) {
             let mut shard = lock(shard);
-            shard.retain(|&k, vals| {
+            shard.map.retain(|&k, vals| {
                 let (op, k_inv, tag) = unkey_inv(k, self.split);
                 if k_inv != inv {
                     return true;
@@ -607,9 +640,6 @@ impl Session<'_> {
                 false
             });
         }
-        if parked > 0 {
-            self.occupancy.now.fetch_sub(parked, Ordering::Relaxed);
-        }
         pending.sort();
         pending.truncate(10);
         if pending.is_empty() {
@@ -624,7 +654,8 @@ impl Session<'_> {
     /// Classify a quiescent invocation, push the result, and return its
     /// slot to the free list. Precedence: a recorded failure (collision,
     /// tag or memory fault, fuel, tag exhaustion, a caught operator
-    /// panic) is the root cause; injected drops are deterministically a
+    /// panic) is the root cause; then settled firings beyond the fuel
+    /// budget, which no single batch saw; injected drops are deterministically a
     /// `TokenLeak`, whether the missing tokens stranded rendezvous
     /// partners or not — a vanished token must never masquerade as
     /// anything else; quiescence without `End` is a deadlock. A slot
@@ -639,6 +670,10 @@ impl Session<'_> {
         let failure = lock(&slot.failed).take();
         let result = if let Some(e) = failure {
             Err(e)
+        } else if slot.n.fired.load(Ordering::Relaxed) > self.fuel {
+            // Workers that each fired within their batch's view of the
+            // budget overran it together.
+            Err(MachineError::FuelExhausted)
         } else if drops > 0 {
             Err(MachineError::TokenLeak {
                 leftover: drops + parked,
@@ -736,18 +771,24 @@ impl Session<'_> {
 
     /// Faults injected over the whole session.
     fn chaos_tallies(&self, workers: &[WorkerStats]) -> ChaosTallies {
-        let injected = |f: fn(&ChaosState) -> &AtomicU64| {
-            self.chaos
-                .as_deref()
-                .map_or(0, |c| f(c).load(Ordering::Relaxed))
-        };
-        ChaosTallies {
+        let mut tallies = ChaosTallies {
             delays: workers.iter().map(|w| w.chaos_delays).sum(),
             forced_steals: workers.iter().map(|w| w.chaos_forced_steals).sum(),
-            panics: injected(|c| &c.panics),
-            drops: injected(|c| &c.drops),
-            dups: injected(|c| &c.dups),
+            ..ChaosTallies::default()
+        };
+        for local in &self.locals {
+            if let Some(ch) = &lock(local).chaos {
+                tallies.panics += ch.panics;
+                tallies.drops += ch.drops;
+                tallies.dups += ch.dups;
+            }
         }
+        tallies
+    }
+
+    /// Each shard's high-water mark, read once the run is over.
+    fn slot_marks(&self) -> Vec<u64> {
+        self.slots.iter().map(|s| lock(s).high).collect()
     }
 
     /// Run the scheduler on `pool` until it drains or halts, under the
@@ -866,7 +907,7 @@ impl Firing<'_, '_, '_> {
                 SlotVals::new(cg.imms(op), desc.is_hot())
             }
         };
-        match self.sh.deposit(self.inv, k, idx, t.value, fresh) {
+        match self.deposit(k, idx, t.value, fresh) {
             Deposit::Fire(vals) => self.fire(op, tag, FireInputs::Full(vals.as_slice())),
             Deposit::Wait => {}
             Deposit::Collision => {
@@ -875,6 +916,47 @@ impl Firing<'_, '_, '_> {
                     .fail_inv(self.inv, MachineError::TokenCollision { op, port, tag });
             }
         }
+    }
+
+    /// Rendezvous one value in the shared table, charging a wait to
+    /// `merged` and an entry that parks or leaves to `parked`.
+    fn deposit(
+        &mut self,
+        k: u64,
+        idx: usize,
+        value: i64,
+        mk: impl FnOnce() -> SlotVals,
+    ) -> Deposit {
+        let mut guard = lock(&self.sh.slots[shard64(k, SLOT_SHARDS)]);
+        let shard = &mut *guard;
+        let tally = &mut self.local.tallies[self.local.cur];
+        match shard.map.entry(k) {
+            Entry::Occupied(mut e) => {
+                let vals = e.get_mut();
+                if vals.is_filled(idx) {
+                    return Deposit::Collision;
+                }
+                vals.set(idx, value);
+                if vals.is_complete() {
+                    let vals = e.remove().into_vals();
+                    drop(guard);
+                    tally.parked -= 1;
+                    return Deposit::Fire(vals);
+                }
+            }
+            Entry::Vacant(e) => {
+                let mut vals = mk();
+                vals.set(idx, value);
+                if vals.is_complete() {
+                    return Deposit::Fire(vals.into_vals());
+                }
+                e.insert(vals);
+                shard.high = shard.high.max(shard.map.len() as u64);
+                tally.parked += 1;
+            }
+        }
+        tally.merged += 1;
+        Deposit::Wait
     }
 
     /// The rendezvous of a fused loop-entry/switch pair: a token on port
@@ -931,19 +1013,15 @@ impl Firing<'_, '_, '_> {
     /// failure.
     fn fire(&mut self, op: OpId, tag: TagId, inputs: FireInputs<'_>) {
         let sh = self.sh;
-        let prev = sh.inv[self.inv as usize]
-            .n
-            .fired
-            .fetch_add(1, Ordering::Relaxed);
-        if prev >= sh.fuel {
+        let tally = &mut self.local.tallies[self.local.cur];
+        if tally.fired >= tally.fuel {
             return sh.fail_inv(self.inv, MachineError::FuelExhausted);
         }
-        if let Some(ch) = &sh.chaos {
+        tally.fired += 1;
+        if let Some(ch) = &mut self.local.chaos {
             // Caught per token: the panic fails only this invocation.
-            if ch.cfg.panic_prob > 0.0
-                && lock(&ch.rngs[self.ctx.worker()]).chance(ch.cfg.panic_prob)
-            {
-                ch.panics.fetch_add(1, Ordering::Relaxed);
+            if ch.cfg.panic_prob > 0.0 && ch.rng.chance(ch.cfg.panic_prob) {
+                ch.panics += 1;
                 panic!("chaos: injected operator panic at {op:?}");
             }
         }
@@ -979,7 +1057,11 @@ impl Firing<'_, '_, '_> {
             if let [Some(a), Some(b)] = *slot {
                 self.local.pairs.remove(&k);
                 self.local.ready.push((k, [a, b]));
-                self.local.tallies[self.local.cur].fast += 1;
+                // Two tokens that never transit a run queue: one fires
+                // the operator, the other merged into the pair.
+                let tally = &mut self.local.tallies[self.local.cur];
+                tally.fast += 1;
+                tally.merged += 1;
             }
             return;
         }
@@ -1007,30 +1089,23 @@ impl Firing<'_, '_, '_> {
     #[cold]
     #[inline(never)]
     fn emit_chaos(&mut self, op: OpId, out_port: usize, value: i64, tag: TagId) {
-        let sh = self.sh;
-        let ch = sh.chaos.as_deref().expect("checked by emit");
-        let n = &sh.inv[self.inv as usize].n;
-        for &to in sh.cg.dests(op, out_port) {
-            {
-                let mut rng = lock(&ch.rngs[self.ctx.worker()]);
-                if ch.cfg.drop_prob > 0.0 && rng.chance(ch.cfg.drop_prob) {
-                    drop(rng);
-                    ch.drops.fetch_add(1, Ordering::Relaxed);
-                    n.drops.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                if ch.cfg.dup_prob > 0.0 && sh.cg.desc(to.op).dup_ok() && rng.chance(ch.cfg.dup_prob)
-                {
-                    drop(rng);
-                    ch.dups.fetch_add(1, Ordering::Relaxed);
-                    n.dups.fetch_add(1, Ordering::Relaxed);
-                    self.push(Token {
-                        to,
-                        tag,
-                        inv: self.inv,
-                        value,
-                    });
-                }
+        let cg = self.sh.cg;
+        for &to in cg.dests(op, out_port) {
+            let ch = self.local.chaos.as_deref_mut().expect("checked by emit");
+            if ch.cfg.drop_prob > 0.0 && ch.rng.chance(ch.cfg.drop_prob) {
+                ch.drops += 1;
+                self.local.tallies[self.local.cur].drops += 1;
+                continue;
+            }
+            if ch.cfg.dup_prob > 0.0 && cg.desc(to.op).dup_ok() && ch.rng.chance(ch.cfg.dup_prob) {
+                ch.dups += 1;
+                self.local.tallies[self.local.cur].dups += 1;
+                self.push(Token {
+                    to,
+                    tag,
+                    inv: self.inv,
+                    value,
+                });
             }
             self.send(to, value, tag);
         }
@@ -1041,7 +1116,7 @@ impl Engine for Firing<'_, '_, '_> {
     fn emit(&mut self, op: OpId, out_port: usize, value: i64, tag: TagId) {
         // One null check per emit call; the per-destination fault draws
         // live in the out-of-line chaos variant.
-        if self.sh.chaos.is_some() {
+        if self.local.chaos.is_some() {
             return self.emit_chaos(op, out_port, value, tag);
         }
         for &to in self.sh.cg.dests(op, out_port) {
@@ -1108,9 +1183,9 @@ impl Engine for Firing<'_, '_, '_> {
     }
 
     fn macro_fired(&mut self, elided: u64) {
-        let n = &self.sh.inv[self.inv as usize].n;
-        n.macro_fires.fetch_add(1, Ordering::Relaxed);
-        n.ops_elided.fetch_add(elided, Ordering::Relaxed);
+        let tally = &mut self.local.tallies[self.local.cur];
+        tally.macro_fires += 1;
+        tally.ops_elided += elided;
     }
 }
 
@@ -1300,7 +1375,7 @@ pub fn serve<R>(
         failed: st.completed_err,
         peak_inflight: st.peak_inflight as u64,
         tokens_processed: workers.iter().map(|w| w.processed).sum(),
-        max_pending_slots: sh.occupancy.peak.load(Ordering::Relaxed),
+        max_pending_slots: sh.slot_marks().iter().sum(),
         chaos: sh.chaos_tallies(&workers),
         workers,
     };
@@ -1371,16 +1446,13 @@ pub(crate) fn run_solo(
     };
     metrics.workers = sh.worker_stats(outcome.workers);
     metrics.chaos = sh.chaos_tallies(&metrics.workers);
-    metrics.max_pending_slots = sh.occupancy.peak.load(Ordering::Relaxed);
-    metrics.slot_shard_high_water = sh
-        .slot_high
-        .iter()
-        .map(|h| h.load(Ordering::Relaxed))
-        .collect();
+    metrics.slot_shard_high_water = sh.slot_marks();
+    metrics.max_pending_slots = metrics.slot_shard_high_water.iter().sum();
     let trace = sh.trace.as_ref().map_or_else(Vec::new, |ring| {
         // SAFETY: every worker has exited.
         let tags = &unsafe { sh.inv[0].core() }.tags;
         lock(&ring.buf)
+            .1
             .iter()
             .map(|&(time, worker, op, tag)| TraceEvent {
                 time,
@@ -1539,6 +1611,40 @@ mod tests {
         };
         let (results, _) = run_concurrent(&cg, &layout, &pool, 4, &cfg, 5);
         assert!(results.iter().all(|r| r.is_ok()));
+    }
+
+    /// Workers that each fire within their own batch's view of the fuel
+    /// budget can overrun it together with no firing refused; finalize
+    /// must still call that `FuelExhausted`. Forced here by settling one
+    /// batch that fired past the budget and drained the invocation.
+    #[test]
+    fn finalize_reports_a_fuel_overrun_no_batch_refused() {
+        let (g, layout) = small_graph();
+        let cg = compile(&g).unwrap();
+        let cfg = ParConfig {
+            fuel: 2,
+            ..ParConfig::default()
+        };
+        let sh = Session::new(&cg, 1, 1, &cfg, true);
+        let sched: Scheduler<Token> = Scheduler::new(1);
+        ServeHandle {
+            sh: &sh,
+            sched: &sched,
+        }
+        .submit(&layout);
+        let n = &sh.inv[0].n;
+        let overrun = Tally {
+            consumed: n.live.load(Ordering::SeqCst),
+            fired: 3,
+            ..Tally::default()
+        };
+        assert!(n.settle(&overrun), "the batch drained the invocation");
+        sh.finalize(0);
+        let (_, result) = lock(&sh.state).completed.pop_front().expect("finalized");
+        assert!(
+            matches!(result, Err(MachineError::FuelExhausted)),
+            "{result:?}"
+        );
     }
 
     #[test]

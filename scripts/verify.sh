@@ -13,6 +13,11 @@ cargo build --release --offline
 echo "==> tier-1: cargo test -q --offline"
 cargo test -q --offline
 
+echo "==> member crates: unit tests of lang, cfg, dfg, core, machine and bench"
+# The tier-1 stage runs only the root package's tests; the member crates'
+# own unit tests (scheduler, serve engine, bench gate table, ...) run here.
+cargo test -q --offline --workspace --exclude cf2df
+
 echo "==> default features must be warning-free (full build, all targets)"
 RUSTFLAGS="-Dwarnings" cargo build --workspace --all-targets --offline
 
@@ -61,7 +66,7 @@ echo "==> bench gate: every counter exact against the committed quick baselines"
 # alternating e2ebench pairs against the bounds in BENCHMARK.json.
 for kind in pipeline executor translate throughput; do
     target/release/cf2df check-bench \
-        "target/bench-smoke/BENCH_$kind.json" --compare "BENCH_$kind.quick.json"
+        "target/bench-smoke/BENCH_$kind.quick.json" --compare "BENCH_$kind.quick.json"
 done
 
 echo "==> fusion gate: corpus equivalence + token-traffic reduction"
@@ -71,8 +76,8 @@ echo "==> fusion gate: corpus equivalence + token-traffic reduction"
 # least 25% fewer tokens than the unfused one, at every worker count.
 target/release/cf2df fuse-check
 target/release/cf2df check-bench \
-    target/bench-smoke/BENCH_executor.json \
-    --compare target/bench-smoke-nofuse/BENCH_executor.json
+    target/bench-smoke/BENCH_executor.quick.json \
+    --compare target/bench-smoke-nofuse/BENCH_executor.quick.json
 
 echo "==> best-effort: --all-features (proptest = 8x heavy property mode)"
 if cargo build --workspace --all-features --offline; then

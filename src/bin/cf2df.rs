@@ -64,7 +64,9 @@
 //! counters — and `BENCH_throughput.json`, which measures the
 //! multiplexed serve engine's requests/second at every worker count ×
 //! inflight level against a back-to-back serial baseline (`--quick`
-//! shrinks workloads and timing budgets for CI smoke runs; `--no-fuse`
+//! shrinks workloads and timing budgets for CI smoke runs and names the
+//! files `BENCH_<kind>.quick.json`, as the committed gate baselines are
+//! named, so `bench --quick --out-dir .` regenerates them; `--no-fuse`
 //! benches with macro-op fusion disabled, for fused-vs-unfused
 //! baselines). `check-bench` validates artifact files against the schema
 //! and applies the gate an artifact's kind decides on its own: on a
@@ -216,17 +218,22 @@ fn run_bench(quick: bool, fuse: bool, out_dir: &str) {
     });
     type Render = fn(bool, bool) -> Result<String, String>;
     let artifacts: [(&str, Render); 4] = [
-        ("BENCH_pipeline.json", cf2df::bench::artifacts::pipeline_artifact),
-        ("BENCH_executor.json", cf2df::bench::artifacts::executor_artifact),
-        ("BENCH_translate.json", cf2df::bench::artifacts::translate_artifact),
-        ("BENCH_throughput.json", cf2df::bench::artifacts::throughput_artifact),
+        ("pipeline", cf2df::bench::artifacts::pipeline_artifact),
+        ("executor", cf2df::bench::artifacts::executor_artifact),
+        ("translate", cf2df::bench::artifacts::translate_artifact),
+        ("throughput", cf2df::bench::artifacts::throughput_artifact),
     ];
-    for (name, render) in artifacts {
+    // Quick artifacts carry the committed gate baselines' names, so a
+    // quick run never overwrites a full-size artifact, and regenerating
+    // the baselines is `--quick --out-dir .`.
+    let suffix = if quick { ".quick.json" } else { ".json" };
+    for (kind, render) in artifacts {
+        let name = format!("BENCH_{kind}{suffix}");
         let doc = render(quick, fuse).unwrap_or_else(|e| {
             eprintln!("bench failed rendering {name}: {e}");
             exit(1)
         });
-        let path = std::path::Path::new(out_dir).join(name);
+        let path = std::path::Path::new(out_dir).join(&name);
         std::fs::write(&path, doc + "\n").unwrap_or_else(|e| {
             eprintln!("cannot write {}: {e}", path.display());
             exit(2)

@@ -269,6 +269,53 @@ fn runaway_graph_is_bounded_by_fuel() {
     }
 }
 
+/// Fuel verdicts of solo runs are exact at every width: a budget one
+/// short of a program's firing count fails with `FuelExhausted`, and a
+/// budget of exactly its firing count succeeds. One worker refuses the
+/// first firing past the budget; several workers can overrun it together
+/// before their batches settle, and the verdict must not change.
+#[test]
+fn fuel_verdicts_are_exact_at_every_width() {
+    let (_, stencil) = cf2df::lang::corpus::all()
+        .into_iter()
+        .find(|&(name, _)| name == "stencil")
+        .expect("stencil is a corpus program");
+    let kernel = cf2df::bench::workloads::array_update_kernel(4, 8);
+    for (name, src) in [("stencil", stencil), ("array_update_kernel(4, 8)", &kernel)] {
+        let parsed = parse_to_cfg(src).unwrap();
+        let opts = TranslateOptions::full_parallel_schema3();
+        let t = translate(&parsed.cfg, &parsed.alias, &opts).unwrap();
+        let layout = MemLayout::distinct(&t.cfg.vars);
+        let sim = run(&t.dfg, &layout, MachineConfig::unbounded()).unwrap();
+        let fired = sim.stats.fired;
+        let cg = compile(&t.dfg).expect("translated graphs compile");
+        for workers in WORKERS {
+            let pool = ExecutorPool::new(workers);
+            for round in 0..10 {
+                let at = |fuel: u64| {
+                    let cfg = ParConfig {
+                        fuel,
+                        ..with_watchdog(None)
+                    };
+                    run_threaded_compiled_pooled_with(&cg, &layout, &pool, &cfg).0
+                };
+                let short = at(fired - 1);
+                assert!(
+                    matches!(short, Err(MachineError::FuelExhausted)),
+                    "{name} at {workers} workers, round {round}: fuel {} of {fired} gave {:?}",
+                    fired - 1,
+                    short.map(|out| out.fired)
+                );
+                let exact = at(fired).unwrap_or_else(|e| {
+                    panic!("{name} at {workers} workers, round {round}: fuel {fired}: {e}")
+                });
+                assert_eq!(exact.memory, sim.memory, "{name} at {workers} workers");
+                assert_eq!(exact.fired, fired, "{name} at {workers} workers");
+            }
+        }
+    }
+}
+
 #[test]
 fn runaway_graph_is_bounded_by_the_watchdog() {
     let (g, layout) = spin_graph();

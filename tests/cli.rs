@@ -130,11 +130,11 @@ fn bench_writes_valid_artifacts_and_check_bench_verifies_them() {
     let dir_s = dir.to_str().unwrap();
     let (_, stderr, ok) = cf2df(&["bench", "--quick", "--out-dir", dir_s]);
     assert!(ok, "{stderr}");
-    assert!(stderr.contains("BENCH_pipeline.json"), "{stderr}");
-    assert!(stderr.contains("BENCH_executor.json"), "{stderr}");
+    assert!(stderr.contains("BENCH_pipeline.quick.json"), "{stderr}");
+    assert!(stderr.contains("BENCH_executor.quick.json"), "{stderr}");
 
-    let pipeline = dir.join("BENCH_pipeline.json");
-    let executor = dir.join("BENCH_executor.json");
+    let pipeline = dir.join("BENCH_pipeline.quick.json");
+    let executor = dir.join("BENCH_executor.quick.json");
     let (stdout, stderr, ok) =
         cf2df(&["check-bench", pipeline.to_str().unwrap(), executor.to_str().unwrap()]);
     assert!(ok, "{stderr}");
@@ -161,7 +161,7 @@ fn check_bench_compare_gates_regressions() {
     let dir_s = dir.to_str().unwrap();
     let (_, stderr, ok) = cf2df(&["bench", "--quick", "--out-dir", dir_s]);
     assert!(ok, "{stderr}");
-    let pipeline = dir.join("BENCH_pipeline.json");
+    let pipeline = dir.join("BENCH_pipeline.quick.json");
     let pipeline_s = pipeline.to_str().unwrap();
 
     // An artifact compared against itself passes and reports the count.
@@ -196,7 +196,7 @@ fn check_bench_compare_gates_regressions() {
 
     // Wall-clock medians are not compared across runs: a ~10x slower
     // executor artifact passes as long as its counters are equal.
-    let executor = dir.join("BENCH_executor.json");
+    let executor = dir.join("BENCH_executor.quick.json");
     let executor_s = executor.to_str().unwrap();
     let slower = dir.join("slower.json");
     let edoc = std::fs::read_to_string(&executor).unwrap();

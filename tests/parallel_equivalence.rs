@@ -31,10 +31,31 @@ fn check_corpus(opts: &TranslateOptions, label: &str) {
         let layout = MemLayout::distinct(&t.cfg.vars);
         let sim = run(&t.dfg, &layout, MachineConfig::unbounded())
             .unwrap_or_else(|e| panic!("{label}/{name}: simulator failed: {e:?}"));
+        // Counters settle once per batch per worker; at any width they
+        // must add up to the 1-worker run's, nothing lost or counted twice.
+        let mut one_worker = None;
         for workers in WORKERS {
             let par = run_threaded(&t.dfg, &layout, workers).unwrap_or_else(|e| {
                 panic!("{label}/{name} at {workers} workers: executor failed: {e:?}")
             });
+            let m = &par.metrics;
+            assert_eq!(
+                m.tokens_processed,
+                par.fired + m.merged,
+                "{label}/{name} at {workers} workers: every token fires or merges"
+            );
+            let counts = [
+                ("tokens_processed", m.tokens_processed),
+                ("merged", m.merged),
+                ("macro_fires", m.macro_fires),
+                ("ops_elided", m.ops_elided),
+                ("tags_created", m.tags_created),
+            ];
+            assert_eq!(
+                counts,
+                *one_worker.get_or_insert(counts),
+                "{label}/{name}: counters at {workers} workers differ from 1 worker"
+            );
             assert_eq!(
                 par.memory, sim.memory,
                 "{label}/{name}: memory diverged at {workers} workers"

@@ -603,6 +603,38 @@ fn interval_partition_matches_loop_structure() {
     }
 }
 
+/// The derived sequence of Allen–Cocke interval graphs is a reducibility
+/// oracle independent of the dominator-based loop forest: it ends in one
+/// node exactly when `LoopForest::compute` succeeds, on goto soups (often
+/// irreducible) and random structured programs, and it ends in one node
+/// on every graph node splitting returns.
+#[test]
+fn derived_sequence_decides_reducibility() {
+    use cf2df::cfg::intervals::derived_sequence;
+    let agree = |cfg: &Cfg, src: &str| {
+        let limit = *derived_sequence(cfg).last().expect("G0 is in the sequence");
+        assert_eq!(
+            limit == 1,
+            LoopForest::compute(cfg).is_ok(),
+            "limit graph of {limit} nodes\n{src}"
+        );
+    };
+    testkit::cases("derived_sequence_goto_soup", 60, |rng| {
+        let blocks = rng.range_usize(2, 8);
+        let src = goto_soup(rng.next_u64(), blocks);
+        let parsed = parse_to_cfg(&src).unwrap();
+        agree(&parsed.cfg, &src);
+        if let Ok(split) = split_irreducible(&parsed.cfg) {
+            assert_eq!(derived_sequence(&split).last(), Some(&1), "split\n{src}");
+        }
+    });
+    testkit::cases("derived_sequence_random", 40, |rng| {
+        let cfgen = gen_config(rng);
+        let src = random_program(rng.next_u64(), &cfgen);
+        agree(&parse_to_cfg(&src).unwrap().cfg, &src);
+    });
+}
+
 /// Goto-form emission round-trips the semantics of random programs.
 #[test]
 fn emitted_source_preserves_random_semantics() {
