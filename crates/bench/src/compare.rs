@@ -1,19 +1,17 @@
 //! The bench gate behind `cf2df check-bench`: one table, [`GATES`], says
-//! for each artifact kind how its rows are keyed, which of their fields
-//! are deterministic counters, and which gates a single run decides.
+//! for each artifact kind how its rows are keyed and which of their
+//! fields are deterministic counters. Every numeric field of an artifact
+//! is one of them, a row key, or a header field.
 //!
 //! Two artifacts of one kind compare equal only when every gated counter
 //! is equal, row by row. A decrease fails as an increase does, and a row
 //! present on only one side fails, so a change that moves a counter
-//! regenerates the committed quick baseline and the move shows in
-//! review. Wall-clock fields are never compared across runs: two runs of
-//! one binary on a shared host differ by more than any tolerance that
-//! could still catch a regression. Timing across commits is judged only
-//! in alternating pairs of the end-to-end benchmark.
+//! regenerates the committed baseline and the move shows in review.
+//! Artifacts hold no wall-clock field: timing across commits is judged
+//! only in alternating pairs of the end-to-end benchmark.
 //!
-//! The two gates that need no committed baseline are table entries too:
-//! [`Fusion`] compares a fused artifact with its unfused twin, and
-//! [`Multiplexing`] compares two arms of one throughput artifact.
+//! The one gate that needs no committed baseline is a table entry too:
+//! [`Fusion`] compares a fused artifact with its unfused twin.
 
 use crate::artifacts::validate_artifact;
 use crate::json::{self, Json};
@@ -46,22 +44,6 @@ pub struct Fusion {
     pub min_reduction: f64,
 }
 
-/// The multiplexing gate on one throughput artifact: at `workers`
-/// workers, req/s at inflight `inflight` must be at least `factor` times
-/// req/s at inflight 1 on at least `min_workloads` workloads. Both arms
-/// come from one paired measurement, so host drift cancels.
-#[derive(Debug)]
-pub struct Multiplexing {
-    /// Pool width of the two compared arms.
-    pub workers: f64,
-    /// Admission window of the multiplexed arm.
-    pub inflight: f64,
-    /// Least req/s ratio over the serial arm.
-    pub factor: f64,
-    /// Workloads that must reach `factor`.
-    pub min_workloads: usize,
-}
-
 /// The gate of one artifact kind.
 #[derive(Debug)]
 pub struct Gate {
@@ -69,18 +51,13 @@ pub struct Gate {
     pub kind: &'static str,
     /// Every set of rows the kind holds.
     pub rows: &'static [Rows],
-    /// Fields left ungated because they depend on timing or scheduling.
-    /// A listed object (a stats block, `per_worker`) is left out whole.
-    pub not_gated: &'static [&'static str],
     /// Gate applied when the compared artifacts differ in `fused`.
     pub fusion: Option<Fusion>,
-    /// Gate every artifact of this kind must pass on its own.
-    pub multiplexing: Option<Multiplexing>,
 }
 
-/// The gate table: every deterministic counter of the four artifact
-/// kinds, and the two gates that need no committed baseline.
-pub const GATES: [Gate; 4] = [
+/// The gate table: every deterministic counter of the three artifact
+/// kinds, and the fusion gate.
+pub const GATES: [Gate; 3] = [
     Gate {
         kind: "pipeline",
         rows: &[Rows {
@@ -98,9 +75,7 @@ pub const GATES: [Gate; 4] = [
                 "mem_ops",
             ],
         }],
-        not_gated: &[],
         fusion: None,
-        multiplexing: None,
     },
     Gate {
         kind: "translate",
@@ -119,9 +94,7 @@ pub const GATES: [Gate; 4] = [
                 "fused_ops",
             ],
         }],
-        not_gated: &["wall_ns"],
         fusion: None,
-        multiplexing: None,
     },
     Gate {
         kind: "executor",
@@ -154,45 +127,10 @@ pub const GATES: [Gate; 4] = [
                 ],
             },
         ],
-        not_gated: &[
-            "compile_wall_ns",
-            "simulator_wall_ns",
-            "wall_ns",
-            "speedup_vs_1w",
-            "fast_path_fires",
-            "max_pending_slots",
-            "deferred_reads",
-            "deferred_read_peak",
-            "per_worker",
-        ],
         fusion: Some(Fusion {
             prefix: "loop_nest",
             field: "tokens_processed",
             min_reduction: 0.25,
-        }),
-        multiplexing: None,
-    },
-    Gate {
-        kind: "throughput",
-        rows: &[
-            Rows {
-                array: None,
-                key: &[],
-                exact: &["fired"],
-            },
-            Rows {
-                array: Some("arms"),
-                key: &["workers", "inflight", "requests"],
-                exact: &["tokens_processed"],
-            },
-        ],
-        not_gated: &["wall_ns", "req_per_sec", "speedup_vs_inflight1"],
-        fusion: None,
-        multiplexing: Some(Multiplexing {
-            workers: 4.0,
-            inflight: 4.0,
-            factor: 1.3,
-            min_workloads: 2,
         }),
     },
 ];
@@ -263,46 +201,6 @@ pub(crate) fn rows(doc: &Json, gate: &Gate) -> Result<BTreeMap<String, Counters>
     Ok(out)
 }
 
-/// Validate one artifact and apply the gate its kind decides within one
-/// run. Returns the gate's failures, one line each (empty = passed); an
-/// invalid artifact is an error.
-pub fn check_artifact(text: &str) -> Result<Vec<String>, String> {
-    validate_artifact(text)?;
-    let doc = json::parse(text)?;
-    let Some(m) = &gate_of(&doc)?.multiplexing else {
-        return Ok(Vec::new());
-    };
-    let mut ratios = Vec::new();
-    for w in doc.get("workloads").and_then(Json::as_arr).unwrap_or(&[]) {
-        let arms = w.get("arms").and_then(Json::as_arr).unwrap_or(&[]);
-        let rate = |inflight: f64| {
-            arms.iter()
-                .find(|a| {
-                    a.get("workers").and_then(Json::as_num) == Some(m.workers)
-                        && a.get("inflight").and_then(Json::as_num) == Some(inflight)
-                })
-                .and_then(|a| a.get("req_per_sec").and_then(Json::as_num))
-        };
-        if let (Some(serial), Some(multi)) = (rate(1.0), rate(m.inflight)) {
-            let name = w.get("name").and_then(Json::as_str).unwrap_or("?");
-            ratios.push((name, multi / serial));
-        }
-    }
-    if ratios.iter().filter(|(_, r)| *r >= m.factor).count() >= m.min_workloads {
-        return Ok(Vec::new());
-    }
-    let seen: Vec<String> = ratios.iter().map(|(n, r)| format!("{n} {r:.2}x")).collect();
-    Ok(vec![format!(
-        "multiplexing gate: fewer than {} workloads reach {:.2}x req/s at inflight {} over \
-         inflight 1 on {} workers ({})",
-        m.min_workloads,
-        m.factor,
-        m.inflight,
-        m.workers,
-        seen.join(", ")
-    )])
-}
-
 /// Result of comparing two artifacts of one kind.
 #[derive(Debug)]
 pub struct Comparison {
@@ -321,10 +219,9 @@ pub struct Comparison {
 /// Compare a new artifact with an old one of the same kind.
 ///
 /// Both must validate, and their headers (every top-level field but
-/// `workloads` and `fused`: kind, schema version, quick mode, sweep)
-/// must be equal. Rows are matched by label: a row on one side only
-/// fails. If both sides agree on `fused`, every gated counter must be
-/// equal; otherwise the kind's [`Fusion`] gate decides, and a kind
+/// `workloads` and `fused`: kind, schema version, sweep) must be equal.
+/// Rows are matched by label: a row on one side only fails. If both
+/// sides agree on `fused`, every gated counter must be equal; otherwise the kind's [`Fusion`] gate decides, and a kind
 /// without one is an error.
 pub fn compare_artifacts(old_text: &str, new_text: &str) -> Result<Comparison, String> {
     validate_artifact(old_text).map_err(|e| format!("old artifact invalid: {e}"))?;
@@ -407,14 +304,11 @@ pub fn compare_artifacts(old_text: &str, new_text: &str) -> Result<Comparison, S
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::artifacts::{
-        executor_artifact, pipeline_artifact, throughput_artifact, translate_artifact,
-    };
+    use crate::artifacts::{executor_artifact, pipeline_artifact, translate_artifact};
 
-    const PIPELINE: &str = include_str!("../../../BENCH_pipeline.quick.json");
-    const TRANSLATE: &str = include_str!("../../../BENCH_translate.quick.json");
-    const EXECUTOR: &str = include_str!("../../../BENCH_executor.quick.json");
-    const THROUGHPUT: &str = include_str!("../../../BENCH_throughput.quick.json");
+    const PIPELINE: &str = include_str!("../../../BENCH_pipeline.json");
+    const TRANSLATE: &str = include_str!("../../../BENCH_translate.json");
+    const EXECUTOR: &str = include_str!("../../../BENCH_executor.json");
 
     /// Rewrite the number after each `"key":`, or after only the first
     /// `nth + 1`-th one when `nth` is given.
@@ -447,56 +341,44 @@ mod tests {
         compare_artifacts(old, new).unwrap().failures
     }
 
-    fn fresh_quick() -> [String; 4] {
+    fn fresh() -> [String; 3] {
         [
-            pipeline_artifact(true, true).unwrap(),
-            translate_artifact(true, true).unwrap(),
-            executor_artifact(true, true).unwrap(),
-            throughput_artifact(true, true).unwrap(),
+            pipeline_artifact(true).unwrap(),
+            translate_artifact(true).unwrap(),
+            executor_artifact(true).unwrap(),
         ]
     }
 
     #[test]
-    fn committed_quick_baselines_gate_every_counter() {
+    fn committed_baselines_gate_every_counter() {
         let mut total = 0;
-        for (doc, want) in [
-            (PIPELINE, 252),
-            (TRANSLATE, 315),
-            (EXECUTOR, 132),
-            (THROUGHPUT, 39),
-        ] {
+        for (doc, want) in [(PIPELINE, 252), (TRANSLATE, 315), (EXECUTOR, 132)] {
             let cmp = compare_artifacts(doc, doc).unwrap();
             assert!(cmp.failures.is_empty(), "{:?}", cmp.failures);
             assert!(!cmp.fusion);
             assert_eq!(cmp.compared, want, "{}", cmp.kind);
             total += cmp.compared;
-            assert!(check_artifact(doc).unwrap().is_empty(), "{}", cmp.kind);
         }
-        assert_eq!(total, 738);
+        assert_eq!(total, 699);
     }
 
     #[test]
-    fn quick_counters_repeat_exactly_across_runs() {
-        let first = fresh_quick();
-        let second = fresh_quick();
-        for (a, b) in first.iter().zip(&second) {
-            let cmp = compare_artifacts(a, b).unwrap();
-            assert!(cmp.failures.is_empty(), "{}: {:?}", cmp.kind, cmp.failures);
-        }
+    fn renders_repeat_byte_for_byte() {
+        let first = fresh();
+        assert_eq!(first, fresh());
         // A real unfused run clears the fusion gate.
-        let unfused = executor_artifact(true, false).unwrap();
+        let unfused = executor_artifact(false).unwrap();
         let cmp = compare_artifacts(&unfused, &first[2]).unwrap();
         assert!(cmp.fusion);
         assert!(cmp.failures.is_empty(), "{:?}", cmp.failures);
         assert!(cmp.compared >= 4, "{cmp:?}");
     }
 
-    /// Every numeric leaf of a fresh quick artifact is a gated counter, a
-    /// row key, a header field (compared by `compare_artifacts`), or on
-    /// the kind's `not_gated` list, so a counter added later cannot go
-    /// ungated unnoticed.
+    /// Every numeric leaf of a fresh artifact is a gated counter, a row
+    /// key, or a header field (compared by `compare_artifacts`), so a
+    /// counter added later cannot go ungated unnoticed.
     #[test]
-    fn every_numeric_field_is_gated_or_listed() {
+    fn every_numeric_field_is_gated() {
         fn leaves(v: &Json, path: &mut Vec<String>, out: &mut Vec<Vec<String>>) {
             match v {
                 Json::Num(_) => out.push(path.clone()),
@@ -511,14 +393,13 @@ mod tests {
                 _ => {}
             }
         }
-        for doc in fresh_quick() {
+        for doc in fresh() {
             let doc = json::parse(&doc).unwrap();
             let gate = gate_of(&doc).unwrap();
             let mut all = Vec::new();
             leaves(&doc, &mut Vec::new(), &mut all);
             for path in all {
                 let covered = path[0] != "workloads"
-                    || path.iter().any(|p| gate.not_gated.contains(&p.as_str()))
                     || gate.rows.iter().any(|set| {
                         let field = match set.array {
                             None => path[1..].join("."),
@@ -529,12 +410,7 @@ mod tests {
                         };
                         set.exact.contains(&field.as_str()) || set.key.contains(&field.as_str())
                     });
-                assert!(
-                    covered,
-                    "{}: {} is neither gated nor listed",
-                    gate.kind,
-                    path.join(".")
-                );
+                assert!(covered, "{}: {} is not gated", gate.kind, path.join("."));
             }
         }
     }
@@ -568,9 +444,9 @@ mod tests {
                 edit(EXECUTOR, "bytes", Some(1), |x| x - 8.0),
             ),
             (
-                "throughput tokens",
-                THROUGHPUT,
-                edit(THROUGHPUT, "tokens_processed", Some(5), |x| x + 1.0),
+                "executor tokens at 8 workers",
+                EXECUTOR,
+                edit(EXECUTOR, "tokens_processed", Some(3), |x| x + 1.0),
             ),
         ];
         for (what, old, new) in cases {
@@ -587,17 +463,6 @@ mod tests {
         let f = failures(EXECUTOR, &renamed);
         assert!(f.iter().any(|l| l.contains("only in the old")), "{f:?}");
         assert!(f.iter().any(|l| l.contains("only in the new")), "{f:?}");
-    }
-
-    #[test]
-    fn wall_clock_fields_are_not_compared() {
-        for doc in [PIPELINE, TRANSLATE, EXECUTOR, THROUGHPUT] {
-            if !doc.contains("\"median_ns\":") {
-                continue;
-            }
-            let slower = edit(doc, "median_ns", None, |x| x * 10.0);
-            assert!(failures(doc, &slower).is_empty());
-        }
     }
 
     #[test]
@@ -624,25 +489,15 @@ mod tests {
     }
 
     #[test]
-    fn multiplexing_gate_needs_1_3x_on_two_workloads() {
-        assert!(check_artifact(THROUGHPUT).unwrap().is_empty());
-        let flat = edit(THROUGHPUT, "req_per_sec", None, |_| 1000.0);
-        let f = check_artifact(&flat).unwrap();
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].contains("multiplexing gate"), "{f:?}");
-        // Other kinds have no one-run gate.
-        assert!(check_artifact(EXECUTOR).unwrap().is_empty());
-    }
-
-    #[test]
     fn mismatched_headers_are_rejected() {
         let err = compare_artifacts(PIPELINE, EXECUTOR).unwrap_err();
         assert!(err.contains("'artifact' differs"), "{err}");
-        let full_claimed = PIPELINE.replace("\"quick\":true", "\"quick\":false");
-        let err = compare_artifacts(PIPELINE, &full_claimed).unwrap_err();
-        assert!(err.contains("'quick' differs"), "{err}");
-        let resized = THROUGHPUT.replacen("\"requests\":8", "\"requests\":9", 1);
-        let err = compare_artifacts(THROUGHPUT, &resized).unwrap_err();
-        assert!(err.contains("'requests' differs"), "{err}");
+        let narrowed = EXECUTOR.replacen(
+            "\"worker_counts\":[1,2,4,8]",
+            "\"worker_counts\":[1,2,4]",
+            1,
+        );
+        let err = compare_artifacts(EXECUTOR, &narrowed).unwrap_err();
+        assert!(err.contains("'worker_counts' differs"), "{err}");
     }
 }

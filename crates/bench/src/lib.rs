@@ -10,14 +10,13 @@
 //! * [`figures`] — one reproduction function per paper figure/claim,
 //!   printed by the `figures` binary and recorded in `EXPERIMENTS.md`;
 //! * [`artifacts`] — the `cf2df bench` engine: render and validate the
-//!   `BENCH_pipeline.json` / `BENCH_executor.json` artifacts;
+//!   `BENCH_pipeline.json`, `BENCH_executor.json` and
+//!   `BENCH_translate.json` artifacts of exact counters;
+//! * [`compare`] — the exact gate behind `cf2df check-bench --compare`;
 //! * [`json`] — a hand-rolled RFC 8259 writer and validator (in-tree
 //!   replacement for `serde_json`, per the offline/no-deps build policy);
 //! * [`prng`] — a seedable xorshift64* generator (in-tree replacement for
-//!   the `rand` crate, per the offline/no-deps build policy);
-//! * [`timing`] — a minimal wall-clock micro-benchmark harness (in-tree
-//!   replacement for `criterion`) behind the artifacts' wall-clock
-//!   numbers.
+//!   the `rand` crate, per the offline/no-deps build policy).
 
 pub mod artifacts;
 pub mod compare;
@@ -25,7 +24,6 @@ pub mod figures;
 pub mod harness;
 pub mod json;
 pub mod prng;
-pub mod timing;
 pub mod workloads;
 
 pub use harness::{measure, measure_source, Measurement};

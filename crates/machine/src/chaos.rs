@@ -26,8 +26,8 @@
 //! interleaving the fault plan permits.
 //!
 //! The chaos layer is `Option`-gated everywhere: an ordinary run pays
-//! one `Option::is_none` branch per batch and per emitted token, which
-//! the `check-bench --compare` gate confirms is free.
+//! one `Option::is_none` branch per batch and per emitted token, and
+//! `cf2df bench` requires its tallies to read zero on every run it makes.
 
 /// Seeded per-worker random stream for fault decisions.
 ///

@@ -204,7 +204,7 @@ impl OpDesc {
 }
 
 /// Static footprint of a compiled graph, for `cf2df stats` and the
-/// bench artifacts (schema v4).
+/// executor bench artifact.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Footprint {
     /// Operator descriptors.

@@ -1386,7 +1386,7 @@ pub fn serve<R>(
 /// Submit `requests` invocations of `cg` over `layout` with at most
 /// `max_inflight` concurrent, and return their results in submission
 /// order plus the session stats. The convenience wrapper around
-/// [`serve()`] used by the CLI, the benches and the equivalence tests.
+/// [`serve()`] used by the CLI and the equivalence tests.
 pub fn run_concurrent(
     cg: &CompiledGraph,
     layout: &MemLayout,

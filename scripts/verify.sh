@@ -51,22 +51,21 @@ echo "==> serve smoke: concurrent multi-invocation engine (cf2df serve --quick)"
 target/release/cf2df serve --quick
 target/release/cf2df serve --quick --inflight 1 --workers 2 stencil
 
-echo "==> bench smoke: cf2df bench --quick, fused and --no-fuse"
-target/release/cf2df bench --quick --out-dir target/bench-smoke
-target/release/cf2df bench --quick --no-fuse --out-dir target/bench-smoke-nofuse
+echo "==> bench: cf2df bench, fused and --no-fuse"
+target/release/cf2df bench --out-dir target/bench-smoke
+target/release/cf2df bench --no-fuse --out-dir target/bench-smoke-nofuse
 
-echo "==> bench gate: every counter exact against the committed quick baselines"
+echo "==> bench gate: every counter exact against the committed baselines"
 # One table of deterministic counters (crates/bench/src/compare.rs):
 # every counter must equal the baseline's and every row must be present
 # on both sides. A change that moves a counter regenerates the baseline
-# in the same commit. check-bench also holds each throughput artifact
-# to its in-run multiplexing gate (1.3x req/s at inflight 4 over
-# inflight 1, 4 workers, two workloads). Wall-clock is not compared
-# across runs here: timing across commits is judged only in
-# alternating e2ebench pairs against the bounds in BENCHMARK.json.
-for kind in pipeline executor translate throughput; do
+# in the same commit (`cf2df bench` in the repository root, then
+# `git diff`). The artifacts hold no wall-clock field: timing across
+# commits is judged only in alternating e2ebench pairs against the
+# bounds in BENCHMARK.json.
+for kind in pipeline executor translate; do
     target/release/cf2df check-bench \
-        "target/bench-smoke/BENCH_$kind.quick.json" --compare "BENCH_$kind.quick.json"
+        "target/bench-smoke/BENCH_$kind.json" --compare "BENCH_$kind.json"
 done
 
 echo "==> fusion gate: corpus equivalence + token-traffic reduction"
@@ -76,8 +75,8 @@ echo "==> fusion gate: corpus equivalence + token-traffic reduction"
 # least 25% fewer tokens than the unfused one, at every worker count.
 target/release/cf2df fuse-check
 target/release/cf2df check-bench \
-    target/bench-smoke/BENCH_executor.quick.json \
-    --compare target/bench-smoke-nofuse/BENCH_executor.quick.json
+    target/bench-smoke/BENCH_executor.json \
+    --compare target/bench-smoke-nofuse/BENCH_executor.json
 
 echo "==> best-effort: --all-features (proptest = 8x heavy property mode)"
 if cargo build --workspace --all-features --offline; then

@@ -11,7 +11,7 @@
 //! cf2df stats      <file.imp> [SCHEMA] [TRANSFORMS]
 //! cf2df validate   <file.imp|file.dfg|corpus> [SCHEMA] [TRANSFORMS]
 //!                  [--json] [--mutations] [--seeds <n>]
-//! cf2df bench      [--quick] [--out-dir <dir>] [--no-fuse]
+//! cf2df bench      [--out-dir <dir>] [--no-fuse]
 //! cf2df check-bench <artifact.json> [<artifact.json>…] | <new.json> --compare <old.json>
 //! cf2df fuse-check [--workers <n>]
 //! cf2df chaos      [--quick] [--seeds <n>] [--workers <a,b,…>]
@@ -57,29 +57,25 @@
 //! (off, perturb) must always match. Exits non-zero on any violation.
 //! `--quick` shrinks the campaign for CI smoke runs.
 //!
-//! `bench` runs the canonical workloads through the simulator and the
-//! threaded executor at 1/2/4/8 workers and writes `BENCH_pipeline.json`,
-//! `BENCH_executor.json`, `BENCH_translate.json` — the last times the
-//! translation pipeline itself and records its deterministic pass/cache
-//! counters — and `BENCH_throughput.json`, which measures the
-//! multiplexed serve engine's requests/second at every worker count ×
-//! inflight level against a back-to-back serial baseline (`--quick`
-//! shrinks workloads and timing budgets for CI smoke runs and names the
-//! files `BENCH_<kind>.quick.json`, as the committed gate baselines are
-//! named, so `bench --quick --out-dir .` regenerates them; `--no-fuse`
-//! benches with macro-op fusion disabled, for fused-vs-unfused
-//! baselines). `check-bench` validates artifact files against the schema
-//! and applies the gate an artifact's kind decides on its own: on a
-//! throughput artifact, req/s at inflight 4 on 4 workers must be at
-//! least 1.3x the serial req/s on at least two workloads. With
-//! `--compare OLD.json` it also compares the (single) new artifact with
-//! `OLD.json` through one table of deterministic counters (fired,
-//! tokens, operators, arcs, analyses computed, …): every counter must be
-//! equal and every row present on both sides. When exactly one side is
-//! fused, the fusion gate replaces equality: every `loop_nest` row must
-//! process at least 25% fewer tokens fused. Wall-clock fields are never
-//! compared across runs; timing across commits is judged in alternating
-//! pairs of the end-to-end benchmark (`e2ebench/`).
+//! `bench` runs the canonical workloads through the translation
+//! pipeline, the simulator and the threaded executor at 1/2/4/8 workers
+//! and writes three artifacts of exact counters under the names of the
+//! committed baselines: `BENCH_pipeline.json` (simulated makespan and
+//! parallelism per translation configuration), `BENCH_executor.json`
+//! (firings, token traffic and compiled footprint at every worker
+//! count) and `BENCH_translate.json` (the pass manager's pass, cache and
+//! graph-size counters). Nothing in them is timed, so two runs write
+//! byte-identical files, and `bench` in the repository root followed by
+//! `git diff` regenerates the baselines. `--no-fuse` benches with
+//! macro-op fusion disabled, for the fused-vs-unfused contrast. `check-bench` validates artifact files
+//! against the schema. With `--compare OLD.json` it also compares the
+//! (single) new artifact with `OLD.json` through one table of
+//! deterministic counters (fired, tokens, operators, arcs, analyses
+//! computed, …): every counter must be equal and every row present on
+//! both sides. When exactly one side is fused, the fusion gate replaces
+//! equality: every `loop_nest` row must process at least 25% fewer
+//! tokens fused. Wall-clock is judged in alternating pairs of the
+//! end-to-end benchmark (`e2ebench/`).
 //!
 //! `serve` exercises the concurrent multi-invocation engine: it
 //! translates `program` (default `running_example`), spawns one executor
@@ -210,26 +206,22 @@ fn parse_machine(args: &mut Args) -> MachineConfig {
     mc
 }
 
-/// `cf2df bench`: render the three artifacts into `out_dir`.
-fn run_bench(quick: bool, fuse: bool, out_dir: &str) {
+/// `cf2df bench`: render the three artifacts into `out_dir`, under the
+/// names of the committed baselines.
+fn run_bench(fuse: bool, out_dir: &str) {
     std::fs::create_dir_all(out_dir).unwrap_or_else(|e| {
         eprintln!("cannot create {out_dir}: {e}");
         exit(2)
     });
-    type Render = fn(bool, bool) -> Result<String, String>;
-    let artifacts: [(&str, Render); 4] = [
+    type Render = fn(bool) -> Result<String, String>;
+    let artifacts: [(&str, Render); 3] = [
         ("pipeline", cf2df::bench::artifacts::pipeline_artifact),
         ("executor", cf2df::bench::artifacts::executor_artifact),
         ("translate", cf2df::bench::artifacts::translate_artifact),
-        ("throughput", cf2df::bench::artifacts::throughput_artifact),
     ];
-    // Quick artifacts carry the committed gate baselines' names, so a
-    // quick run never overwrites a full-size artifact, and regenerating
-    // the baselines is `--quick --out-dir .`.
-    let suffix = if quick { ".quick.json" } else { ".json" };
     for (kind, render) in artifacts {
-        let name = format!("BENCH_{kind}{suffix}");
-        let doc = render(quick, fuse).unwrap_or_else(|e| {
+        let name = format!("BENCH_{kind}.json");
+        let doc = render(fuse).unwrap_or_else(|e| {
             eprintln!("bench failed rendering {name}: {e}");
             exit(1)
         });
@@ -899,14 +891,13 @@ fn main() {
     }
     if cmd == "bench" {
         let mut args = Args { rest: argv };
-        let quick = args.flag("--quick");
         let fuse = !args.flag("--no-fuse");
         let out_dir = args.value("--out-dir").unwrap_or_else(|| ".".to_owned());
         if !args.rest.is_empty() {
             eprintln!("bench: unrecognized arguments {:?}", args.rest);
             usage();
         }
-        run_bench(quick, fuse, &out_dir);
+        run_bench(fuse, &out_dir);
         return;
     }
     if cmd == "fuse-check" {
@@ -931,21 +922,13 @@ fn main() {
                 (p, text)
             })
             .collect();
-        // Every artifact read, a baseline included, must validate and
-        // pass the gate its kind decides on its own.
-        let mut failed = false;
+        // Every artifact read, a baseline included, must validate.
         for (path, text) in &docs {
-            match cf2df::bench::compare::check_artifact(text) {
-                Err(e) => {
-                    eprintln!("{path}: INVALID: {e}");
-                    exit(1)
-                }
-                Ok(failures) if failures.is_empty() => println!("{path}: ok"),
-                Ok(failures) => {
-                    failures.iter().for_each(|f| eprintln!("{path}: {f}"));
-                    failed = true;
-                }
+            if let Err(e) = cf2df::bench::artifacts::validate_artifact(text) {
+                eprintln!("{path}: INVALID: {e}");
+                exit(1)
             }
+            println!("{path}: ok");
         }
         if let (Some(_), [(new_path, new_text), (old_path, old_text)]) = (&baseline, &docs[..]) {
             let cmp = cf2df::bench::compare::compare_artifacts(old_text, new_text)
@@ -959,15 +942,14 @@ fn main() {
             } else {
                 format!("{} {} values compared exactly", cmp.compared, cmp.kind)
             };
-            if cmp.failures.is_empty() {
-                println!("{new_path}: ok vs {old_path}: {what}");
-            } else {
-                eprintln!("{new_path}: {} FAILURE(S) vs {old_path}: {what}", cmp.failures.len());
-                failed = true;
+            if !cmp.failures.is_empty() {
+                eprintln!(
+                    "{new_path}: {} FAILURE(S) vs {old_path}: {what}",
+                    cmp.failures.len()
+                );
+                exit(1)
             }
-        }
-        if failed {
-            exit(1)
+            println!("{new_path}: ok vs {old_path}: {what}");
         }
         return;
     }

@@ -128,22 +128,24 @@ fn bench_writes_valid_artifacts_and_check_bench_verifies_them() {
     let dir = std::env::temp_dir().join("cf2df_cli_bench_test");
     std::fs::create_dir_all(&dir).unwrap();
     let dir_s = dir.to_str().unwrap();
-    let (_, stderr, ok) = cf2df(&["bench", "--quick", "--out-dir", dir_s]);
+    let (_, stderr, ok) = cf2df(&["bench", "--out-dir", dir_s]);
     assert!(ok, "{stderr}");
-    assert!(stderr.contains("BENCH_pipeline.quick.json"), "{stderr}");
-    assert!(stderr.contains("BENCH_executor.quick.json"), "{stderr}");
+    for kind in ["pipeline", "executor", "translate"] {
+        assert!(stderr.contains(&format!("BENCH_{kind}.json")), "{stderr}");
+    }
 
-    let pipeline = dir.join("BENCH_pipeline.quick.json");
-    let executor = dir.join("BENCH_executor.quick.json");
+    let pipeline = dir.join("BENCH_pipeline.json");
+    let executor = dir.join("BENCH_executor.json");
     let (stdout, stderr, ok) =
         cf2df(&["check-bench", pipeline.to_str().unwrap(), executor.to_str().unwrap()]);
     assert!(ok, "{stderr}");
     assert!(stdout.matches(": ok").count() == 2, "{stdout}");
 
-    // The executor artifact sweeps 1/2/4/8 workers with per-worker counters.
+    // The executor artifact sweeps 1/2/4/8 workers.
     let doc = std::fs::read_to_string(&executor).unwrap();
-    for probe in ["\"workers\":1", "\"workers\":2", "\"workers\":4", "\"workers\":8", "\"steals\"", "\"parks\""] {
-        assert!(doc.contains(probe), "missing {probe}");
+    for workers in [1, 2, 4, 8] {
+        let probe = format!("\"workers\":{workers}");
+        assert!(doc.contains(&probe), "missing {probe}");
     }
 
     // check-bench rejects a corrupted artifact.
@@ -159,9 +161,9 @@ fn check_bench_compare_gates_regressions() {
     let dir = std::env::temp_dir().join("cf2df_cli_compare_test");
     std::fs::create_dir_all(&dir).unwrap();
     let dir_s = dir.to_str().unwrap();
-    let (_, stderr, ok) = cf2df(&["bench", "--quick", "--out-dir", dir_s]);
+    let (_, stderr, ok) = cf2df(&["bench", "--out-dir", dir_s]);
     assert!(ok, "{stderr}");
-    let pipeline = dir.join("BENCH_pipeline.quick.json");
+    let pipeline = dir.join("BENCH_pipeline.json");
     let pipeline_s = pipeline.to_str().unwrap();
 
     // An artifact compared against itself passes and reports the count.
@@ -193,18 +195,6 @@ fn check_bench_compare_gates_regressions() {
         cf2df(&["check-bench", renamed.to_str().unwrap(), "--compare", pipeline_s]);
     assert!(!ok, "{stdout}");
     assert!(stderr.contains("row only in the"), "{stderr}");
-
-    // Wall-clock medians are not compared across runs: a ~10x slower
-    // executor artifact passes as long as its counters are equal.
-    let executor = dir.join("BENCH_executor.quick.json");
-    let executor_s = executor.to_str().unwrap();
-    let slower = dir.join("slower.json");
-    let edoc = std::fs::read_to_string(&executor).unwrap();
-    std::fs::write(&slower, edoc.replace("\"median_ns\":", "\"median_ns\":9")).unwrap();
-    let (stdout, stderr, ok) =
-        cf2df(&["check-bench", slower.to_str().unwrap(), "--compare", executor_s]);
-    assert!(ok, "{stdout} {stderr}");
-    assert!(stdout.contains("executor values compared exactly"), "{stdout}");
 }
 
 #[test]

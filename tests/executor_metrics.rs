@@ -100,7 +100,7 @@ fn metrics_are_self_consistent_across_the_corpus() {
 
 /// The no-steal pathology regression test: on the largest bench
 /// workload, round-robin seeding plus steal-half must give *every*
-/// worker real work. (BENCH_executor.json once showed siblings with
+/// worker real work. (The executor artifact once showed siblings with
 /// `processed: 0, steals: 0, parks: 0` at 2–8 workers because the lone
 /// injector queue fed only worker 0.)
 #[test]
@@ -123,7 +123,7 @@ fn every_worker_processes_tokens_on_loop_nest() {
 
 /// The fast-path regression test: locality-aware seeding must keep the
 /// worker-local two-input rendezvous fast path alive at *every* width.
-/// (BENCH_executor.quick.json once showed `fast_path_fires` collapsing
+/// (The quick executor artifact once showed `fast_path_fires` collapsing
 /// from 48 to 0 on `loop_nest` at 8 workers because round-robin seeding
 /// spread the halves of each join across different workers.)
 #[test]
@@ -152,7 +152,10 @@ fn fast_path_fires_at_every_width_on_join_heavy_graphs() {
 
 /// Served requests take the worker-local fast path too (its pair map is
 /// keyed by the invocation-packed key), and a fast-path join counts two
-/// tokens in each request's metrics and in the session's alike.
+/// tokens in each request's metrics and in the session's alike. The
+/// session overlaps requests: even on one worker, more than one is
+/// admitted at a time, which an engine that serves requests one after
+/// another cannot show.
 #[test]
 fn served_requests_take_the_fast_path() {
     let src = cf2df::bench::workloads::loop_nest(3, 6);
@@ -178,6 +181,10 @@ fn served_requests_take_the_fast_path() {
         tokens += m.tokens_processed;
     }
     assert_eq!(stats.tokens_processed, tokens, "the session counts every request's tokens");
+    assert!(
+        stats.peak_inflight >= 2,
+        "a window of 4 never held two requests at once: {stats:?}"
+    );
 }
 
 /// A graph whose Synch never receives its second input must deadlock,

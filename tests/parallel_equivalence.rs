@@ -226,19 +226,23 @@ fn compiled_graphs_match_one_shot_runs_across_the_corpus() {
 }
 
 /// Tag-space multiplexing is execution-invisible: every corpus program
-/// submitted K=4 times *concurrently* onto one shared pool yields K
-/// results each bit-for-bit identical to the simulator oracle — final
-/// memory, I-structure memory, and fired-operator count — at every
-/// worker width. The pool is shared across all programs of a width, so
-/// this also exercises serving *different* compiled graphs back-to-back
-/// on one pool.
+/// submitted concurrently onto one shared pool yields results each
+/// bit-for-bit identical to the simulator oracle — final memory,
+/// I-structure memory, and fired-operator count — at every worker
+/// width. Each session submits twice as many requests as its admission
+/// window (4 or 16), so admission backpressure is exercised at both.
+/// Every request processes exactly the tokens of a solo run on the same
+/// pool, the session counts exactly their sum, and the chaos layer stays
+/// dormant. The pool is shared across all programs of a width, so this
+/// also exercises serving *different* compiled graphs back-to-back on
+/// one pool.
 #[test]
 fn concurrent_submissions_match_simulator_across_the_corpus() {
-    use cf2df::machine::parallel::{ExecutorPool, ParConfig};
+    use cf2df::machine::parallel::{run_threaded_compiled_pooled_with, ExecutorPool, ParConfig};
     use cf2df::machine::{compile, run_concurrent};
 
-    const K: usize = 4;
     let opts = TranslateOptions::full_parallel_schema3();
+    let cfg = ParConfig::default();
     for workers in WORKERS {
         let pool = ExecutorPool::new(workers);
         for (name, src) in cf2df::lang::corpus::all() {
@@ -248,33 +252,52 @@ fn concurrent_submissions_match_simulator_across_the_corpus() {
                 Err(_) => continue,
             };
             let layout = MemLayout::distinct(&t.cfg.vars);
-            let cg = compile(&t.dfg)
-                .unwrap_or_else(|e| panic!("{name}: compile failed: {e:?}"));
+            let cg = compile(&t.dfg).unwrap_or_else(|e| panic!("{name}: compile failed: {e:?}"));
             let sim = run(&t.dfg, &layout, MachineConfig::unbounded())
                 .unwrap_or_else(|e| panic!("{name}: simulator failed: {e:?}"));
-            let (results, stats) =
-                run_concurrent(&cg, &layout, &pool, K, &ParConfig::default(), K);
-            assert_eq!(
-                stats.completed_ok, K as u64,
-                "{name} at {workers} workers: not every request completed"
-            );
-            assert_eq!(stats.requests, K as u64, "{name} at {workers} workers");
-            for (i, res) in results.into_iter().enumerate() {
-                let out = res.unwrap_or_else(|e| {
-                    panic!("{name} request {i} at {workers} workers: {e:?}")
-                });
+            let (solo, _, _) = run_threaded_compiled_pooled_with(&cg, &layout, &pool, &cfg);
+            let solo_tokens = solo
+                .unwrap_or_else(|e| panic!("{name} solo at {workers} workers: {e:?}"))
+                .metrics
+                .tokens_processed;
+            for window in [4, 16] {
+                let requests = 2 * window;
+                let ctx = format!("{name} at {workers} workers, window {window}");
+                let (results, stats) = run_concurrent(&cg, &layout, &pool, window, &cfg, requests);
                 assert_eq!(
-                    out.memory, sim.memory,
-                    "{name} request {i}: memory diverged at {workers} workers"
+                    stats.completed_ok, requests as u64,
+                    "{ctx}: not every request completed"
+                );
+                assert_eq!(stats.requests, requests as u64, "{ctx}");
+                assert_eq!(
+                    stats.chaos.total(),
+                    0,
+                    "{ctx}: chaos faults on an ordinary run"
                 );
                 assert_eq!(
-                    out.ist_memory, sim.ist_memory,
-                    "{name} request {i}: I-structures diverged at {workers} workers"
+                    stats.tokens_processed,
+                    requests as u64 * solo_tokens,
+                    "{ctx}: session tokens"
                 );
-                assert_eq!(
-                    out.fired, sim.stats.fired,
-                    "{name} request {i}: fired diverged at {workers} workers"
-                );
+                for (i, res) in results.into_iter().enumerate() {
+                    let out = res.unwrap_or_else(|e| panic!("{ctx}, request {i}: {e:?}"));
+                    assert_eq!(
+                        out.memory, sim.memory,
+                        "{ctx}, request {i}: memory diverged"
+                    );
+                    assert_eq!(
+                        out.ist_memory, sim.ist_memory,
+                        "{ctx}, request {i}: I-structures diverged"
+                    );
+                    assert_eq!(
+                        out.fired, sim.stats.fired,
+                        "{ctx}, request {i}: fired diverged"
+                    );
+                    assert_eq!(
+                        out.metrics.tokens_processed, solo_tokens,
+                        "{ctx}, request {i}: tokens differ from a solo run"
+                    );
+                }
             }
         }
     }
