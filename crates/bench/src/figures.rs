@@ -98,13 +98,20 @@ pub fn f6_f8_schema2() -> String {
     )
     .unwrap();
     let layout = MemLayout::distinct(&broken.cfg.vars);
-    let err = run(&broken.dfg, &layout, MachineConfig::unbounded().mem_latency(10)).unwrap_err();
-    let _ = writeln!(
-        s,
-        "without loop control (Fig 8's warning): {err}"
-    );
+    let err = run(
+        &broken.dfg,
+        &layout,
+        MachineConfig::unbounded().mem_latency(10),
+    )
+    .unwrap_err();
+    let _ = writeln!(s, "without loop control (Fig 8's warning): {err}");
     let good = translate(&parsed.cfg, &parsed.alias, &TranslateOptions::schema2()).unwrap();
-    let out = run(&good.dfg, &layout, MachineConfig::unbounded().mem_latency(10)).unwrap();
+    let out = run(
+        &good.dfg,
+        &layout,
+        MachineConfig::unbounded().mem_latency(10),
+    )
+    .unwrap();
     let _ = writeln!(
         s,
         "with loop control: clean run, {} iteration tags, 0 collisions",
@@ -194,14 +201,7 @@ pub fn f12_f13_alias_covers() -> String {
     ];
     let rows: Vec<Measurement> = covers
         .iter()
-        .map(|(label, c)| {
-            measure(
-                &parsed,
-                &TranslateOptions::schema3(c.clone()),
-                &mc,
-                label,
-            )
-        })
+        .map(|(label, c)| measure(&parsed, &TranslateOptions::schema3(c.clone()), &mc, label))
         .collect();
     assert_equivalent(&rows);
     s.push_str(&table(
@@ -220,14 +220,7 @@ pub fn f12_f13_alias_covers() -> String {
     let parsed = parse_to_cfg(tradeoff).unwrap();
     let rows: Vec<Measurement> = covers
         .iter()
-        .map(|(label, c)| {
-            measure(
-                &parsed,
-                &TranslateOptions::schema3(c.clone()),
-                &mc,
-                label,
-            )
-        })
+        .map(|(label, c)| measure(&parsed, &TranslateOptions::schema3(c.clone()), &mc, label))
         .collect();
     assert_equivalent(&rows);
     s.push_str(&table(
@@ -394,7 +387,12 @@ pub fn c4_overall_parallelism() -> String {
                 &mc,
                 "opt",
             ),
-            measure(&parsed, &TranslateOptions::full_parallel_schema3(), &mc, "full"),
+            measure(
+                &parsed,
+                &TranslateOptions::full_parallel_schema3(),
+                &mc,
+                "full",
+            ),
         ];
         assert_equivalent(&rows);
         let _ = writeln!(
@@ -415,9 +413,7 @@ pub fn c4_overall_parallelism() -> String {
 /// §2.2: split-phase memory tolerates latency when the graph has
 /// parallelism.
 pub fn c5_latency_tolerance() -> String {
-    let mut s = String::from(
-        "# C5 (§2.2): split-phase memory + parallelism hide memory latency\n",
-    );
+    let mut s = String::from("# C5 (§2.2): split-phase memory + parallelism hide memory latency\n");
     let src = workloads::independent_updates(8);
     let parsed = parse_to_cfg(&src).unwrap();
     let _ = writeln!(
@@ -445,9 +441,8 @@ pub fn c5_latency_tolerance() -> String {
 /// §6.3's write-once enhancement: I-structure arrays let reading loops
 /// overlap writing loops.
 pub fn c6_istructures() -> String {
-    let mut s = String::from(
-        "# C6 (§6.3): write-once arrays on I-structure memory (stencil, 3 loops)\n",
-    );
+    let mut s =
+        String::from("# C6 (§6.3): write-once arrays on I-structure memory (stencil, 3 loops)\n");
     let parsed = parse_to_cfg(cf2df_lang::corpus::STENCIL).unwrap();
     let base = TranslateOptions::optimized().with_memory_elimination(true);
     let ist = base.clone().with_istructure_arrays(["src", "dst"]);
@@ -511,9 +506,7 @@ pub fn c7_store_forwarding() -> String {
 /// Waiting-matching (frame memory) pressure: rendezvous-slot high-water
 /// marks per configuration — the ETS hardware cost of parallelism.
 pub fn c8_frame_pressure() -> String {
-    let mut s = String::from(
-        "# C8: rendezvous-slot high-water mark (ETS frame-memory pressure)\n",
-    );
+    let mut s = String::from("# C8: rendezvous-slot high-water mark (ETS frame-memory pressure)\n");
     let mc = MachineConfig::unbounded();
     let _ = writeln!(
         s,
@@ -552,25 +545,26 @@ pub fn c8_frame_pressure() -> String {
     )
     .unwrap();
     let layout = MemLayout::distinct(&parsed.cfg.vars);
-    let sweep = |s: &mut String, label: &str, dfg: &cf2df_dfg::Dfg, layout: &MemLayout, caps: &[usize]| {
-        let _ = writeln!(s, "\nframe-capacity sweep ({label}):");
-        let _ = writeln!(s, "{:>10} {:>10}", "capacity", "makespan");
-        for &cap in caps {
-            match run(dfg, layout, MachineConfig::unbounded().frame_capacity(cap)) {
-                Ok(out) => {
-                    let _ = writeln!(s, "{:>10} {:>10}", cap, out.stats.makespan);
-                }
-                Err(e) => {
-                    let kind = if format!("{e}").contains("frame-store") {
-                        "deadlock"
-                    } else {
-                        "fault"
-                    };
-                    let _ = writeln!(s, "{:>10} {:>10}", cap, kind);
+    let sweep =
+        |s: &mut String, label: &str, dfg: &cf2df_dfg::Dfg, layout: &MemLayout, caps: &[usize]| {
+            let _ = writeln!(s, "\nframe-capacity sweep ({label}):");
+            let _ = writeln!(s, "{:>10} {:>10}", "capacity", "makespan");
+            for &cap in caps {
+                match run(dfg, layout, MachineConfig::unbounded().frame_capacity(cap)) {
+                    Ok(out) => {
+                        let _ = writeln!(s, "{:>10} {:>10}", cap, out.stats.makespan);
+                    }
+                    Err(e) => {
+                        let kind = if format!("{e}").contains("frame-store") {
+                            "deadlock"
+                        } else {
+                            "fault"
+                        };
+                        let _ = writeln!(s, "{:>10} {:>10}", cap, kind);
+                    }
                 }
             }
-        }
-    };
+        };
     // The behaviour is a threshold, not graceful degradation: with enough
     // slots the machine runs at full speed; undersized, the oldest slots
     // wait on tokens that themselves need new slots and the naive
@@ -580,7 +574,13 @@ pub fn c8_frame_pressure() -> String {
     let t2 = translate(&p2.cfg, &p2.alias, &TranslateOptions::schema2()).unwrap();
     let l2 = MemLayout::distinct(&p2.cfg.vars);
     sweep(&mut s, "independent, schema2", &t2.dfg, &l2, &[1, 2, 4, 9]);
-    sweep(&mut s, "stencil, full transforms", &t.dfg, &layout, &[64, 151]);
+    sweep(
+        &mut s,
+        "stencil, full transforms",
+        &t.dfg,
+        &layout,
+        &[64, 151],
+    );
     s
 }
 
@@ -600,8 +600,7 @@ pub fn c11_ir_optimizations() -> String {
         let t = translate(
             &parsed.cfg,
             &parsed.alias,
-            &TranslateOptions::schema3(CoverStrategy::Singletons)
-                .with_memory_elimination(true),
+            &TranslateOptions::schema3(CoverStrategy::Singletons).with_memory_elimination(true),
         )
         .unwrap();
         let mut g = t.dfg.clone();
@@ -688,8 +687,7 @@ pub fn c10_cover_pareto() -> String {
         let desc = cover_parts
             .iter()
             .map(|el| {
-                let names: Vec<&str> =
-                    el.iter().map(|&v| parsed.cfg.vars.name(v)).collect();
+                let names: Vec<&str> = el.iter().map(|&v| parsed.cfg.vars.name(v)).collect();
                 format!("{{{}}}", names.join(","))
             })
             .collect::<Vec<_>>()
@@ -704,9 +702,9 @@ pub fn c10_cover_pareto() -> String {
     let mut frontier: Vec<&(usize, u64, String)> = points
         .iter()
         .filter(|a| {
-            !points.iter().any(|b| {
-                (b.0 <= a.0 && b.1 < a.1) || (b.0 < a.0 && b.1 <= a.1)
-            })
+            !points
+                .iter()
+                .any(|b| (b.0 <= a.0 && b.1 < a.1) || (b.0 < a.0 && b.1 <= a.1))
         })
         .collect();
     frontier.sort_by_key(|p| (p.0, p.1));
@@ -716,9 +714,7 @@ pub fn c10_cover_pareto() -> String {
     for (synch, mk, desc) in frontier {
         let _ = writeln!(s, "{synch:>12} {mk:>9}  {desc}");
     }
-    s.push_str(
-        "(no single cover minimizes both columns — the tradeoff the paper conjectured)\n",
-    );
+    s.push_str("(no single cover minimizes both columns — the tradeoff the paper conjectured)\n");
     s
 }
 

@@ -100,8 +100,7 @@ pub fn measure_source(
 /// The sequential baseline as a [`Measurement`].
 pub fn measure_baseline(parsed: &Parsed, machine: &MachineConfig) -> Measurement {
     let layout = MemLayout::distinct(&parsed.cfg.vars);
-    let out = vonneumann::interpret(&parsed.cfg, &layout, machine)
-        .expect("baseline interprets");
+    let out = vonneumann::interpret(&parsed.cfg, &layout, machine).expect("baseline interprets");
     Measurement {
         label: "von-neumann".to_owned(),
         ops: 0,
@@ -131,8 +130,15 @@ pub fn table(title: &str, rows: &[Measurement]) -> String {
         let _ = writeln!(
             s,
             "{:<26} {:>7} {:>7} {:>8} {:>8} {:>9} {:>9.2} {:>8} {:>8}",
-            r.label, r.ops, r.arcs, r.switches, r.fired, r.makespan, r.avg_parallelism,
-            r.max_parallelism, r.mem_ops
+            r.label,
+            r.ops,
+            r.arcs,
+            r.switches,
+            r.fired,
+            r.makespan,
+            r.avg_parallelism,
+            r.max_parallelism,
+            r.mem_ops
         );
     }
     s
@@ -200,7 +206,10 @@ mod tests {
         assert_eq!(v.get("avg_parallelism"), Some(&crate::json::Json::Null));
         assert_eq!(v.get("fired").unwrap().as_num(), Some(5.0));
 
-        let nan = Measurement { avg_parallelism: f64::NAN, ..m };
+        let nan = Measurement {
+            avg_parallelism: f64::NAN,
+            ..m
+        };
         crate::json::parse(&nan.to_json()).expect("NaN renders as null");
     }
 }

@@ -264,7 +264,11 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 *pos += 1;
                 return Ok(Json::Obj(fields));
             }
-            other => return Err(format!("expected ',' or '}}' at byte {pos}, found {other:?}")),
+            other => {
+                return Err(format!(
+                    "expected ',' or '}}' at byte {pos}, found {other:?}"
+                ))
+            }
         }
     }
 }
@@ -286,7 +290,11 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 *pos += 1;
                 return Ok(Json::Arr(items));
             }
-            other => return Err(format!("expected ',' or ']' at byte {pos}, found {other:?}")),
+            other => {
+                return Err(format!(
+                    "expected ',' or ']' at byte {pos}, found {other:?}"
+                ))
+            }
         }
     }
 }
@@ -367,7 +375,11 @@ fn parse_num(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
     // JSON forbids leading zeros: "01" is two tokens, i.e. invalid here.
     let int_part = &b[start..*pos];
-    let unsigned = if int_part[0] == b'-' { &int_part[1..] } else { int_part };
+    let unsigned = if int_part[0] == b'-' {
+        &int_part[1..]
+    } else {
+        int_part
+    };
     if unsigned.len() > 1 && unsigned[0] == b'0' {
         return Err(format!("leading zero in number at byte {start}"));
     }
@@ -435,8 +447,14 @@ mod tests {
             .raw("arr", &array((0..3).map(|i| i.to_string())));
         let doc = o.finish();
         let v = parse(&doc).unwrap_or_else(|e| panic!("{e}\n{doc}"));
-        assert_eq!(v.get("label").unwrap().as_str().unwrap(), "a \"b\" \\c\u{0}");
-        assert_eq!(v.get("inner").unwrap().get("n").unwrap().as_num(), Some(7.0));
+        assert_eq!(
+            v.get("label").unwrap().as_str().unwrap(),
+            "a \"b\" \\c\u{0}"
+        );
+        assert_eq!(
+            v.get("inner").unwrap().get("n").unwrap().as_num(),
+            Some(7.0)
+        );
         assert_eq!(v.get("arr").unwrap().as_arr().unwrap().len(), 3);
     }
 

@@ -142,7 +142,10 @@ mod tests {
         let hits = (0..10_000).filter(|_| r.ratio(1, 4)).count();
         assert!((2000..3000).contains(&hits), "1/4 ratio wildly off: {hits}");
         let hits = (0..10_000).filter(|_| r.chance(0.5)).count();
-        assert!((4500..5500).contains(&hits), "0.5 chance wildly off: {hits}");
+        assert!(
+            (4500..5500).contains(&hits),
+            "0.5 chance wildly off: {hits}"
+        );
         assert!(!r.chance(0.0));
         assert!(r.chance(1.0));
     }

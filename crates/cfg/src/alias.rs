@@ -99,12 +99,7 @@ impl AliasStructure {
         out
     }
 
-    fn enumerate(
-        &self,
-        next: usize,
-        blocks: &mut Vec<Vec<VarId>>,
-        out: &mut Vec<Vec<Vec<VarId>>>,
-    ) {
+    fn enumerate(&self, next: usize, blocks: &mut Vec<Vec<VarId>>, out: &mut Vec<Vec<Vec<VarId>>>) {
         if next == self.n {
             out.push(blocks.clone());
             return;

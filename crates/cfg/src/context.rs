@@ -228,7 +228,12 @@ pub struct FunctionContext {
 impl FunctionContext {
     /// Take ownership of a CFG and its alias structure.
     pub fn new(cfg: Cfg, alias: AliasStructure) -> FunctionContext {
-        FunctionContext { cfg, alias, revision: 0, cache: AnalysisCache::default() }
+        FunctionContext {
+            cfg,
+            alias,
+            revision: 0,
+            cache: AnalysisCache::default(),
+        }
     }
 
     /// A context with the identity alias structure (no aliasing).
@@ -282,38 +287,52 @@ impl FunctionContext {
         self.revision += 1;
         let r = self.revision;
         let c = &mut self.cache;
-        c.doms.invalidate(r, preserved.contains(AnalysisKind::Dominators));
-        c.postdoms.invalidate(r, preserved.contains(AnalysisKind::Postdominators));
-        c.control_deps.invalidate(r, preserved.contains(AnalysisKind::ControlDeps));
-        c.forest.invalidate(r, preserved.contains(AnalysisKind::LoopForest));
-        c.topo.invalidate(r, preserved.contains(AnalysisKind::TopoOrder));
-        c.preds.invalidate(r, preserved.contains(AnalysisKind::Preds));
-        c.validity.invalidate(r, preserved.contains(AnalysisKind::Validity));
+        c.doms
+            .invalidate(r, preserved.contains(AnalysisKind::Dominators));
+        c.postdoms
+            .invalidate(r, preserved.contains(AnalysisKind::Postdominators));
+        c.control_deps
+            .invalidate(r, preserved.contains(AnalysisKind::ControlDeps));
+        c.forest
+            .invalidate(r, preserved.contains(AnalysisKind::LoopForest));
+        c.topo
+            .invalidate(r, preserved.contains(AnalysisKind::TopoOrder));
+        c.preds
+            .invalidate(r, preserved.contains(AnalysisKind::Preds));
+        c.validity
+            .invalidate(r, preserved.contains(AnalysisKind::Validity));
         // covers: alias-derived, untouched by design.
     }
 
     /// Structural validity of the current graph, memoized.
     pub fn validate(&mut self) -> Result<(), Vec<CfgError>> {
         let (cfg, rev) = (&self.cfg, self.revision);
-        self.cache.validity.get(rev, AnalysisKind::Validity, &mut self.cache.stats, || {
-            cfg.validate()
-        })
+        self.cache
+            .validity
+            .get(rev, AnalysisKind::Validity, &mut self.cache.stats, || {
+                cfg.validate()
+            })
     }
 
     /// Forward dominator tree, memoized.
     pub fn dominators(&mut self) -> Rc<DomTree> {
         let (cfg, rev) = (&self.cfg, self.revision);
-        self.cache.doms.get(rev, AnalysisKind::Dominators, &mut self.cache.stats, || {
-            Rc::new(DomTree::dominators(cfg))
-        })
+        self.cache
+            .doms
+            .get(rev, AnalysisKind::Dominators, &mut self.cache.stats, || {
+                Rc::new(DomTree::dominators(cfg))
+            })
     }
 
     /// Postdominator tree, memoized.
     pub fn postdominators(&mut self) -> Rc<DomTree> {
         let (cfg, rev) = (&self.cfg, self.revision);
-        self.cache.postdoms.get(rev, AnalysisKind::Postdominators, &mut self.cache.stats, || {
-            Rc::new(DomTree::postdominators(cfg))
-        })
+        self.cache.postdoms.get(
+            rev,
+            AnalysisKind::Postdominators,
+            &mut self.cache.stats,
+            || Rc::new(DomTree::postdominators(cfg)),
+        )
     }
 
     /// Control dependence, memoized; pulls postdominators through the
@@ -321,9 +340,12 @@ impl FunctionContext {
     pub fn control_deps(&mut self) -> Rc<ControlDeps> {
         let pd = self.postdominators();
         let (cfg, rev) = (&self.cfg, self.revision);
-        self.cache.control_deps.get(rev, AnalysisKind::ControlDeps, &mut self.cache.stats, || {
-            Rc::new(ControlDeps::compute(cfg, &pd))
-        })
+        self.cache.control_deps.get(
+            rev,
+            AnalysisKind::ControlDeps,
+            &mut self.cache.stats,
+            || Rc::new(ControlDeps::compute(cfg, &pd)),
+        )
     }
 
     /// Natural-loop forest, memoized — including the `Err(Irreducible)`
@@ -332,9 +354,11 @@ impl FunctionContext {
     pub fn loop_forest(&mut self) -> Result<Rc<LoopForest>, Irreducible> {
         let dom = self.dominators();
         let (cfg, rev) = (&self.cfg, self.revision);
-        self.cache.forest.get(rev, AnalysisKind::LoopForest, &mut self.cache.stats, || {
-            LoopForest::compute_with_dominators(cfg, &dom).map(Rc::new)
-        })
+        self.cache
+            .forest
+            .get(rev, AnalysisKind::LoopForest, &mut self.cache.stats, || {
+                LoopForest::compute_with_dominators(cfg, &dom).map(Rc::new)
+            })
     }
 
     /// Topological order ignoring backedges, memoized. Needs the loop
@@ -342,18 +366,22 @@ impl FunctionContext {
     pub fn topo_order(&mut self) -> Result<Rc<Vec<NodeId>>, Irreducible> {
         let forest = self.loop_forest()?;
         let (cfg, rev) = (&self.cfg, self.revision);
-        self.cache.topo.get(rev, AnalysisKind::TopoOrder, &mut self.cache.stats, || {
-            let backedges = forest.backedge_indices(cfg);
-            Ok(Rc::new(topo_order_ignoring_backedges(cfg, &backedges)))
-        })
+        self.cache
+            .topo
+            .get(rev, AnalysisKind::TopoOrder, &mut self.cache.stats, || {
+                let backedges = forest.backedge_indices(cfg);
+                Ok(Rc::new(topo_order_ignoring_backedges(cfg, &backedges)))
+            })
     }
 
     /// Predecessor lists, memoized.
     pub fn preds(&mut self) -> Rc<Vec<Vec<(NodeId, usize)>>> {
         let (cfg, rev) = (&self.cfg, self.revision);
-        self.cache.preds.get(rev, AnalysisKind::Preds, &mut self.cache.stats, || {
-            Rc::new(cfg.preds())
-        })
+        self.cache
+            .preds
+            .get(rev, AnalysisKind::Preds, &mut self.cache.stats, || {
+                Rc::new(cfg.preds())
+            })
     }
 
     /// The alias cover for `strategy`, memoized per strategy. Covers
@@ -454,7 +482,10 @@ mod tests {
         assert!(!Rc::ptr_eq(&a, &b));
         fc.mutate(Preserved::NONE, |_| ());
         let a3 = fc.cover(&CoverStrategy::Singletons);
-        assert!(Rc::ptr_eq(&a, &a3), "covers are alias-derived, not graph-derived");
+        assert!(
+            Rc::ptr_eq(&a, &a3),
+            "covers are alias-derived, not graph-derived"
+        );
         assert_eq!(fc.stats().computed_of(AnalysisKind::Cover), 2);
         assert_eq!(fc.stats().hits_of(AnalysisKind::Cover), 2);
     }
@@ -466,7 +497,10 @@ mod tests {
         let x = vars.scalar("x");
         let mut cfg = Cfg::new(vars);
         let fork = cfg.add_node(Stmt::Branch { pred: Expr::Var(x) });
-        let a = cfg.add_node(Stmt::Assign { lhs: LValue::Var(x), rhs: Expr::Var(x) });
+        let a = cfg.add_node(Stmt::Assign {
+            lhs: LValue::Var(x),
+            rhs: Expr::Var(x),
+        });
         let b = cfg.add_node(Stmt::Branch { pred: Expr::Var(x) });
         cfg.set_entry(fork);
         cfg.add_edge(fork, a);

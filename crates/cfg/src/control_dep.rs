@@ -217,9 +217,7 @@ mod tests {
         let x = vars.scalar("x");
         let mut cfg = Cfg::new(vars);
         let join = cfg.add_node(Stmt::Join);
-        let br = cfg.add_node(Stmt::Branch {
-            pred: Expr::Var(x),
-        });
+        let br = cfg.add_node(Stmt::Branch { pred: Expr::Var(x) });
         cfg.set_entry(join);
         cfg.add_edge(join, br);
         cfg.add_edge(br, join); // true: loop

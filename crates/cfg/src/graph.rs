@@ -271,10 +271,7 @@ impl Cfg {
                 seen[v.index()] = true;
             }
         }
-        self.vars
-            .ids()
-            .filter(|v| seen[v.index()])
-            .collect()
+        self.vars.ids().filter(|v| seen[v.index()]).collect()
     }
 
     /// Nodes reachable from `start` along forward edges.
@@ -381,11 +378,7 @@ impl Cfg {
         use std::fmt::Write as _;
         let mut s = String::new();
         for n in self.node_ids() {
-            let succs: Vec<String> = self
-                .succs(n)
-                .iter()
-                .map(|t| format!("{t:?}"))
-                .collect();
+            let succs: Vec<String> = self.succs(n).iter().map(|t| format!("{t:?}")).collect();
             let _ = writeln!(
                 s,
                 "{:>4?}: {:<40} -> [{}]",
@@ -482,7 +475,9 @@ mod tests {
         let orphan = cfg.add_node(Stmt::Join);
         cfg.add_edge(orphan, cfg.end());
         let errs = cfg.validate().unwrap_err();
-        assert!(errs.iter().any(|e| matches!(e, CfgError::Unreachable(n) if *n == orphan)));
+        assert!(errs
+            .iter()
+            .any(|e| matches!(e, CfgError::Unreachable(n) if *n == orphan)));
     }
 
     #[test]
@@ -509,13 +504,13 @@ mod tests {
         let mut vars = VarTable::new();
         let x = vars.scalar("x");
         let mut cfg = Cfg::new(vars);
-        let br = cfg.add_node(Stmt::Branch {
-            pred: Expr::Var(x),
-        });
+        let br = cfg.add_node(Stmt::Branch { pred: Expr::Var(x) });
         cfg.set_entry(br);
         cfg.add_edge(br, cfg.end()); // only one out-edge
         let errs = cfg.validate().unwrap_err();
-        assert!(errs.iter().any(|e| matches!(e, CfgError::BadForkArity(n) if *n == br)));
+        assert!(errs
+            .iter()
+            .any(|e| matches!(e, CfgError::BadForkArity(n) if *n == br)));
     }
 
     #[test]
@@ -523,9 +518,7 @@ mod tests {
         let mut vars = VarTable::new();
         let x = vars.scalar("x");
         let mut cfg = Cfg::new(vars);
-        let br = cfg.add_node(Stmt::Branch {
-            pred: Expr::Var(x),
-        });
+        let br = cfg.add_node(Stmt::Branch { pred: Expr::Var(x) });
         let asg = cfg.add_node(Stmt::Assign {
             lhs: LValue::Var(x),
             rhs: Expr::Const(0),
@@ -535,7 +528,9 @@ mod tests {
         cfg.add_edge(br, asg); // both arms to a non-join
         cfg.add_edge(asg, cfg.end());
         let errs = cfg.validate().unwrap_err();
-        assert!(errs.iter().any(|e| matches!(e, CfgError::UnexpectedMultiPred(n) if *n == asg)));
+        assert!(errs
+            .iter()
+            .any(|e| matches!(e, CfgError::UnexpectedMultiPred(n) if *n == asg)));
     }
 
     #[test]
@@ -549,7 +544,13 @@ mod tests {
             .find(|&&(p, _)| p != cfg.start())
             .unwrap();
         let mid = cfg.add_node(Stmt::Join);
-        cfg.split_edge(EdgeRef { from: br, index: idx }, mid);
+        cfg.split_edge(
+            EdgeRef {
+                from: br,
+                index: idx,
+            },
+            mid,
+        );
         assert_eq!(cfg.succs(br)[idx], mid);
         assert_eq!(cfg.succs(mid), &[join]);
         cfg.validate().expect("still valid after split");

@@ -705,8 +705,12 @@ mod interval_tests {
         // cycles among the remaining members.
         let (cfg, _) = running_example();
         for p in interval_partition(&cfg) {
-            let inside: Vec<NodeId> =
-                p.members.iter().copied().filter(|&m| m != p.header).collect();
+            let inside: Vec<NodeId> = p
+                .members
+                .iter()
+                .copied()
+                .filter(|&m| m != p.header)
+                .collect();
             // Kahn over the subgraph induced by `inside`.
             let mut indeg: std::collections::HashMap<NodeId, usize> =
                 inside.iter().map(|&n| (n, 0)).collect();
@@ -717,11 +721,7 @@ mod interval_tests {
                     }
                 }
             }
-            let mut queue: Vec<NodeId> = inside
-                .iter()
-                .copied()
-                .filter(|n| indeg[n] == 0)
-                .collect();
+            let mut queue: Vec<NodeId> = inside.iter().copied().filter(|n| indeg[n] == 0).collect();
             let mut removed = 0;
             while let Some(n) = queue.pop() {
                 removed += 1;

@@ -62,7 +62,14 @@ pub fn insert_loop_control(cfg: &Cfg) -> Result<LoopControlled, Irreducible> {
     let mut out = cfg.clone();
     let (entry_node, exit_nodes) = insert_loop_control_body(&mut out, &forest);
     debug_assert!(out.validate().is_ok(), "loop control broke CFG invariants");
-    Ok(LoopControlled { cfg: out, meta: LoopControlMeta { forest, entry_node, exit_nodes } })
+    Ok(LoopControlled {
+        cfg: out,
+        meta: LoopControlMeta {
+            forest,
+            entry_node,
+            exit_nodes,
+        },
+    })
 }
 
 /// [`insert_loop_control`] applied to a [`FunctionContext`]'s CFG in
@@ -76,12 +83,24 @@ pub fn insert_loop_control_in_place(
 ) -> Result<LoopControlMeta, Irreducible> {
     let forest: LoopForest = (*fctx.loop_forest()?).clone();
     if forest.is_empty() {
-        return Ok(LoopControlMeta { forest, entry_node: Vec::new(), exit_nodes: Vec::new() });
+        return Ok(LoopControlMeta {
+            forest,
+            entry_node: Vec::new(),
+            exit_nodes: Vec::new(),
+        });
     }
-    let (entry_node, exit_nodes) =
-        fctx.mutate(Preserved::VALIDITY, |cfg| insert_loop_control_body(cfg, &forest));
-    debug_assert!(fctx.cfg().validate().is_ok(), "loop control broke CFG invariants");
-    Ok(LoopControlMeta { forest, entry_node, exit_nodes })
+    let (entry_node, exit_nodes) = fctx.mutate(Preserved::VALIDITY, |cfg| {
+        insert_loop_control_body(cfg, &forest)
+    });
+    debug_assert!(
+        fctx.cfg().validate().is_ok(),
+        "loop control broke CFG invariants"
+    );
+    Ok(LoopControlMeta {
+        forest,
+        entry_node,
+        exit_nodes,
+    })
 }
 
 /// The insertion itself, applied in place. `out` must be the graph the
@@ -109,10 +128,7 @@ fn insert_loop_control_body(out: &mut Cfg, forest: &LoopForest) -> (Vec<NodeId>,
             out.split_edge(edge, lx);
             exit_nodes[lid.index()].push(lx);
             // Continue splitting after the node just inserted.
-            edge = EdgeRef {
-                from: lx,
-                index: 0,
-            };
+            edge = EdgeRef { from: lx, index: 0 };
         }
     }
 
@@ -231,9 +247,7 @@ pub fn split_irreducible(cfg: &Cfg) -> Result<Cfg, Irreducible> {
         // Pick the smallest splittable region: ≥2 pred regions, on a limit
         // cycle.
         let members = |r: usize| -> Vec<NodeId> {
-            g.node_ids()
-                .filter(|m| region_of[m.index()] == r)
-                .collect()
+            g.node_ids().filter(|m| region_of[m.index()] == r).collect()
         };
         let pick = region_ids
             .iter()
@@ -264,8 +278,7 @@ pub fn split_irreducible(cfg: &Cfg) -> Result<Cfg, Irreducible> {
             let redirects: Vec<(NodeId, usize, NodeId)> = g
                 .edges()
                 .filter(|&(u, _, v)| {
-                    region_of.get(u.index()).copied() == Some(p)
-                        && copy_map.contains_key(&v)
+                    region_of.get(u.index()).copied() == Some(p) && copy_map.contains_key(&v)
                 })
                 .collect();
             for (u, i, v) in redirects {

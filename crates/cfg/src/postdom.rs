@@ -376,9 +376,7 @@ mod tests {
         let mut vars = VarTable::new();
         let x = vars.scalar("x");
         let mut cfg = Cfg::new(vars);
-        let br = cfg.add_node(Stmt::Branch {
-            pred: Expr::Var(x),
-        });
+        let br = cfg.add_node(Stmt::Branch { pred: Expr::Var(x) });
         let a = cfg.add_node(Stmt::Assign {
             lhs: LValue::Var(x),
             rhs: Expr::Const(1),

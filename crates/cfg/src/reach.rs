@@ -24,7 +24,11 @@ pub fn topo_order_ignoring_backedges(cfg: &Cfg, backedge_indices: &[Vec<usize>])
     }
     let mut order = Vec::with_capacity(n);
     let mut queue: Vec<NodeId> = vec![cfg.start()];
-    assert_eq!(indeg[cfg.start().index()], 0, "start must have no forward in-edges");
+    assert_eq!(
+        indeg[cfg.start().index()],
+        0,
+        "start must have no forward in-edges"
+    );
     while let Some(v) = queue.pop() {
         order.push(v);
         for (i, &s) in cfg.succs(v).iter().enumerate() {

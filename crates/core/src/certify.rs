@@ -157,10 +157,16 @@ impl fmt::Display for CertifyReport {
             writeln!(f, "  {d}")?;
         }
         for s in &self.missing_switches {
-            writeln!(f, "  [missing-switch] {s}: Theorem 1 requires a switch here")?;
+            writeln!(
+                f,
+                "  [missing-switch] {s}: Theorem 1 requires a switch here"
+            )?;
         }
         for s in &self.extra_switches {
-            writeln!(f, "  [extra-switch] {s}: provably redundant (missed optimization)")?;
+            writeln!(
+                f,
+                "  [extra-switch] {s}: provably redundant (missed optimization)"
+            )?;
         }
         for d in &self.conservation_defects {
             writeln!(f, "  [conservation] {d}")?;

@@ -123,17 +123,18 @@ fn construct_body(
                     g.connect(src, Port::new(end_op, i), ArcKind::Access);
                 }
                 if n_lines == 0 {
-                    g.connect(Port::new(start_op, 0), Port::new(end_op, 0), ArcKind::Access);
+                    g.connect(
+                        Port::new(start_op, 0),
+                        Port::new(end_op, 0),
+                        ArcKind::Access,
+                    );
                 }
             }
             Stmt::Join => {
                 for l in lines.ids() {
                     let from = sv.at(n, l);
                     if from.len() >= 2 {
-                        let m = g.add_labeled(
-                            OpKind::Merge,
-                            format!("{} @{n:?}", lines.name(l)),
-                        );
+                        let m = g.add_labeled(OpKind::Merge, format!("{} @{n:?}", lines.name(l)));
                         for &s in from {
                             g.connect(resolve(&port_of, s, l), Port::new(m, 0), arc_kind(lines, l));
                         }
@@ -295,8 +296,7 @@ mod tests {
     fn memory_elimination_composes() {
         for (name, src) in cf2df_lang::corpus::all() {
             let built = build_opts(src, true);
-            cf2df_dfg::validate(&built.dfg)
-                .unwrap_or_else(|e| panic!("{name}: {e:?}"));
+            cf2df_dfg::validate(&built.dfg).unwrap_or_else(|e| panic!("{name}: {e:?}"));
         }
     }
 

@@ -97,7 +97,9 @@ impl<'a> PassCtx<'a> {
 
     /// The graph under construction; panics before a construction pass.
     pub fn built_mut(&mut self) -> &mut Built {
-        self.built.as_mut().expect("construction pass must run first")
+        self.built
+            .as_mut()
+            .expect("construction pass must run first")
     }
 }
 

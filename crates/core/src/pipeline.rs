@@ -17,9 +17,7 @@ use crate::source_vec::SourceVectors;
 use crate::switch_place::SwitchPlacement;
 use crate::translator::translate_full_cached;
 use cf2df_cfg::intervals::Irreducible;
-use cf2df_cfg::loop_control::{
-    insert_loop_control_in_place, split_irreducible, LoopControlMeta,
-};
+use cf2df_cfg::loop_control::{insert_loop_control_in_place, split_irreducible, LoopControlMeta};
 use cf2df_cfg::{
     AliasStructure, CacheStats, Cfg, CfgError, CoverStrategy, FunctionContext, Preserved,
 };
@@ -422,7 +420,9 @@ impl Pass for SourceVectorsPass {
             &mut ctx.fctx,
             ctx.loop_control.as_ref().expect("loop-control pass ran"),
             ctx.lines.as_ref().expect("lines pass ran"),
-            ctx.switch_placement.as_ref().expect("switch-placement pass ran"),
+            ctx.switch_placement
+                .as_ref()
+                .expect("switch-placement pass ran"),
         )
         .map_err(TranslateError::Irreducible)?;
         ctx.source_vectors = Some(sv);
@@ -440,8 +440,12 @@ impl Pass for ConstructOptimizedPass {
         let built = crate::optimized::construct_cached(
             &mut ctx.fctx,
             ctx.lines.as_ref().expect("lines pass ran"),
-            ctx.switch_placement.as_ref().expect("switch-placement pass ran"),
-            ctx.source_vectors.as_ref().expect("source-vectors pass ran"),
+            ctx.switch_placement
+                .as_ref()
+                .expect("switch-placement pass ran"),
+            ctx.source_vectors
+                .as_ref()
+                .expect("source-vectors pass ran"),
         )
         .map_err(TranslateError::Irreducible)?;
         // Snapshot the placed switch sites before the §6 transforms can
@@ -595,7 +599,9 @@ impl Pass for CertifyPass {
                 let oracle = crate::certify::theorem1_switches(
                     ctx.fctx.cfg(),
                     &cd,
-                    ctx.loop_control.as_ref().expect("certify requires loop control"),
+                    ctx.loop_control
+                        .as_ref()
+                        .expect("certify requires loop control"),
                     ctx.lines.as_ref().expect("lines pass ran"),
                 );
                 // Both lists are sorted: the sites of one missing from the other.
@@ -640,7 +646,9 @@ impl Pass for CertifyPass {
 /// scheduled, so the record list names exactly the stages that ran.
 fn schedule(opts: &TranslateOptions) -> PassManager {
     let mut pm = PassManager::new();
-    pm.add(ValidatePass).add(BuildLinesPass).add(ReducibilityPass);
+    pm.add(ValidatePass)
+        .add(BuildLinesPass)
+        .add(ReducibilityPass);
     if opts.loop_control {
         pm.add(LoopControlPass);
     }
@@ -748,9 +756,10 @@ mod tests {
                 // path witnesses included — never a bare Debug dump.
                 let t = translate(&parsed.cfg, &parsed.alias, o)
                     .unwrap_or_else(|e| panic!("{name} opts#{i}: {e}"));
-                let report = t.certify.as_ref().unwrap_or_else(|| {
-                    panic!("{name} opts#{i}: certify pass did not run")
-                });
+                let report = t
+                    .certify
+                    .as_ref()
+                    .unwrap_or_else(|| panic!("{name} opts#{i}: certify pass did not run"));
                 assert!(report.is_clean(), "{name} opts#{i}: {report}");
             }
         }
@@ -915,7 +924,14 @@ mod tests {
         assert_eq!(t.revisions, 1, "only loop control mutates this CFG");
         assert!(t.cache_stats.total_hits() > 0, "stages share analyses");
         use cf2df_cfg::AnalysisKind::*;
-        for k in [Dominators, Postdominators, ControlDeps, LoopForest, TopoOrder, Preds] {
+        for k in [
+            Dominators,
+            Postdominators,
+            ControlDeps,
+            LoopForest,
+            TopoOrder,
+            Preds,
+        ] {
             assert!(
                 t.cache_stats.computed_of(k) <= t.revisions + 1,
                 "{}: computed {} times across {} revisions",

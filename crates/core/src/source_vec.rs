@@ -75,7 +75,9 @@ impl SourceVectors {
         let forest = LoopForest::compute(cfg)?;
         let backedges = forest.backedge_indices(cfg);
         let order = topo_order_ignoring_backedges(cfg, &backedges);
-        Ok(Self::compute_with(cfg, &pd, &backedges, &order, &lc.meta, lines, sp))
+        Ok(Self::compute_with(
+            cfg, &pd, &backedges, &order, &lc.meta, lines, sp,
+        ))
     }
 
     /// [`Self::compute`] drawing postdominators, the loop forest, and the
@@ -90,7 +92,15 @@ impl SourceVectors {
         let forest = fctx.loop_forest()?;
         let order = fctx.topo_order()?;
         let backedges = forest.backedge_indices(fctx.cfg());
-        Ok(Self::compute_with(fctx.cfg(), &pd, &backedges, &order, meta, lines, sp))
+        Ok(Self::compute_with(
+            fctx.cfg(),
+            &pd,
+            &backedges,
+            &order,
+            meta,
+            lines,
+            sp,
+        ))
     }
 
     /// The Fig 11 forward pass, parameterized over precomputed analyses.
@@ -335,9 +345,7 @@ mod tests {
             .unwrap();
         let then_node = cfg.succs(fork)[0];
         let srcs = sv.at(then_node, y);
-        assert!(srcs
-            .iter()
-            .any(|s| s.node == fork && s.dir == OutDir::TRUE));
+        assert!(srcs.iter().any(|s| s.node == fork && s.dir == OutDir::TRUE));
     }
 
     #[test]
@@ -406,7 +414,8 @@ mod tests {
 
     #[test]
     fn unreferenced_line_goes_straight_to_end() {
-        let (lc, lines, sp) = setup("alias q ~ q; x := 1; if x < 2 then { y := 1; } else { y := 2; }");
+        let (lc, lines, sp) =
+            setup("alias q ~ q; x := 1; if x < 2 then { y := 1; } else { y := 2; }");
         let sv = SourceVectors::compute(&lc, &lines, &sp).unwrap();
         let cfg = &lc.cfg;
         let q = line_of(cfg, &lines, "q");

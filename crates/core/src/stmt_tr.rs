@@ -473,6 +473,9 @@ mod tests {
             .op_ids()
             .find(|&o| matches!(g.kind(o), OpKind::StoreIdx { .. }))
             .unwrap();
-        assert_eq!(cur[lines.access_lines(arr)[0].index()], Some(Port::new(st, 0)));
+        assert_eq!(
+            cur[lines.access_lines(arr)[0].index()],
+            Some(Port::new(st, 0))
+        );
     }
 }

@@ -55,11 +55,7 @@ pub fn find_eligible(cfg: &Cfg, meta: &LoopControlMeta, lines: &Lines) -> Vec<El
     for (loop_id, info) in meta.forest.iter() {
         // Body must be a straight path: every non-fork body node has one
         // successor, and exactly one fork (the exit branch).
-        let forks = info
-            .body
-            .iter()
-            .filter(|&&n| cfg.stmt(n).is_fork())
-            .count();
+        let forks = info.body.iter().filter(|&&n| cfg.stmt(n).is_fork()).count();
         if forks != 1 {
             continue;
         }
@@ -172,7 +168,12 @@ struct Shape {
     lx: OpId,
 }
 
-fn match_shape(g: &Dfg, built: &Built, meta: &LoopControlMeta, site: &EligibleStore) -> Option<Shape> {
+fn match_shape(
+    g: &Dfg,
+    built: &Built,
+    meta: &LoopControlMeta,
+    site: &EligibleStore,
+) -> Option<Shape> {
     let le_node = meta.entry_node[site.loop_id.index()];
     let le = *built.ops.loop_entries.get(&(le_node, site.line))?;
     let index = g.arc_index();
@@ -279,7 +280,13 @@ mod tests {
     use cf2df_lang::parse_to_cfg;
     use cf2df_machine::{run, vonneumann, MachineConfig};
 
-    fn setup(src: &str) -> (cf2df_cfg::loop_control::LoopControlled, Lines, AliasStructure) {
+    fn setup(
+        src: &str,
+    ) -> (
+        cf2df_cfg::loop_control::LoopControlled,
+        Lines,
+        AliasStructure,
+    ) {
         let parsed = parse_to_cfg(src).unwrap();
         let lc = insert_loop_control(&parsed.cfg).unwrap();
         let cover = Cover::build(&CoverStrategy::Singletons, &parsed.alias);

@@ -289,9 +289,7 @@ mod tests {
             let t = crate::pipeline::translate(
                 &parsed.cfg,
                 &parsed.alias,
-                &crate::pipeline::TranslateOptions::schema3(
-                    cf2df_cfg::CoverStrategy::Singletons,
-                )
+                &crate::pipeline::TranslateOptions::schema3(cf2df_cfg::CoverStrategy::Singletons)
                     .with_memory_elimination(true),
             )
             .unwrap();
@@ -316,9 +314,7 @@ mod tests {
             let t = crate::pipeline::translate(
                 &parsed.cfg,
                 &parsed.alias,
-                &crate::pipeline::TranslateOptions::schema3(
-                    cf2df_cfg::CoverStrategy::Singletons,
-                )
+                &crate::pipeline::TranslateOptions::schema3(cf2df_cfg::CoverStrategy::Singletons)
                     .with_memory_elimination(true),
             )
             .unwrap();

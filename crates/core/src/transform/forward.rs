@@ -190,7 +190,9 @@ mod tests {
             match last_store {
                 None => g.set_imm(st, 0, 1),
                 Some(prev_val) => {
-                    let add = g.add(OpKind::Binary { op: cf2df_cfg::BinOp::Add });
+                    let add = g.add(OpKind::Binary {
+                        op: cf2df_cfg::BinOp::Add,
+                    });
                     g.set_imm(add, 1, i);
                     g.connect(prev_val, Port::new(add, 0), ArcKind::Value);
                     g.connect(Port::new(add, 0), Port::new(st, 0), ArcKind::Value);

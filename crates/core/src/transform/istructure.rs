@@ -22,8 +22,8 @@
 //! deadlocked with a diagnostic. Note the final values live in the
 //! machine's I-structure memory snapshot (`Outcome::ist_memory`).
 
-use cf2df_dfg::{ArcKind, Dfg, OpId, OpKind, Port};
 use cf2df_cfg::VarId;
+use cf2df_dfg::{ArcKind, Dfg, OpId, OpKind, Port};
 
 /// Convert every element operation on the given arrays to I-structure
 /// operations. Returns the number of operations converted; the graph is

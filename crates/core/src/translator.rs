@@ -92,7 +92,13 @@ pub fn translate_full_cached(
     let forest = fctx.loop_forest()?;
     let order = fctx.topo_order()?;
     let preds = fctx.preds();
-    Ok(translate_full_with(fctx.cfg(), &forest, &order, &preds, lines))
+    Ok(translate_full_with(
+        fctx.cfg(),
+        &forest,
+        &order,
+        &preds,
+        lines,
+    ))
 }
 
 /// The translation core, parameterized over precomputed analyses.
@@ -197,8 +203,8 @@ fn translate_full_with(
                         .iter()
                         .filter_map(|&(p, pi)| edge_src.get(&(p, pi, l)).copied())
                         .collect();
-                    let mut src = merge_build(&mut g, &srcs, arc_kind(lines, l))
-                        .expect("line reaches end");
+                    let mut src =
+                        merge_build(&mut g, &srcs, arc_kind(lines, l)).expect("line reaches end");
                     if let LineMode::Value(v) = lines.mode(l) {
                         // Write the final value back so the memory snapshot
                         // matches the sequential semantics.
@@ -215,7 +221,11 @@ fn translate_full_with(
                 if n_lines == 0 {
                     // Degenerate program with no variables: a single
                     // control token start→end.
-                    g.connect(Port::new(start_op, 0), Port::new(end_op, 0), ArcKind::Access);
+                    g.connect(
+                        Port::new(start_op, 0),
+                        Port::new(end_op, 0),
+                        ArcKind::Access,
+                    );
                 }
             }
             Stmt::Join => {
@@ -320,8 +330,7 @@ mod tests {
         let parsed = parse_to_cfg("x := 1; y := x + 2;").unwrap();
         let lines = lines_for(&parsed.cfg, &parsed.alias, CoverStrategy::Singletons);
         let built = translate_full(&parsed.cfg, &lines).unwrap();
-        cf2df_dfg::validate(&built.dfg)
-            .unwrap_or_else(|e| panic!("{e:?}\n{}", built.dfg.pretty()));
+        cf2df_dfg::validate(&built.dfg).unwrap_or_else(|e| panic!("{e:?}\n{}", built.dfg.pretty()));
     }
 
     #[test]
@@ -332,8 +341,7 @@ mod tests {
         let parsed = parse_to_cfg(cf2df_lang::corpus::RUNNING_EXAMPLE).unwrap();
         let lines = lines_for(&parsed.cfg, &parsed.alias, CoverStrategy::Singletons);
         let built = translate_full(&parsed.cfg, &lines).unwrap();
-        cf2df_dfg::validate(&built.dfg)
-            .unwrap_or_else(|e| panic!("{e:?}\n{}", built.dfg.pretty()));
+        cf2df_dfg::validate(&built.dfg).unwrap_or_else(|e| panic!("{e:?}\n{}", built.dfg.pretty()));
         // With loop control: loop entry/exit operators appear per line.
         let lc = cf2df_cfg::loop_control::insert_loop_control(&parsed.cfg).unwrap();
         let built2 = translate_full(&lc.cfg, &lines).unwrap();

@@ -30,9 +30,7 @@ pub fn dfg_to_dot(g: &Dfg, title: &str) -> String {
             | OpKind::LoopSwitch { .. }
             | OpKind::LoopExit { .. }
             | OpKind::PrevIter { .. }
-            | OpKind::IterIndex { .. } => {
-                "hexagon"
-            }
+            | OpKind::IterIndex { .. } => "hexagon",
             _ => "box",
         };
         let _ = writeln!(

@@ -491,8 +491,14 @@ mod tests {
         assert_eq!(map[neg.index()], None);
         assert_eq!(map[mul.index()], None);
         // Boundaries stayed put.
-        assert!(matches!(g.kind(map[ld.index()].unwrap()), OpKind::Load { .. }));
-        assert!(matches!(g.kind(map[st.index()].unwrap()), OpKind::Store { .. }));
+        assert!(matches!(
+            g.kind(map[ld.index()].unwrap()),
+            OpKind::Load { .. }
+        ));
+        assert!(matches!(
+            g.kind(map[st.index()].unwrap()),
+            OpKind::Store { .. }
+        ));
     }
 
     /// A producer fanning out to two consumers is not a chain link.
@@ -597,9 +603,15 @@ mod tests {
         // The entry slot holds the compound; the fused switch is gone,
         // the fanned-out pair is untouched.
         let c = map[le_x.index()].expect("entry survives as the compound");
-        assert!(matches!(g.kind(c), OpKind::LoopSwitch { loop_id: LoopId(0) }));
+        assert!(matches!(
+            g.kind(c),
+            OpKind::LoopSwitch { loop_id: LoopId(0) }
+        ));
         assert_eq!(map[sw_x.index()], None);
-        assert!(matches!(g.kind(map[le_i.index()].unwrap()), OpKind::LoopEntry { .. }));
+        assert!(matches!(
+            g.kind(map[le_i.index()].unwrap()),
+            OpKind::LoopEntry { .. }
+        ));
         assert!(matches!(g.kind(map[sw_i.index()].unwrap()), OpKind::Switch));
         // Compound wiring: continue-arm to the body, exit-arm to the
         // loop exit, predicate into port 2, backedge intact on port 1.
@@ -607,10 +619,18 @@ mod tests {
         let dbl2 = map[dbl.index()].unwrap();
         let lx2 = map[lx_x.index()].unwrap();
         let cmp2 = map[cmp.index()].unwrap();
-        assert!(arcs.iter().any(|a| a.from == Port::new(c, 0) && a.to.op == dbl2));
-        assert!(arcs.iter().any(|a| a.from == Port::new(c, 1) && a.to == Port::new(lx2, 0)));
-        assert!(arcs.iter().any(|a| a.from.op == cmp2 && a.to == Port::new(c, 2)));
-        assert!(arcs.iter().any(|a| a.from.op == dbl2 && a.to == Port::new(c, 1)));
+        assert!(arcs
+            .iter()
+            .any(|a| a.from == Port::new(c, 0) && a.to.op == dbl2));
+        assert!(arcs
+            .iter()
+            .any(|a| a.from == Port::new(c, 1) && a.to == Port::new(lx2, 0)));
+        assert!(arcs
+            .iter()
+            .any(|a| a.from.op == cmp2 && a.to == Port::new(c, 2)));
+        assert!(arcs
+            .iter()
+            .any(|a| a.from.op == dbl2 && a.to == Port::new(c, 1)));
     }
 
     /// A loop-entry whose predicate arrives as an immediate on the

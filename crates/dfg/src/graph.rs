@@ -230,11 +230,7 @@ impl Dfg {
     /// Remove the first arc from `from` to `to`; returns whether one was
     /// found. Used by the §6 graph rewrites.
     pub fn disconnect(&mut self, from: Port, to: Port) -> bool {
-        if let Some(i) = self
-            .arcs
-            .iter()
-            .position(|a| a.from == from && a.to == to)
-        {
+        if let Some(i) = self.arcs.iter().position(|a| a.from == from && a.to == to) {
             self.arcs.swap_remove(i);
             true
         } else {
@@ -691,7 +687,10 @@ mod tests {
         // Retarget the arc into `a` to `b` instead.
         assert_eq!(g.retarget_input(Port::new(a, 0), Port::new(b, 0)), 1);
         assert!(g.disconnect(Port::new(a, 0), Port::new(e, 0)));
-        assert!(!g.disconnect(Port::new(a, 0), Port::new(e, 0)), "already gone");
+        assert!(
+            !g.disconnect(Port::new(a, 0), Port::new(e, 0)),
+            "already gone"
+        );
         g.connect(Port::new(b, 0), Port::new(e, 0), ArcKind::Access);
         let map = g.compact();
         assert_eq!(map[a.index()], None, "a became isolated");

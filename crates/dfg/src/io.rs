@@ -188,12 +188,24 @@ fn kind_from_words(words: &[&str]) -> Option<OpKind> {
         "synch" => OpKind::Synch { inputs: num(1)? },
         "identity" => OpKind::Identity,
         "gate" => OpKind::Gate,
-        "load" => OpKind::Load { var: VarId(num(1)?) },
-        "store" => OpKind::Store { var: VarId(num(1)?) },
-        "loadidx" => OpKind::LoadIdx { var: VarId(num(1)?) },
-        "storeidx" => OpKind::StoreIdx { var: VarId(num(1)?) },
-        "istload" => OpKind::IstLoad { var: VarId(num(1)?) },
-        "iststore" => OpKind::IstStore { var: VarId(num(1)?) },
+        "load" => OpKind::Load {
+            var: VarId(num(1)?),
+        },
+        "store" => OpKind::Store {
+            var: VarId(num(1)?),
+        },
+        "loadidx" => OpKind::LoadIdx {
+            var: VarId(num(1)?),
+        },
+        "storeidx" => OpKind::StoreIdx {
+            var: VarId(num(1)?),
+        },
+        "istload" => OpKind::IstLoad {
+            var: VarId(num(1)?),
+        },
+        "iststore" => OpKind::IstStore {
+            var: VarId(num(1)?),
+        },
         "loopentry" => OpKind::LoopEntry {
             loop_id: LoopId(num(1)?),
         },
@@ -210,8 +222,7 @@ fn kind_from_words(words: &[&str]) -> Option<OpKind> {
             loop_id: LoopId(num(1)?),
         },
         "macro" => {
-            let steps: Option<Vec<MacroStep>> =
-                words[2..].iter().map(|w| step_from(w)).collect();
+            let steps: Option<Vec<MacroStep>> = words[2..].iter().map(|w| step_from(w)).collect();
             let steps = steps?;
             if steps.is_empty() {
                 return None;
@@ -319,10 +330,8 @@ pub fn read_text(text: &str) -> Result<Dfg, ParseError> {
                         let (p, v) = rest
                             .split_once('=')
                             .ok_or_else(|| err(lineno, "malformed immediate"))?;
-                        let p: usize =
-                            p.parse().map_err(|_| err(lineno, "bad immediate port"))?;
-                        let v: i64 =
-                            v.parse().map_err(|_| err(lineno, "bad immediate value"))?;
+                        let p: usize = p.parse().map_err(|_| err(lineno, "bad immediate port"))?;
+                        let v: i64 = v.parse().map_err(|_| err(lineno, "bad immediate value"))?;
                         g.set_imm(op, p, v);
                     } else {
                         return Err(err(lineno, "unexpected token"));
@@ -342,8 +351,7 @@ pub fn read_text(text: &str) -> Result<Dfg, ParseError> {
                         port: b.parse().ok()?,
                     })
                 };
-                let from =
-                    parse_port(words[1]).ok_or_else(|| err(lineno, "bad source port"))?;
+                let from = parse_port(words[1]).ok_or_else(|| err(lineno, "bad source port"))?;
                 let to = parse_port(words[3]).ok_or_else(|| err(lineno, "bad dest port"))?;
                 let kind = match words[4] {
                     "value" => ArcKind::Value,
@@ -412,7 +420,9 @@ pub fn read_module(text: &str) -> Result<(Dfg, cf2df_cfg::VarTable), ParseError>
                     msg: "var ids must be dense and ordered".into(),
                 });
             }
-            let name = line.split_once('"').map(|x| x.1)
+            let name = line
+                .split_once('"')
+                .map(|x| x.1)
                 .map(|r| r.trim_end_matches('"').to_owned())
                 .ok_or_else(|| ParseError {
                     line: lineno,
@@ -424,12 +434,13 @@ pub fn read_module(text: &str) -> Result<(Dfg, cf2df_cfg::VarTable), ParseError>
                 }
                 Some(&"array") => {
                     let len: u32 =
-                        words.get(3).and_then(|w| w.parse().ok()).ok_or_else(|| {
-                            ParseError {
+                        words
+                            .get(3)
+                            .and_then(|w| w.parse().ok())
+                            .ok_or_else(|| ParseError {
                                 line: lineno,
                                 msg: "bad array length".into(),
-                            }
-                        })?;
+                            })?;
                     vars.array(&name, len);
                 }
                 _ => {
@@ -610,7 +621,8 @@ mod tests {
 
     #[test]
     fn comments_and_blanks_ignored() {
-        let text = "dfg v1\n# a comment\n\nop 0 start  # trailing\nop 1 end 1\narc 0.0 -> 1.0 access\n";
+        let text =
+            "dfg v1\n# a comment\n\nop 0 start  # trailing\nop 1 end 1\narc 0.0 -> 1.0 access\n";
         let g = read_text(text).unwrap();
         assert_eq!(g.len(), 2);
         assert_eq!(g.arc_count(), 1);

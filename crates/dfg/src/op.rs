@@ -351,7 +351,10 @@ mod tests {
         assert_eq!(macro_eval(&[MacroStep::Un(UnOp::Neg, In(0))], &[7]), -7);
         assert_eq!(macro_eval(&[MacroStep::Fwd(In(0))], &[9]), 9);
         assert_eq!(macro_eval(&[MacroStep::Zero], &[1, 2]), 0);
-        let k = OpKind::Macro { inputs: 3, steps: steps.to_vec() };
+        let k = OpKind::Macro {
+            inputs: 3,
+            steps: steps.to_vec(),
+        };
         assert_eq!(k.n_inputs(), 3);
         assert_eq!(k.n_outputs(), 1);
         assert!(!k.is_merge_like(0));

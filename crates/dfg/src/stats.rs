@@ -56,9 +56,7 @@ impl DfgStats {
                 OpKind::LoopEntry { .. }
                 | OpKind::LoopExit { .. }
                 | OpKind::PrevIter { .. }
-                | OpKind::IterIndex { .. } => {
-                    s.loop_control += 1
-                }
+                | OpKind::IterIndex { .. } => s.loop_control += 1,
                 OpKind::Macro { steps, .. } => {
                     s.macros += 1;
                     s.fused_ops += steps.len();

@@ -372,8 +372,7 @@ mod tests {
     fn corpus_is_reducible() {
         for (name, src) in super::all() {
             let parsed = parse_to_cfg(src).unwrap();
-            cf2df_cfg::LoopForest::compute(&parsed.cfg)
-                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            cf2df_cfg::LoopForest::compute(&parsed.cfg).unwrap_or_else(|e| panic!("{name}: {e}"));
         }
     }
 

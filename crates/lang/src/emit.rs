@@ -126,7 +126,11 @@ mod tests {
                 Expr::un(UnOp::Neg, Expr::Const(2)),
             ),
             Expr::Const(-17),
-            Expr::bin(BinOp::Rem, Expr::bin(BinOp::Mul, Expr::Var(x), Expr::Var(x)), Expr::Const(7)),
+            Expr::bin(
+                BinOp::Rem,
+                Expr::bin(BinOp::Mul, Expr::Var(x), Expr::Var(x)),
+                Expr::Const(7),
+            ),
         ];
         for e in exprs {
             let text = format!("array a[4]; x := 0; y := {};", emit_expr(&e, &t));
@@ -139,8 +143,8 @@ mod tests {
         for (name, src) in crate::corpus::all() {
             let parsed = parse_to_cfg(src).unwrap();
             let emitted = emit_goto_form(&parsed.cfg);
-            let reparsed = parse_to_cfg(&emitted)
-                .unwrap_or_else(|e| panic!("{name}: {e}\n{emitted}"));
+            let reparsed =
+                parse_to_cfg(&emitted).unwrap_or_else(|e| panic!("{name}: {e}\n{emitted}"));
             reparsed.cfg.validate().unwrap();
             // Variable tables must agree so memories are comparable.
             assert_eq!(reparsed.cfg.vars.len(), parsed.cfg.vars.len(), "{name}");

@@ -55,14 +55,8 @@ pub fn lower(program: &Program) -> Result<Parsed, LangError> {
     let mut cfg = lw.cfg;
     let mut pairs = Vec::new();
     for (a, b) in &program.aliases {
-        let va = cfg
-            .vars
-            .lookup(a)
-            .unwrap_or_else(|| cfg.vars.scalar(a));
-        let vb = cfg
-            .vars
-            .lookup(b)
-            .unwrap_or_else(|| cfg.vars.scalar(b));
+        let va = cfg.vars.lookup(a).unwrap_or_else(|| cfg.vars.scalar(a));
+        let vb = cfg.vars.lookup(b).unwrap_or_else(|| cfg.vars.scalar(b));
         pairs.push((va, vb));
     }
     let mut alias = AliasStructure::for_table(&cfg.vars);
@@ -114,9 +108,7 @@ impl Lowerer {
     /// Redirect every frontier edge to `target`, inserting a join first if
     /// several edges would converge on a non-join.
     fn attach(&mut self, target: NodeId) {
-        if self.frontier.len() >= 2
-            && !matches!(self.cfg.stmt(target), Stmt::Join | Stmt::End)
-        {
+        if self.frontier.len() >= 2 && !matches!(self.cfg.stmt(target), Stmt::Join | Stmt::End) {
             let j = self.new_node(Stmt::Join, 1);
             let pending = std::mem::take(&mut self.frontier);
             for (n, i) in pending {
@@ -444,8 +436,7 @@ mod tests {
 
     #[test]
     fn alias_structure_built() {
-        let parsed =
-            parse_to_cfg("alias x ~ z; alias y ~ z; x := 1; y := 2; z := 3;").unwrap();
+        let parsed = parse_to_cfg("alias x ~ z; alias y ~ z; x := 1; y := 2; z := 3;").unwrap();
         let vars = &parsed.cfg.vars;
         let x = vars.lookup("x").unwrap();
         let y = vars.lookup("y").unwrap();

@@ -343,7 +343,11 @@ impl Parser {
                     self.expect(&Tok::Comma, "`,`")?;
                     let b = self.expr()?;
                     self.expect(&Tok::RParen, "`)`")?;
-                    let op = if name == "min" { BinOp::Min } else { BinOp::Max };
+                    let op = if name == "min" {
+                        BinOp::Min
+                    } else {
+                        BinOp::Max
+                    };
                     return Ok(AstExpr::bin(op, a, b));
                 }
                 self.pos += 1;

@@ -579,7 +579,11 @@ impl SlotVals {
                     filled |= 1 << p;
                 }
             }
-            SlotVals::Inline { n: n as u8, filled, vals }
+            SlotVals::Inline {
+                n: n as u8,
+                filled,
+                vals,
+            }
         } else {
             if hot {
                 audit::note_hot_spill();
@@ -642,12 +646,15 @@ impl SlotVals {
     /// The filled port indices, ascending (deadlock reports).
     pub(crate) fn filled_ports(&self) -> Vec<usize> {
         match self {
-            SlotVals::Inline { n, filled, .. } => {
-                (0..*n as usize).filter(|p| filled & (1 << p) != 0).collect()
-            }
-            SlotVals::Spill { filled, .. } => {
-                filled.iter().enumerate().filter(|(_, &f)| f).map(|(p, _)| p).collect()
-            }
+            SlotVals::Inline { n, filled, .. } => (0..*n as usize)
+                .filter(|p| filled & (1 << p) != 0)
+                .collect(),
+            SlotVals::Spill { filled, .. } => filled
+                .iter()
+                .enumerate()
+                .filter(|(_, &f)| f)
+                .map(|(p, _)| p)
+                .collect(),
         }
     }
 
@@ -666,7 +673,11 @@ impl SlotVals {
 /// The low `n` bits set.
 #[inline]
 fn mask(n: usize) -> u16 {
-    if n >= 16 { u16::MAX } else { (1u16 << n) - 1 }
+    if n >= 16 {
+        u16::MAX
+    } else {
+        (1u16 << n) - 1
+    }
 }
 
 /// A strict firing's assembled input values, inline wherever the slot
@@ -1029,7 +1040,10 @@ mod tests {
             MacroStep::Bin(BinOp::Add, MacroSrc::In(0), MacroSrc::Imm(5)),
             MacroStep::Bin(BinOp::Mul, MacroSrc::Chain, MacroSrc::Imm(2)),
         ];
-        let m = g.add(OpKind::Macro { inputs: 1, steps: steps.clone() });
+        let m = g.add(OpKind::Macro {
+            inputs: 1,
+            steps: steps.clone(),
+        });
         let e = g.add(OpKind::End { inputs: 1 });
         g.connect(Port::new(s, 0), Port::new(m, 0), ArcKind::Value);
         g.connect(Port::new(m, 0), Port::new(e, 0), ArcKind::Value);
@@ -1069,7 +1083,10 @@ mod tests {
             OpKind::PrevIter { loop_id: LoopId(1) },
             OpKind::IterIndex { loop_id: LoopId(1) },
             OpKind::LoopSwitch { loop_id: LoopId(0) },
-            OpKind::Macro { inputs: 2, steps: vec![MacroStep::Zero] },
+            OpKind::Macro {
+                inputs: 2,
+                steps: vec![MacroStep::Zero],
+            },
         ] {
             g.add(k);
         }

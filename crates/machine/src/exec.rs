@@ -409,7 +409,12 @@ pub fn run_traced_compiled(
 }
 
 impl<'g, S: TraceSink> Sim<'g, S> {
-    fn new(cg: &'g CompiledGraph, layout: &'g MemLayout, config: MachineConfig, sink: S) -> Sim<'g, S> {
+    fn new(
+        cg: &'g CompiledGraph,
+        layout: &'g MemLayout,
+        config: MachineConfig,
+        sink: S,
+    ) -> Sim<'g, S> {
         Sim {
             cg,
             layout,

@@ -246,8 +246,16 @@ mod tests {
     fn par_metrics_summary_sums_workers() {
         let m = ParMetrics {
             workers: vec![
-                WorkerStats { steals: 2, parks: 1, ..Default::default() },
-                WorkerStats { steals: 3, parks: 4, ..Default::default() },
+                WorkerStats {
+                    steals: 2,
+                    parks: 1,
+                    ..Default::default()
+                },
+                WorkerStats {
+                    steals: 3,
+                    parks: 4,
+                    ..Default::default()
+                },
             ],
             tokens_processed: 10,
             merged: 4,

@@ -108,7 +108,6 @@ const IST_STRIPES: usize = 16;
 /// Shards in the tag interner.
 const TAG_SHARDS: usize = 16;
 
-
 // ---------------------------------------------------------------------
 // Sharded memory
 // ---------------------------------------------------------------------
@@ -175,7 +174,12 @@ impl ParMemory {
         self.cells[layout.base(var) as usize].store(value, Ordering::SeqCst);
     }
 
-    pub(crate) fn read_element(&self, layout: &MemLayout, var: VarId, index: i64) -> Result<i64, MemError> {
+    pub(crate) fn read_element(
+        &self,
+        layout: &MemLayout,
+        var: VarId,
+        index: i64,
+    ) -> Result<i64, MemError> {
         let addr = layout
             .element(var, index)
             .ok_or(MemError::OutOfBounds { var, index })?;
@@ -254,7 +258,10 @@ impl ParMemory {
     }
 
     pub(crate) fn cells_snapshot(&self) -> Vec<i64> {
-        self.cells.iter().map(|c| c.load(Ordering::SeqCst)).collect()
+        self.cells
+            .iter()
+            .map(|c| c.load(Ordering::SeqCst))
+            .collect()
     }
 
     /// I-structure snapshot in address order (empty cells read as 0).
@@ -361,7 +368,11 @@ impl ParTagTable {
                 })
             }
         };
-        shard.ctxs.push(Some(TagCtx { parent, loop_id, iter }));
+        shard.ctxs.push(Some(TagCtx {
+            parent,
+            loop_id,
+            iter,
+        }));
         shard.intern.insert((parent, loop_id, iter), t);
         Ok(t)
     }
@@ -453,7 +464,11 @@ pub fn run_threaded_compiled_pooled_with(
     layout: &MemLayout,
     pool: &ExecutorPool,
     cfg: &ParConfig,
-) -> (Result<ParOutcome, MachineError>, ParMetrics, Vec<TraceEvent>) {
+) -> (
+    Result<ParOutcome, MachineError>,
+    ParMetrics,
+    Vec<TraceEvent>,
+) {
     crate::serve::run_solo(cg, layout, pool, cfg)
 }
 
@@ -511,7 +526,11 @@ mod tests {
             assert_eq!(m.workers.len(), threads);
             let per_worker: u64 = m.workers.iter().map(|w| w.processed).sum();
             assert_eq!(per_worker, m.tokens_processed);
-            assert_eq!(m.tokens_processed, par.fired + m.merged, "threads={threads}");
+            assert_eq!(
+                m.tokens_processed,
+                par.fired + m.merged,
+                "threads={threads}"
+            );
             let shard_max = m.slot_shard_high_water.iter().copied().max().unwrap_or(0);
             let shard_sum: u64 = m.slot_shard_high_water.iter().sum();
             assert!(m.max_pending_slots >= shard_max);

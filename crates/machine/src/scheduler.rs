@@ -581,9 +581,7 @@ impl<T: Send> Scheduler<T> {
         let mut stats = WorkerStats::default();
         let mut batch: Vec<T> = Vec::with_capacity(BATCH);
         let mut first_batch = true;
-        let mut chaos = self
-            .chaos
-            .map(|c| (c, ChaosRng::for_worker(c.seed, w)));
+        let mut chaos = self.chaos.map(|c| (c, ChaosRng::for_worker(c.seed, w)));
         loop {
             if self.stop.load(Ordering::SeqCst) {
                 return stats;
@@ -656,9 +654,7 @@ impl<T: Send> Scheduler<T> {
             self.sleeper_count.store(*sleepers, Ordering::SeqCst);
             stats.parks += 1;
             loop {
-                if self.stop.load(Ordering::SeqCst)
-                    || self.pending.load(Ordering::SeqCst) == 0
-                {
+                if self.stop.load(Ordering::SeqCst) || self.pending.load(Ordering::SeqCst) == 0 {
                     *sleepers -= 1;
                     self.sleeper_count.store(*sleepers, Ordering::SeqCst);
                     return stats;
@@ -808,11 +804,7 @@ impl WorkerPool {
         st.remaining = self.handles.len();
         self.shared.start.notify_all();
         while st.remaining > 0 {
-            st = self
-                .shared
-                .done
-                .wait(st)
-                .unwrap_or_else(|e| e.into_inner());
+            st = self.shared.done.wait(st).unwrap_or_else(|e| e.into_inner());
         }
         st.job = None;
         std::mem::take(&mut st.panicked)
@@ -847,17 +839,13 @@ fn pool_worker(shared: &PoolShared, w: usize) {
                         break Job(ptr);
                     }
                 }
-                st = shared
-                    .start
-                    .wait(st)
-                    .unwrap_or_else(|e| e.into_inner());
+                st = shared.start.wait(st).unwrap_or_else(|e| e.into_inner());
             }
         };
         // SAFETY: see `WorkerPool::run` — the referent outlives the
         // epoch, and we signal completion only after the call returns.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| unsafe {
-            (*job.0)(w)
-        }));
+        let result =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| unsafe { (*job.0)(w) }));
         let mut st = lock(&shared.state);
         if result.is_err() {
             st.panicked = true;
@@ -1060,7 +1048,10 @@ mod tests {
         let unparks: u64 = out.workers.iter().map(|w| w.unparks).sum();
         assert!(steals > 0, "siblings must steal from the producer: {out:?}");
         assert!(parks > 0, "empty-handed workers must park: {out:?}");
-        assert!(unparks > 0, "the threshold flush must wake a sleeper: {out:?}");
+        assert!(
+            unparks > 0,
+            "the threshold flush must wake a sleeper: {out:?}"
+        );
     }
 
     /// Steal-half: a thief takes half of the victim's queue in one
@@ -1243,9 +1234,10 @@ mod tests {
                     panic!("task exploded");
                 }
             }));
-            let (_, msg) = out.panicked.as_ref().unwrap_or_else(|| {
-                panic!("workers={workers}: panic not reported: {out:?}")
-            });
+            let (_, msg) = out
+                .panicked
+                .as_ref()
+                .unwrap_or_else(|| panic!("workers={workers}: panic not reported: {out:?}"));
             assert_eq!(msg, "task exploded", "workers={workers}");
             assert!(out.halted, "a contained panic halts the run");
             // Every task is still accounted for: processed (the batch

@@ -715,12 +715,14 @@ impl Session<'_> {
     fn session_death(&self, err: MachineError) {
         let mut st = lock(&self.state);
         st.dead = Some(err.clone());
-        let busy: Vec<u32> =
-            (0..self.inv.len() as u32).filter(|i| !st.free.contains(i)).collect();
+        let busy: Vec<u32> = (0..self.inv.len() as u32)
+            .filter(|i| !st.free.contains(i))
+            .collect();
         for inv in busy {
             let slot = &self.inv[inv as usize];
             let e = lock(&slot.failed).take().unwrap_or_else(|| err.clone());
-            st.completed.push_back((slot.req.load(Ordering::SeqCst), Err(e)));
+            st.completed
+                .push_back((slot.req.load(Ordering::SeqCst), Err(e)));
             st.completed_err += 1;
             st.inflight -= 1;
         }
@@ -805,9 +807,10 @@ impl Session<'_> {
         watchdog: Option<Duration>,
     ) -> Outcome {
         let run = || {
-            sched.run_in(&pool.pool, |ctx: &Ctx<'_, Token>, batch: &mut Vec<Token>| {
-                self.run_batch(ctx, batch)
-            })
+            sched.run_in(
+                &pool.pool,
+                |ctx: &Ctx<'_, Token>, batch: &mut Vec<Token>| self.run_batch(ctx, batch),
+            )
         };
         let out = match watchdog {
             None => run(),
@@ -1159,7 +1162,9 @@ impl Engine for Firing<'_, '_, '_> {
     }
 
     fn write_element(&mut self, var: VarId, index: i64, value: i64) -> Result<(), MemError> {
-        self.core.mem.write_element(&self.core.layout, var, index, value)
+        self.core
+            .mem
+            .write_element(&self.core.layout, var, index, value)
     }
 
     fn ist_read(
@@ -1170,7 +1175,9 @@ impl Engine for Firing<'_, '_, '_> {
         tag: TagId,
     ) -> Result<Option<i64>, MemError> {
         // Deferral accounting happens inside ParMemory.
-        self.core.mem.ist_read(&self.core.layout, var, index, (op, tag))
+        self.core
+            .mem
+            .ist_read(&self.core.layout, var, index, (op, tag))
     }
 
     fn ist_write(
@@ -1179,7 +1186,9 @@ impl Engine for Firing<'_, '_, '_> {
         index: i64,
         value: i64,
     ) -> Result<Vec<DeferredRead<(OpId, TagId)>>, MemError> {
-        self.core.mem.ist_write(&self.core.layout, var, index, value)
+        self.core
+            .mem
+            .ist_write(&self.core.layout, var, index, value)
     }
 
     fn macro_fired(&mut self, elided: u64) {
@@ -1344,7 +1353,10 @@ pub fn serve<R>(
     let (ret, outcome) = std::thread::scope(|scope| {
         let scheduling = scope.spawn(|| sh.drive(&sched, pool, cfg.watchdog));
 
-        let handle = ServeHandle { sh: &sh, sched: &sched };
+        let handle = ServeHandle {
+            sh: &sh,
+            sched: &sched,
+        };
         let ret = catch_unwind(AssertUnwindSafe(|| f(&handle)));
 
         // Teardown: wait for every admitted request to finalize (a dead
@@ -1423,11 +1435,19 @@ pub(crate) fn run_solo(
     layout: &MemLayout,
     pool: &ExecutorPool,
     cfg: &ParConfig,
-) -> (Result<ParOutcome, MachineError>, ParMetrics, Vec<TraceEvent>) {
+) -> (
+    Result<ParOutcome, MachineError>,
+    ParMetrics,
+    Vec<TraceEvent>,
+) {
     let n_workers = pool.workers();
     let sh = Session::new(cg, n_workers, 1, cfg, true);
     let sched: Scheduler<Token> = Scheduler::new(n_workers).with_chaos(cfg.chaos);
-    ServeHandle { sh: &sh, sched: &sched }.submit(layout);
+    ServeHandle {
+        sh: &sh,
+        sched: &sched,
+    }
+    .submit(layout);
     let outcome = sh.drive(&sched, pool, cfg.watchdog);
     let completed = lock(&sh.state).completed.pop_front();
     let result = match completed {
@@ -1554,8 +1574,7 @@ mod tests {
         let pool = ExecutorPool::new(2);
         // Window of 1: 16 submissions must still all complete (each
         // submit blocks until the previous request finalizes).
-        let (results, stats) =
-            run_concurrent(&cg, &layout, &pool, 1, &ParConfig::default(), 16);
+        let (results, stats) = run_concurrent(&cg, &layout, &pool, 1, &ParConfig::default(), 16);
         assert!(results.iter().all(|r| r.is_ok()));
         assert_eq!(stats.peak_inflight, 1);
     }
@@ -1580,8 +1599,7 @@ mod tests {
         let (g2, layout2) = small_graph();
         let cg2 = compile(&g2).unwrap();
         let sim = run(&g2, &layout2, MachineConfig::unbounded()).unwrap();
-        let (results2, _) =
-            run_concurrent(&cg2, &layout2, &pool, 4, &ParConfig::default(), 4);
+        let (results2, _) = run_concurrent(&cg2, &layout2, &pool, 4, &ParConfig::default(), 4);
         for r in results2 {
             assert_eq!(r.unwrap().memory, sim.memory);
         }

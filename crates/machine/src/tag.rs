@@ -99,7 +99,10 @@ impl TagSplit {
         if self.inv_bits == 0 {
             (0, TagId(packed))
         } else {
-            (packed >> (32 - self.inv_bits), TagId(packed & self.tag_cap()))
+            (
+                packed >> (32 - self.inv_bits),
+                TagId(packed & self.tag_cap()),
+            )
         }
     }
 }

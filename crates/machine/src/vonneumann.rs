@@ -126,9 +126,7 @@ pub fn interpret(
                     .vars()
                     .iter()
                     .chain(lhs.read_vars().iter())
-                    .filter(|v| {
-                        matches!(it.cfg.vars.kind(**v), cf2df_cfg::VarKind::Scalar)
-                    })
+                    .filter(|v| matches!(it.cfg.vars.kind(**v), cf2df_cfg::VarKind::Scalar))
                     .collect::<std::collections::BTreeSet<_>>()
                     .len() as u64;
                 let value = it.eval(rhs)?;
@@ -148,9 +146,7 @@ pub fn interpret(
                 let scalar_reads = pred
                     .vars()
                     .iter()
-                    .filter(|v| {
-                        matches!(it.cfg.vars.kind(**v), cf2df_cfg::VarKind::Scalar)
-                    })
+                    .filter(|v| matches!(it.cfg.vars.kind(**v), cf2df_cfg::VarKind::Scalar))
                     .count() as u64;
                 let taken = it.eval(pred)? != 0;
                 let loads = scalar_reads + it.element_loads;
@@ -166,9 +162,7 @@ pub fn interpret(
                 let scalar_reads = selector
                     .vars()
                     .iter()
-                    .filter(|v| {
-                        matches!(it.cfg.vars.kind(**v), cf2df_cfg::VarKind::Scalar)
-                    })
+                    .filter(|v| matches!(it.cfg.vars.kind(**v), cf2df_cfg::VarKind::Scalar))
                     .count() as u64;
                 let sel = it.eval(selector)?;
                 let loads = scalar_reads + it.element_loads;
@@ -349,7 +343,11 @@ mod tests {
 
         let shared = MemLayout::with_binding(&parsed.cfg.vars, &[vec![p, q]]);
         let out2 = interpret(&parsed.cfg, &shared, &MachineConfig::default()).unwrap();
-        assert_eq!(out2.memory[shared.base(r) as usize], 2, "p and q share a cell");
+        assert_eq!(
+            out2.memory[shared.base(r) as usize],
+            2,
+            "p and q share a cell"
+        );
     }
 
     #[test]

@@ -23,8 +23,12 @@ fn main() {
         vars.lookup("fz").unwrap(),
     );
 
-    println!("alias classes: [X]={:?} [Y]={:?} [Z]={:?}",
-        parsed.alias.class(x).len(), parsed.alias.class(y).len(), parsed.alias.class(z).len());
+    println!(
+        "alias classes: [X]={:?} [Y]={:?} [Z]={:?}",
+        parsed.alias.class(x).len(),
+        parsed.alias.class(y).len(),
+        parsed.alias.class(z).len()
+    );
     let cover = Cover::build(&CoverStrategy::Singletons, &parsed.alias);
     println!(
         "token collection per op (Fig 12): X:{} Y:{} Z:{}",

@@ -58,7 +58,11 @@ fn main() {
     // 4. Frame-capacity threshold (the waiting-matching store).
     println!("\nwaiting-matching store sizing:");
     for cap in [8usize, out.stats.max_pending_slots as usize] {
-        match run(&t.dfg, &layout, MachineConfig::unbounded().frame_capacity(cap)) {
+        match run(
+            &t.dfg,
+            &layout,
+            MachineConfig::unbounded().frame_capacity(cap),
+        ) {
             Ok(o) => println!("  capacity {cap}: makespan {}", o.stats.makespan),
             Err(e) => println!("  capacity {cap}: {e}"),
         }

@@ -25,8 +25,8 @@ fn main() {
 
     // 2. Translate to a dataflow graph — Schema 2: one access token per
     //    variable, loop control inserted by interval analysis (§3).
-    let t = translate(&parsed.cfg, &parsed.alias, &TranslateOptions::schema2())
-        .expect("translates");
+    let t =
+        translate(&parsed.cfg, &parsed.alias, &TranslateOptions::schema2()).expect("translates");
     println!("dataflow graph: {}", t.stats.summary());
 
     // 3. Execute on the dataflow machine (unbounded processors: the
@@ -41,8 +41,8 @@ fn main() {
     );
 
     // 4. Compare with the sequential von Neumann baseline.
-    let base = vonneumann::interpret(&parsed.cfg, &layout, &MachineConfig::default())
-        .expect("interprets");
+    let base =
+        vonneumann::interpret(&parsed.cfg, &layout, &MachineConfig::default()).expect("interprets");
     assert_eq!(out.memory, base.memory, "dataflow = sequential semantics");
     println!(
         "sequential baseline: {} time units; dataflow critical path: {} ({}x)",

@@ -105,19 +105,25 @@ use std::io::Read as _;
 use std::process::exit;
 
 fn usage() -> ! {
-    eprintln!("{}", include_str!("cf2df.rs").lines()
-        .skip(1)
-        .take_while(|l| l.starts_with("//!"))
-        .map(|l| l.trim_start_matches("//!").trim_start())
-        .collect::<Vec<_>>()
-        .join("\n"));
+    eprintln!(
+        "{}",
+        include_str!("cf2df.rs")
+            .lines()
+            .skip(1)
+            .take_while(|l| l.starts_with("//!"))
+            .map(|l| l.trim_start_matches("//!").trim_start())
+            .collect::<Vec<_>>()
+            .join("\n")
+    );
     exit(2)
 }
 
 fn load_source(arg: &str) -> String {
     if arg == "-" {
         let mut s = String::new();
-        std::io::stdin().read_to_string(&mut s).expect("readable stdin");
+        std::io::stdin()
+            .read_to_string(&mut s)
+            .expect("readable stdin");
         return s;
     }
     if let Some((_, src)) = cf2df::lang::corpus::all().iter().find(|(n, _)| *n == arg) {
@@ -273,15 +279,11 @@ fn run_fuse_check(mut args: Args) {
                 Ok(t) => t,
                 Err(_) => continue, // stricter schemas reject some programs
             };
-            let unfused = translate(
-                &parsed.cfg,
-                &parsed.alias,
-                &opts.clone().with_fuse(false),
-            )
-            .unwrap_or_else(|e| {
-                eprintln!("{ctx}: unfused translation failed: {e}");
-                exit(1)
-            });
+            let unfused = translate(&parsed.cfg, &parsed.alias, &opts.clone().with_fuse(false))
+                .unwrap_or_else(|e| {
+                    eprintln!("{ctx}: unfused translation failed: {e}");
+                    exit(1)
+                });
             let layout = MemLayout::distinct(&fused.cfg.vars);
             let run_sim = |dfg, label: &str| {
                 run(dfg, &layout, MachineConfig::unbounded()).unwrap_or_else(|e| {
@@ -318,9 +320,7 @@ fn run_fuse_check(mut args: Args) {
                         ));
                     }
                 }
-                Err(e) => {
-                    failures.push(format!("{ctx}: threaded fused run failed: {e}"))
-                }
+                Err(e) => failures.push(format!("{ctx}: threaded fused run failed: {e}")),
             }
         }
     }
@@ -335,7 +335,10 @@ fn run_fuse_check(mut args: Args) {
             fired_total.0, fired_total.1
         );
     } else {
-        eprintln!("fuse-check: {} mismatch(es) across {checked} combinations", failures.len());
+        eprintln!(
+            "fuse-check: {} mismatch(es) across {checked} combinations",
+            failures.len()
+        );
         exit(1)
     }
 }
@@ -473,7 +476,8 @@ fn run_chaos(mut args: Args) {
                             run_threaded_compiled_pooled_with(&cg, &layout, &pools[wi], &cfg);
                         runs += 1;
                         rows[pi].faults_injected += metrics.chaos.total();
-                        let ctx = || format!("{slabel}/{name} profile={plabel} seed={seed} workers={w}");
+                        let ctx =
+                            || format!("{slabel}/{name} profile={plabel} seed={seed} workers={w}");
                         match result {
                             Ok(out) => {
                                 rows[pi].ok += 1;
@@ -492,24 +496,18 @@ fn run_chaos(mut args: Args) {
                             }
                             Err(e) => {
                                 if !destructive {
-                                    violations.push(format!(
-                                        "{}: benign profile failed: {e}",
-                                        ctx()
-                                    ));
+                                    violations
+                                        .push(format!("{}: benign profile failed: {e}", ctx()));
                                 }
                                 match e {
                                     MachineError::WorkerPanicked { .. } => rows[pi].panics += 1,
                                     MachineError::TokenLeak { .. } => rows[pi].leaks += 1,
-                                    MachineError::TokenCollision { .. } => {
-                                        rows[pi].collisions += 1
-                                    }
+                                    MachineError::TokenCollision { .. } => rows[pi].collisions += 1,
                                     MachineError::TagSpaceExhausted { .. } => {
                                         rows[pi].tag_exhausted += 1
                                     }
                                     MachineError::FuelExhausted => rows[pi].fuel += 1,
-                                    MachineError::WatchdogTimeout { .. } => {
-                                        rows[pi].watchdogs += 1
-                                    }
+                                    MachineError::WatchdogTimeout { .. } => rows[pi].watchdogs += 1,
                                     other => violations.push(format!(
                                         "{}: untyped/unexpected failure: {other}",
                                         ctx()
@@ -660,7 +658,10 @@ fn run_serve(mut args: Args) {
 fn validate_matrix() -> Vec<(&'static str, TranslateOptions)> {
     vec![
         ("schema1", TranslateOptions::schema1()),
-        ("schema2", TranslateOptions::schema3(CoverStrategy::Singletons)),
+        (
+            "schema2",
+            TranslateOptions::schema3(CoverStrategy::Singletons),
+        ),
         (
             "schema3-alias",
             TranslateOptions::schema3(CoverStrategy::AliasClasses),
@@ -844,7 +845,10 @@ fn run_validate(mut args: Args) {
     }
 
     if mutations && !json {
-        println!("{:<24} {:>8} {:>9}", "mutation class", "applied", "detected");
+        println!(
+            "{:<24} {:>8} {:>9}",
+            "mutation class", "applied", "detected"
+        );
         for (class, (applied, detected)) in &counts {
             println!("{class:<24} {applied:>8} {detected:>9}");
         }
@@ -866,7 +870,10 @@ fn run_validate(mut args: Args) {
             println!("validate: {certified} translation(s) certified clean{tail}");
         }
     } else {
-        eprintln!("validate: {} defect(s) across {certified} clean translation(s)", failures.len());
+        eprintln!(
+            "validate: {} defect(s) across {certified} clean translation(s)",
+            failures.len()
+        );
         exit(1)
     }
 }
@@ -931,12 +938,14 @@ fn main() {
             println!("{path}: ok");
         }
         if let (Some(_), [(new_path, new_text), (old_path, old_text)]) = (&baseline, &docs[..]) {
-            let cmp = cf2df::bench::compare::compare_artifacts(old_text, new_text)
-                .unwrap_or_else(|e| {
+            let cmp =
+                cf2df::bench::compare::compare_artifacts(old_text, new_text).unwrap_or_else(|e| {
                     eprintln!("compare failed: {e}");
                     exit(1)
                 });
-            cmp.failures.iter().for_each(|f| eprintln!("{new_path}: {f}"));
+            cmp.failures
+                .iter()
+                .for_each(|f| eprintln!("{new_path}: {f}"));
             let what = if cmp.fusion {
                 format!("{} rows checked by the fusion gate", cmp.compared)
             } else {
@@ -1048,7 +1057,11 @@ fn main() {
                 } else {
                     let slice: Vec<i64> = out.memory[base..base + cells].to_vec();
                     let ist: Vec<i64> = out.ist_memory[base..base + cells].to_vec();
-                    let shown = if ist.iter().any(|&x| x != 0) { ist } else { slice };
+                    let shown = if ist.iter().any(|&x| x != 0) {
+                        ist
+                    } else {
+                        slice
+                    };
                     println!("  {} = {:?}", t.cfg.vars.name(v), shown);
                 }
             }
@@ -1091,11 +1104,7 @@ fn main() {
             );
             println!(
                 "{:<12} {:>9} {:>9} {:>9.2} {:>8.2}x",
-                "sequential",
-                base.stats.fired,
-                base.stats.makespan,
-                1.0,
-                1.0
+                "sequential", base.stats.fired, base.stats.makespan, 1.0, 1.0
             );
             for (label, opts) in [
                 ("schema1", TranslateOptions::schema1()),

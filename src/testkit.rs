@@ -56,9 +56,7 @@ where
     for i in 0..n {
         let seed = case_seed(name, i);
         let mut rng = Prng::seed_from_u64(seed);
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            body(&mut rng)
-        }));
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&mut rng)));
         if let Err(payload) = outcome {
             eprintln!(
                 "testkit: `{name}` failed at case {i}/{n} (seed {seed:#018x}) — \

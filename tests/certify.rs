@@ -22,7 +22,10 @@ use cf2df::dfg::{certify, mutate, validate, DefectKind, MutationClass};
 fn matrix() -> Vec<(&'static str, TranslateOptions)> {
     vec![
         ("schema1", TranslateOptions::schema1()),
-        ("schema2", TranslateOptions::schema3(CoverStrategy::Singletons)),
+        (
+            "schema2",
+            TranslateOptions::schema3(CoverStrategy::Singletons),
+        ),
         (
             "schema3-alias",
             TranslateOptions::schema3(CoverStrategy::AliasClasses),
@@ -198,15 +201,17 @@ fn missing_loop_exit_is_rejected_statically_not_at_runtime() {
     // Structural validation alone accepts the graph — this bug class used
     // to reach the simulator, which stalls or leaks the iteration tag.
     validate(&g).unwrap_or_else(|e| {
-        panic!("structural validate should accept the mutant ({}): {e:?}", m.description)
+        panic!(
+            "structural validate should accept the mutant ({}): {e:?}",
+            m.description
+        )
     });
     // The certifier rejects it statically, as a tag leak.
     let defects = certify(&g).expect_err("deleted loop exit must not certify");
     assert!(
-        defects.iter().any(|d| matches!(
-            d.kind,
-            DefectKind::TagLeak | DefectKind::MissingLoopTag
-        )),
+        defects
+            .iter()
+            .any(|d| matches!(d.kind, DefectKind::TagLeak | DefectKind::MissingLoopTag)),
         "expected a tag-leak defect, got {defects:?}"
     );
 }
@@ -216,8 +221,14 @@ fn certify_report_renders_machine_readable_json() {
     let parsed = cf2df::lang::parse_to_cfg("x := 1; y := x + 2;").unwrap();
     let t = translate(&parsed.cfg, &parsed.alias, &TranslateOptions::schema2()).unwrap();
     let json = t.certify.expect("certify ran").to_json();
-    assert!(json.starts_with("{\"clean\":true"), "unexpected JSON: {json}");
-    assert!(json.contains("\"memory_pairs_checked\":"), "unexpected JSON: {json}");
+    assert!(
+        json.starts_with("{\"clean\":true"),
+        "unexpected JSON: {json}"
+    );
+    assert!(
+        json.contains("\"memory_pairs_checked\":"),
+        "unexpected JSON: {json}"
+    );
 }
 
 /// Source of `n` sequential `while` loops: `n` distinct loop ids, so a
@@ -252,7 +263,10 @@ fn digest_inputs() -> Vec<(String, String)> {
         .map(|(n, s)| (n.to_string(), s.to_string()))
         .collect();
     for seed in 0..16u64 {
-        out.push((format!("random{seed}"), random_program(seed, &GenConfig::default())));
+        out.push((
+            format!("random{seed}"),
+            random_program(seed, &GenConfig::default()),
+        ));
     }
     for blocks in 2..=4 {
         for seed in 0..4u64 {

@@ -18,7 +18,11 @@ use cf2df::machine::{
 };
 use std::time::Duration;
 
-type Run = (Result<ParOutcome, MachineError>, ParMetrics, Vec<TraceEvent>);
+type Run = (
+    Result<ParOutcome, MachineError>,
+    ParMetrics,
+    Vec<TraceEvent>,
+);
 
 /// One configured run of `g` on a fresh pool of `workers` threads.
 fn run_with(g: &Dfg, layout: &MemLayout, workers: usize, cfg: &ParConfig) -> Run {
@@ -123,8 +127,7 @@ fn pool_survives_contained_panics_and_stays_usable() {
             matches!(result, Err(MachineError::WorkerPanicked { .. })),
             "round {round}: expected a contained panic"
         );
-        let (clean, metrics, _) =
-            run_pooled_with(&g, &layout, &pool, &with_watchdog(None));
+        let (clean, metrics, _) = run_pooled_with(&g, &layout, &pool, &with_watchdog(None));
         let out = clean.unwrap_or_else(|e| panic!("round {round}: clean run failed: {e}"));
         assert_eq!(out.memory, sim.memory, "round {round}");
         assert_eq!(out.fired, sim.stats.fired, "round {round}");
@@ -331,7 +334,8 @@ fn runaway_graph_is_bounded_by_the_watchdog() {
     }
     assert!(
         started.elapsed() < Duration::from_secs(10),
-        "watchdog halt took {:?}", started.elapsed()
+        "watchdog halt took {:?}",
+        started.elapsed()
     );
 }
 
@@ -355,7 +359,10 @@ fn benign_chaos_preserves_corpus_equivalence() {
                 let out = result.unwrap_or_else(|e| {
                     panic!("{name} seed {seed} workers {workers}: benign chaos failed: {e}")
                 });
-                assert_eq!(out.memory, sim.memory, "{name} seed {seed} workers {workers}");
+                assert_eq!(
+                    out.memory, sim.memory,
+                    "{name} seed {seed} workers {workers}"
+                );
                 assert_eq!(
                     out.ist_memory, sim.ist_memory,
                     "{name} seed {seed} workers {workers}"
@@ -364,7 +371,10 @@ fn benign_chaos_preserves_corpus_equivalence() {
                     out.fired, sim.stats.fired,
                     "{name} seed {seed} workers {workers}"
                 );
-                assert_eq!(metrics.chaos.panics + metrics.chaos.drops + metrics.chaos.dups, 0);
+                assert_eq!(
+                    metrics.chaos.panics + metrics.chaos.drops + metrics.chaos.dups,
+                    0
+                );
             }
         }
     }
@@ -402,7 +412,10 @@ fn fused_graphs_survive_chaos_like_unfused_ones() {
                     panic!("{name} seed {seed} workers {workers}: fused benign chaos: {e}")
                 });
                 assert_eq!(out.memory, oracle.memory, "{name} seed {seed} w{workers}");
-                assert_eq!(out.ist_memory, oracle.ist_memory, "{name} seed {seed} w{workers}");
+                assert_eq!(
+                    out.ist_memory, oracle.ist_memory,
+                    "{name} seed {seed} w{workers}"
+                );
                 // Duplicated tokens: collide in the waiting-matching
                 // store (compound slots included) or change nothing.
                 let cfg = with_watchdog(Some(ChaosConfig {
@@ -482,8 +495,7 @@ fn serve_contains_panics_to_the_failing_invocation() {
             saw_mixed_session |= failed > 0 && ok > 0;
             // The pool must be reusable after containment: a clean
             // session on the same pool stays exact.
-            let (clean, cstats) =
-                run_concurrent(&cg, &layout, &pool, 4, &with_watchdog(None), 4);
+            let (clean, cstats) = run_concurrent(&cg, &layout, &pool, 4, &with_watchdog(None), 4);
             assert_eq!(cstats.completed_ok, 4, "clean session after containment");
             assert_eq!(cstats.chaos.total(), 0, "clean session injected nothing");
             for res in clean {

@@ -136,8 +136,11 @@ fn bench_writes_valid_artifacts_and_check_bench_verifies_them() {
 
     let pipeline = dir.join("BENCH_pipeline.json");
     let executor = dir.join("BENCH_executor.json");
-    let (stdout, stderr, ok) =
-        cf2df(&["check-bench", pipeline.to_str().unwrap(), executor.to_str().unwrap()]);
+    let (stdout, stderr, ok) = cf2df(&[
+        "check-bench",
+        pipeline.to_str().unwrap(),
+        executor.to_str().unwrap(),
+    ]);
     assert!(ok, "{stderr}");
     assert!(stdout.matches(": ok").count() == 2, "{stdout}");
 
@@ -167,8 +170,7 @@ fn check_bench_compare_gates_regressions() {
     let pipeline_s = pipeline.to_str().unwrap();
 
     // An artifact compared against itself passes and reports the count.
-    let (stdout, stderr, ok) =
-        cf2df(&["check-bench", pipeline_s, "--compare", pipeline_s]);
+    let (stdout, stderr, ok) = cf2df(&["check-bench", pipeline_s, "--compare", pipeline_s]);
     assert!(ok, "{stderr}");
     assert!(stdout.contains("values compared exactly"), "{stdout}");
 
@@ -191,8 +193,12 @@ fn check_bench_compare_gates_regressions() {
         doc.replace("\"name\":\"loop_nest\"", "\"name\":\"loop_nest_v2\""),
     )
     .unwrap();
-    let (stdout, stderr, ok) =
-        cf2df(&["check-bench", renamed.to_str().unwrap(), "--compare", pipeline_s]);
+    let (stdout, stderr, ok) = cf2df(&[
+        "check-bench",
+        renamed.to_str().unwrap(),
+        "--compare",
+        pipeline_s,
+    ]);
     assert!(!ok, "{stdout}");
     assert!(stderr.contains("row only in the"), "{stderr}");
 }
@@ -202,7 +208,12 @@ fn stats_prints_compiled_footprint() {
     let (stdout, stderr, ok) = cf2df(&["stats", "stencil", "--full"]);
     assert!(ok, "{stderr}");
     assert!(stdout.contains("compiled footprint"), "{stdout}");
-    for field in ["operator descriptors", "destination slots", "table bytes", "max hot arity"] {
+    for field in [
+        "operator descriptors",
+        "destination slots",
+        "table bytes",
+        "max hot arity",
+    ] {
         assert!(stdout.contains(field), "{stdout}");
     }
     assert!(stdout.contains("inline capacity"), "{stdout}");
@@ -232,9 +243,7 @@ fn chaos_campaign_runs_clean_and_reports_faults() {
     // many runs; the table's injected column is summed per profile.
     let injected: u64 = stdout
         .lines()
-        .filter(|l| {
-            l.starts_with("panics") || l.starts_with("drops") || l.starts_with("dups")
-        })
+        .filter(|l| l.starts_with("panics") || l.starts_with("drops") || l.starts_with("dups"))
         .filter_map(|l| l.split_whitespace().last()?.parse::<u64>().ok())
         .sum();
     assert!(injected > 0, "no faults injected: {stdout}");
@@ -279,8 +288,11 @@ fn validate_json_lines_parse_including_mutations_and_quoted_targets() {
 
     // A `.imp` target whose label needs escaping.
     let imp = dir.join("a\"b\\c.imp");
-    std::fs::write(&imp, "i := 0;\nwhile i < 3 do { i := i + 1; if i == 2 then { j := i; } else { skip; } }\n")
-        .unwrap();
+    std::fs::write(
+        &imp,
+        "i := 0;\nwhile i < 3 do { i := i + 1; if i == 2 then { j := i; } else { skip; } }\n",
+    )
+    .unwrap();
     let imp_s = imp.to_str().unwrap();
     let (stdout, stderr, ok) = cf2df(&["validate", imp_s, "--json", "--mutations", "--seeds", "2"]);
     assert!(ok, "{stderr}");
@@ -293,7 +305,10 @@ fn validate_json_lines_parse_including_mutations_and_quoted_targets() {
     for m in mutants {
         assert!(m.get("class").and_then(|c| c.as_str()).is_some());
         assert!(m.get("seed").and_then(|s| s.as_num()).is_some());
-        assert_eq!(m.get("detected"), Some(&cf2df::bench::json::Json::Bool(true)));
+        assert_eq!(
+            m.get("detected"),
+            Some(&cf2df::bench::json::Json::Bool(true))
+        );
         let defects = m.get("report").and_then(|r| r.get("graph_defects"));
         assert!(!defects.and_then(|d| d.as_arr()).unwrap_or(&[]).is_empty());
     }

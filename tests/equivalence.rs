@@ -249,8 +249,7 @@ fn aliased_arrays_correct_under_both_bindings() {
                     &TranslateOptions::schema3(strat.clone()).with_optimized(optimized),
                 )
                 .unwrap();
-                let out = run(&t.dfg, &layout, MachineConfig::unbounded().mem_latency(7))
-                    .unwrap();
+                let out = run(&t.dfg, &layout, MachineConfig::unbounded().mem_latency(7)).unwrap();
                 assert_eq!(
                     out.memory, oracle.memory,
                     "binding {binding:?} under {strat:?} optimized={optimized}"

@@ -48,7 +48,11 @@ fn metrics_are_self_consistent_across_the_corpus() {
             let out = run_threaded(&t.dfg, &layout, workers)
                 .unwrap_or_else(|e| panic!("{name} at {workers} workers: {e}"));
             let m = &out.metrics;
-            assert_eq!(m.workers.len(), workers, "{name}: one stats entry per worker");
+            assert_eq!(
+                m.workers.len(),
+                workers,
+                "{name}: one stats entry per worker"
+            );
             assert_eq!(
                 m.tokens_processed,
                 out.fired + m.merged,
@@ -134,7 +138,10 @@ fn fast_path_fires_at_every_width_on_join_heavy_graphs() {
     // the loop switches are the joins) and the shipping bench
     // configuration (full pipeline, fused — the macros' joins remain).
     for (label, opts) in [
-        ("schema2-unfused", TranslateOptions::schema2().with_fuse(false)),
+        (
+            "schema2-unfused",
+            TranslateOptions::schema2().with_fuse(false),
+        ),
         ("full-fused", TranslateOptions::full_parallel_schema3()),
     ] {
         let t = translate(&parsed.cfg, &parsed.alias, &opts).unwrap();
@@ -172,7 +179,10 @@ fn served_requests_take_the_fast_path() {
         let out = r.as_ref().unwrap_or_else(|e| panic!("request {i}: {e}"));
         assert_eq!(out.memory, sim.memory, "request {i}");
         let m = &out.metrics;
-        assert!(m.fast_path_fires > 0, "request {i}: no fast-path joins: {m:?}");
+        assert!(
+            m.fast_path_fires > 0,
+            "request {i}: no fast-path joins: {m:?}"
+        );
         assert_eq!(
             m.tokens_processed,
             out.fired + m.merged,
@@ -180,7 +190,10 @@ fn served_requests_take_the_fast_path() {
         );
         tokens += m.tokens_processed;
     }
-    assert_eq!(stats.tokens_processed, tokens, "the session counts every request's tokens");
+    assert_eq!(
+        stats.tokens_processed, tokens,
+        "the session counts every request's tokens"
+    );
     assert!(
         stats.peak_inflight >= 2,
         "a window of 4 never held two requests at once: {stats:?}"
@@ -209,7 +222,10 @@ fn deadlock_error_names_partially_filled_slots() {
         panic!("expected a deadlock report")
     };
     assert!(!pending.is_empty(), "at least one starving slot is named");
-    assert!(pending[0].contains("synch2"), "names the operator: {pending:?}");
+    assert!(
+        pending[0].contains("synch2"),
+        "names the operator: {pending:?}"
+    );
     assert!(pending[0].contains("root"), "names the tag: {pending:?}");
     assert!(
         pending[0].contains("filled ports [0]"),
@@ -244,6 +260,10 @@ fn trace_ring_matches_fired_count_on_corpus_programs() {
         let mut seqs: Vec<u64> = trace.iter().map(|ev| ev.time).collect();
         seqs.sort_unstable();
         seqs.dedup();
-        assert_eq!(seqs.len() as u64, out.fired, "{name}: unique sequence numbers");
+        assert_eq!(
+            seqs.len() as u64,
+            out.fired,
+            "{name}: unique sequence numbers"
+        );
     }
 }

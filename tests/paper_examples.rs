@@ -31,7 +31,8 @@ fn fig1_running_example_cfg() {
 fn fig2_operator_semantics() {
     // Covered in unit tests of the machine; here, check the operators all
     // appear in a real translation of a conditional.
-    let parsed = parse_to_cfg("x := 1; if x < 2 then { y := 1; } else { y := 2; } z := y;").unwrap();
+    let parsed =
+        parse_to_cfg("x := 1; if x < 2 then { y := 1; } else { y := 2; } z := y;").unwrap();
     let t = translate(&parsed.cfg, &parsed.alias, &TranslateOptions::schema2()).unwrap();
     let stats = &t.stats;
     assert!(stats.switches > 0, "forks become switches");
@@ -96,8 +97,11 @@ fn fig8_without_loop_control_collides() {
     let opts = TranslateOptions::schema2().with_loop_control(false);
     let t = translate(&parsed.cfg, &parsed.alias, &opts).unwrap();
     // Slow memory: x's short chain laps y's long chain.
-    let err = run(&t.dfg, &MemLayout::distinct(&t.cfg.vars),
-        MachineConfig::unbounded().mem_latency(10))
+    let err = run(
+        &t.dfg,
+        &MemLayout::distinct(&t.cfg.vars),
+        MachineConfig::unbounded().mem_latency(10),
+    )
     .unwrap_err();
     assert!(
         matches!(err, MachineError::TokenCollision { .. }),
@@ -108,12 +112,9 @@ fn fig8_without_loop_control_collides() {
     let t2 = translate(&parsed.cfg, &parsed.alias, &TranslateOptions::schema2()).unwrap();
     let layout = MemLayout::distinct(&t2.cfg.vars);
     let out = run(&t2.dfg, &layout, MachineConfig::unbounded().mem_latency(10)).unwrap();
-    let oracle = cf2df::machine::vonneumann::interpret(
-        &parsed.cfg,
-        &layout,
-        &MachineConfig::default(),
-    )
-    .unwrap();
+    let oracle =
+        cf2df::machine::vonneumann::interpret(&parsed.cfg, &layout, &MachineConfig::default())
+            .unwrap();
     assert_eq!(out.memory, oracle.memory);
 }
 
@@ -183,8 +184,11 @@ fn fig9_bypass_shortens_critical_path() {
 fn fig10_11_no_redundant_switches() {
     for (name, src) in cf2df::lang::corpus::all() {
         let parsed = parse_to_cfg(src).unwrap();
-        let t = translate(&parsed.cfg, &parsed.alias,
-            &TranslateOptions::schema3(CoverStrategy::Singletons).with_optimized(true))
+        let t = translate(
+            &parsed.cfg,
+            &parsed.alias,
+            &TranslateOptions::schema3(CoverStrategy::Singletons).with_optimized(true),
+        )
         .unwrap();
         assert!(
             cf2df::dfg::validate::redundant_switches(&t.dfg).is_empty(),
@@ -208,10 +212,18 @@ fn fig12_13_cover_tradeoff() {
     // (a) FORTRAN example: singletons pay synchronization for nothing.
     let parsed = parse_to_cfg(cf2df::lang::corpus::FORTRAN_ALIAS).unwrap();
     let layout = MemLayout::distinct(&parsed.cfg.vars);
-    let singles = translate(&parsed.cfg, &parsed.alias,
-        &TranslateOptions::schema3(CoverStrategy::Singletons)).unwrap();
-    let one = translate(&parsed.cfg, &parsed.alias,
-        &TranslateOptions::schema3(CoverStrategy::SingleToken)).unwrap();
+    let singles = translate(
+        &parsed.cfg,
+        &parsed.alias,
+        &TranslateOptions::schema3(CoverStrategy::Singletons),
+    )
+    .unwrap();
+    let one = translate(
+        &parsed.cfg,
+        &parsed.alias,
+        &TranslateOptions::schema3(CoverStrategy::SingleToken),
+    )
+    .unwrap();
     assert!(singles.stats.synchs > 0, "singletons gather aliased tokens");
     assert_eq!(one.stats.synchs, 0, "one token never synchronizes");
     let o_singles = run(&singles.dfg, &layout, mc.clone()).unwrap();
@@ -233,10 +245,18 @@ fn fig12_13_cover_tradeoff() {
     ";
     let parsed = parse_to_cfg(src).unwrap();
     let layout = MemLayout::distinct(&parsed.cfg.vars);
-    let singles = translate(&parsed.cfg, &parsed.alias,
-        &TranslateOptions::schema3(CoverStrategy::Singletons)).unwrap();
-    let one = translate(&parsed.cfg, &parsed.alias,
-        &TranslateOptions::schema3(CoverStrategy::SingleToken)).unwrap();
+    let singles = translate(
+        &parsed.cfg,
+        &parsed.alias,
+        &TranslateOptions::schema3(CoverStrategy::Singletons),
+    )
+    .unwrap();
+    let one = translate(
+        &parsed.cfg,
+        &parsed.alias,
+        &TranslateOptions::schema3(CoverStrategy::SingleToken),
+    )
+    .unwrap();
     let o_singles = run(&singles.dfg, &layout, mc.clone()).unwrap();
     let o_one = run(&one.dfg, &layout, mc).unwrap();
     assert_eq!(o_singles.memory, o_one.memory);
@@ -281,8 +301,12 @@ fn sec61_memory_elimination_removes_traffic() {
     let layout = MemLayout::distinct(&parsed.cfg.vars);
     let mc = MachineConfig::unbounded();
     let plain = translate(&parsed.cfg, &parsed.alias, &TranslateOptions::schema2()).unwrap();
-    let elim = translate(&parsed.cfg, &parsed.alias,
-        &TranslateOptions::schema2().with_memory_elimination(true)).unwrap();
+    let elim = translate(
+        &parsed.cfg,
+        &parsed.alias,
+        &TranslateOptions::schema2().with_memory_elimination(true),
+    )
+    .unwrap();
     let o_plain = run(&plain.dfg, &layout, mc.clone()).unwrap();
     let o_elim = run(&elim.dfg, &layout, mc).unwrap();
     assert_eq!(o_plain.memory, o_elim.memory);
@@ -310,7 +334,8 @@ fn postdominator_tree_is_well_formed_on_corpus() {
             if n == parsed.cfg.end() {
                 assert_eq!(pd.idom(n), None);
             } else {
-                let p = pd.idom(n)
+                let p = pd
+                    .idom(n)
                     .unwrap_or_else(|| panic!("{name}: {n:?} lacks an ipostdom"));
                 assert!(pd.strictly_dominates(p, n));
             }
@@ -332,9 +357,7 @@ fn sec63_istructures_overlap_reads_and_writes() {
     // still serializes the loops is the arrays' access lines — exactly
     // what the I-structure conversion removes.
     let base = TranslateOptions::optimized().with_memory_elimination(true);
-    let ist = base
-        .clone()
-        .with_istructure_arrays(["src", "dst"]);
+    let ist = base.clone().with_istructure_arrays(["src", "dst"]);
     let t_base = translate(&parsed.cfg, &parsed.alias, &base).unwrap();
     let t_ist = translate(&parsed.cfg, &parsed.alias, &ist).unwrap();
     assert!(t_ist.istructure_ops > 0);
@@ -345,10 +368,10 @@ fn sec63_istructures_overlap_reads_and_writes() {
     let vars = &parsed.cfg.vars;
     for name in ["src", "dst"] {
         let v = vars.lookup(name).unwrap();
-        let base_cells = &o_base.memory
-            [layout.base(v) as usize..(layout.base(v) + layout.cells(v)) as usize];
-        let ist_cells = &o_ist.ist_memory
-            [layout.base(v) as usize..(layout.base(v) + layout.cells(v)) as usize];
+        let base_cells =
+            &o_base.memory[layout.base(v) as usize..(layout.base(v) + layout.cells(v)) as usize];
+        let ist_cells =
+            &o_ist.ist_memory[layout.base(v) as usize..(layout.base(v) + layout.cells(v)) as usize];
         assert_eq!(base_cells, ist_cells, "{name} contents preserved");
     }
     let checksum = vars.lookup("checksum").unwrap();
@@ -385,12 +408,9 @@ fn footnote3_multiway_branches() {
     ";
     let parsed = parse_to_cfg(src).unwrap();
     let layout = MemLayout::distinct(&parsed.cfg.vars);
-    let oracle = cf2df::machine::vonneumann::interpret(
-        &parsed.cfg,
-        &layout,
-        &MachineConfig::default(),
-    )
-    .unwrap();
+    let oracle =
+        cf2df::machine::vonneumann::interpret(&parsed.cfg, &layout, &MachineConfig::default())
+            .unwrap();
     // sel == 2: c := 30; total = 0+0+30+0+101 = 131.
     let total = parsed.cfg.vars.lookup("total").unwrap();
     assert_eq!(oracle.memory[layout.base(total) as usize], 131);

@@ -125,9 +125,8 @@ fn fused_runs_match_unfused_across_the_corpus() {
                 let base = run_threaded(&unfused.dfg, &layout, workers).unwrap_or_else(|e| {
                     panic!("{label}/{name} unfused at {workers} workers: {e:?}")
                 });
-                let coarse = run_threaded(&fused.dfg, &layout, workers).unwrap_or_else(|e| {
-                    panic!("{label}/{name} fused at {workers} workers: {e:?}")
-                });
+                let coarse = run_threaded(&fused.dfg, &layout, workers)
+                    .unwrap_or_else(|e| panic!("{label}/{name} fused at {workers} workers: {e:?}"));
                 assert_eq!(
                     coarse.memory, oracle.memory,
                     "{label}/{name}: fusion changed memory at {workers} workers"
@@ -150,7 +149,10 @@ fn fused_runs_match_unfused_across_the_corpus() {
             }
         }
     }
-    assert!(elided_total > 0, "no corpus graph actually fused — vacuous test");
+    assert!(
+        elided_total > 0,
+        "no corpus graph actually fused — vacuous test"
+    );
 }
 
 /// Compile-once is execution-invisible: lowering a certified graph to
@@ -165,7 +167,10 @@ fn compiled_graphs_match_one_shot_runs_across_the_corpus() {
     use cf2df::machine::{compile, run_compiled};
 
     let schemas = [
-        ("schema2-unfused", TranslateOptions::schema2().with_fuse(false)),
+        (
+            "schema2-unfused",
+            TranslateOptions::schema2().with_fuse(false),
+        ),
         ("schema2-fused", TranslateOptions::schema2().with_fuse(true)),
         (
             "schema3-fused",
@@ -181,8 +186,8 @@ fn compiled_graphs_match_one_shot_runs_across_the_corpus() {
                 Err(_) => continue,
             };
             let layout = MemLayout::distinct(&t.cfg.vars);
-            let cg = compile(&t.dfg)
-                .unwrap_or_else(|e| panic!("{label}/{name}: compile failed: {e:?}"));
+            let cg =
+                compile(&t.dfg).unwrap_or_else(|e| panic!("{label}/{name}: compile failed: {e:?}"));
             let seed = run(&t.dfg, &layout, MachineConfig::unbounded())
                 .unwrap_or_else(|e| panic!("{label}/{name}: one-shot simulator failed: {e:?}"));
             // Same CompiledGraph reused for every run below.
@@ -196,9 +201,8 @@ fn compiled_graphs_match_one_shot_runs_across_the_corpus() {
                 let pool = ExecutorPool::new(workers);
                 let (res, _, _) =
                     run_threaded_compiled_pooled_with(&cg, &layout, &pool, &ParConfig::default());
-                let par = res.unwrap_or_else(|e| {
-                    panic!("{label}/{name} at {workers} workers: {e:?}")
-                });
+                let par =
+                    res.unwrap_or_else(|e| panic!("{label}/{name} at {workers} workers: {e:?}"));
                 assert_eq!(
                     par.memory, seed.memory,
                     "{label}/{name}: compiled-threaded memory diverged at {workers} workers"
@@ -218,7 +222,10 @@ fn compiled_graphs_match_one_shot_runs_across_the_corpus() {
                 let (res, _m, _t) =
                     run_threaded_compiled_pooled_with(&cg, &layout, &pool, &ParConfig::default());
                 let par = res.unwrap();
-                assert_eq!(par.memory, seed.memory, "{label}/{name} pooled round {round}");
+                assert_eq!(
+                    par.memory, seed.memory,
+                    "{label}/{name} pooled round {round}"
+                );
                 assert_eq!(par.fired, seed.stats.fired, "{label}/{name} pooled");
             }
         }
@@ -309,9 +316,7 @@ fn concurrent_submissions_match_simulator_across_the_corpus() {
 /// every result keeps matching its own program's oracle.
 #[test]
 fn one_pool_serves_different_graphs_without_cross_talk() {
-    use cf2df::machine::parallel::{
-        run_threaded_compiled_pooled_with, ExecutorPool, ParConfig,
-    };
+    use cf2df::machine::parallel::{run_threaded_compiled_pooled_with, ExecutorPool, ParConfig};
     use cf2df::machine::{compile, run_concurrent};
 
     let prep = |src: &str| {

@@ -13,8 +13,7 @@ use cf2df::cfg::loop_control::{
     insert_loop_control, insert_loop_control_in_place, split_irreducible,
 };
 use cf2df::cfg::{
-    AliasStructure, AnalysisKind, Cfg, Cover, CoverStrategy, FunctionContext, LoopForest,
-    Preserved,
+    AliasStructure, AnalysisKind, Cfg, Cover, CoverStrategy, FunctionContext, LoopForest, Preserved,
 };
 use cf2df::core::pipeline::{translate, Schema, TranslateError, TranslateOptions};
 use cf2df::core::{lines::Lines, optimized, translator};
@@ -98,7 +97,9 @@ fn loop_control_insertion_invalidates_stale_analyses() {
 fn node_splitting_invalidates_the_memoized_failure() {
     testkit::cases("split_invalidation", 48, |rng| {
         let src = goto_soup(rng.next_u64(), 6);
-        let Ok(parsed) = parse_to_cfg(&src) else { return };
+        let Ok(parsed) = parse_to_cfg(&src) else {
+            return;
+        };
         let mut fctx = FunctionContext::for_cfg(parsed.cfg);
         if fctx.loop_forest().is_ok() {
             return; // only irreducible soups exercise the splitting path
@@ -117,7 +118,9 @@ fn node_splitting_invalidates_the_memoized_failure() {
         fctx.loop_forest()
             .expect("split CFG is reducible; the stale Err must be gone");
         assert_eq!(
-            fctx.stats().since(&before).computed_of(AnalysisKind::LoopForest),
+            fctx.stats()
+                .since(&before)
+                .computed_of(AnalysisKind::LoopForest),
             1,
             "{src}"
         );
