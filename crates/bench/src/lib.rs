@@ -9,17 +9,16 @@
 //!   the machine, collecting comparable metrics;
 //! * [`figures`] — one reproduction function per paper figure/claim,
 //!   printed by the `figures` binary and recorded in `EXPERIMENTS.md`;
-//! * [`artifacts`] — the `cf2df bench` engine: render and validate the
+//! * [`artifacts`] — the `cf2df bench` engine: render the
 //!   `BENCH_pipeline.json`, `BENCH_executor.json` and
-//!   `BENCH_translate.json` artifacts of exact counters;
-//! * [`compare`] — the exact gate behind `cf2df check-bench --compare`;
+//!   `BENCH_translate.json` artifacts of exact counters, which must equal
+//!   the committed baselines byte for byte;
 //! * [`json`] — a hand-rolled RFC 8259 writer and validator (in-tree
 //!   replacement for `serde_json`, per the offline/no-deps build policy);
 //! * [`prng`] — a seedable xorshift64* generator (in-tree replacement for
 //!   the `rand` crate, per the offline/no-deps build policy).
 
 pub mod artifacts;
-pub mod compare;
 pub mod figures;
 pub mod harness;
 pub mod json;

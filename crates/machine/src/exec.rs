@@ -29,6 +29,11 @@ use cf2df_cfg::{LoopId, MemLayout, VarId};
 use cf2df_dfg::{Dfg, OpId, Port};
 use std::collections::{BTreeMap, VecDeque};
 
+/// Time steps of the parallelism profile recorded in
+/// [`ExecStats::profile`]; later steps count only toward
+/// `max_parallelism`.
+const PROFILE_CAP: usize = 1 << 16;
+
 /// Simulator configuration.
 #[derive(Clone, Debug)]
 pub struct MachineConfig {
@@ -41,12 +46,6 @@ pub struct MachineConfig {
     pub mem_latency: u64,
     /// Maximum operator firings before aborting.
     pub fuel: u64,
-    /// Whether a token collision (two tokens on one arc/slot under the same
-    /// tag — the failure of Schema 2 without loop control) aborts execution
-    /// (`true`) or is recorded and the token dropped (`false`).
-    pub collisions_fatal: bool,
-    /// Cap on the recorded parallelism profile length.
-    pub profile_cap: usize,
     /// Issue the ready queue LIFO (newest-first) instead of FIFO — a
     /// scheduling-policy ablation. Both policies are greedy, so Brent's
     /// bound holds for either; they differ in which tokens wait when
@@ -68,8 +67,6 @@ impl Default for MachineConfig {
             op_latency: 1,
             mem_latency: 1,
             fuel: 50_000_000,
-            collisions_fatal: true,
-            profile_cap: 1 << 16,
             lifo: false,
             frame_capacity: None,
         }
@@ -99,12 +96,6 @@ impl MachineConfig {
     /// Set the non-memory operator latency.
     pub fn op_latency(mut self, l: u64) -> Self {
         self.op_latency = l.max(1);
-        self
-    }
-
-    /// Record collisions instead of aborting.
-    pub fn tolerate_collisions(mut self) -> Self {
-        self.collisions_fatal = false;
         self
     }
 
@@ -479,7 +470,7 @@ impl<'g, S: TraceSink> Sim<'g, S> {
                     break;
                 }
             }
-            if (now as usize) < self.cfgc.profile_cap {
+            if (now as usize) < PROFILE_CAP {
                 let idx = now as usize;
                 if self.stats.profile.len() <= idx {
                     self.stats.profile.resize(idx + 1, 0);
@@ -576,15 +567,11 @@ impl<'g, S: TraceSink> Sim<'g, S> {
             remaining: 2,
         });
         if slot.vals.is_filled(idx) {
-            if self.cfgc.collisions_fatal {
-                return Err(MachineError::TokenCollision {
-                    op,
-                    port,
-                    tag: self.tags.render(slot_tag),
-                });
-            }
-            self.stats.collisions += 1;
-            return Ok(());
+            return Err(MachineError::TokenCollision {
+                op,
+                port,
+                tag: self.tags.render(slot_tag),
+            });
         }
         slot.vals.set(idx, t.value);
         slot.remaining -= 1;
@@ -652,15 +639,11 @@ impl<'g, S: TraceSink> Sim<'g, S> {
             remaining: desc.live,
         });
         if slot.vals.is_filled(port) {
-            if self.cfgc.collisions_fatal {
-                return Err(MachineError::TokenCollision {
-                    op,
-                    port,
-                    tag: self.tags.render(t.tag),
-                });
-            }
-            self.stats.collisions += 1;
-            return Ok(());
+            return Err(MachineError::TokenCollision {
+                op,
+                port,
+                tag: self.tags.render(t.tag),
+            });
         }
         slot.vals.set(port, t.value);
         slot.remaining -= 1;
@@ -973,15 +956,6 @@ mod tests {
         g.connect(Port::new(sy, 0), Port::new(e, 0), ArcKind::Access);
         let err = run(&g, &layout, MachineConfig::unbounded()).unwrap_err();
         assert!(matches!(err, MachineError::TokenCollision { port: 0, .. }));
-
-        // Non-fatal mode records and continues to deadlock (port 1 unfed).
-        let err2 = run(
-            &g,
-            &layout,
-            MachineConfig::unbounded().tolerate_collisions(),
-        )
-        .unwrap_err();
-        assert!(matches!(err2, MachineError::Deadlock { .. }));
     }
 
     #[test]

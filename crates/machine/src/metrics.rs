@@ -19,13 +19,10 @@ pub struct ExecStats {
     /// Time at which `End` fired (the makespan; with unbounded processors,
     /// the critical path).
     pub makespan: u64,
-    /// Operators issued per time step, up to a configurable cap.
+    /// Operators issued per time step, over the first 65 536 steps.
     pub profile: Vec<u32>,
     /// Maximum operators issued in any single step.
     pub max_parallelism: u32,
-    /// Token collisions observed (only nonzero when collisions are
-    /// configured non-fatal).
-    pub collisions: u64,
     /// Tokens still pending (in rendezvous slots or in flight) when `End`
     /// fired. A clean translation drains to zero.
     pub leftover_tokens: u64,

@@ -412,6 +412,14 @@ impl ParTagTable {
 /// microseconds — comparable to an entire corpus-program execution — so
 /// repeated runs (benchmarks, servers) should spawn a pool once and
 /// park it between runs rather than pay that price inside every run.
+///
+/// The pool is shared by reference across threads, and runs and
+/// sessions on it take turns: one started while another holds the pool
+/// waits until that one ends, and its watchdog counts the wait. A
+/// serving session holds the pool until
+/// its closure returns, so a run started on the same pool from inside a
+/// [`crate::serve::serve`] session waits for that session to end; from
+/// the session's own closure it never returns. Use a second pool there.
 pub struct ExecutorPool {
     pub(crate) pool: WorkerPool,
 }

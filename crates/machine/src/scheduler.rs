@@ -720,8 +720,8 @@ struct Job(*const (dyn Fn(usize) + Sync));
 
 // SAFETY: the pointee is `Sync` (asserted by the type) and the pointer
 // is only dereferenced between job dispatch and completion, while the
-// caller of `run` keeps the referent alive (it blocks until
-// `remaining == 0`).
+// caller of `run`, holding the pool's turn, keeps the referent alive (it
+// blocks until `remaining == 0`).
 unsafe impl Send for Job {}
 
 struct PoolState {
@@ -746,9 +746,14 @@ struct PoolShared {
 /// A fixed set of OS threads that parks between jobs, so repeated
 /// executor runs pay for thread spawning once instead of per run. Used
 /// through [`Scheduler::run_in`] / [`crate::parallel::ExecutorPool`].
+/// Jobs run one at a time: concurrent callers of [`WorkerPool::run`]
+/// take turns.
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
     handles: Vec<std::thread::JoinHandle<()>>,
+    /// Held across a whole [`WorkerPool::run`], so a second caller's job
+    /// never mixes into the `remaining` count of one still running.
+    turn: Mutex<()>,
 }
 
 impl WorkerPool {
@@ -775,7 +780,11 @@ impl WorkerPool {
                     .expect("spawn pool worker")
             })
             .collect();
-        WorkerPool { shared, handles }
+        WorkerPool {
+            shared,
+            handles,
+            turn: Mutex::new(()),
+        }
     }
 
     /// Number of pool workers.
@@ -784,16 +793,19 @@ impl WorkerPool {
     }
 
     /// Run `job(w)` once on every pool worker `w`, blocking until all
-    /// have finished. Returns whether any worker's job panicked (the
+    /// have finished; a caller that finds another job running waits for
+    /// it to end first. Returns whether any worker's job panicked (the
     /// panic is contained by the pool thread, which survives for the
     /// next job; the caller decides how to surface the failure).
     pub fn run(&self, job: &(dyn Fn(usize) + Sync)) -> bool {
+        let _turn = lock(&self.turn);
         // SAFETY: we erase the borrow's lifetime to hand the pointer to
         // the long-lived pool threads. The pointer is dereferenced only
         // by workers executing this epoch, and this function does not
         // return (so the borrow stays live) until every worker has
         // finished the epoch (`remaining == 0`); the slot is cleared
-        // before returning.
+        // before returning. Holding `turn` keeps any other job out of
+        // the epoch, so `remaining` counts this job's workers only.
         let erased: &'static (dyn Fn(usize) + Sync) = unsafe {
             std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(job)
         };

@@ -7,15 +7,23 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "==> format: cargo fmt --all --check"
+# e2ebench/ is a workspace of its own and is not checked here.
+cargo fmt --all --check
+
 echo "==> tier-1: cargo build --release --offline"
 cargo build --release --offline
 
 echo "==> tier-1: cargo test -q --offline"
+# Includes the bench gate: a fresh `cf2df bench` must equal each committed
+# BENCH_*.json byte for byte (tests/cli.rs). A change that moves a counter
+# regenerates the baselines in the same commit (`cf2df bench` in the
+# repository root, then `git diff`).
 cargo test -q --offline
 
 echo "==> member crates: unit tests of lang, cfg, dfg, core, machine and bench"
 # The tier-1 stage runs only the root package's tests; the member crates'
-# own unit tests (scheduler, serve engine, bench gate table, ...) run here.
+# own unit tests (scheduler, serve engine, bench renderers, ...) run here.
 cargo test -q --offline --workspace --exclude cf2df
 
 echo "==> default features must be warning-free (full build, all targets)"
@@ -50,33 +58,6 @@ echo "==> serve smoke: concurrent multi-invocation engine (cf2df serve --quick)"
 # simulator; exits non-zero on any mismatch or per-request error.
 target/release/cf2df serve --quick
 target/release/cf2df serve --quick --inflight 1 --workers 2 stencil
-
-echo "==> bench: cf2df bench, fused and --no-fuse"
-target/release/cf2df bench --out-dir target/bench-smoke
-target/release/cf2df bench --no-fuse --out-dir target/bench-smoke-nofuse
-
-echo "==> bench gate: every counter exact against the committed baselines"
-# One table of deterministic counters (crates/bench/src/compare.rs):
-# every counter must equal the baseline's and every row must be present
-# on both sides. A change that moves a counter regenerates the baseline
-# in the same commit (`cf2df bench` in the repository root, then
-# `git diff`). The artifacts hold no wall-clock field: timing across
-# commits is judged only in alternating e2ebench pairs against the
-# bounds in BENCHMARK.json.
-for kind in pipeline executor translate; do
-    target/release/cf2df check-bench \
-        "target/bench-smoke/BENCH_$kind.json" --compare "BENCH_$kind.json"
-done
-
-echo "==> fusion gate: corpus equivalence + token-traffic reduction"
-# Macro-op fusion must be execution-invisible (every corpus program x
-# schema computes identical results fused and unfused) and must pay its
-# way: on the loop_nest executor workloads the fused run processes at
-# least 25% fewer tokens than the unfused one, at every worker count.
-target/release/cf2df fuse-check
-target/release/cf2df check-bench \
-    target/bench-smoke/BENCH_executor.json \
-    --compare target/bench-smoke-nofuse/BENCH_executor.json
 
 echo "==> best-effort: --all-features (proptest = 8x heavy property mode)"
 if cargo build --workspace --all-features --offline; then

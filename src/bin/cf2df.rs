@@ -11,9 +11,7 @@
 //! cf2df stats      <file.imp> [SCHEMA] [TRANSFORMS]
 //! cf2df validate   <file.imp|file.dfg|corpus> [SCHEMA] [TRANSFORMS]
 //!                  [--json] [--mutations] [--seeds <n>]
-//! cf2df bench      [--out-dir <dir>] [--no-fuse]
-//! cf2df check-bench <artifact.json> [<artifact.json>…] | <new.json> --compare <old.json>
-//! cf2df fuse-check [--workers <n>]
+//! cf2df bench      [--out-dir <dir>]
 //! cf2df chaos      [--quick] [--seeds <n>] [--workers <a,b,…>]
 //!                  [--programs <p1,p2,…>] [--fuel <n>] [--watchdog-ms <n>]
 //! cf2df serve      [--requests <n>] [--inflight <k>] [--workers <w>]
@@ -64,18 +62,12 @@
 //! parallelism per translation configuration), `BENCH_executor.json`
 //! (firings, token traffic and compiled footprint at every worker
 //! count) and `BENCH_translate.json` (the pass manager's pass, cache and
-//! graph-size counters). Nothing in them is timed, so two runs write
-//! byte-identical files, and `bench` in the repository root followed by
-//! `git diff` regenerates the baselines. `--no-fuse` benches with
-//! macro-op fusion disabled, for the fused-vs-unfused contrast. `check-bench` validates artifact files
-//! against the schema. With `--compare OLD.json` it also compares the
-//! (single) new artifact with `OLD.json` through one table of
-//! deterministic counters (fired, tokens, operators, arcs, analyses
-//! computed, …): every counter must be equal and every row present on
-//! both sides. When exactly one side is fused, the fusion gate replaces
-//! equality: every `loop_nest` row must process at least 25% fewer
-//! tokens fused. Wall-clock is judged in alternating pairs of the
-//! end-to-end benchmark (`e2ebench/`).
+//! graph-size counters), one row per line. Nothing in them is timed, so
+//! two runs write byte-identical files. The test suite requires a fresh
+//! render to equal the committed files byte for byte; `bench` in the
+//! repository root followed by `git diff` regenerates them. Wall-clock
+//! is judged in alternating pairs of the end-to-end benchmark
+//! (`e2ebench/`).
 //!
 //! `serve` exercises the concurrent multi-invocation engine: it
 //! translates `program` (default `running_example`), spawns one executor
@@ -91,12 +83,6 @@
 //! its static footprint: table sizes (operator descriptors, destination
 //! slots, immediates, macro micro-programs), total bytes, and the widest
 //! hot-operator arity against the executors' inline rendezvous capacity.
-//!
-//! `fuse-check` is the macro-op fusion equivalence gate: every corpus
-//! program is translated fused and unfused under each schema, both
-//! graphs run through the simulator (and a threaded spot-check), and the
-//! run fails unless final memory is identical and the firing accounting
-//! balances exactly (`fired_unfused == fired_fused + ops_elided`).
 
 use cf2df::cfg::{CoverStrategy, MemLayout};
 use cf2df::core::pipeline::{translate, TranslateOptions};
@@ -214,20 +200,22 @@ fn parse_machine(args: &mut Args) -> MachineConfig {
 
 /// `cf2df bench`: render the three artifacts into `out_dir`, under the
 /// names of the committed baselines.
-fn run_bench(fuse: bool, out_dir: &str) {
+fn run_bench(out_dir: &str) {
+    use cf2df::bench::artifacts::{executor_artifact, pipeline_artifact, translate_artifact};
+
     std::fs::create_dir_all(out_dir).unwrap_or_else(|e| {
         eprintln!("cannot create {out_dir}: {e}");
         exit(2)
     });
-    type Render = fn(bool) -> Result<String, String>;
+    type Render = fn() -> Result<String, String>;
     let artifacts: [(&str, Render); 3] = [
-        ("pipeline", cf2df::bench::artifacts::pipeline_artifact),
-        ("executor", cf2df::bench::artifacts::executor_artifact),
-        ("translate", cf2df::bench::artifacts::translate_artifact),
+        ("pipeline", pipeline_artifact),
+        ("executor", || executor_artifact(true)),
+        ("translate", translate_artifact),
     ];
     for (kind, render) in artifacts {
         let name = format!("BENCH_{kind}.json");
-        let doc = render(fuse).unwrap_or_else(|e| {
+        let doc = render().unwrap_or_else(|e| {
             eprintln!("bench failed rendering {name}: {e}");
             exit(1)
         });
@@ -237,109 +225,6 @@ fn run_bench(fuse: bool, out_dir: &str) {
             exit(2)
         });
         eprintln!("wrote {}", path.display());
-    }
-}
-
-/// `cf2df fuse-check`: the macro-op fusion equivalence gate. Every
-/// corpus program is translated with fusion on and off under each
-/// schema; both graphs run through the deterministic simulator and must
-/// produce identical final memory, with the firing accounting balancing
-/// exactly: `fired_unfused == fired_fused + ops_elided`. A threaded
-/// spot-check (default 4 workers) guards the parallel backend's
-/// compound-firing path. Exits non-zero on the first mismatch.
-fn run_fuse_check(mut args: Args) {
-    use cf2df::machine::parallel::run_threaded;
-
-    let workers: usize = args
-        .value("--workers")
-        .map(|w| w.parse().expect("numeric --workers"))
-        .unwrap_or(4);
-    if !args.rest.is_empty() {
-        eprintln!("fuse-check: unrecognized arguments {:?}", args.rest);
-        usage();
-    }
-
-    let schemas: [(&str, TranslateOptions); 3] = [
-        ("schema1", TranslateOptions::schema1()),
-        ("schema2", TranslateOptions::schema2()),
-        ("full", TranslateOptions::full_parallel_schema3()),
-    ];
-    let mut failures: Vec<String> = Vec::new();
-    let mut checked = 0usize;
-    let mut fired_total = (0u64, 0u64); // (unfused, fused)
-
-    for (name, src) in cf2df::lang::corpus::all() {
-        let parsed = cf2df::lang::parse_to_cfg(src).unwrap_or_else(|e| {
-            eprintln!("corpus program {name} failed to parse: {e}");
-            exit(1)
-        });
-        for (slabel, opts) in &schemas {
-            let ctx = format!("{name}/{slabel}");
-            let fused = match translate(&parsed.cfg, &parsed.alias, opts) {
-                Ok(t) => t,
-                Err(_) => continue, // stricter schemas reject some programs
-            };
-            let unfused = translate(&parsed.cfg, &parsed.alias, &opts.clone().with_fuse(false))
-                .unwrap_or_else(|e| {
-                    eprintln!("{ctx}: unfused translation failed: {e}");
-                    exit(1)
-                });
-            let layout = MemLayout::distinct(&fused.cfg.vars);
-            let run_sim = |dfg, label: &str| {
-                run(dfg, &layout, MachineConfig::unbounded()).unwrap_or_else(|e| {
-                    eprintln!("{ctx}: {label} simulation failed: {e}");
-                    exit(1)
-                })
-            };
-            let fo = run_sim(&fused.dfg, "fused");
-            let uo = run_sim(&unfused.dfg, "unfused");
-            checked += 1;
-            fired_total.0 += uo.stats.fired;
-            fired_total.1 += fo.stats.fired;
-            if fo.memory != uo.memory || fo.ist_memory != uo.ist_memory {
-                failures.push(format!("{ctx}: fusion changed observable memory"));
-                continue;
-            }
-            if uo.stats.fired != fo.stats.fired + fo.stats.ops_elided {
-                failures.push(format!(
-                    "{ctx}: firing accounting broken: unfused {} != fused {} + elided {}",
-                    uo.stats.fired, fo.stats.fired, fo.stats.ops_elided
-                ));
-                continue;
-            }
-            // Threaded spot-check: the compound-firing path in the
-            // parallel backend must agree with the simulator.
-            match run_threaded(&fused.dfg, &layout, workers) {
-                Ok(par) => {
-                    if par.memory != uo.memory
-                        || par.ist_memory != uo.ist_memory
-                        || par.fired != fo.stats.fired
-                    {
-                        failures.push(format!(
-                            "{ctx}: threaded fused run diverged at {workers} workers"
-                        ));
-                    }
-                }
-                Err(e) => failures.push(format!("{ctx}: threaded fused run failed: {e}")),
-            }
-        }
-    }
-
-    for f in failures.iter().take(20) {
-        eprintln!("MISMATCH: {f}");
-    }
-    if failures.is_empty() {
-        println!(
-            "fuse-check: {checked} program×schema combinations equivalent \
-             (fired {} unfused -> {} fused)",
-            fired_total.0, fired_total.1
-        );
-    } else {
-        eprintln!(
-            "fuse-check: {} mismatch(es) across {checked} combinations",
-            failures.len()
-        );
-        exit(1)
     }
 }
 
@@ -898,68 +783,12 @@ fn main() {
     }
     if cmd == "bench" {
         let mut args = Args { rest: argv };
-        let fuse = !args.flag("--no-fuse");
         let out_dir = args.value("--out-dir").unwrap_or_else(|| ".".to_owned());
         if !args.rest.is_empty() {
             eprintln!("bench: unrecognized arguments {:?}", args.rest);
             usage();
         }
-        run_bench(fuse, &out_dir);
-        return;
-    }
-    if cmd == "fuse-check" {
-        run_fuse_check(Args { rest: argv });
-        return;
-    }
-    if cmd == "check-bench" {
-        let mut args = Args { rest: argv };
-        let baseline = args.value("--compare");
-        if args.rest.is_empty() || (baseline.is_some() && args.rest.len() != 1) {
-            usage();
-        }
-        let docs: Vec<(&String, String)> = args
-            .rest
-            .iter()
-            .chain(&baseline)
-            .map(|p| {
-                let text = std::fs::read_to_string(p).unwrap_or_else(|e| {
-                    eprintln!("cannot read {p}: {e}");
-                    exit(2)
-                });
-                (p, text)
-            })
-            .collect();
-        // Every artifact read, a baseline included, must validate.
-        for (path, text) in &docs {
-            if let Err(e) = cf2df::bench::artifacts::validate_artifact(text) {
-                eprintln!("{path}: INVALID: {e}");
-                exit(1)
-            }
-            println!("{path}: ok");
-        }
-        if let (Some(_), [(new_path, new_text), (old_path, old_text)]) = (&baseline, &docs[..]) {
-            let cmp =
-                cf2df::bench::compare::compare_artifacts(old_text, new_text).unwrap_or_else(|e| {
-                    eprintln!("compare failed: {e}");
-                    exit(1)
-                });
-            cmp.failures
-                .iter()
-                .for_each(|f| eprintln!("{new_path}: {f}"));
-            let what = if cmp.fusion {
-                format!("{} rows checked by the fusion gate", cmp.compared)
-            } else {
-                format!("{} {} values compared exactly", cmp.compared, cmp.kind)
-            };
-            if !cmp.failures.is_empty() {
-                eprintln!(
-                    "{new_path}: {} FAILURE(S) vs {old_path}: {what}",
-                    cmp.failures.len()
-                );
-                exit(1)
-            }
-            println!("{new_path}: ok vs {old_path}: {what}");
-        }
+        run_bench(&out_dir);
         return;
     }
     if argv.is_empty() {

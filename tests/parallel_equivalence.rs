@@ -95,7 +95,8 @@ fn corpus_matches_simulator_full_parallel() {
 /// Macro-op fusion is execution-invisible: across the corpus, at every
 /// schema and worker count, a fused run computes the same final memory
 /// as its unfused twin, and the elided-operator tally exactly explains
-/// the missing firings (`fired_unfused == fired_fused + ops_elided`).
+/// the missing firings (`fired_unfused == fired_fused + ops_elided`), on
+/// the simulator and on the threaded executor alike.
 #[test]
 fn fused_runs_match_unfused_across_the_corpus() {
     let schemas = [
@@ -121,6 +122,13 @@ fn fused_runs_match_unfused_across_the_corpus() {
             let layout = MemLayout::distinct(&unfused.cfg.vars);
             let oracle = run(&unfused.dfg, &layout, MachineConfig::unbounded())
                 .unwrap_or_else(|e| panic!("{label}/{name}: unfused simulator failed: {e:?}"));
+            let fused_sim = run(&fused.dfg, &layout, MachineConfig::unbounded())
+                .unwrap_or_else(|e| panic!("{label}/{name}: fused simulator failed: {e:?}"));
+            assert_eq!(
+                fused_sim.stats.fired + fused_sim.stats.ops_elided,
+                oracle.stats.fired,
+                "{label}/{name}: the simulator's elided ops must exactly explain the firing gap"
+            );
             for workers in WORKERS {
                 let base = run_threaded(&unfused.dfg, &layout, workers).unwrap_or_else(|e| {
                     panic!("{label}/{name} unfused at {workers} workers: {e:?}")
@@ -357,6 +365,38 @@ fn one_pool_serves_different_graphs_without_cross_talk() {
             assert_eq!(out.fired, sim_b.stats.fired, "round {round}: graph B");
         }
     }
+}
+
+/// An `ExecutorPool` is shared by reference across threads, and runs
+/// started on it concurrently take turns: two threads each make 300
+/// solo runs on one 2-worker pool, and every run returns its own
+/// program's result. Without the turns, one caller could return while a
+/// pool thread still ran its job.
+#[test]
+fn one_pool_shared_by_two_threads_runs_one_job_at_a_time() {
+    use cf2df::machine::compile;
+    use cf2df::machine::parallel::{run_threaded_compiled_pooled_with, ExecutorPool, ParConfig};
+
+    let parsed = parse_to_cfg(cf2df::lang::corpus::GCD).unwrap();
+    let t = translate(&parsed.cfg, &parsed.alias, &TranslateOptions::schema2()).unwrap();
+    let layout = MemLayout::distinct(&t.cfg.vars);
+    let cg = compile(&t.dfg).unwrap();
+    let sim = run(&t.dfg, &layout, MachineConfig::unbounded()).unwrap();
+    let pool = ExecutorPool::new(2);
+    let cfg = ParConfig::default();
+    std::thread::scope(|scope| {
+        for caller in 0..2 {
+            let (cg, layout, sim, pool, cfg) = (&cg, &layout, &sim, &pool, &cfg);
+            scope.spawn(move || {
+                for i in 0..300 {
+                    let (res, _, _) = run_threaded_compiled_pooled_with(cg, layout, pool, cfg);
+                    let out = res.unwrap_or_else(|e| panic!("caller {caller} run {i}: {e:?}"));
+                    assert_eq!(out.memory, sim.memory, "caller {caller} run {i}");
+                    assert_eq!(out.fired, sim.stats.fired, "caller {caller} run {i}");
+                }
+            });
+        }
+    });
 }
 
 /// Repeated runs at the widest width: schedule nondeterminism must
