@@ -123,39 +123,51 @@ fn parse_errors_are_reported_with_lines() {
     assert!(stderr.contains("line 2"), "{stderr}");
 }
 
-/// The committed `BENCH_*.json` baselines are the bench gate: a fresh
-/// `cf2df bench` must rewrite each of them byte for byte, so every
+/// The lines found on one side only of a committed baseline and a fresh
+/// render, or `None` when the two are equal byte for byte. One artifact
+/// row is one line, so these are the rows that changed, appeared or went
+/// missing.
+fn baseline_diff(committed: &str, fresh: &str) -> Option<String> {
+    if fresh == committed {
+        return None;
+    }
+    let only = |a: &str, b: &str, sign: char| -> Vec<String> {
+        let b: Vec<&str> = b.lines().collect();
+        a.lines()
+            .filter(|l| !b.contains(l))
+            .map(|l| format!("{sign} {l}"))
+            .collect()
+    };
+    let mut diff = only(committed, fresh, '-');
+    diff.extend(only(fresh, committed, '+'));
+    if diff.is_empty() {
+        diff.push("  (the same lines, in another order)".to_owned());
+    }
+    Some(diff.join("\n"))
+}
+
+fn committed_baseline(kind: &str) -> String {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("BENCH_{kind}.json"));
+    std::fs::read_to_string(path).unwrap()
+}
+
+/// The committed `BENCH_*.json` baselines are the bench gate, where the
+/// `check-bench` subcommand once was: a fresh `cf2df bench` must write
+/// all three artifacts and rewrite each baseline byte for byte, so every
 /// counter, label, row and header field is held exactly.
 #[test]
-fn bench_rewrites_the_committed_baselines_byte_for_byte() {
+fn bench_writes_valid_artifacts_and_check_bench_verifies_them() {
     let dir = std::env::temp_dir().join(format!("cf2df_cli_bench_{}", std::process::id()));
     let (_, stderr, ok) = cf2df(&["bench", "--out-dir", dir.to_str().unwrap()]);
     assert!(ok, "{stderr}");
     let mut mismatches = Vec::new();
     for kind in ["pipeline", "executor", "translate"] {
         let name = format!("BENCH_{kind}.json");
+        assert!(stderr.contains(&name), "{stderr}");
         let fresh = std::fs::read_to_string(dir.join(&name)).unwrap();
-        let committed =
-            std::fs::read_to_string(std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(&name))
-                .unwrap();
-        if fresh == committed {
-            continue;
+        if let Some(diff) = baseline_diff(&committed_baseline(kind), &fresh) {
+            mismatches.push(format!("{name} differs:\n{diff}"));
         }
-        // One row per line: the lines on one side only are the rows
-        // that changed, appeared or went missing.
-        let only = |a: &str, b: &str, sign: char| -> Vec<String> {
-            let b: Vec<&str> = b.lines().collect();
-            a.lines()
-                .filter(|l| !b.contains(l))
-                .map(|l| format!("{sign} {l}"))
-                .collect()
-        };
-        let mut diff = only(&committed, &fresh, '-');
-        diff.extend(only(&fresh, &committed, '+'));
-        if diff.is_empty() {
-            diff.push("  (the same lines, in another order)".to_owned());
-        }
-        mismatches.push(format!("{name} differs:\n{}", diff.join("\n")));
     }
     let _ = std::fs::remove_dir_all(&dir);
     assert!(
@@ -164,6 +176,62 @@ fn bench_rewrites_the_committed_baselines_byte_for_byte() {
          `cf2df bench` in the repository root, then review `git diff`.",
         mismatches.join("\n")
     );
+}
+
+/// Byte equality gates every regression `check-bench --compare` gated,
+/// and row order too: a baseline passes against itself, while a counter
+/// moved either way, a renamed workload, a dropped row and two swapped
+/// rows each fail, naming the lines that differ.
+#[test]
+fn check_bench_compare_gates_regressions() {
+    for kind in ["pipeline", "executor", "translate"] {
+        let doc = committed_baseline(kind);
+        assert_eq!(baseline_diff(&doc, &doc), None, "{kind}");
+    }
+
+    // One counter, +1, in either direction.
+    let translate = committed_baseline("translate");
+    let row = translate
+        .lines()
+        .find(|l| l.contains("\"passes\":"))
+        .unwrap();
+    let field = row.split("\"passes\":").nth(1).unwrap();
+    let passes: u64 = field.split(',').next().unwrap().parse().unwrap();
+    let moved_row = row.replacen(
+        &format!("\"passes\":{passes},"),
+        &format!("\"passes\":{},", passes + 1),
+        1,
+    );
+    let moved = translate.replacen(row, &moved_row, 1);
+    for (committed, fresh) in [(&translate, &moved), (&moved, &translate)] {
+        let diff = baseline_diff(committed, fresh).expect("a moved counter fails");
+        assert_eq!(diff.lines().count(), 2, "{diff}");
+        assert!(diff.contains(row) && diff.contains(&moved_row), "{diff}");
+    }
+
+    // A workload present on one side only.
+    let executor = committed_baseline("executor");
+    let renamed = executor.replacen("\"name\":\"loop_nest\"", "\"name\":\"loop_nest_v2\"", 1);
+    assert_ne!(renamed, executor);
+    let diff = baseline_diff(&executor, &renamed).expect("a renamed workload fails");
+    assert!(diff.contains("+ {\"name\":\"loop_nest_v2\""), "{diff}");
+    assert!(diff.contains("- {\"name\":\"loop_nest\""), "{diff}");
+
+    // A dropped row, and two rows in another order.
+    let pipeline = committed_baseline("pipeline");
+    let lines: Vec<&str> = pipeline.lines().collect();
+    let at = lines
+        .iter()
+        .position(|l| l.contains("\"label\":\"schema1\""))
+        .unwrap();
+    let mut dropped = lines.clone();
+    dropped.remove(at);
+    let diff = baseline_diff(&pipeline, &(dropped.join("\n") + "\n")).expect("a dropped row fails");
+    assert_eq!(diff, format!("- {}", lines[at]));
+    let mut swapped = lines.clone();
+    swapped.swap(at, at + 1);
+    let diff = baseline_diff(&pipeline, &(swapped.join("\n") + "\n")).expect("reordered rows fail");
+    assert!(diff.contains("another order"), "{diff}");
 }
 
 #[test]
