@@ -23,8 +23,5 @@ fn main() {
         }
         std::process::exit(2);
     }
-    for (_, f) in selected {
-        println!("{}", f());
-        println!("{}", "=".repeat(78));
-    }
+    print!("{}", cf2df_bench::figures::render(&selected));
 }

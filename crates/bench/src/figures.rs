@@ -434,7 +434,7 @@ pub fn c5_latency_tolerance() -> String {
             base.makespan as f64 / s2.makespan as f64
         );
     }
-    s.push_str("(the dataflow advantage grows with latency: independent ops overlap)\n");
+    s.push_str("(the absolute gap grows with latency: independent ops overlap)\n");
     s
 }
 
@@ -565,11 +565,11 @@ pub fn c8_frame_pressure() -> String {
                 }
             }
         };
-    // The behaviour is a threshold, not graceful degradation: with enough
-    // slots the machine runs at full speed; undersized, the oldest slots
-    // wait on tokens that themselves need new slots and the naive
-    // back-pressure *frame-deadlocks*. Sizing the waiting-matching store
-    // is a real constraint of the paper's machine.
+    // With enough slots the machine runs at full speed; undersized, it
+    // first loses speed, then the oldest slots wait on tokens that
+    // themselves need new slots and the naive back-pressure
+    // *frame-deadlocks*. Sizing the waiting-matching store is a real
+    // constraint of the paper's machine.
     let p2 = parse_to_cfg(cf2df_lang::corpus::INDEPENDENT).unwrap();
     let t2 = translate(&p2.cfg, &p2.alias, &TranslateOptions::schema2()).unwrap();
     let l2 = MemLayout::distinct(&p2.cfg.vars);
@@ -763,6 +763,17 @@ pub fn c12_synch_tree_ablation() -> String {
 
 /// A named figure-reproduction function.
 pub type Report = (&'static str, fn() -> String);
+
+/// The `figures` binary's output for `reports`: each report, then a
+/// rule of 78 `=`. Over [`all_reports`] this is `figures_output.txt`,
+/// which a test requires to match byte for byte.
+pub fn render(reports: &[Report]) -> String {
+    let mut s = String::new();
+    for (_, f) in reports {
+        let _ = writeln!(s, "{}\n{}", f(), "=".repeat(78));
+    }
+    s
+}
 
 /// All reports in order.
 pub fn all_reports() -> Vec<Report> {

@@ -15,14 +15,17 @@
 //!   the committed baselines byte for byte;
 //! * [`json`] — a hand-rolled RFC 8259 writer and validator (in-tree
 //!   replacement for `serde_json`, per the offline/no-deps build policy);
-//! * [`prng`] — a seedable xorshift64* generator (in-tree replacement for
-//!   the `rand` crate, per the offline/no-deps build policy).
+//! * [`prng`] — the seedable xorshift64* generator (in-tree replacement
+//!   for the `rand` crate, per the offline/no-deps build policy),
+//!   re-exported from the machine crate, whose fault injection draws
+//!   from the same generator.
 
 pub mod artifacts;
 pub mod figures;
 pub mod harness;
 pub mod json;
-pub mod prng;
 pub mod workloads;
+
+pub use cf2df_machine::prng;
 
 pub use harness::{measure, measure_source, Measurement};

@@ -205,11 +205,6 @@ impl Cfg {
         &self.nodes[n.index()].stmt
     }
 
-    /// Replace the statement at a node.
-    pub fn set_stmt(&mut self, n: NodeId, stmt: Stmt) {
-        self.nodes[n.index()].stmt = stmt;
-    }
-
     /// The ordered successor list of a node.
     #[inline]
     pub fn succs(&self, n: NodeId) -> &[NodeId] {

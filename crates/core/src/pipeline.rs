@@ -65,26 +65,22 @@ pub struct TranslateOptions {
     /// read cell is eventually written; violations fault or deadlock at
     /// run time rather than corrupt results. Unknown names are ignored.
     pub istructure_arrays: Vec<String>,
-    /// Run the static translation validator ([`crate::certify`]) as the
-    /// last stage: token-rate certification of the produced graph, the
-    /// Theorem 1 switch-placement cross-check, and access-token
-    /// conservation. On by default; requires loop control (the Fig 8
-    /// reproduction graphs are deliberately uncertifiable, so the pass is
-    /// skipped when `loop_control` is off).
-    pub certify: bool,
     /// Insert loop control (§3). Disabling this on a cyclic program
     /// reproduces the paper's broken Fig 8 graph, whose token collisions
-    /// the machine detects.
+    /// the machine detects. With loop control on, the static translation
+    /// validator ([`crate::certify`]) runs as the last stage: token-rate
+    /// certification of the produced graph, the Theorem 1
+    /// switch-placement cross-check, and access-token conservation. The
+    /// Fig 8 reproduction graphs are deliberately uncertifiable, so the
+    /// pass is skipped when `loop_control` is off.
     pub loop_control: bool,
-    /// Make irreducible CFGs reducible by node splitting first.
-    pub split_irreducible: bool,
     /// Fuse maximal linear operator chains into compound `Macro` actors
     /// ([`cf2df_dfg::fuse()`]) after certification, eliding their interior
     /// tokens, rendezvous slots, and firings at execution time. On by
     /// default; a pure machine-level coarsening that leaves Schema 1–3
     /// semantics and tag allocation untouched. Runs only with loop
-    /// control on (like `certify` — the Fig 8 reproduction graphs are
-    /// left byte-for-byte as the paper draws them).
+    /// control on (like certification — the Fig 8 reproduction graphs
+    /// are left byte-for-byte as the paper draws them).
     pub fuse: bool,
 }
 
@@ -101,9 +97,7 @@ impl TranslateOptions {
             flat_synch: false,
             cleanup: false,
             istructure_arrays: Vec::new(),
-            certify: true,
             loop_control: true,
-            split_irreducible: true,
             fuse: true,
         }
     }
@@ -184,12 +178,6 @@ impl TranslateOptions {
         self
     }
 
-    /// Toggle the static translation validator.
-    pub fn with_certify(mut self, on: bool) -> Self {
-        self.certify = on;
-        self
-    }
-
     /// Toggle macro-op fusion (the post-certify chain coarsening).
     pub fn with_fuse(mut self, on: bool) -> Self {
         self.fuse = on;
@@ -205,12 +193,6 @@ impl TranslateOptions {
     /// Toggle flat n-ary token gathering (ablation).
     pub fn with_flat_synch(mut self, on: bool) -> Self {
         self.flat_synch = on;
-        self
-    }
-
-    /// Toggle the CSE/DCE cleanup passes.
-    pub fn with_cleanup(mut self, on: bool) -> Self {
-        self.cleanup = on;
         self
     }
 
@@ -230,7 +212,8 @@ impl TranslateOptions {
 pub enum TranslateError {
     /// The CFG violates the §2.1 invariants.
     Cfg(Vec<CfgError>),
-    /// The CFG is irreducible and node splitting was disabled (or blew up).
+    /// The CFG is irreducible and node splitting hit its code-growth
+    /// cap before making it reducible.
     Irreducible(Irreducible),
     /// Schema 2 was requested for a program with aliasing (§3 assumes none;
     /// use Schema 3).
@@ -359,18 +342,16 @@ impl Pass for BuildLinesPass {
     }
 }
 
-/// Ensures the CFG is reducible, node-splitting it if allowed. The loop
-/// forest computed for the test stays in the cache for every later stage.
+/// Ensures the CFG is reducible, node-splitting it if it is not. The
+/// loop forest computed for the test stays in the cache for every later
+/// stage.
 struct ReducibilityPass;
 impl Pass for ReducibilityPass {
     fn name(&self) -> &'static str {
         "reducibility"
     }
     fn run(&mut self, ctx: &mut PassCtx) -> Result<(), TranslateError> {
-        if let Err(e) = ctx.fctx.loop_forest() {
-            if !ctx.opts.split_irreducible {
-                return Err(TranslateError::Irreducible(e));
-            }
+        if ctx.fctx.loop_forest().is_err() {
             let split = split_irreducible(ctx.fctx.cfg()).map_err(TranslateError::Irreducible)?;
             ctx.fctx.replace_cfg(split, Preserved::VALIDITY);
         }
@@ -674,7 +655,7 @@ fn schedule(opts: &TranslateOptions) -> PassManager {
     if !opts.istructure_arrays.is_empty() {
         pm.add(IStructurePass);
     }
-    if opts.certify && opts.loop_control {
+    if opts.loop_control {
         pm.add(CertifyPass);
     }
     if opts.fuse && opts.loop_control {
@@ -836,19 +817,16 @@ mod tests {
     }
 
     #[test]
-    fn irreducible_without_splitting_is_rejected() {
+    fn irreducible_programs_are_split_and_certify() {
         let parsed = parse_to_cfg(
             "x:=0; if x==0 then { goto a; } else { goto b; }
              a: x:=x+1; if x>9 then { goto end; } else { skip; } goto b;
              b: x:=x+2; if x>9 then { goto end; } else { skip; } goto a;",
         )
         .unwrap();
-        let mut opts = TranslateOptions::schema2();
-        opts.split_irreducible = false;
-        let err = translate(&parsed.cfg, &parsed.alias, &opts).unwrap_err();
-        assert!(matches!(err, TranslateError::Irreducible(_)));
-        // With splitting (the default) it works and certifies: any defect
-        // panics with the full report rather than a bare unwrap.
+        // Node splitting makes it reducible, and the result certifies:
+        // any defect panics with the full report rather than a bare
+        // unwrap.
         let t = translate(&parsed.cfg, &parsed.alias, &TranslateOptions::schema2())
             .unwrap_or_else(|e| panic!("split translation failed: {e}"));
         let report = t.certify.expect("certify pass ran");

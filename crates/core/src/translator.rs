@@ -299,21 +299,6 @@ fn translate_full_with(
     Built { dfg: g, ops }
 }
 
-/// Convenience used by tests: collapse single-input merges away is *not*
-/// done in full mode (the paper's Schema 2 keeps its merges); this counts
-/// them for the §4 comparison.
-pub fn single_source_merges(g: &Dfg) -> usize {
-    let index = g.arc_index();
-    g.op_ids()
-        .filter(|&o| matches!(g.kind(o), OpKind::Merge) && index.ins(o, 0).len() == 1)
-        .count()
-}
-
-/// Build a full-mode merge over explicit ports (re-exported for rewrites).
-pub fn merge_ports(g: &mut Dfg, srcs: &[Port], kind: ArcKind) -> Option<Port> {
-    merge_build(g, srcs, kind)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

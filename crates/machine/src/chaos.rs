@@ -19,67 +19,16 @@
 //!   machine's architectural point of duplicate detection) must report
 //!   [`crate::exec::MachineError::TokenCollision`].
 //!
-//! All randomness is a seeded xorshift64* stream, split per worker, so a
-//! `(seed, worker)` pair draws the same decisions on every run. The
-//! *interleaving* of workers is still the OS scheduler's, which is
-//! exactly the point: results (or typed errors) must be stable under any
-//! interleaving the fault plan permits.
+//! All randomness is a seeded xorshift64* stream, split per worker
+//! ([`crate::prng::Prng::for_worker`]), so a `(seed, worker)` pair draws
+//! the same decisions on every run. The *interleaving* of workers is
+//! still the OS scheduler's, which is exactly the point: results (or
+//! typed errors) must be stable under any interleaving the fault plan
+//! permits.
 //!
 //! The chaos layer is `Option`-gated everywhere: an ordinary run pays
 //! one `Option::is_none` branch per batch and per emitted token, and
 //! `cf2df bench` requires its tallies to read zero on every run it makes.
-
-/// Seeded per-worker random stream for fault decisions.
-///
-/// A trimmed copy of the workspace PRNG (`cf2df-bench`'s xorshift64*
-/// behind a splitmix64 disperser). Duplicated here because the machine
-/// crate sits *below* the bench crate in the dependency graph and the
-/// workspace builds offline with zero external crates.
-#[derive(Clone, Debug)]
-pub struct ChaosRng {
-    state: u64,
-}
-
-impl ChaosRng {
-    /// A generator from a 64-bit seed; any seed is valid, including 0.
-    pub fn seed_from_u64(seed: u64) -> ChaosRng {
-        let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
-        ChaosRng {
-            state: if z == 0 { 0x9e37_79b9_7f4a_7c15 } else { z },
-        }
-    }
-
-    /// The stream for worker `w` under campaign seed `seed`: dispersed
-    /// so per-worker streams are uncorrelated.
-    pub fn for_worker(seed: u64, w: usize) -> ChaosRng {
-        ChaosRng::seed_from_u64(seed ^ (w as u64).wrapping_mul(0xa076_1d64_78bd_642f))
-    }
-
-    /// Next 64 uniform bits (xorshift64*).
-    pub fn next_u64(&mut self) -> u64 {
-        let mut x = self.state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.state = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-
-    /// `true` with probability `p` (clamped to `[0, 1]`).
-    pub fn chance(&mut self, p: f64) -> bool {
-        if p <= 0.0 {
-            return false;
-        }
-        if p >= 1.0 {
-            return true;
-        }
-        let u = (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-        u < p
-    }
-}
 
 /// A deterministic fault-injection plan for one threaded run.
 ///
@@ -208,27 +157,6 @@ impl ChaosTallies {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn same_seed_same_stream_distinct_workers_distinct() {
-        let mut a = ChaosRng::for_worker(7, 0);
-        let mut b = ChaosRng::for_worker(7, 0);
-        let mut c = ChaosRng::for_worker(7, 1);
-        let xs: Vec<u64> = (0..32).map(|_| a.next_u64()).collect();
-        let ys: Vec<u64> = (0..32).map(|_| b.next_u64()).collect();
-        let zs: Vec<u64> = (0..32).map(|_| c.next_u64()).collect();
-        assert_eq!(xs, ys);
-        assert_ne!(xs, zs);
-    }
-
-    #[test]
-    fn chance_extremes_are_exact() {
-        let mut r = ChaosRng::seed_from_u64(0);
-        assert!(!r.chance(0.0));
-        assert!(r.chance(1.0));
-        let hits = (0..10_000).filter(|_| r.chance(0.25)).count();
-        assert!((2000..3000).contains(&hits), "0.25 wildly off: {hits}");
-    }
 
     #[test]
     fn profiles_classify_destructiveness() {

@@ -384,16 +384,7 @@ pub fn run_traced(
     config: MachineConfig,
 ) -> Result<(Outcome, crate::trace::Trace), MachineError> {
     let cg = compile(g)?;
-    run_traced_compiled(&cg, layout, config)
-}
-
-/// As [`run_compiled`], additionally recording a trace of every firing.
-pub fn run_traced_compiled(
-    cg: &CompiledGraph,
-    layout: &MemLayout,
-    config: MachineConfig,
-) -> Result<(Outcome, crate::trace::Trace), MachineError> {
-    let mut sim = Sim::new(cg, layout, config, crate::trace::Trace::default());
+    let mut sim = Sim::new(&cg, layout, config, crate::trace::Trace::default());
     sim.seed();
     sim.main_loop()?;
     Ok(sim.finish())

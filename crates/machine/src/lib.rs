@@ -27,7 +27,9 @@
 //! with), and [`parallel`] a multi-threaded token-pushing executor
 //! demonstrating real parallel execution of the same graphs: one engine
 //! ([`mod@serve`]) that runs a solo invocation or multiplexes many, built
-//! on the std-only work-stealing [`scheduler`].
+//! on a crate-private, std-only work-stealing scheduler. [`prng`] is the
+//! workspace's seedable generator, behind both the executor's fault
+//! injection ([`chaos`]) and the bench crate's program generators.
 
 pub mod chaos;
 pub mod compiled;
@@ -36,7 +38,8 @@ pub mod hash;
 pub mod memory;
 pub mod metrics;
 pub mod parallel;
-pub mod scheduler;
+pub mod prng;
+mod scheduler;
 pub mod serve;
 pub mod tag;
 pub mod trace;

@@ -69,9 +69,9 @@ impl ExecStats {
     }
 }
 
-/// Per-worker scheduler counters, collected by [`crate::scheduler`] with
-/// plain (thread-local) arithmetic — always on, no atomics on the hot
-/// path.
+/// Per-worker scheduler counters, collected by the threaded engine's
+/// work-stealing scheduler with plain (thread-local) arithmetic — always
+/// on, no atomics on the hot path.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WorkerStats {
     /// Tasks this worker fully processed. For the threaded executor this
@@ -146,11 +146,6 @@ pub struct ParMetrics {
     pub slot_shard_high_water: Vec<u64>,
     /// Distinct iteration tags interned (tag-interner occupancy).
     pub tags_created: u64,
-    /// I-structure reads that arrived before their write and were
-    /// deferred.
-    pub deferred_reads: u64,
-    /// Peak number of simultaneously outstanding deferred reads.
-    pub deferred_read_peak: u64,
     /// Compound `Macro` operator firings across all workers.
     pub macro_fires: u64,
     /// Operator firings elided by macro-op fusion (n−1 per firing of an
@@ -161,31 +156,10 @@ pub struct ParMetrics {
     pub chaos: crate::chaos::ChaosTallies,
 }
 
-impl ParMetrics {
-    /// One-line summary.
-    pub fn summary(&self) -> String {
-        let steals: u64 = self.workers.iter().map(|w| w.steals).sum();
-        let parks: u64 = self.workers.iter().map(|w| w.parks).sum();
-        format!(
-            "processed={} merged={} fastpath={} macro={}/{} steals={} parks={} max_slots={} tags={} deferred={}",
-            self.tokens_processed,
-            self.merged,
-            self.fast_path_fires,
-            self.macro_fires,
-            self.ops_elided,
-            steals,
-            parks,
-            self.max_pending_slots,
-            self.tags_created,
-            self.deferred_reads
-        )
-    }
-}
-
 /// Session-level metrics of one multiplexed serving run
 /// ([`crate::serve::serve`]): what the *shared pool* did across every
-/// admitted invocation. Per-invocation quantities (fired, merged, tags,
-/// deferred reads) live in each request's own
+/// admitted invocation. Per-invocation quantities (fired, merged, tags)
+/// live in each request's own
 /// [`crate::parallel::ParOutcome::metrics`]; the per-worker scheduler
 /// counters only exist here, because the workers are shared and their
 /// batches freely interleave tokens of different invocations.
@@ -238,31 +212,6 @@ impl ServeStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn par_metrics_summary_sums_workers() {
-        let m = ParMetrics {
-            workers: vec![
-                WorkerStats {
-                    steals: 2,
-                    parks: 1,
-                    ..Default::default()
-                },
-                WorkerStats {
-                    steals: 3,
-                    parks: 4,
-                    ..Default::default()
-                },
-            ],
-            tokens_processed: 10,
-            merged: 4,
-            ..Default::default()
-        };
-        let s = m.summary();
-        assert!(s.contains("steals=5"), "{s}");
-        assert!(s.contains("parks=5"), "{s}");
-        assert!(s.contains("processed=10"), "{s}");
-    }
 
     #[test]
     fn avg_parallelism_guards_zero_makespan() {

@@ -3,8 +3,8 @@
 //! Where [`crate::exec`] is a deterministic discrete-event *simulator*
 //! measuring idealized parallelism, the threaded executor actually runs a
 //! dataflow graph on OS threads: worker threads pull tokens from
-//! work-stealing run queues ([`crate::scheduler`]), rendezvous them in
-//! sharded slot tables, fire operators, and push result tokens back. It
+//! work-stealing run queues, rendezvous them in sharded slot tables,
+//! fire operators, and push result tokens back. It
 //! demonstrates the paper's point that the translated graphs are
 //! genuinely parallel programs — any interleaving the token dependences
 //! permit yields the same final memory, which the tests check against
@@ -44,7 +44,7 @@ use crate::tag::TagId;
 use crate::trace::TraceEvent;
 use cf2df_cfg::{LoopId, MemLayout, VarId};
 use cf2df_dfg::{Dfg, OpId};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -98,8 +98,8 @@ pub struct ParOutcome {
     /// Operators fired.
     pub fired: u64,
     /// Executor metrics: per-worker scheduler counters, rendezvous
-    /// pressure, tag occupancy, deferred-read peaks. Always collected —
-    /// the counters are worker-local tallies, settled once per batch.
+    /// pressure, tag occupancy. Always collected — the counters are
+    /// worker-local tallies, settled once per batch.
     pub metrics: ParMetrics,
 }
 
@@ -131,11 +131,6 @@ pub(crate) struct ParMemory {
     /// Stripe `s` holds the cells of every address `a ≡ s (mod IST_STRIPES)`,
     /// at index `a / IST_STRIPES`.
     ist: Vec<Mutex<Vec<IstSlot>>>,
-    /// Total I-structure reads deferred (arrived before their write).
-    pub(crate) deferred_reads: AtomicU64,
-    /// Currently outstanding deferred reads, and the observed peak.
-    deferred_now: AtomicU64,
-    pub(crate) deferred_peak: AtomicU64,
 }
 
 impl ParMemory {
@@ -153,17 +148,7 @@ impl ParMemory {
                     )
                 })
                 .collect(),
-            deferred_reads: AtomicU64::new(0),
-            deferred_now: AtomicU64::new(0),
-            deferred_peak: AtomicU64::new(0),
         }
-    }
-
-    /// Record `n` newly deferred reads and update the peak.
-    fn note_deferred(&self, n: u64) {
-        self.deferred_reads.fetch_add(n, Ordering::Relaxed);
-        let now = self.deferred_now.fetch_add(n, Ordering::Relaxed) + n;
-        self.deferred_peak.fetch_max(now, Ordering::Relaxed);
     }
 
     pub(crate) fn read_scalar(&self, layout: &MemLayout, var: VarId) -> i64 {
@@ -216,14 +201,10 @@ impl ParMemory {
             IstSlot::Full(v) => Ok(Some(*v)),
             IstSlot::Empty => {
                 *slot = IstSlot::Deferred(vec![DeferredRead { ctx }]);
-                drop(stripe);
-                self.note_deferred(1);
                 Ok(None)
             }
             IstSlot::Deferred(q) => {
                 q.push(DeferredRead { ctx });
-                drop(stripe);
-                self.note_deferred(1);
                 Ok(None)
             }
         }
@@ -249,9 +230,6 @@ impl ParMemory {
             }
             IstSlot::Deferred(q) => {
                 *slot = IstSlot::Full(value);
-                drop(stripe);
-                self.deferred_now
-                    .fetch_sub(q.len() as u64, Ordering::Relaxed);
                 Ok(q)
             }
         }

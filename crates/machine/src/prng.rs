@@ -1,11 +1,12 @@
 //! A tiny seedable pseudo-random number generator (xorshift64*).
 //!
 //! Replaces the external `rand` crate for everything the workspace needs:
-//! deterministic workload generation and the in-house property-test
-//! harness. Not cryptographic — statistical quality is more than enough
-//! for fuzzing program shapes. The same seed always yields the same
-//! stream, on every platform, forever; generated corpora are therefore
-//! reproducible across builds.
+//! the executor's seeded fault injection ([`crate::chaos`]), deterministic
+//! workload generation and the in-house property-test harness (both
+//! reach it as `cf2df_bench::prng`). Not cryptographic — statistical
+//! quality is more than enough for fuzzing program shapes. The same seed
+//! always yields the same stream, on every platform, forever; generated
+//! corpora are therefore reproducible across builds.
 
 /// Seedable xorshift64* generator.
 ///
@@ -30,6 +31,13 @@ impl Prng {
         Prng {
             state: if z == 0 { 0x9e37_79b9_7f4a_7c15 } else { z },
         }
+    }
+
+    /// The stream for worker `w` under campaign seed `seed`: the seed is
+    /// dispersed by the worker index, so per-worker streams are
+    /// uncorrelated.
+    pub fn for_worker(seed: u64, w: usize) -> Prng {
+        Prng::seed_from_u64(seed ^ (w as u64).wrapping_mul(0xa076_1d64_78bd_642f))
     }
 
     /// Next 64 uniform bits.
@@ -103,6 +111,27 @@ mod tests {
         }
         let mut c = Prng::seed_from_u64(43);
         assert_ne!(a.next_u64(), c.next_u64());
+    }
+
+    #[test]
+    fn same_seed_same_stream_distinct_workers_distinct() {
+        let mut a = Prng::for_worker(7, 0);
+        let mut b = Prng::for_worker(7, 0);
+        let mut c = Prng::for_worker(7, 1);
+        let xs: Vec<u64> = (0..32).map(|_| a.next_u64()).collect();
+        let ys: Vec<u64> = (0..32).map(|_| b.next_u64()).collect();
+        let zs: Vec<u64> = (0..32).map(|_| c.next_u64()).collect();
+        assert_eq!(xs, ys);
+        assert_ne!(xs, zs);
+    }
+
+    #[test]
+    fn chance_extremes_are_exact() {
+        let mut r = Prng::seed_from_u64(0);
+        assert!(!r.chance(0.0));
+        assert!(r.chance(1.0));
+        let hits = (0..10_000).filter(|_| r.chance(0.25)).count();
+        assert!((2000..3000).contains(&hits), "0.25 wildly off: {hits}");
     }
 
     #[test]

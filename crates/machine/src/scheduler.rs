@@ -15,18 +15,18 @@
 //! robbing them migrates the chain between workers (trashing locality
 //! and the executor's same-batch rendezvous fast path) without buying
 //! any parallelism. A queue holding fewer tasks than the floor keeps
-//! them for its owner, which is what lets round-robin seeding guarantee
-//! that every seeded worker processes its own seed.
+//! them for its owner.
 //!
-//! Narrow graphs never fill queues past the steal floor, so extra
-//! workers would otherwise sleep through the whole run. The *donation*
-//! path fixes start-up distribution explicitly: while some worker has
-//! never been given work (not seeded, not donated to, never ran a
-//! batch), each flush hands one produced task directly into that
-//! worker's queue and wakes it. Each worker is donated to at most once,
-//! and a single counter load in the flush fast path prices the
-//! steady state — when seeding already reaches every queue, donations
-//! cost nothing at all.
+//! Work enters only through the global injector, where the first worker
+//! to look takes up to a batch of it, and narrow graphs never fill queues
+//! past the steal floor, so extra workers would otherwise sleep through
+//! the whole run. The *donation* path fixes start-up distribution
+//! explicitly: while some worker has never been given work (not donated
+//! to, never ran a batch), each flush hands one produced task directly
+//! into that worker's queue and wakes it. Each worker is donated to at
+//! most once, and a single counter load in the flush fast path prices
+//! the steady state — once every worker has been fed, donations cost
+//! nothing at all.
 //!
 //! Idle workers spin briefly, then park on a `Condvar` behind an
 //! *event count*: a would-be sleeper snapshots `wake_epoch`, re-checks
@@ -41,11 +41,11 @@
 //! Shutdown is **explicit**:
 //!
 //! * a task pushed onto a queue is never dropped: it is either processed,
-//!   or still countable in a queue when [`Scheduler::run`] returns after
-//!   an explicit [`Ctx::halt`] (the caller sees the count in
-//!   [`Outcome::leftover`]);
+//!   or still countable in a queue when [`Scheduler::run_in`] returns
+//!   after an explicit [`Scheduler::halt_external`] (the caller sees the
+//!   count in [`Outcome::leftover`]);
 //! * with no halt requested, workers only exit when the in-flight count
-//!   reaches zero, so `run` returning with `leftover == 0` is a
+//!   reaches zero, so `run_in` returning with `leftover == 0` is a
 //!   *guarantee*, checked by a debug assertion, not a race.
 //!
 //! [`WorkerPool`] keeps the OS threads alive across runs: spawning a
@@ -59,8 +59,9 @@
 //! machine semantics (rendezvous, firing, memory) live in
 //! [`mod@crate::serve`].
 
-use crate::chaos::{ChaosConfig, ChaosRng};
+use crate::chaos::ChaosConfig;
 use crate::metrics::WorkerStats;
+use crate::prng::Prng;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -86,16 +87,16 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// What `run` observed by the time every worker exited.
+/// What [`Scheduler::run_in`] observed by the time every worker exited.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Outcome {
     /// Tasks fully processed: the sum of the workers' `processed`.
     pub processed: u64,
     /// Tasks still sitting in run queues when the workers exited. Zero
-    /// unless [`Ctx::halt`] cut execution short.
+    /// unless a halt cut execution short.
     pub leftover: u64,
-    /// Whether [`Ctx::halt`] was called (including the implicit halt a
-    /// contained panic performs).
+    /// Whether the run was halted: by [`Scheduler::halt_external`], or by
+    /// the implicit halt a contained panic performs.
     pub halted: bool,
     /// The first worker panic contained this run: `(worker index,
     /// rendered payload)`. A panicking batch halts the whole scheduler,
@@ -116,9 +117,8 @@ struct Park {
 /// Work-stealing scheduler over tasks of type `T`.
 pub struct Scheduler<T> {
     queues: Vec<Mutex<VecDeque<T>>>,
-    /// Global injector for tasks pushed from outside a worker
-    /// (mid-run external injection; initial seeds go through
-    /// [`Scheduler::seed`] instead).
+    /// Global injector for tasks pushed from outside a worker: every
+    /// admitted invocation's start tokens, before or during a run.
     inject: Mutex<VecDeque<T>>,
     /// Tasks pushed but not yet fully processed (includes the ones a
     /// worker is currently running). Zero means no task exists and none
@@ -132,8 +132,8 @@ pub struct Scheduler<T> {
     /// Mirror of the sleeper count, readable without the park lock, so
     /// the flush fast path skips the lock entirely while nobody sleeps.
     sleeper_count: AtomicUsize,
-    /// Per-worker "has ever been given work" flags: set by seeding, by a
-    /// donation, or by the worker's own first processed batch. While any
+    /// Per-worker "has ever been given work" flags: set by a donation or
+    /// by the worker's own first processed batch. While any
     /// worker is unfed, flushes *donate* one produced task straight into
     /// its (empty) queue and wake it — a bounded start-up hand-off that
     /// guarantees work distribution even on narrow graphs whose queues
@@ -142,8 +142,7 @@ pub struct Scheduler<T> {
     /// the system can quiesce — "every worker runs" is deterministic.
     fed: Vec<AtomicBool>,
     /// How many `fed` flags are still unset; the flush fast path reads
-    /// this single counter (zero from the start whenever seeding reaches
-    /// every worker) to skip the donation scan entirely.
+    /// this single counter to skip the donation scan entirely.
     unfed: AtomicUsize,
     stop: AtomicBool,
     /// First contained worker panic: `(worker, rendered payload)`.
@@ -156,11 +155,9 @@ pub struct Scheduler<T> {
     park: Park,
 }
 
-/// Handle given to the task body: push follow-up work, request shutdown.
-/// Produced tasks are buffered and flushed to the worker's queue once
-/// per batch.
-pub struct Ctx<'s, T> {
-    sched: &'s Scheduler<T>,
+/// Handle given to the task body to push follow-up work. Produced tasks
+/// are buffered and flushed to the worker's queue once per batch.
+pub struct Ctx<T> {
     /// Index of the worker running this batch; its queue takes the
     /// flushes.
     worker: usize,
@@ -208,41 +205,12 @@ impl<T: Send> Scheduler<T> {
         self
     }
 
-    /// Number of worker queues.
-    pub fn workers(&self) -> usize {
-        self.queues.len()
-    }
-
-    /// Seed initial tasks round-robin across the worker queues (before
-    /// `run`). Every seeded worker is guaranteed to process at least one
-    /// of its own seeds: a worker always drains its own queue before
-    /// looking elsewhere, and thieves never take the last task of a
-    /// queue.
-    pub fn seed<I: IntoIterator<Item = T>>(&self, tasks: I) {
-        let n = self.queues.len();
-        let mut count = 0usize;
-        for (i, t) in tasks.into_iter().enumerate() {
-            lock(&self.queues[i % n]).push_back(t);
-            self.mark_fed(i % n);
-            count += 1;
-        }
-        self.pending.fetch_add(count, Ordering::SeqCst);
-    }
-
-    /// Record that worker `w` has been given work (seed, donation, or
-    /// its own first batch), retiring it as a donation target.
+    /// Record that worker `w` has been given work (a donation or its own
+    /// first batch), retiring it as a donation target.
     fn mark_fed(&self, w: usize) {
         if !self.fed[w].swap(true, Ordering::SeqCst) {
             self.unfed.fetch_sub(1, Ordering::SeqCst);
         }
-    }
-
-    /// Inject a task from outside the worker pool (before or during
-    /// `run`). Mid-run injection always wakes a sleeper.
-    pub fn inject(&self, t: T) {
-        self.pending.fetch_add(1, Ordering::SeqCst);
-        lock(&self.inject).push_back(t);
-        self.wake(false);
     }
 
     /// Inject a group of tasks from outside the worker pool in one
@@ -258,9 +226,9 @@ impl<T: Send> Scheduler<T> {
         if m == 0 {
             return 0;
         }
-        // `pending` rises before the tasks become visible, mirroring
-        // [`Scheduler::inject`]: a worker that grabs a task and finishes
-        // it must never drive `pending` below the true in-flight count.
+        // `pending` rises before the tasks become visible: a worker that
+        // grabs a task and finishes it must never drive `pending` below
+        // the true in-flight count.
         self.pending.fetch_add(m, Ordering::SeqCst);
         lock(&self.inject).extend(buf.drain(..));
         self.wake(true);
@@ -405,7 +373,7 @@ impl<T: Send> Scheduler<T> {
     /// are counted. It reaches zero only when the batch produced nothing
     /// and no task exists anywhere, and then everyone is woken to
     /// observe quiescence.
-    fn flush(&self, ctx: &Ctx<'_, T>, consumed: usize) {
+    fn flush(&self, ctx: &Ctx<T>, consumed: usize) {
         let mut buf = ctx.buf.borrow_mut();
         let m = buf.len();
         if m > consumed {
@@ -433,13 +401,12 @@ impl<T: Send> Scheduler<T> {
     }
 
     /// Hand one freshly produced task to the first worker that has never
-    /// been given any (not seeded, not donated to, never ran a batch).
-    /// Bounded: each worker is donated to at most once, and the single
-    /// `unfed` counter load in [`Scheduler::flush`] short-circuits the
-    /// whole path — including this scan of plain atomic flags, which
-    /// touches no queue locks — the moment every worker is fed. When
-    /// seeding reaches every queue, that is before the run even starts.
-    fn donate(&self, ctx: &Ctx<'_, T>, buf: &mut Vec<T>) -> bool {
+    /// been given any (not donated to, never ran a batch). Bounded: each
+    /// worker is donated to at most once, and the single `unfed` counter
+    /// load in [`Scheduler::flush`] short-circuits the whole path —
+    /// including this scan of plain atomic flags, which touches no queue
+    /// locks — the moment every worker is fed.
+    fn donate(&self, ctx: &Ctx<T>, buf: &mut Vec<T>) -> bool {
         for (v, flag) in self.fed.iter().enumerate() {
             if v == ctx.worker || flag.load(Ordering::SeqCst) {
                 continue;
@@ -451,49 +418,17 @@ impl<T: Send> Scheduler<T> {
         false
     }
 
-    /// Run `body` over every task until the system drains or halts,
-    /// spawning one scoped thread per queue.
+    /// Run `body` over every task until the system drains or halts, on
+    /// the pre-spawned `pool`, whose width must match the queue count.
     ///
-    /// `body` receives a [`Ctx`] (for pushing follow-up tasks and
-    /// requesting a halt) and a batch of tasks, which it must fully
-    /// drain. Workers exit when (a) `Ctx::halt` was called, or (b)
-    /// `pending` reaches zero — every pushed task was processed and none
-    /// can ever appear again.
-    pub fn run<F>(&self, body: F) -> Outcome
-    where
-        F: Fn(&Ctx<'_, T>, &mut Vec<T>) + Sync,
-        T: Send,
-    {
-        let body = &body;
-        let workers: Vec<WorkerStats> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.queues.len())
-                .map(|w| {
-                    let sched = &*self;
-                    scope.spawn(move || sched.worker_loop(w, body))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .enumerate()
-                .map(|(w, h)| {
-                    // Body panics are contained inside `worker_loop`; a
-                    // panic escaping the loop itself is a scheduler bug,
-                    // but even then the run must report, not abort.
-                    h.join().unwrap_or_else(|payload| {
-                        self.record_panic(w, &payload);
-                        WorkerStats::default()
-                    })
-                })
-                .collect()
-        });
-        self.finish(workers)
-    }
-
-    /// As [`Scheduler::run`], but on a pre-spawned [`WorkerPool`]
-    /// (whose width must match) instead of freshly spawned threads.
+    /// `body` receives a [`Ctx`] (for pushing follow-up tasks) and a
+    /// batch of tasks, which it must fully drain. Workers exit when (a)
+    /// the run was halted ([`Scheduler::halt_external`], or a contained
+    /// panic), or (b) `pending` reaches zero — every pushed task was
+    /// processed and none can ever appear again.
     pub fn run_in<F>(&self, pool: &WorkerPool, body: F) -> Outcome
     where
-        F: Fn(&Ctx<'_, T>, &mut Vec<T>) + Sync,
+        F: Fn(&Ctx<T>, &mut Vec<T>) + Sync,
         T: Send,
     {
         assert_eq!(
@@ -560,10 +495,9 @@ impl<T: Send> Scheduler<T> {
         self.halt_external();
     }
 
-    /// Request a stop from outside any worker (watchdog expiry, external
-    /// cancellation): the same semantics as [`Ctx::halt`], without
-    /// needing a `Ctx`. Queued tasks stay in place and are reported in
-    /// [`Outcome::leftover`].
+    /// Request an immediate stop (watchdog expiry, a contained panic):
+    /// every worker exits as soon as it observes the flag, and queued
+    /// tasks stay in place and are reported in [`Outcome::leftover`].
     pub fn halt_external(&self) {
         self.stop.store(true, Ordering::SeqCst);
         self.wake(true);
@@ -571,17 +505,16 @@ impl<T: Send> Scheduler<T> {
 
     fn worker_loop<F>(&self, w: usize, body: &F) -> WorkerStats
     where
-        F: Fn(&Ctx<'_, T>, &mut Vec<T>) + Sync,
+        F: Fn(&Ctx<T>, &mut Vec<T>) + Sync,
     {
         let ctx = Ctx {
-            sched: self,
             worker: w,
             buf: RefCell::new(Vec::new()),
         };
         let mut stats = WorkerStats::default();
         let mut batch: Vec<T> = Vec::with_capacity(BATCH);
         let mut first_batch = true;
-        let mut chaos = self.chaos.map(|c| (c, ChaosRng::for_worker(c.seed, w)));
+        let mut chaos = self.chaos.map(|c| (c, Prng::for_worker(c.seed, w)));
         loop {
             if self.stop.load(Ordering::SeqCst) {
                 return stats;
@@ -674,7 +607,7 @@ impl<T: Send> Scheduler<T> {
         }
     }
 
-    /// Remaining tasks across all queues (meaningful after `run`).
+    /// Remaining tasks across all queues (meaningful after `run_in`).
     fn drain_count(&self) -> u64 {
         let mut n = lock(&self.inject).len() as u64;
         for q in &self.queues {
@@ -684,7 +617,7 @@ impl<T: Send> Scheduler<T> {
     }
 }
 
-impl<T: Send> Ctx<'_, T> {
+impl<T: Send> Ctx<T> {
     /// Push a follow-up task. It is buffered and lands on the current
     /// worker's queue at the end of the batch, in one synchronization
     /// with everything else the batch produced. Never fails, never
@@ -692,14 +625,6 @@ impl<T: Send> Ctx<'_, T> {
     /// halted first.
     pub fn push(&self, t: T) {
         self.buf.borrow_mut().push(t);
-    }
-
-    /// Request an immediate stop: all workers exit as soon as they
-    /// observe the flag; queued tasks are left in place and reported in
-    /// [`Outcome::leftover`].
-    pub fn halt(&self) {
-        self.sched.stop.store(true, Ordering::SeqCst);
-        self.sched.wake(true);
     }
 
     /// Index of the worker running the current batch.
@@ -875,13 +800,19 @@ mod tests {
     use std::sync::atomic::AtomicU64;
     use std::time::Duration;
 
-    fn for_each<T: Send>(
-        body: impl Fn(&Ctx<'_, T>, T) + Sync,
-    ) -> impl Fn(&Ctx<'_, T>, &mut Vec<T>) + Sync {
+    fn for_each<T: Send>(body: impl Fn(&Ctx<T>, T) + Sync) -> impl Fn(&Ctx<T>, &mut Vec<T>) + Sync {
         move |ctx, batch| {
             for t in batch.drain(..) {
                 body(ctx, t);
             }
+        }
+    }
+
+    impl<T: Send> Scheduler<T> {
+        /// Run until the system drains or halts, on a fresh pool of this
+        /// scheduler's width.
+        fn run_on_pool(&self, body: impl Fn(&Ctx<T>, &mut Vec<T>) + Sync) -> Outcome {
+            self.run_in(&WorkerPool::new(self.queues.len()), body)
         }
     }
 
@@ -890,8 +821,8 @@ mod tests {
     fn tree_sum(workers: usize, depth: u32) -> (u64, Outcome) {
         let sched: Scheduler<(u32, u64)> = Scheduler::new(workers);
         let total = AtomicU64::new(0);
-        sched.inject((depth, 1));
-        let out = sched.run(for_each(|ctx, (d, v)| {
+        sched.inject_batch([(depth, 1)]);
+        let out = sched.run_on_pool(for_each(|ctx, (d, v)| {
             if d == 0 {
                 total.fetch_add(v, Ordering::Relaxed);
             } else {
@@ -921,10 +852,8 @@ mod tests {
     fn injected_tasks_are_all_processed() {
         let sched: Scheduler<u64> = Scheduler::new(4);
         let total = AtomicU64::new(0);
-        for i in 0..1000 {
-            sched.inject(i);
-        }
-        let out = sched.run(for_each(|_, v| {
+        sched.inject_batch(0..1000);
+        let out = sched.run_on_pool(for_each(|_, v| {
             total.fetch_add(v, Ordering::Relaxed);
         }));
         assert_eq!(total.load(Ordering::Relaxed), 499_500);
@@ -933,37 +862,12 @@ mod tests {
     }
 
     #[test]
-    fn seeds_distribute_round_robin_and_all_process() {
-        let sched: Scheduler<u64> = Scheduler::new(4);
-        sched.seed(0..8u64);
-        // Each queue received exactly two seeds.
-        for q in &sched.queues {
-            assert_eq!(lock(q).len(), 2);
-        }
-        let total = AtomicU64::new(0);
-        let out = sched.run(for_each(|_, v| {
-            total.fetch_add(v, Ordering::Relaxed);
-        }));
-        assert_eq!(total.load(Ordering::Relaxed), 28);
-        assert_eq!(out.processed, 8);
-        // Every worker processed at least one of its own seeds: a
-        // worker drains its own queue first and thieves never take the
-        // last task of a queue, so the run cannot finish without every
-        // seeded worker having run.
-        for (i, w) in out.workers.iter().enumerate() {
-            assert!(w.processed > 0, "worker {i} processed nothing: {out:?}");
-        }
-    }
-
-    #[test]
     fn halt_stops_early_and_accounts_for_leftovers() {
         let sched: Scheduler<u64> = Scheduler::new(2);
-        for i in 0..100 {
-            sched.inject(i);
-        }
-        let out = sched.run(for_each(|ctx, v| {
+        sched.inject_batch(0..100);
+        let out = sched.run_on_pool(for_each(|_, v| {
             if v == 0 {
-                ctx.halt();
+                sched.halt_external();
             }
         }));
         assert!(out.halted);
@@ -974,7 +878,7 @@ mod tests {
     #[test]
     fn no_work_at_all_returns_immediately() {
         let sched: Scheduler<()> = Scheduler::new(4);
-        let out = sched.run(for_each(|_, ()| {}));
+        let out = sched.run_on_pool(for_each(|_, ()| {}));
         assert_eq!(out.processed, 0);
         assert_eq!(out.leftover, 0);
         assert!(!out.halted);
@@ -1014,8 +918,8 @@ mod tests {
         // completion like a recursion — queue depth stays bounded.
         let sched: Scheduler<u32> = Scheduler::new(1);
         let count = AtomicU64::new(0);
-        sched.inject(10_000);
-        let out = sched.run(for_each(|ctx, n| {
+        sched.inject_batch([10_000]);
+        let out = sched.run_on_pool(for_each(|ctx, n| {
             count.fetch_add(1, Ordering::Relaxed);
             if n > 0 {
                 ctx.push(n - 1);
@@ -1034,10 +938,10 @@ mod tests {
     fn forced_contention_exercises_steal_and_park() {
         let workers = 4;
         let sched: Scheduler<u32> = Scheduler::new(workers);
-        // Seed one producer task in worker 0's queue only.
-        sched.seed([u32::MAX]);
+        // One producer task, taken from the injector by one worker.
+        sched.inject_batch([u32::MAX]);
         let done = AtomicU64::new(0);
-        let out = sched.run(for_each(|ctx, v| {
+        let out = sched.run_on_pool(for_each(|ctx, v| {
             if v == u32::MAX {
                 // The producer: fan out well past the wake threshold,
                 // slowly, so siblings park before work exists and get
@@ -1102,7 +1006,7 @@ mod tests {
 
     /// Park/unpark under a slow drip: consumers park repeatedly while an
     /// injector thread drips tasks in with pauses, and every drip wakes
-    /// somebody (mid-run injection always bumps the epoch).
+    /// the sleepers (injection always bumps the epoch).
     #[test]
     fn slow_drip_parks_and_wakes_repeatedly() {
         let sched: Scheduler<u32> = Scheduler::new(3);
@@ -1112,12 +1016,12 @@ mod tests {
             scope.spawn(move || {
                 for i in 0..5u32 {
                     std::thread::sleep(Duration::from_millis(3));
-                    sched.inject(i);
+                    sched.inject_batch([i]);
                 }
             });
             // Hold the run open until all five drips arrived.
-            sched.inject(u32::MAX);
-            let out = sched.run(for_each(|_ctx, v| {
+            sched.inject_batch([u32::MAX]);
+            let out = sched.run_on_pool(for_each(|_ctx, v| {
                 if v == u32::MAX {
                     while seen.load(Ordering::Relaxed) < 5 {
                         std::thread::sleep(Duration::from_millis(1));
@@ -1133,17 +1037,18 @@ mod tests {
     }
 
     /// A narrow serial chain (one task in flight at a time) never fills
-    /// any queue past the steal floor, so without donations every
-    /// unseeded worker would park at start-up and sleep through the
-    /// whole run. The donation path must feed each of them at least one
-    /// task — and a donated singleton cannot be stolen, so "every worker
-    /// processed something" is deterministic, not probabilistic.
+    /// any queue past the steal floor, so without donations every worker
+    /// but the one that took the injected task would park at start-up
+    /// and sleep through the whole run. The donation path must feed each
+    /// of them at least one task — and a donated singleton cannot be
+    /// stolen, so "every worker processed something" is deterministic,
+    /// not probabilistic.
     #[test]
     fn starving_workers_are_fed_by_donation() {
         let workers = 8;
         let sched: Scheduler<u32> = Scheduler::new(workers);
-        sched.seed([10_000u32]);
-        let out = sched.run(for_each(|ctx, n| {
+        sched.inject_batch([10_000u32]);
+        let out = sched.run_on_pool(for_each(|ctx, n| {
             if n > 0 {
                 ctx.push(n - 1);
             }
@@ -1180,7 +1085,7 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(2));
                 sched.release();
             });
-            let out = sched.run(for_each(|_, v: u64| {
+            let out = sched.run_on_pool(for_each(|_, v: u64| {
                 total.fetch_add(v, Ordering::Relaxed);
             }));
             assert_eq!(out.processed, 40);
@@ -1238,10 +1143,8 @@ mod tests {
     fn body_panic_is_contained_and_reported() {
         for workers in [1, 2, 4, 8] {
             let sched: Scheduler<u64> = Scheduler::new(workers);
-            for i in 0..200 {
-                sched.inject(i);
-            }
-            let out = sched.run(for_each(|_, v: u64| {
+            sched.inject_batch(0..200);
+            let out = sched.run_on_pool(for_each(|_, v: u64| {
                 if v == 100 {
                     panic!("task exploded");
                 }
@@ -1270,8 +1173,8 @@ mod tests {
                     ..ChaosConfig::off(42)
                 }));
             let total = AtomicU64::new(0);
-            sched.inject((10, 1));
-            let out = sched.run(for_each(|ctx, (d, v): (u32, u64)| {
+            sched.inject_batch([(10, 1)]);
+            let out = sched.run_on_pool(for_each(|ctx, (d, v): (u32, u64)| {
                 if d == 0 {
                     total.fetch_add(v, Ordering::Relaxed);
                 } else {
@@ -1295,24 +1198,23 @@ mod tests {
             delay_us: 1,
             ..ChaosConfig::off(7)
         }));
-        for i in 0..50 {
-            sched.inject(i);
-        }
-        let out = sched.run(for_each(|_, _v: u64| {}));
+        sched.inject_batch(0..50);
+        let out = sched.run_on_pool(for_each(|_, _v: u64| {}));
         assert_eq!(out.processed, 50);
         let delays: u64 = out.workers.iter().map(|w| w.chaos_delays).sum();
         assert!(delays > 0, "p=1 delays must be tallied: {out:?}");
     }
 
+    /// One pool runs successive schedulers, each to a clean drain.
     #[test]
-    fn scheduler_runs_identically_in_a_pool() {
+    fn one_pool_runs_successive_schedulers() {
         let pool = WorkerPool::new(4);
         let d = 9u32;
         let expect: u64 = (1u64 << d..1u64 << (d + 1)).sum();
         for round in 0..3 {
             let sched: Scheduler<(u32, u64)> = Scheduler::new(4);
             let total = AtomicU64::new(0);
-            sched.inject((d, 1));
+            sched.inject_batch([(d, 1)]);
             let out = sched.run_in(
                 &pool,
                 for_each(|ctx, (dd, v): (u32, u64)| {

@@ -75,7 +75,7 @@
 //! above the budget into [`MachineError::FuelExhausted`], so the verdict
 //! is the same at every worker count.
 
-use crate::chaos::{ChaosConfig, ChaosRng, ChaosTallies};
+use crate::chaos::{ChaosConfig, ChaosTallies};
 use crate::compiled::{
     fire_op, key_inv, unkey_inv, CKind, CompiledGraph, Engine, FireInputs, FireVals, SlotVals,
 };
@@ -84,6 +84,7 @@ use crate::hash::{shard64, FxHashMap};
 use crate::memory::{DeferredRead, MemError};
 use crate::metrics::{ParMetrics, ServeStats, WorkerStats};
 use crate::parallel::{ExecutorPool, ParConfig, ParMemory, ParOutcome, ParTagTable};
+use crate::prng::Prng;
 use crate::scheduler::{lock, render_panic, Ctx, Outcome, Scheduler};
 use crate::tag::{TagId, TagSplit};
 use crate::trace::TraceEvent;
@@ -331,7 +332,7 @@ struct WorkerLocal {
 /// campaign seed — and the destructive faults it injected.
 struct WorkerChaos {
     cfg: ChaosConfig,
-    rng: ChaosRng,
+    rng: Prng,
     panics: u64,
     drops: u64,
     dups: u64,
@@ -344,7 +345,7 @@ impl WorkerChaos {
             // Offset the seed so the executor's panic/drop/dup stream
             // differs from the scheduler's delay/steal stream for the
             // same (seed, worker).
-            rng: ChaosRng::for_worker(cfg.seed ^ 0x517c_c1b7_2722_0a95, worker),
+            rng: Prng::for_worker(cfg.seed ^ 0x517c_c1b7_2722_0a95, worker),
             panics: 0,
             drops: 0,
             dups: 0,
@@ -509,7 +510,7 @@ impl Session<'_> {
     /// `catch_unwind`, so an operator panic fails only its invocation),
     /// flush unpaired fast-path halves, then settle each touched
     /// invocation's counts.
-    fn run_batch(&self, ctx: &Ctx<'_, Token>, batch: &mut Vec<Token>) {
+    fn run_batch(&self, ctx: &Ctx<Token>, batch: &mut Vec<Token>) {
         let mut guard = lock(&self.locals[ctx.worker()]);
         let local = &mut *guard;
         for t in batch.drain(..) {
@@ -556,7 +557,7 @@ impl Session<'_> {
     /// run queue as an ordinary token. It will rendezvous in the shared
     /// table like any cross-worker token — the fast path is only ever a
     /// same-batch shortcut, never a place where a token can be stranded.
-    fn flush_pairs(&self, ctx: &Ctx<'_, Token>, local: &mut WorkerLocal) {
+    fn flush_pairs(&self, ctx: &Ctx<Token>, local: &mut WorkerLocal) {
         debug_assert!(local.ready.is_empty(), "ready drained after every token");
         if local.pairs.is_empty() {
             return;
@@ -747,8 +748,6 @@ impl Session<'_> {
             max_pending_slots: 0,
             slot_shard_high_water: Vec::new(),
             tags_created: core.tags.created(),
-            deferred_reads: core.mem.deferred_reads.load(Ordering::Relaxed),
-            deferred_read_peak: core.mem.deferred_peak.load(Ordering::Relaxed),
             macro_fires: n.macro_fires.load(Ordering::Relaxed),
             ops_elided: n.ops_elided.load(Ordering::Relaxed),
             chaos: ChaosTallies {
@@ -807,10 +806,9 @@ impl Session<'_> {
         watchdog: Option<Duration>,
     ) -> Outcome {
         let run = || {
-            sched.run_in(
-                &pool.pool,
-                |ctx: &Ctx<'_, Token>, batch: &mut Vec<Token>| self.run_batch(ctx, batch),
-            )
+            sched.run_in(&pool.pool, |ctx: &Ctx<Token>, batch: &mut Vec<Token>| {
+                self.run_batch(ctx, batch)
+            })
         };
         let out = match watchdog {
             None => run(),
@@ -867,15 +865,15 @@ enum Deposit {
 /// emission through the fast-path pair map onto the run queue,
 /// the invocation's atomic/striped memory and sharded tag interner,
 /// halt marking only this invocation's End.
-struct Firing<'a, 'b, 'g> {
+struct Firing<'a, 'g> {
     sh: &'a Session<'g>,
-    ctx: &'a Ctx<'b, Token>,
+    ctx: &'a Ctx<Token>,
     local: &'a mut WorkerLocal,
     core: &'a InvCore,
     inv: u32,
 }
 
-impl Firing<'_, '_, '_> {
+impl Firing<'_, '_> {
     fn process(&mut self, t: Token) {
         let op = t.to.op;
         let port = t.to.port as usize;
@@ -1085,10 +1083,15 @@ impl Firing<'_, '_, '_> {
     /// [`Engine::emit`] with per-destination fault injection: each
     /// outgoing token may be dropped (vanishes — surfaced as this
     /// invocation's [`MachineError::TokenLeak`]) or duplicated.
-    /// Duplicates are only injected toward ops where the waiting-matching
-    /// store can detect them (see `dup_ok`), and the copy goes through
-    /// the ordinary queue — not the fast path — so it rendezvouses in the
-    /// shared table like a genuinely mis-sent token would.
+    /// Duplicates are only injected toward input port 0 of ops where the
+    /// waiting-matching store can detect them (see `dup_ok`), and the
+    /// copy goes through the ordinary queue — not the fast path — so it
+    /// rendezvouses in the shared table like a genuinely mis-sent token
+    /// would. Port 0 only: a duplicate then either collides with its
+    /// original or parks unmatched, because no other duplicate can fill
+    /// the slot's other ports. Duplicates on two ports of one slot
+    /// could pair with each other after the genuine pair fired, and fire
+    /// the operator a second time with no collision to report.
     #[cold]
     #[inline(never)]
     fn emit_chaos(&mut self, op: OpId, out_port: usize, value: i64, tag: TagId) {
@@ -1100,7 +1103,11 @@ impl Firing<'_, '_, '_> {
                 self.local.tallies[self.local.cur].drops += 1;
                 continue;
             }
-            if ch.cfg.dup_prob > 0.0 && cg.desc(to.op).dup_ok() && ch.rng.chance(ch.cfg.dup_prob) {
+            if ch.cfg.dup_prob > 0.0
+                && to.port == 0
+                && cg.desc(to.op).dup_ok()
+                && ch.rng.chance(ch.cfg.dup_prob)
+            {
                 ch.dups += 1;
                 self.local.tallies[self.local.cur].dups += 1;
                 self.push(Token {
@@ -1115,7 +1122,7 @@ impl Firing<'_, '_, '_> {
     }
 }
 
-impl Engine for Firing<'_, '_, '_> {
+impl Engine for Firing<'_, '_> {
     fn emit(&mut self, op: OpId, out_port: usize, value: i64, tag: TagId) {
         // One null check per emit call; the per-destination fault draws
         // live in the out-of-line chaos variant.
@@ -1174,7 +1181,6 @@ impl Engine for Firing<'_, '_, '_> {
         op: OpId,
         tag: TagId,
     ) -> Result<Option<i64>, MemError> {
-        // Deferral accounting happens inside ParMemory.
         self.core
             .mem
             .ist_read(&self.core.layout, var, index, (op, tag))

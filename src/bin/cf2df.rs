@@ -18,6 +18,9 @@
 //!                  [--quick] [SCHEMA] [TRANSFORMS] [program]
 //!
 //! SCHEMA:     --schema1 | --schema2 (default) | --schema3 | --optimized | --full
+//!             (--schema2 gives every variable its own access token line;
+//!             --schema3 gives every alias class one, the §5 alias-class
+//!             cover)
 //! TRANSFORMS: --memelim --readpar --arraypar --forward --no-loop-control
 //!             --no-fuse --istructure <array>[,<array>…]
 //! MACHINE:    --processors <n> --mem-latency <n> --op-latency <n>
@@ -36,7 +39,8 @@
 //! Schema 2 (singleton cover), Schema 3 (alias-class cover), the §4
 //! optimized construction, and the fully parallelized Schema 3 — and
 //! the process exits non-zero on the first defect. A `.imp` file (or
-//! corpus program name) is certified under the schema flags; a `.dfg`
+//! corpus program name) is certified under the schema flags, which
+//! must keep loop control (certification needs it); a `.dfg`
 //! file is loaded and checked against the graph-level obligations only
 //! (token linearity, gated cycles, tag stripping). `--json` emits one
 //! machine-readable report per line. `--mutations` additionally runs
@@ -155,7 +159,7 @@ fn parse_schema(args: &mut Args) -> TranslateOptions {
     } else if args.flag("--optimized") {
         TranslateOptions::schema3(CoverStrategy::Singletons).with_optimized(true)
     } else if args.flag("--schema3") {
-        TranslateOptions::schema3(CoverStrategy::Singletons)
+        TranslateOptions::schema3(CoverStrategy::AliasClasses)
     } else {
         args.flag("--schema2");
         TranslateOptions::schema3(CoverStrategy::Singletons)
@@ -279,17 +283,17 @@ fn run_chaos(mut args: Args) {
         usage();
     }
 
-    type Profile = (&'static str, bool, fn(u64) -> ChaosConfig);
-    // (name, destructive?, constructor). Benign profiles must stay
-    // bit-for-bit equivalent to the simulator; destructive ones may
+    // Benign profiles must stay bit-for-bit equivalent to the
+    // simulator; destructive ones (`ChaosConfig::is_destructive`) may
     // instead end in a typed error.
+    type Profile = (&'static str, fn(u64) -> ChaosConfig);
     let profiles: [Profile; 6] = [
-        ("off", false, ChaosConfig::off),
-        ("perturb", false, ChaosConfig::perturb),
-        ("panics", true, ChaosConfig::panics),
-        ("drops", true, ChaosConfig::drops),
-        ("dups", true, ChaosConfig::dups),
-        ("mixed", true, ChaosConfig::mixed),
+        ("off", ChaosConfig::off),
+        ("perturb", ChaosConfig::perturb),
+        ("panics", ChaosConfig::panics),
+        ("drops", ChaosConfig::drops),
+        ("dups", ChaosConfig::dups),
+        ("mixed", ChaosConfig::mixed),
     ];
     let schemas: &[(&str, TranslateOptions)] = &if quick {
         vec![("schema2", TranslateOptions::schema2())]
@@ -348,13 +352,14 @@ fn run_chaos(mut args: Args) {
                 eprintln!("{slabel}/{name}: compile failed: {e}");
                 exit(1)
             });
-            for (pi, (plabel, destructive, make)) in profiles.iter().enumerate() {
+            for (pi, (plabel, make)) in profiles.iter().enumerate() {
                 for seed in 0..seeds {
+                    let chaos = make(seed);
                     for (wi, &w) in workers.iter().enumerate() {
                         let cfg = ParConfig {
                             fuel,
                             watchdog: Some(std::time::Duration::from_millis(watchdog_ms)),
-                            chaos: Some(make(seed)),
+                            chaos: Some(chaos),
                             ..ParConfig::default()
                         };
                         let (result, metrics, _) =
@@ -380,7 +385,7 @@ fn run_chaos(mut args: Args) {
                                 }
                             }
                             Err(e) => {
-                                if !destructive {
+                                if !chaos.is_destructive() {
                                     violations
                                         .push(format!("{}: benign profile failed: {e}", ctx()));
                                 }
@@ -410,7 +415,7 @@ fn run_chaos(mut args: Args) {
         "{:<9} {:>6} {:>7} {:>6} {:>10} {:>5} {:>5} {:>9} {:>9}",
         "profile", "ok", "panics", "leaks", "collisions", "tags", "fuel", "watchdogs", "injected"
     );
-    for (pi, (plabel, _, _)) in profiles.iter().enumerate() {
+    for (pi, (plabel, _)) in profiles.iter().enumerate() {
         let r = &rows[pi];
         println!(
             "{:<9} {:>6} {:>7} {:>6} {:>10} {:>5} {:>5} {:>9} {:>9}",
@@ -570,9 +575,8 @@ fn validate_one(
     failures: &mut Vec<String>,
 ) -> Option<cf2df::dfg::Dfg> {
     use cf2df::core::TranslateError;
-    let opts = opts.clone().with_certify(true);
-    let (report, dfg) = match translate(&parsed.cfg, &parsed.alias, &opts) {
-        Ok(t) => (t.certify.clone().expect("certify pass ran"), Some(t.dfg)),
+    let (report, dfg) = match translate(&parsed.cfg, &parsed.alias, opts) {
+        Ok(t) => (t.certify.expect("certify pass ran"), Some(t.dfg)),
         Err(TranslateError::Certify(report)) => (*report, None),
         Err(e) => {
             failures.push(format!("{label}: translation error: {e}"));
@@ -660,6 +664,12 @@ fn run_validate(mut args: Args) {
         .map(|s| s.parse().expect("numeric --seeds"))
         .unwrap_or(4);
     let opts = parse_schema(&mut args);
+    if !opts.loop_control {
+        eprintln!(
+            "validate: --no-loop-control leaves nothing to certify (certify needs loop control)"
+        );
+        usage();
+    }
     if args.rest.len() != 1 {
         eprintln!("validate takes exactly one target (a file, corpus name, or `corpus`)");
         usage();

@@ -6,29 +6,8 @@
 //! case gets a [`Prng`] seeded from a hash of
 //! the test name and case index, so runs are reproducible bit-for-bit
 //! across machines and the failing seed is printed on panic.
-//!
-//! The cargo feature `proptest` (a plain flag — it pulls in no
-//! dependency) turns on *heavy mode*: every suite runs [`SCALE_HEAVY`]×
-//! as many cases. Use it for soak runs:
-//!
-//! ```text
-//! cargo test --features proptest --test properties
-//! ```
 
 use cf2df_bench::prng::Prng;
-
-/// Case multiplier applied when the `proptest` feature is enabled.
-pub const SCALE_HEAVY: usize = 8;
-
-/// Number of cases a suite should run: `base` by default, `base *`
-/// [`SCALE_HEAVY`] under `--features proptest`.
-pub fn case_count(base: usize) -> usize {
-    if cfg!(feature = "proptest") {
-        base * SCALE_HEAVY
-    } else {
-        base
-    }
-}
 
 /// Stable 64-bit hash of a test name and case index (FNV-1a over the
 /// name, folded with the index through the same splitmix finalizer the
@@ -42,17 +21,16 @@ fn case_seed(name: &str, index: usize) -> u64 {
     h ^ (index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }
 
-/// Run `body` for [`case_count`]`(base)` deterministic cases.
+/// Run `body` for `n` deterministic cases.
 ///
 /// Each case receives a fresh [`Prng`] whose seed depends only on
 /// `name` and the case index. If the body panics, the case index and
 /// seed are printed before the panic propagates, so the failure can be
 /// replayed in isolation with [`replay`].
-pub fn cases<F>(name: &str, base: usize, mut body: F)
+pub fn cases<F>(name: &str, n: usize, mut body: F)
 where
     F: FnMut(&mut Prng),
 {
-    let n = case_count(base);
     for i in 0..n {
         let seed = case_seed(name, i);
         let mut rng = Prng::seed_from_u64(seed);

@@ -194,6 +194,45 @@ fn duplicated_tokens_collide_or_stay_equivalent() {
     );
 }
 
+/// A duplicate on each input of one rendezvous could pair with the
+/// other after the genuine pair fired, and fire the operator a second
+/// time with no collision to report. Duplicates go to input port 0
+/// only, so on `Start` → two `Identity` → `End { inputs: 2 }` every run
+/// either collides or fires exactly what the simulator fires.
+#[test]
+fn duplicated_tokens_never_fire_a_rendezvous_twice() {
+    let layout = MemLayout::distinct(&VarTable::new());
+    let mut g = Dfg::new();
+    let s = g.add(OpKind::Start);
+    let a = g.add(OpKind::Identity);
+    let b = g.add(OpKind::Identity);
+    let e = g.add(OpKind::End { inputs: 2 });
+    g.connect(Port::new(s, 0), Port::new(a, 0), ArcKind::Access);
+    g.connect(Port::new(s, 0), Port::new(b, 0), ArcKind::Access);
+    g.connect(Port::new(a, 0), Port::new(e, 0), ArcKind::Access);
+    g.connect(Port::new(b, 0), Port::new(e, 1), ArcKind::Access);
+    let sim = run(&g, &layout, MachineConfig::unbounded()).unwrap();
+    for seed in 0..4 {
+        for workers in [1, 2] {
+            let cfg = with_watchdog(Some(ChaosConfig {
+                dup_prob: 1.0,
+                ..ChaosConfig::off(seed)
+            }));
+            let (result, metrics, _) = run_with(&g, &layout, workers, &cfg);
+            match result {
+                Ok(out) => {
+                    assert_eq!(out.fired, sim.stats.fired, "seed {seed} workers {workers}")
+                }
+                Err(MachineError::TokenCollision { .. }) => {}
+                Err(other) => {
+                    panic!("seed {seed} workers {workers}: unexpected error {other}")
+                }
+            }
+            assert!(metrics.chaos.dups > 0, "dups were injected");
+        }
+    }
+}
+
 /// Exhausting the tag space in a deep loop nest returns the typed
 /// `TagSpaceExhausted` through the halt path — the regression test for
 /// the former `expect("too many tags")` abort.

@@ -252,19 +252,11 @@ fn stats_prints_compiled_footprint() {
 
 #[test]
 fn chaos_campaign_runs_clean_and_reports_faults() {
-    // A tiny deterministic slice of the campaign: one program, both
-    // benign and destructive profiles, two worker counts. Must exit 0
-    // (all runs equivalent-or-typed-error) and actually inject faults.
-    let (stdout, stderr, ok) = cf2df(&[
-        "chaos",
-        "--quick",
-        "--seeds",
-        "2",
-        "--workers",
-        "2,4",
-        "--programs",
-        "gcd,nested",
-    ]);
+    // The `--quick` campaign: every corpus program under schema 2, every
+    // benign and destructive profile, 2 seeds at 2 and 8 workers. Must
+    // exit 0 (all runs equivalent-or-typed-error) and actually inject
+    // faults.
+    let (stdout, stderr, ok) = cf2df(&["chaos", "--quick"]);
     assert!(ok, "stdout: {stdout}\nstderr: {stderr}");
     for profile in ["off", "perturb", "panics", "drops", "dups", "mixed"] {
         assert!(stdout.contains(profile), "missing {profile} row: {stdout}");
@@ -278,6 +270,66 @@ fn chaos_campaign_runs_clean_and_reports_faults() {
         .filter_map(|l| l.split_whitespace().last()?.parse::<u64>().ok())
         .sum();
     assert!(injected > 0, "no faults injected: {stdout}");
+}
+
+#[test]
+fn serve_smokes_match_the_simulator() {
+    // Both serving shapes: a wide admission window on 4 workers, and a
+    // window of one on 2 workers over a larger graph. Every request is
+    // checked against the simulator; any mismatch exits non-zero.
+    for args in [
+        &["serve", "--quick"][..],
+        &[
+            "serve",
+            "--quick",
+            "--inflight",
+            "1",
+            "--workers",
+            "2",
+            "stencil",
+        ],
+    ] {
+        let (stdout, stderr, ok) = cf2df(args);
+        assert!(ok, "{args:?}\nstdout: {stdout}\nstderr: {stderr}");
+        assert!(stdout.contains("requests=32 ok=32 failed=0"), "{stdout}");
+    }
+}
+
+#[test]
+fn validate_corpus_certifies_the_matrix_and_detects_every_mutation() {
+    let (stdout, stderr, ok) = cf2df(&["validate", "corpus", "--mutations", "--seeds", "4"]);
+    assert!(ok, "stdout: {stdout}\nstderr: {stderr}");
+    assert!(
+        stdout.contains("injected mutations all detected"),
+        "{stdout}"
+    );
+}
+
+#[test]
+fn validate_refuses_no_loop_control_with_a_usage_error() {
+    let out = Command::new(env!("CARGO_BIN_EXE_cf2df"))
+        .args(["validate", "running_example", "--no-loop-control"])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    // Exit 2 is a usage error; a panic would exit 101.
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("--no-loop-control"), "{stderr}");
+}
+
+#[test]
+fn schema3_flag_selects_the_alias_class_cover() {
+    // `fortran_alias` aliases its variables: the singleton cover of the
+    // default (`--schema2`) gathers access tokens through synchs, the
+    // alias-class cover of `--schema3` needs none.
+    let synchs = |flag: &str| {
+        let (stdout, stderr, ok) = cf2df(&["stats", "fortran_alias", flag]);
+        assert!(ok, "{flag}: {stderr}");
+        stdout.lines().next().unwrap_or_default().to_owned()
+    };
+    let (schema2, schema3) = (synchs("--schema2"), synchs("--schema3"));
+    assert!(schema2.contains("synch=8"), "{schema2}");
+    assert!(schema3.contains("synch=0"), "{schema3}");
 }
 
 #[test]

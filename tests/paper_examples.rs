@@ -435,3 +435,32 @@ fn footnote3_multiway_branches() {
         .count();
     assert_eq!(case_ops, 4);
 }
+
+/// `figures_output.txt` is the `figures` binary's output, every report
+/// in order, and is quoted by EXPERIMENTS.md: a fresh render must equal
+/// it byte for byte, so the record cannot drift from the code.
+#[test]
+fn figures_output_matches_the_committed_record() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("figures_output.txt");
+    let committed = std::fs::read_to_string(&path).unwrap();
+    let fresh = cf2df::bench::figures::render(&cf2df::bench::figures::all_reports());
+    if fresh == committed {
+        return;
+    }
+    let (old, new): (Vec<&str>, Vec<&str>) = (committed.lines().collect(), fresh.lines().collect());
+    let differing = (0..old.len().max(new.len()))
+        .filter(|&i| old.get(i) != new.get(i))
+        .collect::<Vec<_>>();
+    // No differing line means only line endings or the final newline differ.
+    let first = differing.first().copied().unwrap_or(new.len());
+    panic!(
+        "figures_output.txt is stale: {} of {} lines differ; first at line {}:\n- {}\n+ {}\n\
+         regenerate with `cargo run --release -p cf2df-bench --bin figures > figures_output.txt`, \
+         then `git diff`",
+        differing.len(),
+        new.len(),
+        first + 1,
+        old.get(first).unwrap_or(&"(none)"),
+        new.get(first).unwrap_or(&"(none)"),
+    );
+}

@@ -1,8 +1,7 @@
 //! Property-based tests over randomly generated programs and
 //! control-flow graphs, on the deterministic in-house harness
 //! [`cf2df::testkit`] (the workspace builds offline with zero external
-//! crates, so proptest itself is not available). Enable the `proptest`
-//! cargo feature for heavy mode — 8× the cases per suite.
+//! crates, so proptest itself is not available).
 
 use cf2df::bench::prng::Prng;
 use cf2df::bench::workloads::{goto_soup, random_program, GenConfig};
