@@ -885,6 +885,40 @@ mod tests {
                 "fuse"
             ]
         );
+        // The branches the two schedules above leave out. Without loop
+        // control, neither the array rewrite nor certify nor fuse runs.
+        let parsed = parse_to_cfg(cf2df_lang::corpus::ARRAY_LOOP).unwrap();
+        let no_lc = ["validate", "lines", "reducibility", "translate-full"];
+        let with_lc = ["validate", "lines", "reducibility", "loop-control"];
+        let cases: [(TranslateOptions, Vec<&str>); 4] = [
+            (
+                TranslateOptions::schema2().with_loop_control(false),
+                no_lc.to_vec(),
+            ),
+            (
+                TranslateOptions::schema2()
+                    .with_array_parallelization(true)
+                    .with_loop_control(false),
+                no_lc.to_vec(),
+            ),
+            (
+                TranslateOptions::schema2().with_istructure_arrays(["x"]),
+                [
+                    &with_lc[..],
+                    &["translate-full", "istructure", "certify", "fuse"],
+                ]
+                .concat(),
+            ),
+            (
+                TranslateOptions::schema2().with_fuse(false),
+                [&with_lc[..], &["translate-full", "certify"]].concat(),
+            ),
+        ];
+        for (opts, want) in cases {
+            let t = translate(&parsed.cfg, &parsed.alias, &opts).unwrap();
+            let names: Vec<_> = t.passes.iter().map(|r| r.name).collect();
+            assert_eq!(names, want, "{opts:?}");
+        }
     }
 
     #[test]

@@ -288,3 +288,74 @@ fn pass_manager_matches_composed_stages_on_random_programs() {
         }
     });
 }
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Byte-identity pin for the per-stage records `--time-passes` prints.
+/// Renders every record's stage name, analyses computed and served from
+/// the cache, CFG nodes in and out and DFG operators in and out, plus
+/// the whole translation's cache counters and revision count, for every
+/// corpus program under the five configurations `cf2df validate corpus`
+/// sweeps, and compares one digest of it all with a recorded value. A
+/// change to the stages, their order, or the order in which they pull
+/// analyses fails here; wall time is left out. On a mismatch the
+/// rendering is written to the temp directory for diffing.
+#[test]
+fn stage_records_match_the_recorded_digest() {
+    use std::fmt::Write as _;
+    const EXPECTED: u64 = 0x1c16_a7e3_fcaf_3698;
+    let configs = [
+        ("schema1", TranslateOptions::schema1()),
+        (
+            "schema2",
+            TranslateOptions::schema3(CoverStrategy::Singletons),
+        ),
+        (
+            "schema3-alias",
+            TranslateOptions::schema3(CoverStrategy::AliasClasses),
+        ),
+        (
+            "optimized",
+            TranslateOptions::schema3(CoverStrategy::Singletons).with_optimized(true),
+        ),
+        ("full", TranslateOptions::full_parallel_schema3()),
+    ];
+    let mut out = String::new();
+    for (name, src) in cf2df::lang::corpus::all() {
+        let parsed = parse_to_cfg(src).unwrap();
+        for (label, opts) in &configs {
+            let _ = writeln!(out, "== {name}/{label}");
+            let t = translate(&parsed.cfg, &parsed.alias, opts)
+                .unwrap_or_else(|e| panic!("{name}/{label}: {e}"));
+            for r in &t.passes {
+                let _ = writeln!(
+                    out,
+                    "{} computed {} hits {} nodes {}->{} ops {}->{}",
+                    r.name,
+                    r.analyses_computed,
+                    r.cache_hits,
+                    r.nodes_in,
+                    r.nodes_out,
+                    r.ops_in,
+                    r.ops_out
+                );
+            }
+            let _ = writeln!(out, "cache {:?} revisions {}", t.cache_stats, t.revisions);
+        }
+    }
+    let digest = fnv1a(out.as_bytes());
+    if digest != EXPECTED {
+        let path = std::env::temp_dir().join("cf2df-stage-records.txt");
+        let _ = std::fs::write(&path, &out);
+        panic!(
+            "stage-record digest {digest:#018x} != recorded {EXPECTED:#018x} ({} bytes rendered to {})",
+            out.len(),
+            path.display()
+        );
+    }
+}
