@@ -10,7 +10,7 @@
 //! * `BENCH_executor.json` — firings, token traffic and compiled
 //!   footprint of the threaded executor at every worker count, each run
 //!   checked against the simulator;
-//! * `BENCH_translate.json` — the pass manager's counters per workload
+//! * `BENCH_translate.json` — the translation's counters per workload
 //!   per configuration (passes run, CFG revisions, analyses computed vs.
 //!   cache hits, output graph size).
 //!
@@ -245,7 +245,7 @@ fn translate_configs() -> [(&'static str, TranslateOptions); 5] {
     ]
 }
 
-/// Render the translate artifact: the pass manager's counters per suite
+/// Render the translate artifact: the translation's counters per suite
 /// workload per configuration. `analyses_computed` guards the cache
 /// discipline: any increase means a stage started recomputing an
 /// analysis it used to share.

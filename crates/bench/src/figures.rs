@@ -128,14 +128,15 @@ pub fn f9_f11_switch_elimination() -> String {
     );
     // Placement table for Fig 9.
     let parsed = parse_to_cfg(cf2df_lang::corpus::FIG9).unwrap();
-    let lc = cf2df_cfg::loop_control::insert_loop_control(&parsed.cfg).unwrap();
     let cover = cf2df_cfg::Cover::build(&CoverStrategy::Singletons, &parsed.alias);
-    let lines = Lines::new(&lc.cfg.vars, &parsed.alias, &cover, false);
-    let sp = SwitchPlacement::compute(&lc, &lines);
-    let fork = lc
-        .cfg
+    let lines = Lines::new(&parsed.cfg.vars, &parsed.alias, &cover, false);
+    let mut fctx = cf2df_cfg::FunctionContext::new(parsed.cfg.clone(), parsed.alias.clone());
+    let meta = cf2df_cfg::loop_control::insert_loop_control(&mut fctx).unwrap();
+    let sp = SwitchPlacement::compute(&mut fctx, &meta, &lines);
+    let cfg = fctx.cfg();
+    let fork = cfg
         .node_ids()
-        .find(|&n| matches!(lc.cfg.stmt(n), Stmt::Branch { .. }))
+        .find(|&n| matches!(cfg.stmt(n), Stmt::Branch { .. }))
         .unwrap();
     let _ = writeln!(s, "switch placement at Fig 9's fork (if w == 0):");
     for l in lines.ids() {

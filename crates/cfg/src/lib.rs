@@ -17,7 +17,7 @@
 //! * alias structures and covers ([`alias`]) required by Schema 3 (§5);
 //! * a per-function [`context::FunctionContext`] owning the CFG behind a
 //!   revision-stamped, compute-once [`context`] analysis cache — the
-//!   substrate of the translation pass manager;
+//!   one context every translation stage reads and mutates;
 //! * memory layouts binding variable names to locations ([`layout`]),
 //!   including layouts that realize a particular aliasing;
 //! * graph utilities ([`reach`]) and DOT export ([`dot`]).

@@ -19,8 +19,7 @@ use crate::graph::{Cfg, EdgeRef, NodeId};
 use crate::intervals::{Irreducible, LoopForest, LoopId};
 use crate::stmt::Stmt;
 
-/// What loop-control insertion learned and added, independent of which
-/// CFG copy it was applied to.
+/// What loop-control insertion learned and added.
 #[derive(Clone, Debug)]
 pub struct LoopControlMeta {
     /// The loop forest of the *original* CFG. Node ids of original nodes
@@ -32,55 +31,17 @@ pub struct LoopControlMeta {
     pub exit_nodes: Vec<Vec<NodeId>>,
 }
 
-/// The result of [`insert_loop_control`]: a transformed CFG copy plus its
-/// [`LoopControlMeta`]. Derefs to the meta, so `lc.forest` etc. work.
-#[derive(Clone, Debug)]
-pub struct LoopControlled {
-    /// The transformed CFG, containing `LoopEntry`/`LoopExit` statements.
-    pub cfg: Cfg,
-    /// Forest and inserted-node bookkeeping.
-    pub meta: LoopControlMeta,
-}
-
-impl std::ops::Deref for LoopControlled {
-    type Target = LoopControlMeta;
-    fn deref(&self) -> &LoopControlMeta {
-        &self.meta
-    }
-}
-
-/// Insert loop-entry and loop-exit statements for every cyclic interval.
+/// Insert loop-entry and loop-exit statements for every cyclic interval
+/// of `fctx`'s CFG, in place.
 ///
-/// Fails with [`Irreducible`] if the CFG has a multi-entry cycle; call
-/// [`split_irreducible`] first in that case.
-///
-/// This convenience form leaves the caller's CFG untouched, so the clone
-/// is inherent to its signature; the translation pipeline uses
-/// [`insert_loop_control_in_place`] and pays no copy.
-pub fn insert_loop_control(cfg: &Cfg) -> Result<LoopControlled, Irreducible> {
-    let forest = LoopForest::compute(cfg)?;
-    let mut out = cfg.clone();
-    let (entry_node, exit_nodes) = insert_loop_control_body(&mut out, &forest);
-    debug_assert!(out.validate().is_ok(), "loop control broke CFG invariants");
-    Ok(LoopControlled {
-        cfg: out,
-        meta: LoopControlMeta {
-            forest,
-            entry_node,
-            exit_nodes,
-        },
-    })
-}
-
-/// [`insert_loop_control`] applied to a [`FunctionContext`]'s CFG in
-/// place. Takes the loop forest from the analysis cache (a reducibility
-/// check earlier in the pipeline already computed it), mutates the graph
-/// under [`Preserved::VALIDITY`] — insertion keeps the CFG well-formed,
+/// Takes the loop forest from the analysis cache (a reducibility check
+/// earlier in the pipeline already computed it), mutates the graph under
+/// [`Preserved::VALIDITY`] — insertion keeps the CFG well-formed,
 /// everything else is invalidated — and skips the revision bump entirely
-/// on loop-free graphs, where it would change nothing.
-pub fn insert_loop_control_in_place(
-    fctx: &mut FunctionContext,
-) -> Result<LoopControlMeta, Irreducible> {
+/// on loop-free graphs, where it would change nothing. Fails with
+/// [`Irreducible`] if the CFG has a multi-entry cycle; call
+/// [`split_irreducible`] first in that case.
+pub fn insert_loop_control(fctx: &mut FunctionContext) -> Result<LoopControlMeta, Irreducible> {
     let forest: LoopForest = (*fctx.loop_forest()?).clone();
     if forest.is_empty() {
         return Ok(LoopControlMeta {
@@ -322,6 +283,13 @@ mod tests {
     use crate::stmt::LValue;
     use crate::var::VarTable;
 
+    /// `cfg` with loop control inserted, through a fresh context.
+    fn loop_controlled(cfg: &Cfg) -> (Cfg, LoopControlMeta) {
+        let mut fctx = FunctionContext::for_cfg(cfg.clone());
+        let meta = insert_loop_control(&mut fctx).unwrap();
+        (fctx.into_cfg(), meta)
+    }
+
     fn running_example() -> (Cfg, NodeId, NodeId) {
         let mut vars = VarTable::new();
         let x = vars.scalar("x");
@@ -351,20 +319,20 @@ mod tests {
     #[test]
     fn running_example_gets_entry_and_exit() {
         let (cfg, join, br) = running_example();
-        let lc = insert_loop_control(&cfg).unwrap();
-        lc.cfg.validate().unwrap();
+        let (out, lc) = loop_controlled(&cfg);
+        out.validate().unwrap();
         assert_eq!(lc.entry_node.len(), 1);
         let le = lc.entry_node[0];
-        assert!(matches!(lc.cfg.stmt(le), Stmt::LoopEntry { .. }));
+        assert!(matches!(out.stmt(le), Stmt::LoopEntry { .. }));
         // start's entry edge and the backedge both lead to the loop entry.
-        assert_eq!(lc.cfg.entry(), le);
-        assert_eq!(lc.cfg.succs(le), &[join]);
-        assert_eq!(lc.cfg.succs(br)[0], le, "backedge redirected to loop entry");
+        assert_eq!(out.entry(), le);
+        assert_eq!(out.succs(le), &[join]);
+        assert_eq!(out.succs(br)[0], le, "backedge redirected to loop entry");
         // The exit edge got a loop-exit node.
         assert_eq!(lc.exit_nodes[0].len(), 1);
         let lx = lc.exit_nodes[0][0];
-        assert_eq!(lc.cfg.succs(br)[1], lx);
-        assert_eq!(lc.cfg.succs(lx), &[cfg.end()]);
+        assert_eq!(out.succs(br)[1], lx);
+        assert_eq!(out.succs(lx), &[cfg.end()]);
     }
 
     #[test]
@@ -378,8 +346,8 @@ mod tests {
         });
         cfg.set_entry(s);
         cfg.add_edge(s, cfg.end());
-        let lc = insert_loop_control(&cfg).unwrap();
-        assert_eq!(lc.cfg.len(), cfg.len());
+        let (out, lc) = loop_controlled(&cfg);
+        assert_eq!(out.len(), cfg.len());
         assert!(lc.entry_node.is_empty());
     }
 
@@ -411,19 +379,19 @@ mod tests {
         cfg.add_edge(bo, cfg.end()); // leaves outer loop
         cfg.validate().unwrap();
 
-        let lc = insert_loop_control(&cfg).unwrap();
-        lc.cfg.validate().unwrap();
+        let (out, lc) = loop_controlled(&cfg);
+        out.validate().unwrap();
         assert_eq!(lc.entry_node.len(), 2);
         // Edge bx → end must now pass through two loop exits, inner first.
-        let mut n = lc.cfg.succs(bx)[0];
-        let Stmt::LoopExit { loop_id: first } = *lc.cfg.stmt(n) else {
+        let mut n = out.succs(bx)[0];
+        let Stmt::LoopExit { loop_id: first } = *out.stmt(n) else {
             panic!("expected inner loop exit on bx's true edge");
         };
-        n = lc.cfg.succs(n)[0];
-        let Stmt::LoopExit { loop_id: second } = *lc.cfg.stmt(n) else {
+        n = out.succs(n)[0];
+        let Stmt::LoopExit { loop_id: second } = *out.stmt(n) else {
             panic!("expected outer loop exit next");
         };
-        assert_eq!(lc.cfg.succs(n), &[cfg.end()]);
+        assert_eq!(out.succs(n), &[cfg.end()]);
         // Inner loops sort first in the forest, so the inner id < outer id.
         let inner_depth = lc.forest.info(first).depth;
         let outer_depth = lc.forest.info(second).depth;
@@ -433,10 +401,10 @@ mod tests {
     #[test]
     fn nested_loops_each_get_entries() {
         let (cfg, ..) = running_example();
-        let lc = insert_loop_control(&cfg).unwrap();
+        let (out, lc) = loop_controlled(&cfg);
         // Re-running loop analysis on the transformed graph: the (single)
         // loop's cycle now passes through the loop-entry node.
-        let forest2 = LoopForest::compute(&lc.cfg).unwrap();
+        let forest2 = LoopForest::compute(&out).unwrap();
         assert_eq!(forest2.len(), 1);
         let (_, l2) = forest2.iter().next().unwrap();
         assert!(l2.contains(lc.entry_node[0]));
@@ -467,7 +435,7 @@ mod tests {
         assert!(LoopForest::compute(&split).is_ok());
         assert!(split.len() > cfg.len(), "splitting must copy nodes");
         // And loop control now applies cleanly.
-        insert_loop_control(&split).unwrap();
+        loop_controlled(&split);
     }
 
     #[test]

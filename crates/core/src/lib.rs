@@ -28,7 +28,9 @@
 //! The optimized construction ([`optimized`]) shares the same statement
 //! translation but wires token lines from source vectors.
 //!
-//! Entry point: [`pipeline::translate`].
+//! Entry point: [`pipeline::translate`]. It runs the stages as one
+//! straight function over a [`cf2df_cfg::FunctionContext`], whose cache
+//! the stages share, and records each stage in a [`PassRecord`].
 //!
 //! ```
 //! use cf2df_core::pipeline::{translate, TranslateOptions};
@@ -50,8 +52,47 @@ pub mod translator;
 
 pub use certify::{CertifyReport, SwitchSite};
 pub use lines::{LineId, LineMode, Lines};
-pub use pass::{render_pass_table, Pass, PassCtx, PassManager, PassRecord};
+pub use pass::{render_pass_table, PassRecord};
 pub use pipeline::{
     translate, translate_cfg, Schema, TranslateError, TranslateOptions, Translated,
 };
 pub use switch_place::SwitchPlacement;
+
+/// Stage set-ups shared by the unit tests: each starts from a fresh
+/// [`cf2df_cfg::FunctionContext`], the uncached path.
+#[cfg(test)]
+mod test_support {
+    use crate::lines::Lines;
+    use crate::source_vec::SourceVectors;
+    use crate::switch_place::SwitchPlacement;
+    use crate::translator::Built;
+    use cf2df_cfg::loop_control::{insert_loop_control, LoopControlMeta};
+    use cf2df_cfg::{Cover, CoverStrategy, FunctionContext};
+
+    /// The loop-controlled CFG of `src` in a fresh context, its
+    /// loop-control metadata, and its singleton-cover token lines (with
+    /// §6.1 memory elimination when `elim`).
+    pub(crate) fn loop_controlled(
+        src: &str,
+        elim: bool,
+    ) -> (FunctionContext, LoopControlMeta, Lines) {
+        let parsed = cf2df_lang::parse_to_cfg(src).unwrap();
+        let cover = Cover::build(&CoverStrategy::Singletons, &parsed.alias);
+        let lines = Lines::new(&parsed.cfg.vars, &parsed.alias, &cover, elim);
+        let mut fctx = FunctionContext::new(parsed.cfg, parsed.alias);
+        let meta = insert_loop_control(&mut fctx).unwrap();
+        (fctx, meta, lines)
+    }
+
+    /// The §4 stages in order: switch placement, source vectors, then the
+    /// construction.
+    pub(crate) fn optimized(
+        fctx: &mut FunctionContext,
+        meta: &LoopControlMeta,
+        lines: &Lines,
+    ) -> Built {
+        let sp = SwitchPlacement::compute(fctx, meta, lines);
+        let sv = SourceVectors::compute(fctx, meta, lines, &sp).unwrap();
+        crate::optimized::construct(fctx, lines, &sp, &sv).unwrap()
+    }
+}

@@ -8,9 +8,7 @@ use crate::stmt_tr::{translate_fork, StmtCtx};
 use crate::switch_place::SwitchPlacement;
 use crate::translator::{Built, LineOps};
 use cf2df_cfg::intervals::Irreducible;
-use cf2df_cfg::loop_control::LoopControlled;
-use cf2df_cfg::reach::topo_order_ignoring_backedges;
-use cf2df_cfg::{Cfg, FunctionContext, LoopForest, NodeId, OutDir, Stmt};
+use cf2df_cfg::{FunctionContext, NodeId, OutDir, Stmt};
 use cf2df_dfg::build::merge as merge_build;
 use cf2df_dfg::{ArcKind, Dfg, OpKind, Port};
 
@@ -21,51 +19,20 @@ fn arc_kind(lines: &Lines, l: LineId) -> ArcKind {
     }
 }
 
-/// Build the optimized dataflow graph for a loop-controlled CFG.
+/// Build the optimized dataflow graph for the loop-controlled CFG in
+/// `fctx` from its switch placement and source vectors, drawing the
+/// topological order from the context's cache.
 ///
 /// An irreducible CFG is a diagnosable input error, not a programming
 /// error, so it surfaces as `Err` rather than a panic.
-pub fn construct(lc: &LoopControlled, lines: &Lines) -> Result<Built, Irreducible> {
-    let sp = SwitchPlacement::compute(lc, lines);
-    construct_with(lc, lines, &sp)
-}
-
-/// As [`construct`], reusing a precomputed switch placement.
-pub fn construct_with(
-    lc: &LoopControlled,
-    lines: &Lines,
-    sp: &SwitchPlacement,
-) -> Result<Built, Irreducible> {
-    let sv = SourceVectors::compute(lc, lines, sp)?;
-    let cfg = &lc.cfg;
-    let forest = LoopForest::compute(cfg)?;
-    let backedges = forest.backedge_indices(cfg);
-    let order = topo_order_ignoring_backedges(cfg, &backedges);
-    Ok(construct_body(cfg, lines, sp, &sv, &order))
-}
-
-/// [`construct`] drawing the topological order from a
-/// [`FunctionContext`]'s cache and reusing precomputed switch placement
-/// and source vectors (the pass manager computes those as their own
-/// stages).
-pub fn construct_cached(
+pub fn construct(
     fctx: &mut FunctionContext,
     lines: &Lines,
     sp: &SwitchPlacement,
     sv: &SourceVectors,
 ) -> Result<Built, Irreducible> {
     let order = fctx.topo_order()?;
-    Ok(construct_body(fctx.cfg(), lines, sp, sv, &order))
-}
-
-/// The §4.2 construction core, parameterized over precomputed analyses.
-fn construct_body(
-    cfg: &Cfg,
-    lines: &Lines,
-    sp: &SwitchPlacement,
-    sv: &SourceVectors,
-    order: &[NodeId],
-) -> Built {
+    let cfg = fctx.cfg();
     let n_lines = lines.n();
 
     let mut g = Dfg::new();
@@ -97,7 +64,7 @@ fn construct_body(
     let mut pred_lines: Vec<LineId> = Vec::new();
     let mut switched: Vec<LineId> = Vec::new();
 
-    for &n in order {
+    for &n in order.iter() {
         match cfg.stmt(n) {
             Stmt::Start => {
                 for l in lines.ids() {
@@ -235,27 +202,22 @@ fn construct_body(
         }
     }
 
-    Built { dfg: g, ops }
+    Ok(Built { dfg: g, ops })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cf2df_cfg::loop_control::insert_loop_control;
-    use cf2df_cfg::{Cover, CoverStrategy};
+    use crate::test_support::{loop_controlled, optimized};
     use cf2df_dfg::validate::redundant_switches;
-    use cf2df_lang::parse_to_cfg;
 
     fn build(src: &str) -> Built {
         build_opts(src, false)
     }
 
     fn build_opts(src: &str, elim: bool) -> Built {
-        let parsed = parse_to_cfg(src).unwrap();
-        let lc = insert_loop_control(&parsed.cfg).unwrap();
-        let cover = Cover::build(&CoverStrategy::Singletons, &parsed.alias);
-        let lines = Lines::new(&lc.cfg.vars, &parsed.alias, &cover, elim);
-        construct(&lc, &lines).unwrap()
+        let (mut fctx, meta, lines) = loop_controlled(src, elim);
+        optimized(&mut fctx, &meta, &lines)
     }
 
     #[test]
@@ -280,12 +242,9 @@ mod tests {
 
     #[test]
     fn fig9_has_fewer_switches_than_schema2() {
-        let parsed = parse_to_cfg(cf2df_lang::corpus::FIG9).unwrap();
-        let lc = insert_loop_control(&parsed.cfg).unwrap();
-        let cover = Cover::build(&CoverStrategy::Singletons, &parsed.alias);
-        let lines = Lines::new(&lc.cfg.vars, &parsed.alias, &cover, false);
-        let full = crate::translator::translate_full(&lc.cfg, &lines).unwrap();
-        let opt = construct(&lc, &lines).unwrap();
+        let (mut fctx, meta, lines) = loop_controlled(cf2df_lang::corpus::FIG9, false);
+        let full = crate::translator::translate_full(&mut fctx, &lines).unwrap();
+        let opt = optimized(&mut fctx, &meta, &lines);
         let s_full = cf2df_dfg::DfgStats::of(&full.dfg).switches;
         let s_opt = cf2df_dfg::DfgStats::of(&opt.dfg).switches;
         assert_eq!(s_full, 4, "Schema 2 switches all four variables");

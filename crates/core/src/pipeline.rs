@@ -1,25 +1,33 @@
 //! One-call translation pipeline: CFG → (node splitting) → loop control →
-//! schema translation → §6 transforms.
+//! schema translation → §6 transforms → certify → fuse.
 //!
-//! The pipeline is a sequence of named [`Pass`] stages run by a
-//! [`PassManager`] over a single [`PassCtx`]: the CFG is owned by a
+//! [`translate_cfg`] is one straight function: each stage is a plain call
+//! whose inputs and outputs are local variables, in the paper's order —
+//! token lines over the cover (§5), loop control (§3), switch placement
+//! and source vectors (Figs 10–11) with the §4.2 construction or the full
+//! Schema 1–3 translation, then the §6 rewrites. The CFG is owned by a
 //! [`FunctionContext`] whose analysis cache memoizes dominators,
 //! postdominators, control dependence, the loop forest, topological
 //! order, predecessor lists, validity, and alias covers. Stages that
 //! mutate the CFG (node splitting, loop-control insertion) bump its
 //! revision and invalidate only what they can change; every other stage
 //! reads analyses through the cache, so one full translation computes
-//! each analysis at most once per CFG revision.
+//! each analysis at most once per CFG revision. A recorder wraps each
+//! stage call in a [`PassRecord`].
 
-use crate::lines::Lines;
-use crate::pass::{Pass, PassCtx, PassManager, PassRecord};
+use crate::certify::{CertifyReport, SwitchSite};
+use crate::lines::{LineId, Lines};
+use crate::optimized::construct;
+use crate::pass::{PassRecord, Recorder};
 use crate::source_vec::SourceVectors;
 use crate::switch_place::SwitchPlacement;
-use crate::translator::translate_full_cached;
+use crate::transform;
+use crate::translator::{translate_full, Built};
 use cf2df_cfg::intervals::Irreducible;
-use cf2df_cfg::loop_control::{insert_loop_control_in_place, split_irreducible, LoopControlMeta};
+use cf2df_cfg::loop_control::{insert_loop_control, split_irreducible, LoopControlMeta};
 use cf2df_cfg::{
-    AliasStructure, CacheStats, Cfg, CfgError, CoverStrategy, FunctionContext, Preserved,
+    AliasStructure, CacheStats, Cfg, CfgError, CoverStrategy, FunctionContext, NodeId, Preserved,
+    VarId,
 };
 use cf2df_dfg::{Dfg, DfgStats};
 use std::fmt;
@@ -223,7 +231,7 @@ pub enum TranslateError {
     /// The static translation validator found defects in the produced
     /// graph; the full report is attached and the graph is withheld from
     /// the caller.
-    Certify(Box<crate::certify::CertifyReport>),
+    Certify(Box<CertifyReport>),
 }
 
 impl fmt::Display for TranslateError {
@@ -251,6 +259,12 @@ impl fmt::Display for TranslateError {
 }
 
 impl std::error::Error for TranslateError {}
+
+impl From<Irreducible> for TranslateError {
+    fn from(e: Irreducible) -> Self {
+        TranslateError::Irreducible(e)
+    }
+}
 
 /// A completed translation.
 #[derive(Clone, Debug)]
@@ -291,377 +305,7 @@ pub struct Translated {
     /// elides this many individual firings in total across the graph).
     pub ops_fused: usize,
     /// The clean certification report, when the `certify` pass ran.
-    pub certify: Option<crate::certify::CertifyReport>,
-}
-
-// ---------------------------------------------------------------------------
-// The passes.
-
-/// Checks the §2.1 CFG invariants (memoized as the `validity` analysis).
-struct ValidatePass;
-impl Pass for ValidatePass {
-    fn name(&self) -> &'static str {
-        "validate"
-    }
-    fn run(&mut self, ctx: &mut PassCtx) -> Result<(), TranslateError> {
-        ctx.fctx.validate().map_err(TranslateError::Cfg)
-    }
-}
-
-/// Resolves the schema to a cover strategy, rejects inconsistent options,
-/// and builds the token-line structure.
-struct BuildLinesPass;
-impl Pass for BuildLinesPass {
-    fn name(&self) -> &'static str {
-        "lines"
-    }
-    fn run(&mut self, ctx: &mut PassCtx) -> Result<(), TranslateError> {
-        let strategy = match &ctx.opts.schema {
-            Schema::One => CoverStrategy::SingleToken,
-            Schema::Two => {
-                if !ctx.fctx.alias().is_identity() {
-                    return Err(TranslateError::AliasingRequiresSchema3);
-                }
-                CoverStrategy::Singletons
-            }
-            Schema::Three(c) => c.clone(),
-        };
-        if ctx.opts.optimized && !ctx.opts.loop_control {
-            return Err(TranslateError::OptimizedNeedsLoopControl);
-        }
-        let cover = ctx.fctx.cover(&strategy);
-        let lines = Lines::new(
-            &ctx.fctx.cfg().vars,
-            ctx.fctx.alias(),
-            &cover,
-            ctx.opts.eliminate_memory,
-        )
-        .with_flat_synch(ctx.opts.flat_synch);
-        ctx.lines = Some(lines);
-        Ok(())
-    }
-}
-
-/// Ensures the CFG is reducible, node-splitting it if it is not. The
-/// loop forest computed for the test stays in the cache for every later
-/// stage.
-struct ReducibilityPass;
-impl Pass for ReducibilityPass {
-    fn name(&self) -> &'static str {
-        "reducibility"
-    }
-    fn run(&mut self, ctx: &mut PassCtx) -> Result<(), TranslateError> {
-        if ctx.fctx.loop_forest().is_err() {
-            let split = split_irreducible(ctx.fctx.cfg()).map_err(TranslateError::Irreducible)?;
-            ctx.fctx.replace_cfg(split, Preserved::VALIDITY);
-        }
-        Ok(())
-    }
-}
-
-/// Inserts §3 loop-control statements in place, bumping the CFG revision.
-struct LoopControlPass;
-impl Pass for LoopControlPass {
-    fn name(&self) -> &'static str {
-        "loop-control"
-    }
-    fn run(&mut self, ctx: &mut PassCtx) -> Result<(), TranslateError> {
-        let meta =
-            insert_loop_control_in_place(&mut ctx.fctx).map_err(TranslateError::Irreducible)?;
-        ctx.loop_control = Some(meta);
-        Ok(())
-    }
-}
-
-/// Computes the §4 switch placement (Theorem 1 / Fig 10).
-struct SwitchPlacementPass;
-impl Pass for SwitchPlacementPass {
-    fn name(&self) -> &'static str {
-        "switch-placement"
-    }
-    fn run(&mut self, ctx: &mut PassCtx) -> Result<(), TranslateError> {
-        let sp = SwitchPlacement::compute_cached(
-            &mut ctx.fctx,
-            ctx.loop_control.as_ref().expect("loop-control pass ran"),
-            ctx.lines.as_ref().expect("lines pass ran"),
-        );
-        ctx.switch_placement = Some(sp);
-        Ok(())
-    }
-}
-
-/// Computes the §4 source vectors (Fig 11).
-struct SourceVectorsPass;
-impl Pass for SourceVectorsPass {
-    fn name(&self) -> &'static str {
-        "source-vectors"
-    }
-    fn run(&mut self, ctx: &mut PassCtx) -> Result<(), TranslateError> {
-        let sv = SourceVectors::compute_cached(
-            &mut ctx.fctx,
-            ctx.loop_control.as_ref().expect("loop-control pass ran"),
-            ctx.lines.as_ref().expect("lines pass ran"),
-            ctx.switch_placement
-                .as_ref()
-                .expect("switch-placement pass ran"),
-        )
-        .map_err(TranslateError::Irreducible)?;
-        ctx.source_vectors = Some(sv);
-        Ok(())
-    }
-}
-
-/// The §4.2 optimized direct construction.
-struct ConstructOptimizedPass;
-impl Pass for ConstructOptimizedPass {
-    fn name(&self) -> &'static str {
-        "construct-optimized"
-    }
-    fn run(&mut self, ctx: &mut PassCtx) -> Result<(), TranslateError> {
-        let built = crate::optimized::construct_cached(
-            &mut ctx.fctx,
-            ctx.lines.as_ref().expect("lines pass ran"),
-            ctx.switch_placement
-                .as_ref()
-                .expect("switch-placement pass ran"),
-            ctx.source_vectors
-                .as_ref()
-                .expect("source-vectors pass ran"),
-        )
-        .map_err(TranslateError::Irreducible)?;
-        // Snapshot the placed switch sites before the §6 transforms can
-        // remap or delete operators: the certify pass cross-checks these
-        // against the Theorem 1 oracle.
-        ctx.placed_switches = Some(built.ops.switches.keys().copied().collect());
-        ctx.built = Some(built);
-        Ok(())
-    }
-}
-
-/// The straightforward schema translation (§2.3/§3/§5).
-struct TranslateFullPass;
-impl Pass for TranslateFullPass {
-    fn name(&self) -> &'static str {
-        "translate-full"
-    }
-    fn run(&mut self, ctx: &mut PassCtx) -> Result<(), TranslateError> {
-        let built =
-            translate_full_cached(&mut ctx.fctx, ctx.lines.as_ref().expect("lines pass ran"))
-                .map_err(TranslateError::Irreducible)?;
-        ctx.built = Some(built);
-        Ok(())
-    }
-}
-
-/// §6.3 / Fig 14 array-store parallelization.
-struct ArrayParallelizePass;
-impl Pass for ArrayParallelizePass {
-    fn name(&self) -> &'static str {
-        "array-parallelize"
-    }
-    fn run(&mut self, ctx: &mut PassCtx) -> Result<(), TranslateError> {
-        let applied = crate::transform::parallelize_array_stores(
-            ctx.built.as_mut().expect("construction pass ran"),
-            ctx.fctx.cfg(),
-            ctx.loop_control.as_ref().expect("loop-control pass ran"),
-            ctx.lines.as_ref().expect("lines pass ran"),
-        );
-        ctx.array_sites_parallelized = applied.len();
-        Ok(())
-    }
-}
-
-/// §6.2 read parallelization.
-struct ReadParallelizePass;
-impl Pass for ReadParallelizePass {
-    fn name(&self) -> &'static str {
-        "read-parallelize"
-    }
-    fn run(&mut self, ctx: &mut PassCtx) -> Result<(), TranslateError> {
-        ctx.read_chains_parallelized =
-            crate::transform::parallelize_reads(&mut ctx.built_mut().dfg);
-        Ok(())
-    }
-}
-
-/// §6.2 store-to-load forwarding.
-struct ForwardStoresPass;
-impl Pass for ForwardStoresPass {
-    fn name(&self) -> &'static str {
-        "forward-stores"
-    }
-    fn run(&mut self, ctx: &mut PassCtx) -> Result<(), TranslateError> {
-        let built = ctx.built_mut();
-        let (n, map) = crate::transform::forward_stores(&mut built.dfg);
-        built.ops.remap(&map);
-        ctx.stores_forwarded = n;
-        Ok(())
-    }
-}
-
-/// Dataflow-IR cleanup: common-subexpression then dead-code elimination.
-struct CleanupPass;
-impl Pass for CleanupPass {
-    fn name(&self) -> &'static str {
-        "cleanup"
-    }
-    fn run(&mut self, ctx: &mut PassCtx) -> Result<(), TranslateError> {
-        let built = ctx.built_mut();
-        let (c, map) = crate::transform::eliminate_common_subexpressions(&mut built.dfg);
-        built.ops.remap(&map);
-        let (d, map) = crate::transform::eliminate_dead_code(&mut built.dfg);
-        built.ops.remap(&map);
-        ctx.ops_cleaned = c + d;
-        Ok(())
-    }
-}
-
-/// §6.3 I-structure conversion for the opted-in arrays.
-struct IStructurePass;
-impl Pass for IStructurePass {
-    fn name(&self) -> &'static str {
-        "istructure"
-    }
-    fn run(&mut self, ctx: &mut PassCtx) -> Result<(), TranslateError> {
-        let ids: Vec<cf2df_cfg::VarId> = ctx
-            .opts
-            .istructure_arrays
-            .iter()
-            .filter_map(|name| ctx.fctx.cfg().vars.lookup(name))
-            .collect();
-        let built = ctx.built.as_mut().expect("construction pass ran");
-        let (n, map) = crate::transform::convert_arrays(&mut built.dfg, &ids);
-        built.ops.remap(&map);
-        ctx.istructure_ops = n;
-        Ok(())
-    }
-}
-
-/// Macro-op fusion ([`cf2df_dfg::fuse`]): collapse maximal linear chains
-/// of strict operators into compound `Macro` actors. Scheduled *after*
-/// `certify` — the validator certifies the graph the schemas produced,
-/// and fusion is a machine-level coarsening of that certified graph
-/// (itself re-checkable: a fused graph still certifies, macros being
-/// ordinary strict operators to the token-rate analysis).
-struct FusePass;
-impl Pass for FusePass {
-    fn name(&self) -> &'static str {
-        "fuse"
-    }
-    fn run(&mut self, ctx: &mut PassCtx) -> Result<(), TranslateError> {
-        let built = ctx.built_mut();
-        let (stats, map) = cf2df_dfg::fuse(&mut built.dfg);
-        built.ops.remap(&map);
-        ctx.chains_fused = stats.chains;
-        ctx.ops_fused = stats.ops_fused;
-        Ok(())
-    }
-}
-
-/// The static translation validator (always scheduled last): token-rate
-/// certification, the Theorem 1 cross-check, and access-token
-/// conservation. See [`crate::certify`].
-struct CertifyPass;
-impl Pass for CertifyPass {
-    fn name(&self) -> &'static str {
-        "certify"
-    }
-    fn run(&mut self, ctx: &mut PassCtx) -> Result<(), TranslateError> {
-        let (missing, extra, switches_checked) = match &ctx.placed_switches {
-            Some(placed) => {
-                use crate::certify::SwitchSite;
-                let mut placed: Vec<SwitchSite> = placed
-                    .iter()
-                    .map(|&(node, line)| SwitchSite { node, line })
-                    .collect();
-                placed.sort_unstable();
-                placed.dedup();
-                let cd = ctx.fctx.control_deps();
-                let oracle = crate::certify::theorem1_switches(
-                    ctx.fctx.cfg(),
-                    &cd,
-                    ctx.loop_control
-                        .as_ref()
-                        .expect("certify requires loop control"),
-                    ctx.lines.as_ref().expect("lines pass ran"),
-                );
-                // Both lists are sorted: the sites of one missing from the other.
-                let absent = |from: &[SwitchSite], other: &[SwitchSite]| {
-                    from.iter()
-                        .filter(|s| other.binary_search(s).is_err())
-                        .copied()
-                        .collect::<Vec<_>>()
-                };
-                let (missing, extra) = (absent(&oracle, &placed), absent(&placed, &oracle));
-                let checked = oracle.len() + extra.len();
-                (missing, extra, checked)
-            }
-            None => (Vec::new(), Vec::new(), 0),
-        };
-        let built = ctx.built.as_ref().expect("construction pass ran");
-        let lines = ctx.lines.as_ref().expect("lines pass ran");
-        let analysis = cf2df_dfg::certify::analyze(&built.dfg);
-        let (conservation_defects, memory_pairs_checked) =
-            crate::certify::check_conservation(&built.dfg, lines, &analysis);
-        let cover_defects =
-            crate::certify::check_cover(&ctx.fctx.cfg().vars, ctx.fctx.alias(), lines);
-        let report = crate::certify::CertifyReport {
-            graph_defects: analysis.defects,
-            missing_switches: missing,
-            extra_switches: extra,
-            conservation_defects,
-            cover_defects,
-            switches_checked,
-            memory_pairs_checked,
-        };
-        if report.is_clean() {
-            ctx.certify_report = Some(report);
-            Ok(())
-        } else {
-            Err(TranslateError::Certify(Box::new(report)))
-        }
-    }
-}
-
-/// Assemble the pass schedule for `opts`. Disabled stages are simply not
-/// scheduled, so the record list names exactly the stages that ran.
-fn schedule(opts: &TranslateOptions) -> PassManager {
-    let mut pm = PassManager::new();
-    pm.add(ValidatePass)
-        .add(BuildLinesPass)
-        .add(ReducibilityPass);
-    if opts.loop_control {
-        pm.add(LoopControlPass);
-    }
-    if opts.optimized {
-        pm.add(SwitchPlacementPass)
-            .add(SourceVectorsPass)
-            .add(ConstructOptimizedPass);
-    } else {
-        pm.add(TranslateFullPass);
-    }
-    if opts.parallelize_array_stores && opts.loop_control {
-        pm.add(ArrayParallelizePass);
-    }
-    if opts.parallelize_reads {
-        pm.add(ReadParallelizePass);
-    }
-    if opts.forward_stores {
-        pm.add(ForwardStoresPass);
-    }
-    if opts.cleanup {
-        pm.add(CleanupPass);
-    }
-    if !opts.istructure_arrays.is_empty() {
-        pm.add(IStructurePass);
-    }
-    if opts.loop_control {
-        pm.add(CertifyPass);
-    }
-    if opts.fuse && opts.loop_control {
-        pm.add(FusePass);
-    }
-    pm
+    pub certify: Option<CertifyReport>,
 }
 
 /// Translate a control-flow graph into a dataflow graph.
@@ -678,17 +322,143 @@ pub fn translate(
 }
 
 /// Translate an owned control-flow graph into a dataflow graph without
-/// copying it: the pass manager mutates it in place (node splitting,
-/// loop-control insertion) and returns it in [`Translated::cfg`].
+/// copying it: node splitting and loop-control insertion mutate it in
+/// place, and it is returned in [`Translated::cfg`].
+///
+/// The stages run in a fixed order, each at most once; a stage the
+/// options switch off does not run and leaves no record, so
+/// [`Translated::passes`] names exactly the stages that ran. The first
+/// failing stage ends the translation with its error.
 pub fn translate_cfg(
     cfg: Cfg,
     alias: AliasStructure,
     opts: &TranslateOptions,
 ) -> Result<Translated, TranslateError> {
-    let mut ctx = PassCtx::new(FunctionContext::new(cfg, alias), opts);
-    let passes = schedule(opts).run(&mut ctx)?;
+    let mut fctx = FunctionContext::new(cfg, alias);
+    // Empty until a construction stage replaces it.
+    let mut built = Built::default();
+    let mut rec = Recorder::default();
 
-    let built = ctx.built.take().expect("a construction pass always runs");
+    rec.stage("validate", &mut fctx, &mut built, |f, _| {
+        f.validate().map_err(TranslateError::Cfg)
+    })?;
+    let lines = rec.stage("lines", &mut fctx, &mut built, |f, _| build_lines(f, opts))?;
+    // Node-split an irreducible CFG. The loop forest computed for the
+    // test stays in the cache for every later stage.
+    rec.stage("reducibility", &mut fctx, &mut built, |f, _| {
+        if f.loop_forest().is_err() {
+            let split = split_irreducible(f.cfg())?;
+            f.replace_cfg(split, Preserved::VALIDITY);
+        }
+        Ok(())
+    })?;
+    let loop_control = if opts.loop_control {
+        let meta = rec.stage("loop-control", &mut fctx, &mut built, |f, _| {
+            Ok(insert_loop_control(f)?)
+        })?;
+        Some(meta)
+    } else {
+        None
+    };
+
+    // `lines` has refused the optimized construction without loop control.
+    let placed_switches: Option<Vec<(NodeId, LineId)>> = match (&loop_control, opts.optimized) {
+        (Some(meta), true) => {
+            let sp = rec.stage("switch-placement", &mut fctx, &mut built, |f, _| {
+                Ok(SwitchPlacement::compute(f, meta, &lines))
+            })?;
+            let sv = rec.stage("source-vectors", &mut fctx, &mut built, |f, _| {
+                Ok(SourceVectors::compute(f, meta, &lines, &sp)?)
+            })?;
+            // Snapshot the placed switch sites before the §6 rewrites can
+            // remap or delete operators: certify cross-checks them
+            // against the Theorem 1 oracle.
+            let placed = rec.stage("construct-optimized", &mut fctx, &mut built, |f, b| {
+                *b = construct(f, &lines, &sp, &sv)?;
+                Ok(b.ops.switches.keys().copied().collect())
+            })?;
+            Some(placed)
+        }
+        _ => {
+            rec.stage("translate-full", &mut fctx, &mut built, |f, b| {
+                *b = translate_full(f, &lines)?;
+                Ok(())
+            })?;
+            None
+        }
+    };
+
+    let array_sites_parallelized = match (&loop_control, opts.parallelize_array_stores) {
+        (Some(meta), true) => rec.stage("array-parallelize", &mut fctx, &mut built, |f, b| {
+            Ok(transform::parallelize_array_stores(b, f.cfg(), meta, &lines).len())
+        })?,
+        _ => 0,
+    };
+    let read_chains_parallelized = if opts.parallelize_reads {
+        rec.stage("read-parallelize", &mut fctx, &mut built, |_, b| {
+            Ok(transform::parallelize_reads(&mut b.dfg))
+        })?
+    } else {
+        0
+    };
+    let stores_forwarded = if opts.forward_stores {
+        rec.stage("forward-stores", &mut fctx, &mut built, |_, b| {
+            let (n, map) = transform::forward_stores(&mut b.dfg);
+            b.ops.remap(&map);
+            Ok(n)
+        })?
+    } else {
+        0
+    };
+    // Dataflow-IR cleanup: common-subexpression then dead-code
+    // elimination.
+    let ops_cleaned = if opts.cleanup {
+        rec.stage("cleanup", &mut fctx, &mut built, |_, b| {
+            let (c, map) = transform::eliminate_common_subexpressions(&mut b.dfg);
+            b.ops.remap(&map);
+            let (d, map) = transform::eliminate_dead_code(&mut b.dfg);
+            b.ops.remap(&map);
+            Ok(c + d)
+        })?
+    } else {
+        0
+    };
+    let istructure_ops = if opts.istructure_arrays.is_empty() {
+        0
+    } else {
+        rec.stage("istructure", &mut fctx, &mut built, |f, b| {
+            let ids: Vec<VarId> = opts
+                .istructure_arrays
+                .iter()
+                .filter_map(|name| f.cfg().vars.lookup(name))
+                .collect();
+            let (n, map) = transform::convert_arrays(&mut b.dfg, &ids);
+            b.ops.remap(&map);
+            Ok(n)
+        })?
+    };
+
+    // Without loop control the graph is the Fig 8 reproduction: neither
+    // certified nor fused, left as the paper draws it.
+    let certify = match &loop_control {
+        Some(meta) => Some(rec.stage("certify", &mut fctx, &mut built, |f, b| {
+            certify_graph(f, &b.dfg, meta, &lines, placed_switches.as_deref())
+        })?),
+        None => None,
+    };
+    // Fusion coarsens the certified graph for the machine; a fused graph
+    // still certifies, macros being ordinary strict operators to the
+    // token-rate analysis.
+    let (chains_fused, ops_fused) = if opts.fuse && loop_control.is_some() {
+        rec.stage("fuse", &mut fctx, &mut built, |_, b| {
+            let (stats, map) = cf2df_dfg::fuse(&mut b.dfg);
+            b.ops.remap(&map);
+            Ok((stats.chains, stats.ops_fused))
+        })?
+    } else {
+        (0, 0)
+    };
+
     let stats = DfgStats::of(&built.dfg);
     debug_assert!(
         cf2df_dfg::validate(&built.dfg).is_ok(),
@@ -697,23 +467,108 @@ pub fn translate_cfg(
     );
     Ok(Translated {
         dfg: built.dfg,
-        loop_control: ctx.loop_control,
-        lines: ctx.lines.take().expect("the lines pass always runs"),
+        loop_control,
+        lines,
         ops: built.ops,
         stats,
-        passes,
-        cache_stats: ctx.fctx.stats(),
-        revisions: ctx.fctx.revision(),
-        cfg: ctx.fctx.into_cfg(),
-        read_chains_parallelized: ctx.read_chains_parallelized,
-        array_sites_parallelized: ctx.array_sites_parallelized,
-        stores_forwarded: ctx.stores_forwarded,
-        istructure_ops: ctx.istructure_ops,
-        ops_cleaned: ctx.ops_cleaned,
-        chains_fused: ctx.chains_fused,
-        ops_fused: ctx.ops_fused,
-        certify: ctx.certify_report,
+        passes: rec.0,
+        cache_stats: fctx.stats(),
+        revisions: fctx.revision(),
+        cfg: fctx.into_cfg(),
+        read_chains_parallelized,
+        array_sites_parallelized,
+        stores_forwarded,
+        istructure_ops,
+        ops_cleaned,
+        chains_fused,
+        ops_fused,
+        certify,
     })
+}
+
+/// The `lines` stage: resolves the schema to a cover strategy, rejects
+/// inconsistent options, and builds the token lines over the cover.
+fn build_lines(
+    fctx: &mut FunctionContext,
+    opts: &TranslateOptions,
+) -> Result<Lines, TranslateError> {
+    let strategy = match &opts.schema {
+        Schema::One => CoverStrategy::SingleToken,
+        Schema::Two => {
+            if !fctx.alias().is_identity() {
+                return Err(TranslateError::AliasingRequiresSchema3);
+            }
+            CoverStrategy::Singletons
+        }
+        Schema::Three(c) => c.clone(),
+    };
+    if opts.optimized && !opts.loop_control {
+        return Err(TranslateError::OptimizedNeedsLoopControl);
+    }
+    let cover = fctx.cover(&strategy);
+    Ok(Lines::new(
+        &fctx.cfg().vars,
+        fctx.alias(),
+        &cover,
+        opts.eliminate_memory,
+    )
+    .with_flat_synch(opts.flat_synch))
+}
+
+/// The `certify` stage, the static translation validator: token-rate
+/// certification of the graph, the Theorem 1 cross-check of the switch
+/// sites the optimized construction `placed` (`None` after the full
+/// translation, which switches every line), access-token conservation
+/// and cover soundness. See [`crate::certify`]. A report with defects is
+/// the error.
+fn certify_graph(
+    fctx: &mut FunctionContext,
+    dfg: &Dfg,
+    meta: &LoopControlMeta,
+    lines: &Lines,
+    placed: Option<&[(NodeId, LineId)]>,
+) -> Result<CertifyReport, TranslateError> {
+    let (missing, extra, switches_checked) = match placed {
+        Some(placed) => {
+            let mut placed: Vec<SwitchSite> = placed
+                .iter()
+                .map(|&(node, line)| SwitchSite { node, line })
+                .collect();
+            placed.sort_unstable();
+            placed.dedup();
+            let cd = fctx.control_deps();
+            let oracle = crate::certify::theorem1_switches(fctx.cfg(), &cd, meta, lines);
+            // Both lists are sorted: the sites of one missing from the other.
+            let absent = |from: &[SwitchSite], other: &[SwitchSite]| {
+                from.iter()
+                    .filter(|s| other.binary_search(s).is_err())
+                    .copied()
+                    .collect::<Vec<_>>()
+            };
+            let (missing, extra) = (absent(&oracle, &placed), absent(&placed, &oracle));
+            let checked = oracle.len() + extra.len();
+            (missing, extra, checked)
+        }
+        None => (Vec::new(), Vec::new(), 0),
+    };
+    let analysis = cf2df_dfg::certify::analyze(dfg);
+    let (conservation_defects, memory_pairs_checked) =
+        crate::certify::check_conservation(dfg, lines, &analysis);
+    let cover_defects = crate::certify::check_cover(&fctx.cfg().vars, fctx.alias(), lines);
+    let report = CertifyReport {
+        graph_defects: analysis.defects,
+        missing_switches: missing,
+        extra_switches: extra,
+        conservation_defects,
+        cover_defects,
+        switches_checked,
+        memory_pairs_checked,
+    };
+    if report.is_clean() {
+        Ok(report)
+    } else {
+        Err(TranslateError::Certify(Box::new(report)))
+    }
 }
 
 #[cfg(test)]

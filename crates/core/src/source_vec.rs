@@ -19,9 +19,8 @@
 use crate::lines::{LineId, Lines};
 use crate::switch_place::SwitchPlacement;
 use cf2df_cfg::intervals::Irreducible;
-use cf2df_cfg::loop_control::{LoopControlMeta, LoopControlled};
-use cf2df_cfg::reach::topo_order_ignoring_backedges;
-use cf2df_cfg::{Cfg, DomTree, FunctionContext, LoopForest, NodeId, OutDir, Stmt};
+use cf2df_cfg::loop_control::LoopControlMeta;
+use cf2df_cfg::{FunctionContext, NodeId, OutDir, Stmt};
 
 /// One source of a token: a node and the out-direction it leaves along.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
@@ -60,29 +59,16 @@ impl SourceVectors {
         &self.srcs[self.start[c] as usize..self.start[c + 1] as usize]
     }
 
-    /// Compute source vectors for a loop-controlled CFG under a switch
-    /// placement.
+    /// Compute source vectors for the loop-controlled CFG in `fctx` under
+    /// a switch placement, drawing postdominators, the loop forest, and
+    /// the topological order from the context's cache. The backedge
+    /// indices are those of the *current* (loop-controlled) graph;
+    /// `meta.forest` is the loop forest of the original graph, used for
+    /// containment queries on original node ids.
     ///
     /// An irreducible CFG is a diagnosable input error, not a programming
     /// error, so it surfaces as `Err` rather than a panic.
     pub fn compute(
-        lc: &LoopControlled,
-        lines: &Lines,
-        sp: &SwitchPlacement,
-    ) -> Result<SourceVectors, Irreducible> {
-        let cfg = &lc.cfg;
-        let pd = DomTree::postdominators(cfg);
-        let forest = LoopForest::compute(cfg)?;
-        let backedges = forest.backedge_indices(cfg);
-        let order = topo_order_ignoring_backedges(cfg, &backedges);
-        Ok(Self::compute_with(
-            cfg, &pd, &backedges, &order, &lc.meta, lines, sp,
-        ))
-    }
-
-    /// [`Self::compute`] drawing postdominators, the loop forest, and the
-    /// topological order from a [`FunctionContext`]'s cache.
-    pub fn compute_cached(
         fctx: &mut FunctionContext,
         meta: &LoopControlMeta,
         lines: &Lines,
@@ -91,31 +77,8 @@ impl SourceVectors {
         let pd = fctx.postdominators();
         let forest = fctx.loop_forest()?;
         let order = fctx.topo_order()?;
-        let backedges = forest.backedge_indices(fctx.cfg());
-        Ok(Self::compute_with(
-            fctx.cfg(),
-            &pd,
-            &backedges,
-            &order,
-            meta,
-            lines,
-            sp,
-        ))
-    }
-
-    /// The Fig 11 forward pass, parameterized over precomputed analyses.
-    /// `backedges` are the backedge indices of the *current* (loop-
-    /// controlled) graph; `meta.forest` is the loop forest of the original
-    /// graph, used for containment queries on original node ids.
-    fn compute_with(
-        cfg: &Cfg,
-        pd: &DomTree,
-        forest_backedges: &[Vec<usize>],
-        order: &[NodeId],
-        meta: &LoopControlMeta,
-        lines: &Lines,
-        sp: &SwitchPlacement,
-    ) -> SourceVectors {
+        let cfg = fctx.cfg();
+        let forest_backedges = forest.backedge_indices(cfg);
         let n_lines = lines.n();
         let back_base = cfg.len() * n_lines;
         // The forward cell of (n, l), or with `back` its backedge cell.
@@ -130,7 +93,7 @@ impl SourceVectors {
         let is_back = |n: NodeId, idx: usize| forest_backedges[n.index()].contains(&idx);
         let mut pred_lines: Vec<LineId> = Vec::new();
 
-        for &n in order {
+        for &n in order.iter() {
             let own = SvSrc {
                 node: n,
                 dir: OutDir::TRUE,
@@ -206,7 +169,7 @@ impl SourceVectors {
                 }
             }
         }
-        out.freeze(n_lines, back_base)
+        Ok(out.freeze(n_lines, back_base))
     }
 }
 
@@ -292,17 +255,16 @@ impl CellLists {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cf2df_cfg::loop_control::insert_loop_control;
-    use cf2df_cfg::{Cfg, Cover, CoverStrategy};
-    use cf2df_lang::parse_to_cfg;
+    use crate::test_support::loop_controlled;
+    use cf2df_cfg::Cfg;
 
-    fn setup(src: &str) -> (LoopControlled, Lines, SwitchPlacement) {
-        let parsed = parse_to_cfg(src).unwrap();
-        let lc = insert_loop_control(&parsed.cfg).unwrap();
-        let cover = Cover::build(&CoverStrategy::Singletons, &parsed.alias);
-        let lines = Lines::new(&lc.cfg.vars, &parsed.alias, &cover, false);
-        let sp = SwitchPlacement::compute(&lc, &lines);
-        (lc, lines, sp)
+    /// A loop-controlled CFG in a fresh context, its loop-control
+    /// metadata, its singleton-cover token lines and their switch
+    /// placement.
+    fn setup(src: &str) -> (FunctionContext, LoopControlMeta, Lines, SwitchPlacement) {
+        let (mut fctx, meta, lines) = loop_controlled(src, false);
+        let sp = SwitchPlacement::compute(&mut fctx, &meta, &lines);
+        (fctx, meta, lines, sp)
     }
 
     fn line_of(cfg: &Cfg, lines: &Lines, name: &str) -> LineId {
@@ -311,9 +273,9 @@ mod tests {
 
     #[test]
     fn fig9_x_token_bypasses_conditional() {
-        let (lc, lines, sp) = setup(cf2df_lang::corpus::FIG9);
-        let sv = SourceVectors::compute(&lc, &lines, &sp).unwrap();
-        let cfg = &lc.cfg;
+        let (mut fctx, lc, lines, sp) = setup(cf2df_lang::corpus::FIG9);
+        let sv = SourceVectors::compute(&mut fctx, &lc, &lines, &sp).unwrap();
+        let cfg = fctx.cfg();
         let x = line_of(cfg, &lines, "x");
         // Find the second assignment to x (x := 0) and the first
         // (x := x + 1).
@@ -335,9 +297,9 @@ mod tests {
 
     #[test]
     fn switched_lines_source_from_the_fork() {
-        let (lc, lines, sp) = setup(cf2df_lang::corpus::FIG9);
-        let sv = SourceVectors::compute(&lc, &lines, &sp).unwrap();
-        let cfg = &lc.cfg;
+        let (mut fctx, lc, lines, sp) = setup(cf2df_lang::corpus::FIG9);
+        let sv = SourceVectors::compute(&mut fctx, &lc, &lines, &sp).unwrap();
+        let cfg = fctx.cfg();
         let y = line_of(cfg, &lines, "y");
         let fork = cfg
             .node_ids()
@@ -350,9 +312,9 @@ mod tests {
 
     #[test]
     fn loop_backedges_separated_from_entries() {
-        let (lc, lines, sp) = setup(cf2df_lang::corpus::RUNNING_EXAMPLE);
-        let sv = SourceVectors::compute(&lc, &lines, &sp).unwrap();
-        let cfg = &lc.cfg;
+        let (mut fctx, lc, lines, sp) = setup(cf2df_lang::corpus::RUNNING_EXAMPLE);
+        let sv = SourceVectors::compute(&mut fctx, &lc, &lines, &sp).unwrap();
+        let cfg = fctx.cfg();
         let le = lc.entry_node[0];
         let x = line_of(cfg, &lines, "x");
         // Forward source: start. Backedge source: the loop branch.
@@ -368,11 +330,11 @@ mod tests {
     #[test]
     fn every_line_reaches_end() {
         for (name, src) in cf2df_lang::corpus::all() {
-            let (lc, lines, sp) = setup(src);
-            let sv = SourceVectors::compute(&lc, &lines, &sp).unwrap();
+            let (mut fctx, lc, lines, sp) = setup(src);
+            let sv = SourceVectors::compute(&mut fctx, &lc, &lines, &sp).unwrap();
             for l in lines.ids() {
                 assert!(
-                    !sv.at(lc.cfg.end(), l).is_empty(),
+                    !sv.at(fctx.cfg().end(), l).is_empty(),
                     "{name}: line {l:?} never reaches end"
                 );
             }
@@ -385,9 +347,9 @@ mod tests {
         // which refers to x, then each set SV_N(x) will have a single
         // element."
         for (name, src) in cf2df_lang::corpus::all() {
-            let (lc, lines, sp) = setup(src);
-            let sv = SourceVectors::compute(&lc, &lines, &sp).unwrap();
-            let cfg = &lc.cfg;
+            let (mut fctx, lc, lines, sp) = setup(src);
+            let sv = SourceVectors::compute(&mut fctx, &lc, &lines, &sp).unwrap();
+            let cfg = fctx.cfg();
             for n in cfg.node_ids() {
                 match cfg.stmt(n) {
                     Stmt::Assign { .. } => {
@@ -414,10 +376,10 @@ mod tests {
 
     #[test]
     fn unreferenced_line_goes_straight_to_end() {
-        let (lc, lines, sp) =
+        let (mut fctx, lc, lines, sp) =
             setup("alias q ~ q; x := 1; if x < 2 then { y := 1; } else { y := 2; }");
-        let sv = SourceVectors::compute(&lc, &lines, &sp).unwrap();
-        let cfg = &lc.cfg;
+        let sv = SourceVectors::compute(&mut fctx, &lc, &lines, &sp).unwrap();
+        let cfg = fctx.cfg();
         let q = line_of(cfg, &lines, "q");
         let srcs = sv.at(cfg.end(), q);
         assert_eq!(srcs.len(), 1);

@@ -14,8 +14,8 @@
 //! monotone fixpoint, computed here.
 
 use crate::lines::{LineId, Lines};
-use cf2df_cfg::loop_control::{LoopControlMeta, LoopControlled};
-use cf2df_cfg::{between, Cfg, ControlDeps, DomTree, FunctionContext, NodeId, Stmt};
+use cf2df_cfg::loop_control::LoopControlMeta;
+use cf2df_cfg::{between, Cfg, DomTree, FunctionContext, NodeId, Stmt};
 
 /// The per-line switch-placement and circulation solution, stored as
 /// bitset rows of lines (`words` 64-bit words per row).
@@ -67,37 +67,22 @@ impl SwitchPlacement {
         &table[i * self.words..][..self.words]
     }
 
-    /// Compute switch placement and circulation for a loop-controlled CFG.
-    pub fn compute(lc: &LoopControlled, lines: &Lines) -> SwitchPlacement {
-        let pd = DomTree::postdominators(&lc.cfg);
-        let cd = ControlDeps::compute(&lc.cfg, &pd);
-        Self::compute_with(&lc.cfg, &cd, &lc.meta, lines)
-    }
-
-    /// [`Self::compute`] drawing control dependence (and its
-    /// postdominator input) from a [`FunctionContext`]'s cache.
-    pub fn compute_cached(
-        fctx: &mut FunctionContext,
-        meta: &LoopControlMeta,
-        lines: &Lines,
-    ) -> SwitchPlacement {
-        let cd = fctx.control_deps();
-        Self::compute_with(fctx.cfg(), &cd, meta, lines)
-    }
-
-    /// The Fig 10 fixpoint, parameterized over precomputed analyses.
+    /// Compute switch placement and circulation for the loop-controlled
+    /// CFG in `fctx`, drawing control dependence (and its postdominator
+    /// input) from the context's cache.
     ///
     /// Fig 10 marks, per line, `CD⁺` of the nodes referencing it. Here
     /// every line is handled at once: each node's referenced-line row is
     /// pushed along its control-dependence edges by a worklist until the
     /// rows stop growing, which leaves at each fork `F` the lines of every
     /// `N` with `F ∈ CD⁺(N)`.
-    fn compute_with(
-        cfg: &Cfg,
-        cd: &ControlDeps,
+    pub fn compute(
+        fctx: &mut FunctionContext,
         meta: &LoopControlMeta,
         lines: &Lines,
     ) -> SwitchPlacement {
+        let cd = fctx.control_deps();
+        let cfg = fctx.cfg();
         let n = cfg.len();
         let words = lines.n().div_ceil(64);
 
@@ -276,23 +261,13 @@ pub fn needs_switch_bruteforce(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cf2df_cfg::loop_control::insert_loop_control;
-    use cf2df_cfg::{Cover, CoverStrategy};
-    use cf2df_lang::parse_to_cfg;
-
-    fn setup(src: &str) -> (LoopControlled, Lines) {
-        let parsed = parse_to_cfg(src).unwrap();
-        let lc = insert_loop_control(&parsed.cfg).unwrap();
-        let cover = Cover::build(&CoverStrategy::Singletons, &parsed.alias);
-        let lines = Lines::new(&lc.cfg.vars, &parsed.alias, &cover, false);
-        (lc, lines)
-    }
+    use crate::test_support::loop_controlled;
 
     #[test]
     fn fig9_x_bypasses_the_conditional() {
-        let (lc, lines) = setup(cf2df_lang::corpus::FIG9);
-        let sp = SwitchPlacement::compute(&lc, &lines);
-        let cfg = &lc.cfg;
+        let (mut fctx, lc, lines) = loop_controlled(cf2df_lang::corpus::FIG9, false);
+        let sp = SwitchPlacement::compute(&mut fctx, &lc, &lines);
+        let cfg = fctx.cfg();
         let fork = cfg
             .node_ids()
             .find(|&n| matches!(cfg.stmt(n), Stmt::Branch { .. }))
@@ -316,9 +291,9 @@ mod tests {
     fn refs_are_the_access_set_lines_of_the_statement() {
         // X ~ Z and Y ~ Z: X := Y reads Y and writes X, so it references
         // C[X] ∪ C[Y] = {X,Z} ∪ {Y,Z}, every line, in id order.
-        let (lc, lines) = setup("alias X ~ Z; alias Y ~ Z; X := Y;");
-        let sp = SwitchPlacement::compute(&lc, &lines);
-        let cfg = &lc.cfg;
+        let (mut fctx, lc, lines) = loop_controlled("alias X ~ Z; alias Y ~ Z; X := Y;", false);
+        let sp = SwitchPlacement::compute(&mut fctx, &lc, &lines);
+        let cfg = fctx.cfg();
         let var = |name: &str| cfg.vars.lookup(name).unwrap();
         assert_eq!(lines.access_lines(var("X")).len(), 2);
         assert_eq!(lines.access_lines(var("Y")).len(), 2);
@@ -333,11 +308,11 @@ mod tests {
 
     #[test]
     fn loop_lines_circulate() {
-        let (lc, lines) = setup(cf2df_lang::corpus::RUNNING_EXAMPLE);
-        let sp = SwitchPlacement::compute(&lc, &lines);
+        let (mut fctx, lc, lines) = loop_controlled(cf2df_lang::corpus::RUNNING_EXAMPLE, false);
+        let sp = SwitchPlacement::compute(&mut fctx, &lc, &lines);
         // Both x and y are referenced in the body: both circulate, and the
         // loop branch needs switches for both.
-        let cfg = &lc.cfg;
+        let cfg = fctx.cfg();
         let br = cfg
             .node_ids()
             .find(|&n| matches!(cfg.stmt(n), Stmt::Branch { .. }))
@@ -359,9 +334,9 @@ mod tests {
             while x < 4 do { x := x + 1; }
             u := u + x;
         ";
-        let (lc, lines) = setup(src);
-        let sp = SwitchPlacement::compute(&lc, &lines);
-        let cfg = &lc.cfg;
+        let (mut fctx, lc, lines) = loop_controlled(src, false);
+        let sp = SwitchPlacement::compute(&mut fctx, &lc, &lines);
+        let cfg = fctx.cfg();
         let u_line = lines.access_lines(cfg.vars.lookup("u").unwrap())[0];
         let x_line = lines.access_lines(cfg.vars.lookup("x").unwrap())[0];
         assert!(!sp.circulates(0, u_line), "u bypasses the loop");
@@ -377,9 +352,9 @@ mod tests {
     #[test]
     fn worklist_matches_bruteforce_on_corpus() {
         for (name, src) in cf2df_lang::corpus::all() {
-            let (lc, lines) = setup(src);
-            let sp = SwitchPlacement::compute(&lc, &lines);
-            let cfg = &lc.cfg;
+            let (mut fctx, lc, lines) = loop_controlled(src, false);
+            let sp = SwitchPlacement::compute(&mut fctx, &lc, &lines);
+            let cfg = fctx.cfg();
             // Oracle uses the *fixpoint* reference sets (so circulation is
             // taken as given) — this checks the CD⁺ computation itself.
             let refs = |n: NodeId| sp.refs(n).to_vec();
@@ -391,7 +366,7 @@ mod tests {
                 for l in lines.ids() {
                     assert_eq!(
                         sp.needs_switch(f, l),
-                        needs_switch_bruteforce(&cfg, &refs, f, l),
+                        needs_switch_bruteforce(cfg, &refs, f, l),
                         "{name}: fork {f:?}, line {l:?}"
                     );
                 }
@@ -409,10 +384,10 @@ mod tests {
                 }
             }
         ";
-        let (lc, lines) = setup(src);
-        let sp = SwitchPlacement::compute(&lc, &lines);
+        let (mut fctx, lc, lines) = loop_controlled(src, false);
+        let sp = SwitchPlacement::compute(&mut fctx, &lc, &lines);
         // j and s circulate in the inner loop; therefore also in the outer.
-        let cfg = &lc.cfg;
+        let cfg = fctx.cfg();
         let j_line = lines.access_lines(cfg.vars.lookup("j").unwrap())[0];
         let s_line = lines.access_lines(cfg.vars.lookup("s").unwrap())[0];
         // Inner loops sort first.
@@ -432,12 +407,9 @@ mod tests {
             if c == 0 then { p := 3; } else { skip; }
             r := q;
         ";
-        let parsed = parse_to_cfg(src).unwrap();
-        let lc = insert_loop_control(&parsed.cfg).unwrap();
-        let cover = Cover::build(&CoverStrategy::Singletons, &parsed.alias);
-        let lines = Lines::new(&lc.cfg.vars, &parsed.alias, &cover, false);
-        let sp = SwitchPlacement::compute(&lc, &lines);
-        let cfg = &lc.cfg;
+        let (mut fctx, lc, lines) = loop_controlled(src, false);
+        let sp = SwitchPlacement::compute(&mut fctx, &lc, &lines);
+        let cfg = fctx.cfg();
         let fork = cfg
             .node_ids()
             .find(|&n| matches!(cfg.stmt(n), Stmt::Branch { .. }))

@@ -275,32 +275,17 @@ pub fn parallelize_array_stores(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cf2df_cfg::loop_control::insert_loop_control;
-    use cf2df_cfg::{AliasStructure, Cover, CoverStrategy, MemLayout};
-    use cf2df_lang::parse_to_cfg;
+    use crate::test_support::{loop_controlled, optimized};
+    use cf2df_cfg::MemLayout;
     use cf2df_machine::{run, vonneumann, MachineConfig};
-
-    fn setup(
-        src: &str,
-    ) -> (
-        cf2df_cfg::loop_control::LoopControlled,
-        Lines,
-        AliasStructure,
-    ) {
-        let parsed = parse_to_cfg(src).unwrap();
-        let lc = insert_loop_control(&parsed.cfg).unwrap();
-        let cover = Cover::build(&CoverStrategy::Singletons, &parsed.alias);
-        let lines = Lines::new(&lc.cfg.vars, &parsed.alias, &cover, false);
-        (lc, lines, parsed.alias)
-    }
 
     #[test]
     fn array_loop_is_eligible() {
-        let (lc, lines, _) = setup(cf2df_lang::corpus::ARRAY_LOOP);
-        let sites = find_eligible(&lc.cfg, &lc.meta, &lines);
+        let (fctx, lc, lines) = loop_controlled(cf2df_lang::corpus::ARRAY_LOOP, false);
+        let sites = find_eligible(fctx.cfg(), &lc, &lines);
         assert_eq!(sites.len(), 1);
         assert_eq!(
-            lc.cfg.vars.name(sites[0].array),
+            fctx.cfg().vars.name(sites[0].array),
             "x",
             "the stored array is x"
         );
@@ -316,8 +301,8 @@ mod tests {
               x[i] := x[i - 1] + 1;
               if i < 10 then { goto l; } else { goto end; }
         ";
-        let (lc, lines, _) = setup(src);
-        assert!(find_eligible(&lc.cfg, &lc.meta, &lines).is_empty());
+        let (fctx, lc, lines) = loop_controlled(src, false);
+        assert!(find_eligible(fctx.cfg(), &lc, &lines).is_empty());
     }
 
     #[test]
@@ -330,8 +315,8 @@ mod tests {
               x[i * 2 % 11] := 1;
               if i < 10 then { goto l; } else { goto end; }
         ";
-        let (lc, lines, _) = setup(src);
-        assert!(find_eligible(&lc.cfg, &lc.meta, &lines).is_empty());
+        let (fctx, lc, lines) = loop_controlled(src, false);
+        assert!(find_eligible(fctx.cfg(), &lc, &lines).is_empty());
     }
 
     #[test]
@@ -344,8 +329,8 @@ mod tests {
               if i % 2 == 0 then { x[i] := 1; } else { skip; }
               if i < 10 then { goto l; } else { goto end; }
         ";
-        let (lc, lines, _) = setup(src);
-        assert!(find_eligible(&lc.cfg, &lc.meta, &lines).is_empty());
+        let (fctx, lc, lines) = loop_controlled(src, false);
+        assert!(find_eligible(fctx.cfg(), &lc, &lines).is_empty());
     }
 
     #[test]
@@ -353,16 +338,14 @@ mod tests {
         // Memory elimination keeps the induction variable on a value token,
         // so the array stores are the loop's bottleneck — the situation
         // Fig 14 addresses.
-        let parsed = parse_to_cfg(cf2df_lang::corpus::ARRAY_LOOP).unwrap();
-        let lc = insert_loop_control(&parsed.cfg).unwrap();
-        let cover = Cover::build(&CoverStrategy::Singletons, &parsed.alias);
-        let lines = Lines::new(&lc.cfg.vars, &parsed.alias, &cover, true);
-        let mut built = crate::optimized::construct(&lc, &lines).unwrap();
-        let layout = MemLayout::distinct(&lc.cfg.vars);
+        let (mut fctx, lc, lines) = loop_controlled(cf2df_lang::corpus::ARRAY_LOOP, true);
+        let mut built = optimized(&mut fctx, &lc, &lines);
+        let cfg = fctx.cfg();
+        let layout = MemLayout::distinct(&cfg.vars);
         let slow = MachineConfig::unbounded().mem_latency(40);
         let before = run(&built.dfg, &layout, slow.clone()).unwrap();
 
-        let applied = parallelize_array_stores(&mut built, &lc.cfg, &lc.meta, &lines);
+        let applied = parallelize_array_stores(&mut built, cfg, &lc, &lines);
         assert_eq!(applied.len(), 1);
         cf2df_dfg::validate(&built.dfg).unwrap();
         if let Err(defects) = cf2df_dfg::certify(&built.dfg) {
@@ -378,7 +361,7 @@ mod tests {
         let after = run(&built.dfg, &layout, slow.clone()).unwrap();
         assert_eq!(after.memory, before.memory, "same final store");
 
-        let vn = vonneumann::interpret(&lc.cfg, &layout, &slow).unwrap();
+        let vn = vonneumann::interpret(cfg, &layout, &slow).unwrap();
         assert_eq!(after.memory, vn.memory, "matches sequential semantics");
         assert!(
             after.stats.makespan < before.stats.makespan,

@@ -11,9 +11,7 @@
 use crate::lines::{LineId, LineMode, Lines};
 use crate::stmt_tr::{translate_fork, StmtCtx};
 use cf2df_cfg::intervals::Irreducible;
-use cf2df_cfg::{
-    reach::topo_order_ignoring_backedges, Cfg, FunctionContext, LoopForest, NodeId, Stmt,
-};
+use cf2df_cfg::{FunctionContext, NodeId, Stmt};
 use cf2df_dfg::build::merge as merge_build;
 use cf2df_dfg::{ArcKind, Dfg, OpId, OpKind, Port};
 use std::collections::HashMap;
@@ -55,7 +53,7 @@ impl LineOps {
 }
 
 /// A translated graph plus its bookkeeping.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Built {
     /// The dataflow graph.
     pub dfg: Dfg,
@@ -70,45 +68,16 @@ fn arc_kind(lines: &Lines, l: LineId) -> ArcKind {
     }
 }
 
-/// Translate with full token circulation. `first_op_range` of each node is
-/// recorded so rewrites can locate the ops of a statement.
+/// Translate with full token circulation, drawing the loop forest, the
+/// topological order and the predecessor lists from `fctx`'s cache.
 ///
 /// An irreducible CFG is a diagnosable input error, not a programming
 /// error, so it surfaces as `Err` rather than a panic.
-pub fn translate_full(cfg: &Cfg, lines: &Lines) -> Result<Built, Irreducible> {
-    let forest = LoopForest::compute(cfg)?;
-    let backedges = forest.backedge_indices(cfg);
-    let order = topo_order_ignoring_backedges(cfg, &backedges);
-    let preds = cfg.preds();
-    Ok(translate_full_with(cfg, &forest, &order, &preds, lines))
-}
-
-/// [`translate_full`] drawing every supporting analysis from a
-/// [`FunctionContext`]'s cache.
-pub fn translate_full_cached(
-    fctx: &mut FunctionContext,
-    lines: &Lines,
-) -> Result<Built, Irreducible> {
+pub fn translate_full(fctx: &mut FunctionContext, lines: &Lines) -> Result<Built, Irreducible> {
     let forest = fctx.loop_forest()?;
     let order = fctx.topo_order()?;
     let preds = fctx.preds();
-    Ok(translate_full_with(
-        fctx.cfg(),
-        &forest,
-        &order,
-        &preds,
-        lines,
-    ))
-}
-
-/// The translation core, parameterized over precomputed analyses.
-fn translate_full_with(
-    cfg: &Cfg,
-    forest: &LoopForest,
-    order: &[NodeId],
-    preds: &[Vec<(NodeId, usize)>],
-    lines: &Lines,
-) -> Built {
+    let cfg = fctx.cfg();
     let n_lines = lines.n();
 
     let mut g = Dfg::new();
@@ -160,7 +129,7 @@ fn translate_full_with(
     // Source port of each (edge, line) as nodes are processed.
     let mut edge_src: HashMap<(NodeId, usize, LineId), Port> = HashMap::new();
 
-    for &n in order {
+    for &n in order.iter() {
         // Gather inputs for this node.
         let mut cur: Vec<Option<Port>> = vec![None; n_lines];
         if n != cfg.start() && !matches!(cfg.stmt(n), Stmt::End) {
@@ -296,13 +265,13 @@ fn translate_full_with(
         }
     }
 
-    Built { dfg: g, ops }
+    Ok(Built { dfg: g, ops })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cf2df_cfg::{AliasStructure, Cover, CoverStrategy};
+    use cf2df_cfg::{AliasStructure, Cfg, Cover, CoverStrategy};
     use cf2df_lang::parse_to_cfg;
 
     fn lines_for(cfg: &Cfg, alias: &AliasStructure, strat: CoverStrategy) -> Lines {
@@ -310,11 +279,16 @@ mod tests {
         Lines::new(&cfg.vars, alias, &cover, false)
     }
 
+    /// The full translation of `cfg` through a fresh context.
+    fn full(cfg: &Cfg, lines: &Lines) -> Built {
+        translate_full(&mut FunctionContext::for_cfg(cfg.clone()), lines).unwrap()
+    }
+
     #[test]
     fn straight_line_schema2_validates() {
         let parsed = parse_to_cfg("x := 1; y := x + 2;").unwrap();
         let lines = lines_for(&parsed.cfg, &parsed.alias, CoverStrategy::Singletons);
-        let built = translate_full(&parsed.cfg, &lines).unwrap();
+        let built = full(&parsed.cfg, &lines);
         cf2df_dfg::validate(&built.dfg).unwrap_or_else(|e| panic!("{e:?}\n{}", built.dfg.pretty()));
     }
 
@@ -325,11 +299,12 @@ mod tests {
         // machine detects that separately).
         let parsed = parse_to_cfg(cf2df_lang::corpus::RUNNING_EXAMPLE).unwrap();
         let lines = lines_for(&parsed.cfg, &parsed.alias, CoverStrategy::Singletons);
-        let built = translate_full(&parsed.cfg, &lines).unwrap();
+        let built = full(&parsed.cfg, &lines);
         cf2df_dfg::validate(&built.dfg).unwrap_or_else(|e| panic!("{e:?}\n{}", built.dfg.pretty()));
         // With loop control: loop entry/exit operators appear per line.
-        let lc = cf2df_cfg::loop_control::insert_loop_control(&parsed.cfg).unwrap();
-        let built2 = translate_full(&lc.cfg, &lines).unwrap();
+        let mut fctx = FunctionContext::for_cfg(parsed.cfg.clone());
+        cf2df_cfg::loop_control::insert_loop_control(&mut fctx).unwrap();
+        let built2 = translate_full(&mut fctx, &lines).unwrap();
         cf2df_dfg::validate(&built2.dfg).unwrap();
         let stats = cf2df_dfg::DfgStats::of(&built2.dfg);
         // 2 lines × (1 entry + 1 exit) = 4 loop-control ops.
@@ -340,7 +315,7 @@ mod tests {
     fn schema2_switches_every_line_at_every_fork() {
         let parsed = parse_to_cfg(cf2df_lang::corpus::FIG9).unwrap();
         let lines = lines_for(&parsed.cfg, &parsed.alias, CoverStrategy::Singletons);
-        let built = translate_full(&parsed.cfg, &lines).unwrap();
+        let built = full(&parsed.cfg, &lines);
         let stats = cf2df_dfg::DfgStats::of(&built.dfg);
         // Fig 9 has 4 variables (x, w, y, z) and one fork: 4 switches.
         assert_eq!(stats.switches, 4);
@@ -351,7 +326,7 @@ mod tests {
     fn schema1_uses_single_line() {
         let parsed = parse_to_cfg(cf2df_lang::corpus::FIG9).unwrap();
         let lines = lines_for(&parsed.cfg, &parsed.alias, CoverStrategy::SingleToken);
-        let built = translate_full(&parsed.cfg, &lines).unwrap();
+        let built = full(&parsed.cfg, &lines);
         let stats = cf2df_dfg::DfgStats::of(&built.dfg);
         assert_eq!(stats.switches, 1, "one token, one switch per fork");
         cf2df_dfg::validate(&built.dfg).unwrap();
@@ -364,8 +339,8 @@ mod tests {
         let parsed = parse_to_cfg(src2).unwrap();
         let l1 = lines_for(&parsed.cfg, &parsed.alias, CoverStrategy::SingleToken);
         let lv = lines_for(&parsed.cfg, &parsed.alias, CoverStrategy::Singletons);
-        let g1 = translate_full(&parsed.cfg, &l1).unwrap();
-        let gv = translate_full(&parsed.cfg, &lv).unwrap();
+        let g1 = full(&parsed.cfg, &l1);
+        let gv = full(&parsed.cfg, &lv);
         assert!(gv.dfg.arc_count() > g1.dfg.arc_count());
     }
 
@@ -376,7 +351,7 @@ mod tests {
         // access output feeds the next memory operation's access input.
         let parsed = parse_to_cfg("s := a + b + c;").unwrap();
         let lines = lines_for(&parsed.cfg, &parsed.alias, CoverStrategy::SingleToken);
-        let built = translate_full(&parsed.cfg, &lines).unwrap();
+        let built = full(&parsed.cfg, &lines);
         let g = &built.dfg;
         // Collect the loads; each non-final load's access-out (port 1) must
         // feed exactly one memory op's access port.
@@ -407,7 +382,7 @@ mod tests {
         // start independently from their own lines.
         let parsed = parse_to_cfg("s := a + b + c;").unwrap();
         let lines = lines_for(&parsed.cfg, &parsed.alias, CoverStrategy::Singletons);
-        let built = translate_full(&parsed.cfg, &lines).unwrap();
+        let built = full(&parsed.cfg, &lines);
         let g = &built.dfg;
         let index = g.arc_index();
         let start = g.start().unwrap();
@@ -429,7 +404,7 @@ mod tests {
     fn empty_program_translates() {
         let parsed = parse_to_cfg("").unwrap();
         let lines = lines_for(&parsed.cfg, &parsed.alias, CoverStrategy::Singletons);
-        let built = translate_full(&parsed.cfg, &lines).unwrap();
+        let built = full(&parsed.cfg, &lines);
         cf2df_dfg::validate(&built.dfg).unwrap();
         assert_eq!(built.dfg.len(), 2); // start + end
     }
@@ -438,7 +413,7 @@ mod tests {
     fn fortran_alias_collects_tokens() {
         let parsed = parse_to_cfg(cf2df_lang::corpus::FORTRAN_ALIAS).unwrap();
         let lines = lines_for(&parsed.cfg, &parsed.alias, CoverStrategy::Singletons);
-        let built = translate_full(&parsed.cfg, &lines).unwrap();
+        let built = full(&parsed.cfg, &lines);
         cf2df_dfg::validate(&built.dfg).unwrap();
         let stats = cf2df_dfg::DfgStats::of(&built.dfg);
         assert!(stats.synchs > 0, "aliased ops must gather tokens");

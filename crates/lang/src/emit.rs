@@ -161,8 +161,9 @@ mod tests {
     #[test]
     fn loop_controlled_graph_emits_transparently() {
         let parsed = parse_to_cfg(crate::corpus::RUNNING_EXAMPLE).unwrap();
-        let lc = cf2df_cfg::loop_control::insert_loop_control(&parsed.cfg).unwrap();
-        let emitted = emit_goto_form(&lc.cfg);
+        let mut fctx = cf2df_cfg::FunctionContext::new(parsed.cfg, parsed.alias);
+        cf2df_cfg::loop_control::insert_loop_control(&mut fctx).unwrap();
+        let emitted = emit_goto_form(fctx.cfg());
         let reparsed = parse_to_cfg(&emitted).unwrap();
         reparsed.cfg.validate().unwrap();
     }

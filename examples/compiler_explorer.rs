@@ -9,7 +9,7 @@
 //! ```
 
 use cf2df::cfg::loop_control::insert_loop_control;
-use cf2df::cfg::{Cover, CoverStrategy, Stmt};
+use cf2df::cfg::{Cover, CoverStrategy, FunctionContext, Stmt};
 use cf2df::core::pipeline::{translate, TranslateOptions};
 use cf2df::core::switch_place::SwitchPlacement;
 use cf2df::core::Lines;
@@ -27,19 +27,21 @@ fn main() {
     println!("== control-flow graph (Fig 1 style) ==");
     println!("{}", parsed.cfg.pretty());
 
-    let lc = insert_loop_control(&parsed.cfg).expect("reducible");
-    if !lc.entry_node.is_empty() {
+    let mut fctx = FunctionContext::new(parsed.cfg.clone(), parsed.alias.clone());
+    let meta = insert_loop_control(&mut fctx).expect("reducible");
+    if !meta.entry_node.is_empty() {
         println!("== after loop-control insertion (§3) ==");
-        println!("{}", lc.cfg.pretty());
+        println!("{}", fctx.cfg().pretty());
     }
 
     // Switch placement (Fig 10 / Theorem 1).
     let cover = Cover::build(&CoverStrategy::Singletons, &parsed.alias);
-    let lines = Lines::new(&lc.cfg.vars, &parsed.alias, &cover, false);
-    let sp = SwitchPlacement::compute(&lc, &lines);
+    let lines = Lines::new(&parsed.cfg.vars, &parsed.alias, &cover, false);
+    let sp = SwitchPlacement::compute(&mut fctx, &meta, &lines);
+    let cfg = fctx.cfg();
     println!("== switch placement (Fig 10): fork x line -> needed? ==");
-    for n in lc.cfg.node_ids() {
-        if !matches!(lc.cfg.stmt(n), Stmt::Branch { .. }) {
+    for n in cfg.node_ids() {
+        if !matches!(cfg.stmt(n), Stmt::Branch { .. }) {
             continue;
         }
         let needed: Vec<String> = lines
@@ -49,7 +51,7 @@ fn main() {
             .collect();
         println!(
             "  {n:?} [{}]: switches for {{{}}}",
-            lc.cfg.stmt(n).display(&lc.cfg.vars),
+            cfg.stmt(n).display(&cfg.vars),
             needed.join(", ")
         );
     }

@@ -65,8 +65,8 @@
 //! committed baselines: `BENCH_pipeline.json` (simulated makespan and
 //! parallelism per translation configuration), `BENCH_executor.json`
 //! (firings, token traffic and compiled footprint at every worker
-//! count) and `BENCH_translate.json` (the pass manager's pass, cache and
-//! graph-size counters), one row per line. Nothing in them is timed, so
+//! count) and `BENCH_translate.json` (the translation's per-stage, cache
+//! and graph-size counters), one row per line. Nothing in them is timed, so
 //! two runs write byte-identical files. The test suite requires a fresh
 //! render to equal the committed files byte for byte; `bench` in the
 //! repository root followed by `git diff` regenerates them. Wall-clock

@@ -1,7 +1,7 @@
-//! Pass-manager and analysis-cache behavior: invalidation when the CFG
-//! mutates, the one-compute-per-revision discipline, and graph-identity
-//! of the pass-manager pipeline against the same stages composed by
-//! hand.
+//! Pipeline and analysis-cache behavior: invalidation when the CFG
+//! mutates, the one-compute-per-revision discipline, graph-identity of
+//! the pipeline against the same stages composed by hand, and the
+//! per-stage records.
 //!
 //! The cache's stamp check (`debug_assert!` on a revision mismatch
 //! inside every slot) runs live in this suite — a stale analysis
@@ -9,14 +9,13 @@
 //! the ones asserting counters.
 
 use cf2df::bench::workloads::{goto_soup, random_program, GenConfig};
-use cf2df::cfg::loop_control::{
-    insert_loop_control, insert_loop_control_in_place, split_irreducible,
-};
+use cf2df::cfg::loop_control::{insert_loop_control, split_irreducible};
 use cf2df::cfg::{
     AliasStructure, AnalysisKind, Cfg, Cover, CoverStrategy, FunctionContext, LoopForest, Preserved,
 };
 use cf2df::core::pipeline::{translate, Schema, TranslateError, TranslateOptions};
-use cf2df::core::{lines::Lines, optimized, translator};
+use cf2df::core::source_vec::SourceVectors;
+use cf2df::core::{lines::Lines, optimized, translator, SwitchPlacement};
 use cf2df::dfg::Dfg;
 use cf2df::lang::parse_to_cfg;
 use cf2df::testkit;
@@ -66,7 +65,7 @@ fn loop_control_insertion_invalidates_stale_analyses() {
             "re-access on an unchanged CFG must be pure cache hits\n{src}"
         );
 
-        let meta = insert_loop_control_in_place(&mut fctx).unwrap();
+        let meta = insert_loop_control(&mut fctx).unwrap();
         if meta.forest.is_empty() {
             assert_eq!(fctx.revision(), 0, "acyclic: no mutation, no invalidation");
             return;
@@ -166,9 +165,10 @@ fn full_pipeline_computes_each_analysis_once_per_revision() {
     }
 }
 
-/// The old pipeline, composed stage by stage: reducibility check with
-/// optional node splitting, token lines, loop-control insertion (the
-/// cloning convenience API), then the schema or optimized construction.
+/// The stages composed by hand, each on a fresh [`FunctionContext`] (the
+/// uncached path): reducibility check with optional node splitting,
+/// token lines, loop-control insertion, then the schema or optimized
+/// construction.
 fn reference_dfg(cfg: &Cfg, alias: &AliasStructure, opts: &TranslateOptions) -> Dfg {
     let strategy = match &opts.schema {
         Schema::One => CoverStrategy::SingleToken,
@@ -183,21 +183,31 @@ fn reference_dfg(cfg: &Cfg, alias: &AliasStructure, opts: &TranslateOptions) -> 
     let cover = Cover::build(&strategy, alias);
     let lines = Lines::new(&working.vars, alias, &cover, opts.eliminate_memory)
         .with_flat_synch(opts.flat_synch);
-    if opts.loop_control {
-        let lc = insert_loop_control(&working).unwrap();
-        if opts.optimized {
-            optimized::construct(&lc, &lines).unwrap().dfg
-        } else {
-            translator::translate_full(&lc.cfg, &lines).unwrap().dfg
-        }
+    let fresh = |cfg: &Cfg| FunctionContext::new(cfg.clone(), alias.clone());
+    if !opts.loop_control {
+        return translator::translate_full(&mut fresh(&working), &lines)
+            .unwrap()
+            .dfg;
+    }
+    let mut fctx = fresh(&working);
+    let meta = insert_loop_control(&mut fctx).unwrap();
+    let looped = fctx.into_cfg();
+    if opts.optimized {
+        let sp = SwitchPlacement::compute(&mut fresh(&looped), &meta, &lines);
+        let sv = SourceVectors::compute(&mut fresh(&looped), &meta, &lines, &sp).unwrap();
+        optimized::construct(&mut fresh(&looped), &lines, &sp, &sv)
+            .unwrap()
+            .dfg
     } else {
-        translator::translate_full(&working, &lines).unwrap().dfg
+        translator::translate_full(&mut fresh(&looped), &lines)
+            .unwrap()
+            .dfg
     }
 }
 
 fn equivalence_configs() -> Vec<(&'static str, TranslateOptions)> {
     // Fusion is switched off: the hand-composed reference pipeline ends
-    // at construction, and this test is about schema/pass-manager
+    // at construction, and this test is about schema/pipeline
     // identity, not the post-certify machine-level coarsening.
     vec![
         ("schema1", TranslateOptions::schema1().with_fuse(false)),
@@ -223,7 +233,7 @@ fn equivalence_configs() -> Vec<(&'static str, TranslateOptions)> {
     ]
 }
 
-/// The pass-manager pipeline emits a graph *identical* (same operators,
+/// The pipeline emits a graph *identical* (same operators,
 /// labels, and arcs, in the same order) to the hand-composed stage
 /// sequence, across the full corpus × Schemas 1–3 × optimized on/off.
 #[test]
@@ -244,7 +254,7 @@ fn pass_manager_is_graph_identical_to_composed_stages() {
             assert_eq!(
                 t.dfg.pretty(),
                 reference.pretty(),
-                "{name}/{label}: pass manager diverged from the composed stages"
+                "{name}/{label}: pipeline diverged from the composed stages"
             );
             checked += 1;
         }

@@ -8,7 +8,8 @@ use cf2df::bench::workloads::{goto_soup, random_program, GenConfig};
 use cf2df::cfg::loop_control::{insert_loop_control, split_irreducible};
 use cf2df::cfg::postdom::{naive_dominator_sets, naive_postdominator_sets};
 use cf2df::cfg::{
-    between, Cfg, ControlDeps, Cover, CoverStrategy, DomTree, LoopForest, MemLayout, NodeId, Stmt,
+    between, Cfg, ControlDeps, Cover, CoverStrategy, DomTree, FunctionContext, LoopForest,
+    MemLayout, NodeId, Stmt,
 };
 use cf2df::core::lines::Lines;
 use cf2df::core::pipeline::{translate, TranslateOptions};
@@ -279,12 +280,14 @@ fn switch_placement_and_source_vectors_hold_on_random_programs() {
         };
         let eliminate_memory = rng.below(2) == 0;
         let parsed = parse_to_cfg(&src).unwrap();
-        let lc = insert_loop_control(&split_irreducible(&parsed.cfg).unwrap()).unwrap();
+        let split = split_irreducible(&parsed.cfg).unwrap();
         let cover = Cover::build(&strategy, &parsed.alias);
-        let lines = Lines::new(&lc.cfg.vars, &parsed.alias, &cover, eliminate_memory);
-        let sp = SwitchPlacement::compute(&lc, &lines);
-        let sv = SourceVectors::compute(&lc, &lines, &sp).unwrap();
-        let cfg = &lc.cfg;
+        let lines = Lines::new(&split.vars, &parsed.alias, &cover, eliminate_memory);
+        let mut fctx = FunctionContext::new(split, parsed.alias.clone());
+        let lc = insert_loop_control(&mut fctx).unwrap();
+        let sp = SwitchPlacement::compute(&mut fctx, &lc, &lines);
+        let sv = SourceVectors::compute(&mut fctx, &lc, &lines, &sp).unwrap();
+        let cfg = fctx.cfg();
         let ctx = format!("{strategy:?} elim={eliminate_memory}\n{src}");
         let switchable = |f: NodeId| cfg.stmt(f).is_fork() && f != cfg.start();
 
@@ -299,7 +302,7 @@ fn switch_placement_and_source_vectors_hold_on_random_programs() {
             }
         }
 
-        let forest = &lc.meta.forest;
+        let forest = &lc.forest;
         for (lid, info) in forest.iter() {
             for l in lines.ids() {
                 if !sp.circulates(lid.index(), l) {
@@ -468,8 +471,9 @@ fn loop_control_transparent_to_baseline() {
         let layout = MemLayout::distinct(&parsed.cfg.vars);
         let mc = MachineConfig::default();
         let before = vonneumann::interpret(&parsed.cfg, &layout, &mc).unwrap();
-        let lc = cf2df::cfg::loop_control::insert_loop_control(&parsed.cfg).unwrap();
-        let after = vonneumann::interpret(&lc.cfg, &layout, &mc).unwrap();
+        let mut fctx = FunctionContext::for_cfg(parsed.cfg.clone());
+        insert_loop_control(&mut fctx).unwrap();
+        let after = vonneumann::interpret(fctx.cfg(), &layout, &mc).unwrap();
         assert_eq!(before.memory, after.memory);
     });
 }
