@@ -797,6 +797,31 @@ pub trait Engine {
     fn macro_fired(&mut self, elided: u64);
 }
 
+/// The loop-entry retag rule, shared by the `LoopEntry` firing and both
+/// backends' deposits into a fused loop-entry/switch pair: a token on
+/// port 0 enters iteration 0 of `loop_id` under its own tag; a token on
+/// port 1, the backedge, must carry iteration `i` of `loop_id` and moves
+/// on to iteration `i + 1`. Any other backedge tag is a
+/// [`MachineError::TagMismatch`] at `op`.
+pub(crate) fn loop_entry_tag<E: Engine>(
+    eng: &mut E,
+    op: OpId,
+    port: usize,
+    tag: TagId,
+    loop_id: LoopId,
+) -> Result<TagId, MachineError> {
+    if port == 0 {
+        return eng.tag_child(tag, loop_id, 0);
+    }
+    match eng.tag_info(tag) {
+        Some((p, l, i)) if l == loop_id => eng.tag_child(p, loop_id, i + 1),
+        other => Err(MachineError::TagMismatch {
+            op,
+            detail: format!("backedge token tagged {other:?}, expected loop {loop_id:?}"),
+        }),
+    }
+}
+
 /// Fire one operator: the single definition of every operator's
 /// semantics, shared by both backends. The caller has already done the
 /// backend-specific part (rendezvous/deposit, fuel, tracing, choosing
@@ -888,21 +913,7 @@ pub fn fire_op<E: Engine>(
             let FireInputs::Single { port, value } = inputs else {
                 unreachable!("loop entry fires per token");
             };
-            let new_tag = if port == 0 {
-                eng.tag_child(tag, loop_id, 0)?
-            } else {
-                match eng.tag_info(tag) {
-                    Some((p, l, i)) if l == loop_id => eng.tag_child(p, loop_id, i + 1)?,
-                    other => {
-                        return Err(MachineError::TagMismatch {
-                            op,
-                            detail: format!(
-                                "backedge token tagged {other:?}, expected loop {loop_id:?}"
-                            ),
-                        })
-                    }
-                }
-            };
+            let new_tag = loop_entry_tag(eng, op, port, tag, loop_id)?;
             eng.emit(op, 0, value, new_tag);
         }
         CKind::LoopSwitch(_) => {

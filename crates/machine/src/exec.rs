@@ -19,7 +19,8 @@
 //! the split-phase memory).
 
 use crate::compiled::{
-    compile, fire_op, key, unkey, CompiledGraph, Engine, FireInputs, FireVals, SlotVals,
+    compile, fire_op, key, loop_entry_tag, unkey, CompiledGraph, Engine, FireInputs, FireVals,
+    SlotVals,
 };
 use crate::hash::FxHashMap;
 use crate::memory::{DeferredRead, MemError, Memory};
@@ -518,10 +519,10 @@ impl<'g, S: TraceSink> Sim<'g, S> {
     }
 
     /// Deposit for a fused loop-entry/switch pair: ports 0/1 retag the
-    /// data token exactly as the loop-entry would (outside → iteration 0,
-    /// backedge → next iteration), then wait for the predicate in a
-    /// two-value slot keyed by the *iteration* tag; the predicate (port
-    /// 2) already carries that tag and fills the other half.
+    /// data token by the loop-entry's rule ([`loop_entry_tag`]), then wait
+    /// for the predicate in a two-value slot keyed by the *iteration*
+    /// tag; the predicate (port 2) already carries that tag and fills the
+    /// other half.
     fn deposit_loop_switch(
         &mut self,
         op: OpId,
@@ -530,18 +531,7 @@ impl<'g, S: TraceSink> Sim<'g, S> {
         loop_id: LoopId,
     ) -> Result<(), MachineError> {
         let (slot_tag, idx) = match port {
-            0 => (self.child_tag(t.tag, loop_id, 0)?, 0),
-            1 => match self.tags.info(t.tag) {
-                Some((p, l, i)) if l == loop_id => (self.child_tag(p, loop_id, i + 1)?, 0),
-                other => {
-                    return Err(MachineError::TagMismatch {
-                        op,
-                        detail: format!(
-                            "backedge token tagged {other:?}, expected loop {loop_id:?}"
-                        ),
-                    })
-                }
-            },
+            0 | 1 => (loop_entry_tag(self, op, port, t.tag, loop_id)?, 0),
             _ => (t.tag, 1),
         };
         let k = key(op, slot_tag);

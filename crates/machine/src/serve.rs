@@ -77,7 +77,8 @@
 
 use crate::chaos::{ChaosConfig, ChaosTallies};
 use crate::compiled::{
-    fire_op, key_inv, unkey_inv, CKind, CompiledGraph, Engine, FireInputs, FireVals, SlotVals,
+    fire_op, key_inv, loop_entry_tag, unkey_inv, CKind, CompiledGraph, Engine, FireInputs,
+    FireVals, SlotVals,
 };
 use crate::exec::MachineError;
 use crate::hash::{shard64, FxHashMap};
@@ -881,10 +882,21 @@ impl Firing<'_, '_> {
         let desc = cg.desc(op);
         let loop_switch = matches!(desc.kind, CKind::LoopSwitch(_));
         let (tag, idx) = match desc.kind {
-            CKind::LoopSwitch(loop_id) => match self.loop_switch_slot(op, port, t.tag, loop_id) {
-                Ok(slot) => slot,
-                Err(e) => return self.sh.fail_inv(self.inv, e),
-            },
+            // The rendezvous of a fused loop-entry/switch pair: a token on
+            // port 0 or 1 is retagged by the loop-entry's rule, then joins
+            // the predicate in value 0 of a two-value slot keyed by the
+            // *iteration* tag. The predicate (port 2) already carries that
+            // tag and fills value 1. The incomplete deposit counts as
+            // `merged` — the same wait the unfused switch's rendezvous
+            // recorded — so fused and unfused runs agree on `merged` while
+            // the loop-entry's separate firing and output token are elided.
+            CKind::LoopSwitch(loop_id) if port < 2 => {
+                match loop_entry_tag(self, op, port, t.tag, loop_id) {
+                    Ok(tag) => (tag, 0),
+                    Err(e) => return self.sh.fail_inv(self.inv, e),
+                }
+            }
+            CKind::LoopSwitch(_) => (t.tag, 1),
             _ if desc.merge_like() => {
                 let inputs = FireInputs::Single {
                     port,
@@ -958,36 +970,6 @@ impl Firing<'_, '_> {
         }
         tally.merged += 1;
         Deposit::Wait
-    }
-
-    /// The rendezvous of a fused loop-entry/switch pair: a token on port
-    /// 0 or 1 is retagged exactly as the fused loop-entry would retag it
-    /// (outside → iteration 0, backedge → next iteration), then joins
-    /// the predicate in value 0 of a two-value slot keyed by the
-    /// *iteration* tag. The predicate (port 2) already carries that tag
-    /// and fills value 1. The incomplete deposit counts as `merged` —
-    /// the same wait the unfused switch's rendezvous recorded — so fused
-    /// and unfused runs agree on `merged` while the loop-entry's
-    /// separate firing and output token are elided.
-    fn loop_switch_slot(
-        &self,
-        op: OpId,
-        port: usize,
-        tag: TagId,
-        loop_id: LoopId,
-    ) -> Result<(TagId, usize), MachineError> {
-        let tags = &self.core.tags;
-        match port {
-            0 => Ok((tags.child(tag, loop_id, 0)?, 0)),
-            1 => match tags.info(tag) {
-                Some((p, l, i)) if l == loop_id => Ok((tags.child(p, loop_id, i + 1)?, 0)),
-                other => Err(MachineError::TagMismatch {
-                    op,
-                    detail: format!("backedge token tagged {other:?}, expected loop {loop_id:?}"),
-                }),
-            },
-            _ => Ok((tag, 1)),
-        }
     }
 
     /// Fire every locally-completed join on the worker's ready stack;
