@@ -4,6 +4,9 @@
 //! cargo run -p cf2df-bench --bin figures              # everything
 //! cargo run -p cf2df-bench --bin figures -- f9-f11 c4 # selected
 //! ```
+//!
+//! Exit status: 0 on success, 2 for an unknown figure id, and 141 when
+//! stdout closes early (e.g. `| head`): the output then ends quietly.
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -23,5 +26,5 @@ fn main() {
         }
         std::process::exit(2);
     }
-    print!("{}", cf2df_bench::figures::render(&selected));
+    cf2df_bench::write_stdout(format_args!("{}", cf2df_bench::figures::render(&selected)));
 }

@@ -29,3 +29,20 @@ pub mod workloads;
 pub use cf2df_machine::prng;
 
 pub use harness::{measure, measure_source, Measurement};
+
+/// Write a command-line tool's output to stdout. A closed stdout (its
+/// reader went away, as in `cf2df compare fig9 | head -3`) ends the
+/// output: the process exits quietly with status 141, the status a shell
+/// reports for a process ended by SIGPIPE, where `print!` would panic.
+/// Any other write error exits with status 1 and a message on stderr.
+pub fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write as _;
+    match std::io::stdout().write_fmt(args) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(141),
+        Err(e) => {
+            eprintln!("cannot write to stdout: {e}");
+            std::process::exit(1)
+        }
+    }
+}

@@ -29,6 +29,12 @@
 //! `<file.imp>` may be `-` for stdin, or the name of a built-in corpus
 //! program (e.g. `running_example`, `stencil`).
 //!
+//! Exit status: 0 on success, 1 when a command fails (a parse,
+//! translation, machine or verification error), 2 for a usage error or
+//! an unreadable file, and 141 when stdout closes early (e.g.
+//! `cf2df compare fig9 | head -3`): the output then ends quietly, as for
+//! a process ended by SIGPIPE.
+//!
 //! `translate --time-passes` prints a per-pass table on stderr: wall
 //! time, analyses computed vs. served from the cache, and CFG/DFG sizes
 //! in and out of every pipeline stage.
@@ -93,6 +99,21 @@ use cf2df::core::pipeline::{translate, TranslateOptions};
 use cf2df::machine::{run, run_traced, vonneumann, MachineConfig};
 use std::io::Read as _;
 use std::process::exit;
+
+/// `print!` through [`cf2df::bench::write_stdout`]: a closed stdout ends
+/// the output quietly instead of panicking.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        cf2df::bench::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`cf2df::bench::write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        cf2df::bench::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 fn usage() -> ! {
     eprintln!(
@@ -411,13 +432,21 @@ fn run_chaos(mut args: Args) {
         }
     }
 
-    println!(
+    outln!(
         "{:<9} {:>6} {:>7} {:>6} {:>10} {:>5} {:>5} {:>9} {:>9}",
-        "profile", "ok", "panics", "leaks", "collisions", "tags", "fuel", "watchdogs", "injected"
+        "profile",
+        "ok",
+        "panics",
+        "leaks",
+        "collisions",
+        "tags",
+        "fuel",
+        "watchdogs",
+        "injected"
     );
     for (pi, (plabel, _)) in profiles.iter().enumerate() {
         let r = &rows[pi];
-        println!(
+        outln!(
             "{:<9} {:>6} {:>7} {:>6} {:>10} {:>5} {:>5} {:>9} {:>9}",
             plabel,
             r.ok,
@@ -438,7 +467,7 @@ fn run_chaos(mut args: Args) {
     }
     let secs = started.elapsed().as_secs_f64();
     if violations.is_empty() {
-        println!(
+        outln!(
             "chaos: {runs} runs clean in {secs:.1}s (seeds={seeds}, workers={workers:?}): \
              every run matched the simulator or returned a typed error"
         );
@@ -531,8 +560,8 @@ fn run_serve(mut args: Args) {
             }
         }
     }
-    println!("{}", stats.summary());
-    println!(
+    outln!("{}", stats.summary());
+    outln!(
         "serve: {program}: {requests} requests on {workers} workers (inflight {inflight}) \
          in {secs:.3}s = {:.0} req/s",
         requests as f64 / secs
@@ -581,7 +610,7 @@ fn validate_one(
         Err(e) => {
             failures.push(format!("{label}: translation error: {e}"));
             if !json {
-                println!("{label}: translation error: {e}");
+                outln!("{label}: translation error: {e}");
             }
             return None;
         }
@@ -589,7 +618,7 @@ fn validate_one(
     if json {
         print_report_json(label, &report);
     } else {
-        println!("{label}: {report}");
+        outln!("{label}: {report}");
     }
     if report.is_clean() {
         dfg
@@ -603,7 +632,7 @@ fn validate_one(
 fn print_report_json(target: &str, report: &cf2df::core::CertifyReport) {
     let mut o = cf2df::bench::json::Obj::new();
     o.str("target", target).raw("report", &report.to_json());
-    println!("{}", o.finish());
+    outln!("{}", o.finish());
 }
 
 /// The seeded mutation slice: inject every mutation class × `seeds`
@@ -640,7 +669,7 @@ fn mutation_slice(
                     .num("seed", seed)
                     .bool("detected", detected)
                     .raw("report", &report.to_json());
-                println!("{}", o.finish());
+                outln!("{}", o.finish());
             }
             if detected {
                 row.1 += 1;
@@ -699,7 +728,7 @@ fn run_validate(mut args: Args) {
         if json {
             print_report_json(&target, &report);
         } else {
-            println!("{target}: {report}");
+            outln!("{target}: {report}");
         }
         if report.is_clean() {
             certified += 1;
@@ -740,12 +769,14 @@ fn run_validate(mut args: Args) {
     }
 
     if mutations && !json {
-        println!(
+        outln!(
             "{:<24} {:>8} {:>9}",
-            "mutation class", "applied", "detected"
+            "mutation class",
+            "applied",
+            "detected"
         );
         for (class, (applied, detected)) in &counts {
-            println!("{class:<24} {applied:>8} {detected:>9}");
+            outln!("{class:<24} {applied:>8} {detected:>9}");
         }
     }
     for f in failures.iter().take(20) {
@@ -762,7 +793,7 @@ fn run_validate(mut args: Args) {
             } else {
                 String::new()
             };
-            println!("validate: {certified} translation(s) certified clean{tail}");
+            outln!("validate: {certified} translation(s) certified clean{tail}");
         }
     } else {
         eprintln!(
@@ -821,10 +852,10 @@ fn main() {
             eprintln!("machine fault: {e}");
             exit(1)
         });
-        println!("{}", out.stats.summary());
+        outln!("{}", out.stats.summary());
         for v in vars.ids() {
             let base = layout.base(v) as usize;
-            println!("  {} = {}", vars.name(v), out.memory[base]);
+            outln!("  {} = {}", vars.name(v), out.memory[base]);
         }
         return;
     }
@@ -837,9 +868,9 @@ fn main() {
     match cmd.as_str() {
         "cfg" => {
             if args.flag("--dot") {
-                print!("{}", cf2df::cfg::dot::cfg_to_dot(&parsed.cfg, &file));
+                out!("{}", cf2df::cfg::dot::cfg_to_dot(&parsed.cfg, &file));
             } else {
-                print!("{}", parsed.cfg.pretty());
+                out!("{}", parsed.cfg.pretty());
             }
         }
         "translate" => {
@@ -860,9 +891,9 @@ fn main() {
                 std::fs::write(&path, text).expect("writable output");
                 eprintln!("wrote {path}");
             } else if dot {
-                print!("{}", cf2df::dfg::dot::dfg_to_dot(&t.dfg, &file));
+                out!("{}", cf2df::dfg::dot::dfg_to_dot(&t.dfg, &file));
             } else {
-                print!("{}", t.dfg.pretty());
+                out!("{}", t.dfg.pretty());
             }
         }
         "run" => {
@@ -879,7 +910,7 @@ fn main() {
                     eprintln!("machine fault: {e}");
                     exit(1)
                 });
-                print!("{}", trace.timeline(&t.dfg));
+                out!("{}", trace.timeline(&t.dfg));
                 out
             } else {
                 run(&t.dfg, &layout, mc).unwrap_or_else(|e| {
@@ -887,12 +918,12 @@ fn main() {
                     exit(1)
                 })
             };
-            println!("{}", out.stats.summary());
+            outln!("{}", out.stats.summary());
             for v in t.cfg.vars.ids() {
                 let base = layout.base(v) as usize;
                 let cells = layout.cells(v) as usize;
                 if cells == 1 {
-                    println!("  {} = {}", t.cfg.vars.name(v), out.memory[base]);
+                    outln!("  {} = {}", t.cfg.vars.name(v), out.memory[base]);
                 } else {
                     let slice: Vec<i64> = out.memory[base..base + cells].to_vec();
                     let ist: Vec<i64> = out.ist_memory[base..base + cells].to_vec();
@@ -901,7 +932,7 @@ fn main() {
                     } else {
                         slice
                     };
-                    println!("  {} = {:?}", t.cfg.vars.name(v), shown);
+                    outln!("  {} = {:?}", t.cfg.vars.name(v), shown);
                 }
             }
         }
@@ -916,15 +947,15 @@ fn main() {
                 exit(1)
             });
             let f = cg.footprint();
-            println!("{}", t.stats.summary());
-            println!("compiled footprint:");
-            println!("  operator descriptors {:>8}", f.ops);
-            println!("  output ports         {:>8}", f.out_ports);
-            println!("  destination slots    {:>8}", f.dest_slots);
-            println!("  immediate slots      {:>8}", f.imm_slots);
-            println!("  macro steps          {:>8}", f.macro_steps);
-            println!("  table bytes          {:>8}", f.bytes);
-            println!(
+            outln!("{}", t.stats.summary());
+            outln!("compiled footprint:");
+            outln!("  operator descriptors {:>8}", f.ops);
+            outln!("  output ports         {:>8}", f.out_ports);
+            outln!("  destination slots    {:>8}", f.dest_slots);
+            outln!("  immediate slots      {:>8}", f.imm_slots);
+            outln!("  macro steps          {:>8}", f.macro_steps);
+            outln!("  table bytes          {:>8}", f.bytes);
+            outln!(
                 "  max hot arity        {:>8}  (inline capacity {})",
                 cg.max_hot_arity(),
                 cf2df::machine::compiled::INLINE_VALS
@@ -937,13 +968,21 @@ fn main() {
                 eprintln!("baseline fault: {e}");
                 exit(1)
             });
-            println!(
+            outln!(
                 "{:<12} {:>9} {:>9} {:>9} {:>9}",
-                "config", "fired", "makespan", "avg-par", "speedup"
+                "config",
+                "fired",
+                "makespan",
+                "avg-par",
+                "speedup"
             );
-            println!(
+            outln!(
                 "{:<12} {:>9} {:>9} {:>9.2} {:>8.2}x",
-                "sequential", base.stats.fired, base.stats.makespan, 1.0, 1.0
+                "sequential",
+                base.stats.fired,
+                base.stats.makespan,
+                1.0,
+                1.0
             );
             for (label, opts) in [
                 ("schema1", TranslateOptions::schema1()),
@@ -969,7 +1008,7 @@ fn main() {
                     eprintln!("{label}: MEMORY MISMATCH vs sequential semantics");
                     exit(1)
                 }
-                println!(
+                outln!(
                     "{:<12} {:>9} {:>9} {:>9.2} {:>8.2}x",
                     label,
                     out.stats.fired,

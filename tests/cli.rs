@@ -405,3 +405,30 @@ fn validate_json_lines_parse_including_mutations_and_quoted_targets() {
     assert!(ok, "{stderr}");
     assert!(validate_json_lines(&stdout, dfg_s).len() > 1, "{stdout}");
 }
+
+/// A closed stdout ends the output quietly: no panic, nothing on stderr,
+/// and the exit status the usage text gives for it (141). The pipe's
+/// read end is closed before the child starts, so its first write fails.
+#[test]
+fn closed_stdout_ends_the_output_quietly() {
+    for args in [&["compare", "fig9"][..], &["run", "gcd"]] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_cf2df"))
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("binary runs");
+        assert_eq!(
+            out.status.code(),
+            Some(141),
+            "{args:?}: stderr {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(
+            out.stderr.is_empty(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+}
