@@ -546,6 +546,12 @@ pub fn c8_frame_pressure() -> String {
     )
     .unwrap();
     let layout = MemLayout::distinct(&parsed.cfg.vars);
+    // The sweeps probe each graph's own boundary: capacities are taken
+    // from its unbounded run's high-water mark, so they track the graph.
+    let mark = |dfg: &cf2df_dfg::Dfg, layout: &MemLayout| {
+        let out = run(dfg, layout, MachineConfig::unbounded()).unwrap();
+        out.stats.max_pending_slots as usize
+    };
     let sweep =
         |s: &mut String, label: &str, dfg: &cf2df_dfg::Dfg, layout: &MemLayout, caps: &[usize]| {
             let _ = writeln!(s, "\nframe-capacity sweep ({label}):");
@@ -574,13 +580,15 @@ pub fn c8_frame_pressure() -> String {
     let p2 = parse_to_cfg(cf2df_lang::corpus::INDEPENDENT).unwrap();
     let t2 = translate(&p2.cfg, &p2.alias, &TranslateOptions::schema2()).unwrap();
     let l2 = MemLayout::distinct(&p2.cfg.vars);
-    sweep(&mut s, "independent, schema2", &t2.dfg, &l2, &[1, 2, 4, 9]);
+    let m2 = mark(&t2.dfg, &l2);
+    sweep(&mut s, "independent, schema2", &t2.dfg, &l2, &[1, 2, 4, m2]);
+    let m = mark(&t.dfg, &layout);
     sweep(
         &mut s,
         "stencil, full transforms",
         &t.dfg,
         &layout,
-        &[64, 151],
+        &[m / 2, m],
     );
     s
 }
@@ -601,7 +609,11 @@ pub fn c11_ir_optimizations() -> String {
         let t = translate(
             &parsed.cfg,
             &parsed.alias,
-            &TranslateOptions::schema3(CoverStrategy::Singletons).with_memory_elimination(true),
+            // Unfused: the graph the pipeline's `cleanup` stage sees, which
+            // runs before `fuse` folds chains into macro operators.
+            &TranslateOptions::schema3(CoverStrategy::Singletons)
+                .with_memory_elimination(true)
+                .with_fuse(false),
         )
         .unwrap();
         let mut g = t.dfg.clone();
