@@ -200,6 +200,9 @@ impl<T: Clone> Slot<T> {
     }
 }
 
+/// Per node, its predecessors with the index of the edge each one takes.
+type Preds = Vec<Vec<(NodeId, usize)>>;
+
 /// The memoized analyses of one [`FunctionContext`].
 #[derive(Default)]
 struct AnalysisCache {
@@ -208,7 +211,7 @@ struct AnalysisCache {
     control_deps: Slot<Rc<ControlDeps>>,
     forest: Slot<Result<Rc<LoopForest>, Irreducible>>,
     topo: Slot<Result<Rc<Vec<NodeId>>, Irreducible>>,
-    preds: Slot<Rc<Vec<Vec<(NodeId, usize)>>>>,
+    preds: Slot<Rc<Preds>>,
     validity: Slot<Result<(), Vec<CfgError>>>,
     /// Alias covers are keyed by strategy, not revision: they depend on
     /// the alias structure alone, which is fixed for the context's life.

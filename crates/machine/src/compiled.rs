@@ -1137,7 +1137,7 @@ mod tests {
         assert_eq!(fp.ops, 5);
         assert_eq!(fp.dest_slots, 5);
         assert_eq!(fp.out_ports, 1 + 2 + 1 + 1); // start, load, add, store; end has none
-        assert_eq!(fp.imm_slots, 0 + 1 + 2 + 2 + 1);
+        assert_eq!(fp.imm_slots, 1 + 2 + 2 + 1); // load, add, store, end; start has none
         assert_eq!(fp.macro_steps, 0);
         assert!(fp.bytes > 0);
     }

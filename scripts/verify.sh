@@ -32,6 +32,9 @@ cargo test -q --offline --workspace --exclude cf2df
 echo "==> warning-free build (all targets)"
 RUSTFLAGS="-Dwarnings" cargo build --workspace --all-targets --offline
 
+echo "==> lint: clippy must be warning-free (all targets)"
+cargo clippy --workspace --all-targets --offline -- -Dwarnings
+
 echo "==> docs: rustdoc must be warning-free"
 # Intra-doc links to renamed or deleted items dangle silently unless the
 # docs are built; rustdoc's warnings (unresolved or ambiguous links
