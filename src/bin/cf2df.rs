@@ -132,9 +132,10 @@ fn usage() -> ! {
 fn load_source(arg: &str) -> String {
     if arg == "-" {
         let mut s = String::new();
-        std::io::stdin()
-            .read_to_string(&mut s)
-            .expect("readable stdin");
+        std::io::stdin().read_to_string(&mut s).unwrap_or_else(|e| {
+            eprintln!("cannot read stdin: {e}");
+            exit(2)
+        });
         return s;
     }
     if let Some((_, src)) = cf2df::lang::corpus::all().iter().find(|(n, _)| *n == arg) {
@@ -170,6 +171,19 @@ impl Args {
         self.rest.remove(i);
         Some(v)
     }
+
+    /// The value of `name` as a number.
+    fn number<T: std::str::FromStr>(&mut self, name: &str) -> Option<T> {
+        self.value(name).map(|v| number(name, &v))
+    }
+}
+
+/// `v` as a number; one that does not parse is a usage error.
+fn number<T: std::str::FromStr>(name: &str, v: &str) -> T {
+    v.parse().unwrap_or_else(|_| {
+        eprintln!("{name} needs a number, got {v:?}");
+        exit(2)
+    })
 }
 
 fn parse_schema(args: &mut Args) -> TranslateOptions {
@@ -210,15 +224,15 @@ fn parse_schema(args: &mut Args) -> TranslateOptions {
 }
 
 fn parse_machine(args: &mut Args) -> MachineConfig {
-    let mut mc = match args.value("--processors") {
-        Some(p) => MachineConfig::with_processors(p.parse().expect("numeric --processors")),
+    let mut mc = match args.number("--processors") {
+        Some(p) => MachineConfig::with_processors(p),
         None => MachineConfig::unbounded(),
     };
-    if let Some(l) = args.value("--mem-latency") {
-        mc = mc.mem_latency(l.parse().expect("numeric --mem-latency"));
+    if let Some(l) = args.number("--mem-latency") {
+        mc = mc.mem_latency(l);
     }
-    if let Some(l) = args.value("--op-latency") {
-        mc = mc.op_latency(l.parse().expect("numeric --op-latency"));
+    if let Some(l) = args.number("--op-latency") {
+        mc = mc.op_latency(l);
     }
     mc
 }
@@ -276,29 +290,17 @@ fn run_chaos(mut args: Args) {
     };
 
     let quick = args.flag("--quick");
-    let seeds: u64 = args
-        .value("--seeds")
-        .map(|s| s.parse().expect("numeric --seeds"))
-        .unwrap_or(if quick { 2 } else { 8 });
+    let seeds: u64 = args.number("--seeds").unwrap_or(if quick { 2 } else { 8 });
     let workers: Vec<usize> = match args.value("--workers") {
-        Some(w) => w
-            .split(',')
-            .map(|x| x.parse().expect("numeric --workers list"))
-            .collect(),
+        Some(w) => w.split(',').map(|x| number("--workers", x)).collect(),
         None if quick => vec![2, 8],
         None => vec![1, 2, 4, 8],
     };
     let only: Option<Vec<String>> = args
         .value("--programs")
         .map(|p| p.split(',').map(str::to_owned).collect());
-    let fuel: u64 = args
-        .value("--fuel")
-        .map(|s| s.parse().expect("numeric --fuel"))
-        .unwrap_or(50_000_000);
-    let watchdog_ms: u64 = args
-        .value("--watchdog-ms")
-        .map(|s| s.parse().expect("numeric --watchdog-ms"))
-        .unwrap_or(5_000);
+    let fuel: u64 = args.number("--fuel").unwrap_or(50_000_000);
+    let watchdog_ms: u64 = args.number("--watchdog-ms").unwrap_or(5_000);
     if !args.rest.is_empty() {
         eprintln!("chaos: unrecognized arguments {:?}", args.rest);
         usage();
@@ -487,17 +489,10 @@ fn run_serve(mut args: Args) {
 
     let quick = args.flag("--quick");
     let requests: usize = args
-        .value("--requests")
-        .map(|s| s.parse().expect("numeric --requests"))
+        .number("--requests")
         .unwrap_or(if quick { 32 } else { 256 });
-    let inflight: usize = args
-        .value("--inflight")
-        .map(|s| s.parse().expect("numeric --inflight"))
-        .unwrap_or(4);
-    let workers: usize = args
-        .value("--workers")
-        .map(|s| s.parse().expect("numeric --workers"))
-        .unwrap_or(4);
+    let inflight: usize = args.number("--inflight").unwrap_or(4);
+    let workers: usize = args.number("--workers").unwrap_or(4);
     let opts = parse_schema(&mut args);
     let program = if args.rest.is_empty() {
         "running_example".to_owned()
@@ -688,10 +683,7 @@ fn mutation_slice(
 fn run_validate(mut args: Args) {
     let json = args.flag("--json");
     let mutations = args.flag("--mutations");
-    let seeds: u64 = args
-        .value("--seeds")
-        .map(|s| s.parse().expect("numeric --seeds"))
-        .unwrap_or(4);
+    let seeds: u64 = args.number("--seeds").unwrap_or(4);
     let opts = parse_schema(&mut args);
     if !opts.loop_control {
         eprintln!(
@@ -888,7 +880,10 @@ fn main() {
             eprintln!("{}", t.stats.summary());
             if let Some(path) = emit {
                 let text = cf2df::dfg::io::write_module(&t.dfg, &t.cfg.vars);
-                std::fs::write(&path, text).expect("writable output");
+                std::fs::write(&path, text).unwrap_or_else(|e| {
+                    eprintln!("cannot write {path}: {e}");
+                    exit(2)
+                });
                 eprintln!("wrote {path}");
             } else if dot {
                 out!("{}", cf2df::dfg::dot::dfg_to_dot(&t.dfg, &file));
