@@ -410,8 +410,6 @@ pub fn translate_cfg(
     } else {
         0
     };
-    // Dataflow-IR cleanup: common-subexpression then dead-code
-    // elimination.
     let ops_cleaned = if opts.cleanup {
         rec.stage("cleanup", &mut fctx, &mut built, |_, b| {
             let (c, map) = transform::eliminate_common_subexpressions(&mut b.dfg);

@@ -78,6 +78,14 @@ fn machine_flags_are_honoured() {
     assert!(span(&slow) > span(&fast));
     let (p1, _, _) = cf2df(&["run", "independent", "--processors", "1"]);
     assert!(span(&p1) >= span(&fast));
+    // A value that is not a number is a usage error (exit 2), not a panic.
+    let out = Command::new(env!("CARGO_BIN_EXE_cf2df"))
+        .args(["run", "independent", "--processors", "x"])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("--processors needs a number"), "{stderr}");
 }
 
 #[test]
