@@ -391,6 +391,12 @@ impl ParTagTable {
 /// repeated runs (benchmarks, servers) should spawn a pool once and
 /// park it between runs rather than pay that price inside every run.
 ///
+/// [`ExecutorPool::new`] returns once every worker thread has started,
+/// so each is found by its name, `cf2df-pool-<w>`, from then on. A
+/// solo run on a 1-worker pool runs its worker on the calling thread
+/// and leaves the pool thread parked; serving sessions, and solo runs
+/// on wider pools, run their workers on the pool threads.
+///
 /// The pool is shared by reference across threads, and runs and
 /// sessions on it take turns: one started while another holds the pool
 /// waits until that one ends, and its watchdog counts the wait. A
@@ -403,7 +409,8 @@ pub struct ExecutorPool {
 }
 
 impl ExecutorPool {
-    /// Spawn a pool of `n_threads` executor workers (`n_threads >= 1`).
+    /// Spawn a pool of `n_threads` executor workers (`n_threads >= 1`),
+    /// returning once every one has started.
     pub fn new(n_threads: usize) -> ExecutorPool {
         ExecutorPool {
             pool: WorkerPool::new(n_threads),

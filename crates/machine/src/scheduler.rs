@@ -53,7 +53,9 @@
 //! graph executions and is exactly the overhead that made adding
 //! workers *slow the executor down*. A pool is created once, parks its
 //! threads between runs, and executes one [`Scheduler::run_in`] per
-//! job.
+//! job. Even a parked thread costs a wake-up and a completion signal
+//! per run, so [`Scheduler::run_on_caller`] runs a 1-worker pool's only
+//! worker loop on the calling thread instead.
 //!
 //! The scheduler knows nothing about dataflow; it moves opaque `T`s. The
 //! machine semantics (rendezvous, firing, memory) live in
@@ -65,7 +67,7 @@ use crate::prng::Prng;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Barrier, Condvar, Mutex, MutexGuard};
 
 /// Maximum tasks taken (and bodies run) per queue synchronization.
 pub const BATCH: usize = 32;
@@ -429,7 +431,30 @@ impl<T: Send> Scheduler<T> {
     pub fn run_in<F>(&self, pool: &WorkerPool, body: F) -> Outcome
     where
         F: Fn(&Ctx<T>, &mut Vec<T>) + Sync,
-        T: Send,
+    {
+        self.run_job(pool, body, WorkerPool::run)
+    }
+
+    /// [`Scheduler::run_in`] on a 1-worker `pool`, with the worker loop
+    /// on the calling thread ([`WorkerPool::run_on_caller`]): no
+    /// hand-off to the pool thread and no wait for it to finish.
+    pub fn run_on_caller<F>(&self, pool: &WorkerPool, body: F) -> Outcome
+    where
+        F: Fn(&Ctx<T>, &mut Vec<T>) + Sync,
+    {
+        self.run_job(pool, body, WorkerPool::run_on_caller)
+    }
+
+    /// Run every worker loop through `dispatch` (one of the two
+    /// [`WorkerPool`] runs) and collect the outcome.
+    fn run_job<F>(
+        &self,
+        pool: &WorkerPool,
+        body: F,
+        dispatch: fn(&WorkerPool, &(dyn Fn(usize) + Sync)) -> bool,
+    ) -> Outcome
+    where
+        F: Fn(&Ctx<T>, &mut Vec<T>) + Sync,
     {
         assert_eq!(
             pool.workers(),
@@ -439,16 +464,16 @@ impl<T: Send> Scheduler<T> {
         let body = &body;
         let slots: Vec<Mutex<Option<WorkerStats>>> =
             (0..self.queues.len()).map(|_| Mutex::new(None)).collect();
-        let escaped = pool.run(&|w| {
+        let escaped = dispatch(pool, &|w| {
             let stats = self.worker_loop(w, body);
             *lock(&slots[w]) = Some(stats);
         });
         if escaped {
             // A panic escaped `worker_loop` itself (body panics are
             // contained inside it): record a generic report so the run
-            // still returns a typed failure. The pool thread survives —
-            // `pool_worker` catches the unwind — so the pool stays
-            // usable for subsequent runs.
+            // still returns a typed failure. The pool caught the unwind
+            // on whichever thread ran the loop, so the pool stays usable
+            // for subsequent runs.
             let mut slot = lock(&self.panic);
             if slot.is_none() {
                 *slot = Some((usize::MAX, "worker loop panicked".to_string()));
@@ -671,18 +696,20 @@ struct PoolShared {
 /// A fixed set of OS threads that parks between jobs, so repeated
 /// executor runs pay for thread spawning once instead of per run. Used
 /// through [`Scheduler::run_in`] / [`crate::parallel::ExecutorPool`].
-/// Jobs run one at a time: concurrent callers of [`WorkerPool::run`]
-/// take turns.
+/// Jobs run one at a time: concurrent callers of [`WorkerPool::run`] and
+/// [`WorkerPool::run_on_caller`] take turns.
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
     handles: Vec<std::thread::JoinHandle<()>>,
-    /// Held across a whole [`WorkerPool::run`], so a second caller's job
-    /// never mixes into the `remaining` count of one still running.
+    /// Held across a whole job, so a second caller's job never mixes
+    /// into the `remaining` count of one still running.
     turn: Mutex<()>,
 }
 
 impl WorkerPool {
-    /// Spawn a pool of `n` workers (`n >= 1`); they park immediately.
+    /// Spawn a pool of `n` workers (`n >= 1`) named `cf2df-pool-<w>`.
+    /// Returns once every thread has started (and so carries its name);
+    /// the threads then park until the first job.
     pub fn new(n_workers: usize) -> WorkerPool {
         let n = n_workers.max(1);
         let shared = Arc::new(PoolShared {
@@ -696,15 +723,21 @@ impl WorkerPool {
             start: Condvar::new(),
             done: Condvar::new(),
         });
+        let started = Arc::new(Barrier::new(n + 1));
         let handles = (0..n)
             .map(|w| {
                 let shared = Arc::clone(&shared);
+                let started = Arc::clone(&started);
                 std::thread::Builder::new()
                     .name(format!("cf2df-pool-{w}"))
-                    .spawn(move || pool_worker(&shared, w))
+                    .spawn(move || {
+                        started.wait();
+                        pool_worker(&shared, w)
+                    })
                     .expect("spawn pool worker")
             })
             .collect();
+        started.wait();
         WorkerPool {
             shared,
             handles,
@@ -745,6 +778,16 @@ impl WorkerPool {
         }
         st.job = None;
         std::mem::take(&mut st.panicked)
+    }
+
+    /// [`WorkerPool::run`] for a 1-worker pool, with `job(0)` on the
+    /// calling thread: the caller holds the pool's turn for the call,
+    /// and the pool thread stays parked. A panic in the job is contained
+    /// here and reported as `run` reports one.
+    pub fn run_on_caller(&self, job: &(dyn Fn(usize) + Sync)) -> bool {
+        assert_eq!(self.workers(), 1, "only a 1-worker pool runs on its caller");
+        let _turn = lock(&self.turn);
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job(0))).is_err()
     }
 }
 

@@ -3,11 +3,17 @@
 //!
 //! This is the only threaded executor. A solo run
 //! ([`crate::parallel::run_threaded_compiled_pooled_with`]) admits one
-//! invocation and runs the scheduler on the calling thread; a serving
-//! session ([`serve`]) keeps the scheduler open on a thread of its own
-//! while its caller submits requests. Both go through the same
+//! invocation and drives the scheduler from the calling thread; a
+//! serving session ([`serve`]) keeps the scheduler open on a thread of
+//! its own while its caller submits requests. Both go through the same
 //! admission, token processing, quiescence detection and failure
 //! classification.
+//!
+//! Which thread runs which worker: a solo run on a 1-worker pool runs
+//! that worker on the calling thread, with no hand-off to the pool
+//! thread. Every other run — a solo run on a wider pool, or a serving
+//! session at any width — runs worker `w` on the pool thread named
+//! `cf2df-pool-<w>`.
 //!
 //! The engine follows the tagged-token machine's own answer to sharing
 //! one machine between programs. On a Monsoon-style explicit-token-store
@@ -794,7 +800,9 @@ impl Session<'_> {
     }
 
     /// Run the scheduler on `pool` until it drains or halts, under the
-    /// optional watchdog; a halt kills the session. With a watchdog, a
+    /// optional watchdog; a halt kills the session. A solo run on a
+    /// 1-worker pool runs its worker on this thread; every other run
+    /// runs its workers on the pool's threads. With a watchdog, a
     /// monitor thread converts a wedged run into an explicit halt: it
     /// waits on a condvar with a deadline, and this thread flips `done`
     /// under the same lock on completion, so exactly one of {completed,
@@ -807,9 +815,12 @@ impl Session<'_> {
         watchdog: Option<Duration>,
     ) -> Outcome {
         let run = || {
-            sched.run_in(&pool.pool, |ctx: &Ctx<Token>, batch: &mut Vec<Token>| {
-                self.run_batch(ctx, batch)
-            })
+            let body = |ctx: &Ctx<Token>, batch: &mut Vec<Token>| self.run_batch(ctx, batch);
+            if self.solo && pool.workers() == 1 {
+                sched.run_on_caller(&pool.pool, body)
+            } else {
+                sched.run_in(&pool.pool, body)
+            }
         };
         let out = match watchdog {
             None => run(),
@@ -1413,11 +1424,14 @@ pub fn run_concurrent(
 }
 
 /// A solo run: admit one invocation through the ordinary admission path,
-/// then run the scheduler on the calling thread until it drains — no
-/// hold and no second thread, since nothing else will be submitted. The
-/// session-level counters (per-worker scheduler tallies, slot-table
-/// pressure, every injected fault) all belong to this one invocation, so
-/// they join its [`ParMetrics`], which is returned on every exit path.
+/// then drive the scheduler from the calling thread until it drains —
+/// no hold and no scheduling thread, since nothing else will be
+/// submitted. On a 1-worker pool the calling thread runs that worker
+/// itself; on a wider pool the workers run on the pool's threads while
+/// the calling thread waits. The session-level counters (per-worker
+/// scheduler tallies, slot-table pressure, every injected fault) all
+/// belong to this one invocation, so they join its [`ParMetrics`], which
+/// is returned on every exit path.
 pub(crate) fn run_solo(
     cg: &CompiledGraph,
     layout: &MemLayout,
@@ -1685,5 +1699,120 @@ mod tests {
         });
         assert_eq!(stats.requests, 8);
         assert_eq!(stats.completed_ok, 8);
+    }
+
+    type Seen = Vec<(std::thread::ThreadId, Option<String>)>;
+
+    /// The threads on which injected operator panics fired while `f` ran,
+    /// as (id, name). A panic hook records them and keeps them off stderr;
+    /// no other test of this crate injects operator panics.
+    fn chaos_panic_threads(f: impl FnOnce()) -> Seen {
+        static SEEN: Mutex<Seen> = Mutex::new(Vec::new());
+        static HOOK: std::sync::Once = std::sync::Once::new();
+        HOOK.call_once(|| {
+            let prev = std::panic::take_hook();
+            std::panic::set_hook(Box::new(move |info| {
+                let injected = info
+                    .payload()
+                    .downcast_ref::<String>()
+                    .is_some_and(|s| s.starts_with("chaos: "));
+                if injected {
+                    let me = std::thread::current();
+                    lock(&SEEN).push((me.id(), me.name().map(str::to_owned)));
+                } else {
+                    prev(info);
+                }
+            }));
+        });
+        lock(&SEEN).clear();
+        f();
+        std::mem::take(&mut *lock(&SEEN))
+    }
+
+    /// Which thread runs which worker. Every firing panics by injection,
+    /// and the panic hook names the thread that ran the batch: the
+    /// calling thread in a solo run on 1 worker; pool threads in a solo
+    /// run on 2 workers and in a serving session on 1.
+    #[test]
+    fn only_a_one_worker_solo_run_runs_on_its_caller() {
+        let (g, layout) = small_graph();
+        let cg = compile(&g).unwrap();
+        let cfg = ParConfig {
+            chaos: Some(ChaosConfig {
+                panic_prob: 1.0,
+                ..ChaosConfig::off(1)
+            }),
+            ..ParConfig::default()
+        };
+        let caller = std::thread::current().id();
+        let on_pool = |seen: &Seen| {
+            !seen.is_empty()
+                && seen.iter().all(|(id, name)| {
+                    *id != caller
+                        && name
+                            .as_deref()
+                            .is_some_and(|n| n.starts_with("cf2df-pool-"))
+                })
+        };
+        let solo = |pool: &ExecutorPool| {
+            chaos_panic_threads(|| {
+                let (result, _, _) = run_solo(&cg, &layout, pool, &cfg);
+                assert!(
+                    matches!(result, Err(MachineError::WorkerPanicked { .. })),
+                    "{result:?}"
+                );
+            })
+        };
+        let one = ExecutorPool::new(1);
+        let seen = solo(&one);
+        assert!(
+            !seen.is_empty() && seen.iter().all(|(id, _)| *id == caller),
+            "{seen:?}"
+        );
+        let seen = solo(&ExecutorPool::new(2));
+        assert!(on_pool(&seen), "{seen:?}");
+        let seen = chaos_panic_threads(|| {
+            let (results, _) = run_concurrent(&cg, &layout, &one, 1, &cfg, 1);
+            assert!(results[0].is_err(), "{results:?}");
+        });
+        assert!(on_pool(&seen), "{seen:?}");
+    }
+
+    /// A panic that escapes the worker loop on the calling thread is
+    /// contained. Here it is a task whose drop panics, left in its batch
+    /// by a body that does not drain it. The run reports worker
+    /// `usize::MAX` (which `drive` turns into `WorkerPanicked`), the
+    /// caller does not unwind, and the next run on the same pool matches
+    /// the simulator.
+    #[test]
+    fn an_escaped_panic_on_the_caller_is_contained() {
+        struct Bomb;
+        impl Drop for Bomb {
+            fn drop(&mut self) {
+                if !std::thread::panicking() {
+                    panic!("a dropped task panicked");
+                }
+            }
+        }
+        let pool = ExecutorPool::new(1);
+        let sched: Scheduler<Bomb> = Scheduler::new(1);
+        sched.inject_batch([Bomb]);
+        let out = catch_unwind(AssertUnwindSafe(|| {
+            sched.run_on_caller(&pool.pool, |_, _| {})
+        }))
+        .expect("the caller does not unwind");
+        assert_eq!(
+            out.panicked,
+            Some((usize::MAX, "worker loop panicked".to_string()))
+        );
+        assert!(out.halted);
+
+        let (g, layout) = small_graph();
+        let sim = run(&g, &layout, MachineConfig::unbounded()).unwrap();
+        let cg = compile(&g).unwrap();
+        let (result, _, _) = run_solo(&cg, &layout, &pool, &ParConfig::default());
+        let out = result.expect("the pool stays usable");
+        assert_eq!(out.memory, sim.memory);
+        assert_eq!(out.fired, sim.stats.fired);
     }
 }

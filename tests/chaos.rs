@@ -116,22 +116,29 @@ fn injected_operator_panic_is_contained_at_every_width() {
 fn pool_survives_contained_panics_and_stays_usable() {
     quiet_chaos_panics();
     let (g, layout, sim) = translated(cf2df::lang::corpus::NESTED);
-    let pool = ExecutorPool::new(4);
-    for round in 0..3 {
-        let cfg = with_watchdog(Some(ChaosConfig {
-            panic_prob: 1.0,
-            ..ChaosConfig::off(round)
-        }));
-        let (result, _, _) = run_pooled_with(&g, &layout, &pool, &cfg);
-        assert!(
-            matches!(result, Err(MachineError::WorkerPanicked { .. })),
-            "round {round}: expected a contained panic"
-        );
-        let (clean, metrics, _) = run_pooled_with(&g, &layout, &pool, &with_watchdog(None));
-        let out = clean.unwrap_or_else(|e| panic!("round {round}: clean run failed: {e}"));
-        assert_eq!(out.memory, sim.memory, "round {round}");
-        assert_eq!(out.fired, sim.stats.fired, "round {round}");
-        assert_eq!(metrics.chaos.total(), 0, "clean run injected nothing");
+    for workers in [1, 4] {
+        let pool = ExecutorPool::new(workers);
+        for round in 0..3 {
+            let cfg = with_watchdog(Some(ChaosConfig {
+                panic_prob: 1.0,
+                ..ChaosConfig::off(round)
+            }));
+            let (result, _, _) = run_pooled_with(&g, &layout, &pool, &cfg);
+            assert!(
+                matches!(result, Err(MachineError::WorkerPanicked { .. })),
+                "{workers} workers, round {round}: expected a contained panic"
+            );
+            let (clean, metrics, _) = run_pooled_with(&g, &layout, &pool, &with_watchdog(None));
+            let out = clean.unwrap_or_else(|e| {
+                panic!("{workers} workers, round {round}: clean run failed: {e}")
+            });
+            assert_eq!(out.memory, sim.memory, "{workers} workers, round {round}");
+            assert_eq!(
+                out.fired, sim.stats.fired,
+                "{workers} workers, round {round}"
+            );
+            assert_eq!(metrics.chaos.total(), 0, "clean run injected nothing");
+        }
     }
 }
 
@@ -140,7 +147,7 @@ fn pool_survives_contained_panics_and_stays_usable() {
 #[test]
 fn dropped_tokens_surface_as_token_leak() {
     let (g, layout, _) = translated(cf2df::lang::corpus::GCD);
-    for workers in [2, 8] {
+    for workers in [1, 2, 8] {
         let cfg = with_watchdog(Some(ChaosConfig {
             drop_prob: 1.0,
             ..ChaosConfig::off(5)
@@ -365,17 +372,19 @@ fn runaway_graph_is_bounded_by_the_watchdog() {
         watchdog: Some(Duration::from_millis(100)),
         ..ParConfig::default()
     };
-    let started = std::time::Instant::now();
-    let (result, _, _) = run_with(&g, &layout, 4, &cfg);
-    match result {
-        Err(MachineError::WatchdogTimeout { millis }) => assert_eq!(millis, 100),
-        other => panic!("expected WatchdogTimeout, got {other:?}"),
+    for workers in [1, 4] {
+        let started = std::time::Instant::now();
+        let (result, _, _) = run_with(&g, &layout, workers, &cfg);
+        match result {
+            Err(MachineError::WatchdogTimeout { millis }) => assert_eq!(millis, 100),
+            other => panic!("expected WatchdogTimeout at {workers} workers, got {other:?}"),
+        }
+        assert!(
+            started.elapsed() < Duration::from_secs(10),
+            "watchdog halt took {:?} at {workers} workers",
+            started.elapsed()
+        );
     }
-    assert!(
-        started.elapsed() < Duration::from_secs(10),
-        "watchdog halt took {:?}",
-        started.elapsed()
-    );
 }
 
 /// Benign chaos (delays + forced steals) perturbs only the *schedule*:

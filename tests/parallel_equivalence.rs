@@ -369,9 +369,9 @@ fn one_pool_serves_different_graphs_without_cross_talk() {
 
 /// An `ExecutorPool` is shared by reference across threads, and runs
 /// started on it concurrently take turns: two threads each make 300
-/// solo runs on one 2-worker pool, and every run returns its own
-/// program's result. Without the turns, one caller could return while a
-/// pool thread still ran its job.
+/// solo runs on one pool, of 1 worker (run on its callers) and of 2,
+/// and every run returns its own program's result. Without the turns,
+/// one caller could return while a pool thread still ran its job.
 #[test]
 fn one_pool_shared_by_two_threads_runs_one_job_at_a_time() {
     use cf2df::machine::compile;
@@ -382,21 +382,25 @@ fn one_pool_shared_by_two_threads_runs_one_job_at_a_time() {
     let layout = MemLayout::distinct(&t.cfg.vars);
     let cg = compile(&t.dfg).unwrap();
     let sim = run(&t.dfg, &layout, MachineConfig::unbounded()).unwrap();
-    let pool = ExecutorPool::new(2);
     let cfg = ParConfig::default();
-    std::thread::scope(|scope| {
-        for caller in 0..2 {
-            let (cg, layout, sim, pool, cfg) = (&cg, &layout, &sim, &pool, &cfg);
-            scope.spawn(move || {
-                for i in 0..300 {
-                    let (res, _, _) = run_threaded_compiled_pooled_with(cg, layout, pool, cfg);
-                    let out = res.unwrap_or_else(|e| panic!("caller {caller} run {i}: {e:?}"));
-                    assert_eq!(out.memory, sim.memory, "caller {caller} run {i}");
-                    assert_eq!(out.fired, sim.stats.fired, "caller {caller} run {i}");
-                }
-            });
-        }
-    });
+    for workers in [1, 2] {
+        let pool = ExecutorPool::new(workers);
+        std::thread::scope(|scope| {
+            for caller in 0..2 {
+                let (cg, layout, sim, pool, cfg) = (&cg, &layout, &sim, &pool, &cfg);
+                scope.spawn(move || {
+                    for i in 0..300 {
+                        let (res, _, _) = run_threaded_compiled_pooled_with(cg, layout, pool, cfg);
+                        let out = res.unwrap_or_else(|e| {
+                            panic!("{workers} workers, caller {caller} run {i}: {e:?}")
+                        });
+                        assert_eq!(out.memory, sim.memory, "caller {caller} run {i}");
+                        assert_eq!(out.fired, sim.stats.fired, "caller {caller} run {i}");
+                    }
+                });
+            }
+        });
+    }
 }
 
 /// Repeated runs at the widest width: schedule nondeterminism must
