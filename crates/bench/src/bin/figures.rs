@@ -20,9 +20,9 @@ fn main() {
             .collect()
     };
     if selected.is_empty() {
-        eprintln!("unknown figure id; available:");
+        cf2df_bench::write_stderr(format_args!("unknown figure id; available:\n"));
         for (name, _) in cf2df_bench::figures::all_reports() {
-            eprintln!("  {name}");
+            cf2df_bench::write_stderr(format_args!("  {name}\n"));
         }
         std::process::exit(2);
     }

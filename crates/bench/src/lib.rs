@@ -41,8 +41,17 @@ pub fn write_stdout(args: std::fmt::Arguments<'_>) {
         Ok(()) => {}
         Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(141),
         Err(e) => {
-            eprintln!("cannot write to stdout: {e}");
+            write_stderr(format_args!("cannot write to stdout: {e}\n"));
             std::process::exit(1)
         }
     }
+}
+
+/// Write a command-line tool's diagnostic to stderr. A failed write (a
+/// closed stderr, as when its reader went away) is dropped, where
+/// `eprint!` would panic: the diagnostic has nowhere to go, and the exit
+/// status stays the command's own.
+pub fn write_stderr(args: std::fmt::Arguments<'_>) {
+    use std::io::Write as _;
+    let _ = std::io::stderr().write_fmt(args);
 }

@@ -33,7 +33,9 @@
 //! translation, machine or verification error), 2 for a usage error or
 //! an unreadable file, and 141 when stdout closes early (e.g.
 //! `cf2df compare fig9 | head -3`): the output then ends quietly, as for
-//! a process ended by SIGPIPE.
+//! a process ended by SIGPIPE. A closed stderr drops the diagnostics and
+//! leaves the status as it is. A zero `--workers` or `--inflight` is a
+//! usage error.
 //!
 //! `translate --time-passes` prints a per-pass table on stderr: wall
 //! time, analyses computed vs. served from the cache, and CFG/DFG sizes
@@ -115,8 +117,23 @@ macro_rules! outln {
     };
 }
 
+/// `eprint!` through [`cf2df::bench::write_stderr`]: a closed stderr
+/// drops the diagnostic instead of panicking.
+macro_rules! err {
+    ($($arg:tt)*) => {
+        cf2df::bench::write_stderr(format_args!($($arg)*))
+    };
+}
+
+/// `eprintln!` through [`cf2df::bench::write_stderr`].
+macro_rules! errln {
+    ($($arg:tt)*) => {
+        cf2df::bench::write_stderr(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 fn usage() -> ! {
-    eprintln!(
+    errln!(
         "{}",
         include_str!("cf2df.rs")
             .lines()
@@ -133,7 +150,7 @@ fn load_source(arg: &str) -> String {
     if arg == "-" {
         let mut s = String::new();
         std::io::stdin().read_to_string(&mut s).unwrap_or_else(|e| {
-            eprintln!("cannot read stdin: {e}");
+            errln!("cannot read stdin: {e}");
             exit(2)
         });
         return s;
@@ -142,7 +159,7 @@ fn load_source(arg: &str) -> String {
         return (*src).to_owned();
     }
     std::fs::read_to_string(arg).unwrap_or_else(|e| {
-        eprintln!("cannot read {arg}: {e} (and it is not a corpus program)");
+        errln!("cannot read {arg}: {e} (and it is not a corpus program)");
         exit(2)
     })
 }
@@ -164,7 +181,7 @@ impl Args {
     fn value(&mut self, name: &str) -> Option<String> {
         let i = self.rest.iter().position(|a| a == name)?;
         if i + 1 >= self.rest.len() {
-            eprintln!("{name} needs a value");
+            errln!("{name} needs a value");
             exit(2)
         }
         let v = self.rest.remove(i + 1);
@@ -181,9 +198,19 @@ impl Args {
 /// `v` as a number; one that does not parse is a usage error.
 fn number<T: std::str::FromStr>(name: &str, v: &str) -> T {
     v.parse().unwrap_or_else(|_| {
-        eprintln!("{name} needs a number, got {v:?}");
+        errln!("{name} needs a number, got {v:?}");
         exit(2)
     })
+}
+
+/// `n` as a width (a worker count, an admission window); zero is a
+/// usage error.
+fn width(name: &str, n: usize) -> usize {
+    if n == 0 {
+        errln!("{name} must be at least 1");
+        exit(2)
+    }
+    n
 }
 
 fn parse_schema(args: &mut Args) -> TranslateOptions {
@@ -243,7 +270,7 @@ fn run_bench(out_dir: &str) {
     use cf2df::bench::artifacts::{executor_artifact, pipeline_artifact, translate_artifact};
 
     std::fs::create_dir_all(out_dir).unwrap_or_else(|e| {
-        eprintln!("cannot create {out_dir}: {e}");
+        errln!("cannot create {out_dir}: {e}");
         exit(2)
     });
     type Render = fn() -> Result<String, String>;
@@ -255,15 +282,15 @@ fn run_bench(out_dir: &str) {
     for (kind, render) in artifacts {
         let name = format!("BENCH_{kind}.json");
         let doc = render().unwrap_or_else(|e| {
-            eprintln!("bench failed rendering {name}: {e}");
+            errln!("bench failed rendering {name}: {e}");
             exit(1)
         });
         let path = std::path::Path::new(out_dir).join(&name);
         std::fs::write(&path, doc + "\n").unwrap_or_else(|e| {
-            eprintln!("cannot write {}: {e}", path.display());
+            errln!("cannot write {}: {e}", path.display());
             exit(2)
         });
-        eprintln!("wrote {}", path.display());
+        errln!("wrote {}", path.display());
     }
 }
 
@@ -292,7 +319,10 @@ fn run_chaos(mut args: Args) {
     let quick = args.flag("--quick");
     let seeds: u64 = args.number("--seeds").unwrap_or(if quick { 2 } else { 8 });
     let workers: Vec<usize> = match args.value("--workers") {
-        Some(w) => w.split(',').map(|x| number("--workers", x)).collect(),
+        Some(w) => w
+            .split(',')
+            .map(|x| width("--workers", number("--workers", x)))
+            .collect(),
         None if quick => vec![2, 8],
         None => vec![1, 2, 4, 8],
     };
@@ -302,7 +332,7 @@ fn run_chaos(mut args: Args) {
     let fuel: u64 = args.number("--fuel").unwrap_or(50_000_000);
     let watchdog_ms: u64 = args.number("--watchdog-ms").unwrap_or(5_000);
     if !args.rest.is_empty() {
-        eprintln!("chaos: unrecognized arguments {:?}", args.rest);
+        errln!("chaos: unrecognized arguments {:?}", args.rest);
         usage();
     }
 
@@ -356,7 +386,7 @@ fn run_chaos(mut args: Args) {
             }
         }
         let parsed = cf2df::lang::parse_to_cfg(src).unwrap_or_else(|e| {
-            eprintln!("corpus program {name} failed to parse: {e}");
+            errln!("corpus program {name} failed to parse: {e}");
             exit(1)
         });
         for (slabel, opts) in schemas {
@@ -368,11 +398,11 @@ fn run_chaos(mut args: Args) {
             };
             let layout = MemLayout::distinct(&t.cfg.vars);
             let sim = run(&t.dfg, &layout, MachineConfig::unbounded()).unwrap_or_else(|e| {
-                eprintln!("{slabel}/{name}: simulator oracle failed: {e}");
+                errln!("{slabel}/{name}: simulator oracle failed: {e}");
                 exit(1)
             });
             let cg = compile(&t.dfg).unwrap_or_else(|e| {
-                eprintln!("{slabel}/{name}: compile failed: {e}");
+                errln!("{slabel}/{name}: compile failed: {e}");
                 exit(1)
             });
             for (pi, (plabel, make)) in profiles.iter().enumerate() {
@@ -462,10 +492,10 @@ fn run_chaos(mut args: Args) {
         );
     }
     for v in violations.iter().take(20) {
-        eprintln!("VIOLATION: {v}");
+        errln!("VIOLATION: {v}");
     }
     if violations.len() > 20 {
-        eprintln!("… and {} more", violations.len() - 20);
+        errln!("… and {} more", violations.len() - 20);
     }
     let secs = started.elapsed().as_secs_f64();
     if violations.is_empty() {
@@ -474,7 +504,7 @@ fn run_chaos(mut args: Args) {
              every run matched the simulator or returned a typed error"
         );
     } else {
-        eprintln!("chaos: {} violation(s) in {runs} runs", violations.len());
+        errln!("chaos: {} violation(s) in {runs} runs", violations.len());
         exit(1)
     }
 }
@@ -491,8 +521,8 @@ fn run_serve(mut args: Args) {
     let requests: usize = args
         .number("--requests")
         .unwrap_or(if quick { 32 } else { 256 });
-    let inflight: usize = args.number("--inflight").unwrap_or(4);
-    let workers: usize = args.number("--workers").unwrap_or(4);
+    let inflight = width("--inflight", args.number("--inflight").unwrap_or(4));
+    let workers = width("--workers", args.number("--workers").unwrap_or(4));
     let opts = parse_schema(&mut args);
     let program = if args.rest.is_empty() {
         "running_example".to_owned()
@@ -500,26 +530,26 @@ fn run_serve(mut args: Args) {
         args.rest.remove(0)
     };
     if !args.rest.is_empty() {
-        eprintln!("serve: unrecognized arguments {:?}", args.rest);
+        errln!("serve: unrecognized arguments {:?}", args.rest);
         usage();
     }
 
     let src = load_source(&program);
     let parsed = cf2df::lang::parse_to_cfg(&src).unwrap_or_else(|e| {
-        eprintln!("parse error: {e}");
+        errln!("parse error: {e}");
         exit(1)
     });
     let t = translate(&parsed.cfg, &parsed.alias, &opts).unwrap_or_else(|e| {
-        eprintln!("translation error: {e}");
+        errln!("translation error: {e}");
         exit(1)
     });
     let layout = MemLayout::distinct(&t.cfg.vars);
     let cg = compile(&t.dfg).unwrap_or_else(|e| {
-        eprintln!("compile error: {e}");
+        errln!("compile error: {e}");
         exit(1)
     });
     let sim = run(&t.dfg, &layout, MachineConfig::unbounded()).unwrap_or_else(|e| {
-        eprintln!("{program}: simulator oracle failed: {e}");
+        errln!("{program}: simulator oracle failed: {e}");
         exit(1)
     });
 
@@ -542,15 +572,16 @@ fn run_serve(mut args: Args) {
                     || out.ist_memory != sim.ist_memory
                     || out.fired != sim.stats.fired
                 {
-                    eprintln!(
+                    errln!(
                         "MISMATCH: request {req} diverged from simulator (fired {} vs {})",
-                        out.fired, sim.stats.fired
+                        out.fired,
+                        sim.stats.fired
                     );
                     mismatches += 1;
                 }
             }
             Err(e) => {
-                eprintln!("FAILED: request {req}: {e}");
+                errln!("FAILED: request {req}: {e}");
                 mismatches += 1;
             }
         }
@@ -562,7 +593,7 @@ fn run_serve(mut args: Args) {
         requests as f64 / secs
     );
     if mismatches > 0 {
-        eprintln!("serve: {mismatches} of {requests} requests wrong");
+        errln!("serve: {mismatches} of {requests} requests wrong");
         exit(1)
     }
 }
@@ -686,13 +717,13 @@ fn run_validate(mut args: Args) {
     let seeds: u64 = args.number("--seeds").unwrap_or(4);
     let opts = parse_schema(&mut args);
     if !opts.loop_control {
-        eprintln!(
+        errln!(
             "validate: --no-loop-control leaves nothing to certify (certify needs loop control)"
         );
         usage();
     }
     if args.rest.len() != 1 {
-        eprintln!("validate takes exactly one target (a file, corpus name, or `corpus`)");
+        errln!("validate takes exactly one target (a file, corpus name, or `corpus`)");
         usage();
     }
     let target = args.rest.remove(0);
@@ -706,11 +737,11 @@ fn run_validate(mut args: Args) {
         // Graph file: graph-level obligations only (no CFG to check
         // switch placement or conservation against).
         let text = std::fs::read_to_string(&target).unwrap_or_else(|e| {
-            eprintln!("cannot read {target}: {e}");
+            errln!("cannot read {target}: {e}");
             exit(2)
         });
         let (g, _vars) = cf2df::dfg::io::read_module(&text).unwrap_or_else(|e| {
-            eprintln!("bad graph file: {e}");
+            errln!("bad graph file: {e}");
             exit(1)
         });
         let report = cf2df::core::CertifyReport {
@@ -733,7 +764,7 @@ fn run_validate(mut args: Args) {
     } else if target == "corpus" {
         for (name, src) in cf2df::lang::corpus::all() {
             let parsed = cf2df::lang::parse_to_cfg(src).unwrap_or_else(|e| {
-                eprintln!("corpus program {name} failed to parse: {e}");
+                errln!("corpus program {name} failed to parse: {e}");
                 exit(1)
             });
             for (slabel, opts) in validate_matrix() {
@@ -749,7 +780,7 @@ fn run_validate(mut args: Args) {
     } else {
         let src = load_source(&target);
         let parsed = cf2df::lang::parse_to_cfg(&src).unwrap_or_else(|e| {
-            eprintln!("parse error: {e}");
+            errln!("parse error: {e}");
             exit(1)
         });
         if let Some(dfg) = validate_one(&target, &parsed, &opts, json, &mut failures) {
@@ -772,10 +803,10 @@ fn run_validate(mut args: Args) {
         }
     }
     for f in failures.iter().take(20) {
-        eprintln!("DEFECT: {f}");
+        errln!("DEFECT: {f}");
     }
     if failures.len() > 20 {
-        eprintln!("… and {} more", failures.len() - 20);
+        errln!("… and {} more", failures.len() - 20);
     }
     if failures.is_empty() {
         if !json {
@@ -788,7 +819,7 @@ fn run_validate(mut args: Args) {
             outln!("validate: {certified} translation(s) certified clean{tail}");
         }
     } else {
-        eprintln!(
+        errln!(
             "validate: {} defect(s) across {certified} clean translation(s)",
             failures.len()
         );
@@ -818,7 +849,7 @@ fn main() {
         let mut args = Args { rest: argv };
         let out_dir = args.value("--out-dir").unwrap_or_else(|| ".".to_owned());
         if !args.rest.is_empty() {
-            eprintln!("bench: unrecognized arguments {:?}", args.rest);
+            errln!("bench: unrecognized arguments {:?}", args.rest);
             usage();
         }
         run_bench(&out_dir);
@@ -831,17 +862,17 @@ fn main() {
     let mut args = Args { rest: argv };
     if cmd == "run-graph" {
         let text = std::fs::read_to_string(&file).unwrap_or_else(|e| {
-            eprintln!("cannot read {file}: {e}");
+            errln!("cannot read {file}: {e}");
             exit(2)
         });
         let (g, vars) = cf2df::dfg::io::read_module(&text).unwrap_or_else(|e| {
-            eprintln!("bad graph file: {e}");
+            errln!("bad graph file: {e}");
             exit(1)
         });
         let mc = parse_machine(&mut args);
         let layout = MemLayout::distinct(&vars);
         let out = run(&g, &layout, mc).unwrap_or_else(|e| {
-            eprintln!("machine fault: {e}");
+            errln!("machine fault: {e}");
             exit(1)
         });
         outln!("{}", out.stats.summary());
@@ -853,7 +884,7 @@ fn main() {
     }
     let src = load_source(&file);
     let parsed = cf2df::lang::parse_to_cfg(&src).unwrap_or_else(|e| {
-        eprintln!("parse error: {e}");
+        errln!("parse error: {e}");
         exit(1)
     });
 
@@ -871,20 +902,20 @@ fn main() {
             let time_passes = args.flag("--time-passes");
             let emit = args.value("--emit");
             let t = translate(&parsed.cfg, &parsed.alias, &opts).unwrap_or_else(|e| {
-                eprintln!("translation error: {e}");
+                errln!("translation error: {e}");
                 exit(1)
             });
             if time_passes {
-                eprint!("{}", cf2df::core::render_pass_table(&t.passes));
+                err!("{}", cf2df::core::render_pass_table(&t.passes));
             }
-            eprintln!("{}", t.stats.summary());
+            errln!("{}", t.stats.summary());
             if let Some(path) = emit {
                 let text = cf2df::dfg::io::write_module(&t.dfg, &t.cfg.vars);
                 std::fs::write(&path, text).unwrap_or_else(|e| {
-                    eprintln!("cannot write {path}: {e}");
+                    errln!("cannot write {path}: {e}");
                     exit(2)
                 });
-                eprintln!("wrote {path}");
+                errln!("wrote {path}");
             } else if dot {
                 out!("{}", cf2df::dfg::dot::dfg_to_dot(&t.dfg, &file));
             } else {
@@ -896,20 +927,20 @@ fn main() {
             let mc = parse_machine(&mut args);
             let want_trace = args.flag("--trace");
             let t = translate(&parsed.cfg, &parsed.alias, &opts).unwrap_or_else(|e| {
-                eprintln!("translation error: {e}");
+                errln!("translation error: {e}");
                 exit(1)
             });
             let layout = MemLayout::distinct(&t.cfg.vars);
             let out = if want_trace {
                 let (out, trace) = run_traced(&t.dfg, &layout, mc).unwrap_or_else(|e| {
-                    eprintln!("machine fault: {e}");
+                    errln!("machine fault: {e}");
                     exit(1)
                 });
                 out!("{}", trace.timeline(&t.dfg));
                 out
             } else {
                 run(&t.dfg, &layout, mc).unwrap_or_else(|e| {
-                    eprintln!("machine fault: {e}");
+                    errln!("machine fault: {e}");
                     exit(1)
                 })
             };
@@ -934,11 +965,11 @@ fn main() {
         "stats" => {
             let opts = parse_schema(&mut args);
             let t = translate(&parsed.cfg, &parsed.alias, &opts).unwrap_or_else(|e| {
-                eprintln!("translation error: {e}");
+                errln!("translation error: {e}");
                 exit(1)
             });
             let cg = cf2df::machine::compile(&t.dfg).unwrap_or_else(|e| {
-                eprintln!("compile error: {e}");
+                errln!("compile error: {e}");
                 exit(1)
             });
             let f = cg.footprint();
@@ -960,7 +991,7 @@ fn main() {
             let mc = parse_machine(&mut args);
             let layout = MemLayout::distinct(&parsed.cfg.vars);
             let base = vonneumann::interpret(&parsed.cfg, &layout, &mc).unwrap_or_else(|e| {
-                eprintln!("baseline fault: {e}");
+                errln!("baseline fault: {e}");
                 exit(1)
             });
             outln!(
@@ -992,15 +1023,15 @@ fn main() {
                 ("full", TranslateOptions::full_parallel_schema3()),
             ] {
                 let t = translate(&parsed.cfg, &parsed.alias, &opts).unwrap_or_else(|e| {
-                    eprintln!("translation error ({label}): {e}");
+                    errln!("translation error ({label}): {e}");
                     exit(1)
                 });
                 let out = run(&t.dfg, &layout, mc.clone()).unwrap_or_else(|e| {
-                    eprintln!("machine fault ({label}): {e}");
+                    errln!("machine fault ({label}): {e}");
                     exit(1)
                 });
                 if out.memory != base.memory {
-                    eprintln!("{label}: MEMORY MISMATCH vs sequential semantics");
+                    errln!("{label}: MEMORY MISMATCH vs sequential semantics");
                     exit(1)
                 }
                 outln!(

@@ -440,3 +440,57 @@ fn closed_stdout_ends_the_output_quietly() {
         );
     }
 }
+
+/// A closed stderr drops the diagnostics and leaves the exit status the
+/// command's own: the stage table of `--time-passes` goes nowhere while
+/// the graph still prints in full, and an unknown program is still a
+/// usage error (2), not a panic (101).
+#[test]
+fn closed_stderr_drops_the_diagnostics() {
+    let with_closed_stderr = |args: &[&str]| {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        Command::new(env!("CARGO_BIN_EXE_cf2df"))
+            .args(args)
+            .stderr(writer)
+            .output()
+            .expect("binary runs")
+    };
+    let out = with_closed_stderr(&["translate", "running_example", "--time-passes"]);
+    assert_eq!(out.status.code(), Some(0));
+    let (full, _, ok) = cf2df(&["translate", "running_example", "--time-passes"]);
+    assert!(ok);
+    assert_eq!(String::from_utf8_lossy(&out.stdout), full);
+    let out = with_closed_stderr(&["run", "nosuchprogram"]);
+    assert_eq!(out.status.code(), Some(2));
+}
+
+/// A zero worker count or admission window is a usage error naming the
+/// flag, not a run that reports the requested width while using another.
+#[test]
+fn zero_widths_are_usage_errors() {
+    for (args, flag) in [
+        (
+            &["serve", "--workers", "0", "--requests", "2"][..],
+            "--workers",
+        ),
+        (
+            &["serve", "--inflight", "0", "--requests", "2"],
+            "--inflight",
+        ),
+        (&["chaos", "--quick", "--workers", "0"], "--workers"),
+        (&["chaos", "--quick", "--workers", "2,0"], "--workers"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_cf2df"))
+            .args(args)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{flag} must be at least 1")),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
+}
