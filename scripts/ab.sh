@@ -14,9 +14,10 @@
 # For every end-to-end metric of BENCHMARK.json it prints the base's
 # median and quartiles, the change's median, the pairs the change won
 # (ties count for neither) and a verdict:
-#   gain        the change won at least 9 of 10 pairs and its median is
+#   gain        the change won at least 9 of 10 pairs, its median is
 #               better than the base's by more than the base's
-#               interquartile range;
+#               interquartile range, and it failed no larger share of
+#               its operations than the base;
 #   WORSE       the change's median is worse than the base's by more
 #               than the metric's bound;
 #   unresolved  neither, and the base's own interquartile range is wider
@@ -122,6 +123,12 @@ printf '%s\n' "$spec" | awk -v raw="$raw" -v pairs="$pairs" '
     }
     BEGIN {
         while ((getline line < raw) > 0) { split(line, f, " "); v[f[1], f[2], f[3]] = f[4] }
+        for (i = 0; i < pairs; i++) {
+            att["base"] += v[i, "base", "attempted"]; fl["base"] += v[i, "base", "failed"]
+            att["change"] += v[i, "change", "attempted"]; fl["change"] += v[i, "change", "failed"]
+        }
+        share_base = att["base"] ? fl["base"] / att["base"] : 0
+        share_change = att["change"] ? fl["change"] / att["change"] : 0
         printf "%-18s %12s %12s %12s %12s %7s  %s\n", "metric", "base_p50", "base_q1", "base_q3", "change_p50", "won", "verdict"
     }
     {
@@ -138,17 +145,15 @@ printf '%s\n' "$spec" | awk -v raw="$raw" -v pairs="$pairs" '
         for (i = 1; i <= nc; i++) for (j = 1; j <= nb; j++) if (lower ? c[i] >= b[j] : c[i] <= b[j]) allbetter = 0
         gain = lower ? mb - mc : mc - mb
         worse = mb == 0 ? 0 : -gain / (mb < 0 ? -mb : mb)
-        if (won * 10 >= 9 * pairs && gain > q3 - q1) verdict = "gain"
+        if (won * 10 >= 9 * pairs && gain > q3 - q1 && share_change <= share_base) verdict = "gain"
         else if (worse > bound) verdict = "WORSE (" sprintf("%+.1f%%", 100 * worse) " > bound " bound ")"
         else if (mb != 0 && (q3 - q1) / (mb < 0 ? -mb : mb) > bound && !allbetter) verdict = "unresolved"
         else verdict = "same"
         printf "%-18s %12.6g %12.6g %12.6g %12.6g %3d/%-3d  %s\n", m, mb, q1, q3, mc, won, pairs, verdict
     }
     END {
-        for (arm = 0; arm < 2; arm++) {
-            a = arm ? "change" : "base"; att = 0; fl = 0
-            for (i = 0; i < pairs; i++) { att += v[i, a, "attempted"]; fl += v[i, a, "failed"] }
-            printf "%s: %d ops attempted, %d failed\n", a, att, fl
-        }
+        printf "base: %d ops attempted, %d failed\n", att["base"], fl["base"]
+        printf "change: %d ops attempted, %d failed\n", att["change"], fl["change"]
+        if (share_change > share_base) print "WORSE: the change failed a larger share of its operations than the base"
         print "raw runs: " raw
     }'
