@@ -20,7 +20,7 @@
 //!   exactly (the simulator's determinism depends on it);
 //! * flat side arrays for immediates and macro micro-programs, indexed
 //!   by ranges stored in the descriptors;
-//! * the packed rendezvous key ([`key`]) both backends use for their
+//! * the packed rendezvous key ([`key_inv`]) both backends use for their
 //!   waiting-matching stores, hashed with [`crate::hash::FxHasher`].
 //!
 //! The operator semantics live here too, once: [`fire_op`] is the single
@@ -28,6 +28,15 @@
 //! effects (token emission, tag interning, memory). The simulator and
 //! the threaded executor are both `Engine`s; neither has a per-`OpKind`
 //! match of its own.
+//!
+//! So does the waiting-matching rule that decides when a token fires its
+//! operator: `arrive` either fires the operator on the token at once or
+//! names the rendezvous slot the token joins, and `SlotTable` is the
+//! store of those slots, with the fill, the collision check, the
+//! completion, the high-water mark and the deadlock report's line. The
+//! simulator owns one table; the threaded engine owns one per shard. The
+//! backends differ in when and where a token is handled, not in what it
+//! does.
 //!
 //! A `CompiledGraph` is a snapshot: it holds no reference to the `Dfg`
 //! it was lowered from, and any mutation of that `Dfg` after lowering
@@ -38,10 +47,12 @@
 //! the bench suites).
 
 use crate::exec::MachineError;
+use crate::hash::FxHashMap;
 use crate::memory::{DeferredRead, MemError};
-use crate::tag::TagId;
+use crate::tag::{TagId, TagSplit};
 use cf2df_cfg::{BinOp, LoopId, UnOp, VarId};
 use cf2df_dfg::{macro_eval, Dfg, MacroStep, OpId, OpKind, Port};
+use std::collections::hash_map::Entry;
 
 /// Inline capacity of the executors' firing-value buffers and rendezvous
 /// slots. Operators with at most this many input ports never touch the
@@ -240,37 +251,24 @@ pub struct CompiledGraph {
     start: OpId,
 }
 
-/// Pack a rendezvous key: dense operator index in the high half, tag in
-/// the low half. Injective — both ids are 32-bit — so the packed word
-/// can replace the `(OpId, TagId)` tuple everywhere tokens rendezvous.
+/// Pack a rendezvous key: the dense operator index in the high half, and
+/// the low half carrying the invocation slot alongside the
+/// invocation-local tag under `split`'s reserved layout
+/// ([`crate::tag::TagSplit::pack`]). With `TagSplit::NONE` the low half
+/// is the tag itself, which is the simulator's key. Injective as long as
+/// the tag respects the split's cap — which the per-invocation interners
+/// enforce — so the packed word can replace the `(OpId, TagId)` tuple
+/// wherever tokens rendezvous, and tokens from different inflight
+/// invocations of the same graph can never rendezvous with each other.
 #[inline]
-pub fn key(op: OpId, tag: TagId) -> u64 {
-    ((op.0 as u64) << 32) | tag.0 as u64
-}
-
-/// Unpack a rendezvous key (exact inverse of [`key`]).
-#[inline]
-pub fn unkey(k: u64) -> (OpId, TagId) {
-    (OpId((k >> 32) as u32), TagId(k as u32))
-}
-
-/// Pack an invocation-multiplexed rendezvous key: the operator in the
-/// high half, and the low half carrying the invocation slot alongside
-/// the invocation-local tag under `split`'s reserved layout
-/// ([`crate::tag::TagSplit::pack`]). With `TagSplit::NONE` this is
-/// exactly [`key`]. Injective as long as the tag respects the split's
-/// cap — which the per-invocation interners enforce — so tokens from
-/// different inflight invocations of the same graph can never
-/// rendezvous with each other.
-#[inline]
-pub fn key_inv(op: OpId, split: crate::tag::TagSplit, inv: u32, tag: TagId) -> u64 {
+pub fn key_inv(op: OpId, split: TagSplit, inv: u32, tag: TagId) -> u64 {
     ((op.0 as u64) << 32) | split.pack(inv, tag) as u64
 }
 
 /// Unpack an invocation-multiplexed rendezvous key (exact inverse of
 /// [`key_inv`] for the same `split`).
 #[inline]
-pub fn unkey_inv(k: u64, split: crate::tag::TagSplit) -> (OpId, u32, TagId) {
+pub fn unkey_inv(k: u64, split: TagSplit) -> (OpId, u32, TagId) {
     let (inv, tag) = split.unpack(k as u32);
     (OpId((k >> 32) as u32), inv, tag)
 }
@@ -547,16 +545,19 @@ pub mod audit {
 /// Mask + packed `[i64]` is half the footprint of
 /// `[Option<i64>; INLINE_VALS]`.
 #[derive(Debug)]
-pub(crate) enum SlotVals {
+enum SlotVals {
     /// Inline storage for ≤ [`INLINE_VALS`] ports.
     Inline {
         n: u8,
+        /// Ports a token filled; immediates are not counted.
+        tokens: u8,
         /// Bit `p` set ⇔ port `p` holds a value.
         filled: u16,
         vals: [i64; INLINE_VALS],
     },
     /// Heap storage for wider operators.
     Spill {
+        tokens: u32,
         filled: Box<[bool]>,
         vals: Box<[i64]>,
     },
@@ -568,7 +569,7 @@ const _: () = assert!(INLINE_VALS <= u16::BITS as usize);
 impl SlotVals {
     /// A fresh slot pre-filled with the operator's immediates
     /// (`None` = arc-fed, waiting).
-    pub(crate) fn new(init: &[Option<i64>], hot: bool) -> SlotVals {
+    fn new(init: &[Option<i64>], hot: bool) -> SlotVals {
         let n = init.len();
         if n <= INLINE_VALS {
             let mut vals = [0i64; INLINE_VALS];
@@ -581,6 +582,7 @@ impl SlotVals {
             }
             SlotVals::Inline {
                 n: n as u8,
+                tokens: 0,
                 filled,
                 vals,
             }
@@ -589,62 +591,68 @@ impl SlotVals {
                 audit::note_hot_spill();
             }
             SlotVals::Spill {
+                tokens: 0,
                 filled: init.iter().map(Option::is_some).collect(),
                 vals: init.iter().map(|im| im.unwrap_or(0)).collect(),
             }
         }
     }
 
-    /// An empty two-value slot (the fused loop-switch rendezvous).
-    pub(crate) fn pair() -> SlotVals {
-        SlotVals::new(&[None, None], false)
-    }
-
-    /// Whether input port `p` already holds a value (immediate or
-    /// deposited token) — the token-collision check.
+    /// Put a token's value on port `p`. `false`, and nothing changes,
+    /// when the port already holds a value (an immediate or an earlier
+    /// token): a token collision.
     #[inline]
-    pub(crate) fn is_filled(&self, p: usize) -> bool {
+    fn fill(&mut self, p: usize, value: i64) -> bool {
         match self {
-            SlotVals::Inline { filled, .. } => filled & (1 << p) != 0,
-            SlotVals::Spill { filled, .. } => filled[p],
-        }
-    }
-
-    /// Deposit a token's value on port `p` (callers check
-    /// [`Self::is_filled`] first).
-    #[inline]
-    pub(crate) fn set(&mut self, p: usize, value: i64) {
-        match self {
-            SlotVals::Inline { filled, vals, .. } => {
+            SlotVals::Inline {
+                tokens,
+                filled,
+                vals,
+                ..
+            } => {
+                if *filled & (1 << p) != 0 {
+                    return false;
+                }
                 vals[p] = value;
                 *filled |= 1 << p;
+                *tokens += 1;
             }
-            SlotVals::Spill { filled, vals } => {
+            SlotVals::Spill {
+                tokens,
+                filled,
+                vals,
+            } => {
+                if filled[p] {
+                    return false;
+                }
                 vals[p] = value;
                 filled[p] = true;
+                *tokens += 1;
             }
         }
+        true
     }
 
     /// Whether every input port holds a value.
     #[inline]
-    pub(crate) fn is_complete(&self) -> bool {
+    fn is_complete(&self) -> bool {
         match self {
             SlotVals::Inline { n, filled, .. } => *filled == mask(*n as usize),
             SlotVals::Spill { filled, .. } => filled.iter().all(|&f| f),
         }
     }
 
-    /// How many ports hold a value (leftover-token accounting).
-    pub(crate) fn filled_count(&self) -> u64 {
+    /// How many ports a token filled (leftover-token accounting).
+    fn tokens(&self) -> u64 {
         match self {
-            SlotVals::Inline { filled, .. } => filled.count_ones() as u64,
-            SlotVals::Spill { filled, .. } => filled.iter().filter(|&&f| f).count() as u64,
+            SlotVals::Inline { tokens, .. } => u64::from(*tokens),
+            SlotVals::Spill { tokens, .. } => u64::from(*tokens),
         }
     }
 
-    /// The filled port indices, ascending (deadlock reports).
-    pub(crate) fn filled_ports(&self) -> Vec<usize> {
+    /// The filled port indices, immediates included, ascending
+    /// (deadlock reports).
+    fn filled_ports(&self) -> Vec<usize> {
         match self {
             SlotVals::Inline { n, filled, .. } => (0..*n as usize)
                 .filter(|p| filled & (1 << p) != 0)
@@ -661,7 +669,7 @@ impl SlotVals {
     /// Consume a complete slot into firing values. Callers fire only
     /// after [`Self::is_complete`]; unfilled ports (impossible there)
     /// would read as the zeroed initial value.
-    pub(crate) fn into_vals(self) -> FireVals {
+    fn into_vals(self) -> FireVals {
         debug_assert!(self.is_complete());
         match self {
             SlotVals::Inline { n, vals, .. } => FireVals::Inline { n, vals },
@@ -680,20 +688,23 @@ fn mask(n: usize) -> u16 {
     }
 }
 
-/// A strict firing's assembled input values, inline wherever the slot
-/// was inline.
+/// A firing's input values, owned: inline wherever the slot was inline.
+/// What a token that fires its operator at once brings to the firing, and
+/// what the simulator queues.
 #[derive(Debug)]
 pub(crate) enum FireVals {
     /// Inline values for ≤ [`INLINE_VALS`] ports.
     Inline { n: u8, vals: [i64; INLINE_VALS] },
     /// Heap values for wider operators.
     Spill(Vec<i64>),
+    /// One token on a merge-like operator.
+    Single { port: usize, value: i64 },
 }
 
 impl FireVals {
     /// Assemble the values of a single-live-input operator firing: the
     /// immediates with the one arriving token written over `port`.
-    pub(crate) fn from_imms(imms: &[Option<i64>], port: usize, value: i64, hot: bool) -> FireVals {
+    fn from_imms(imms: &[Option<i64>], port: usize, value: i64, hot: bool) -> FireVals {
         let n = imms.len();
         if n <= INLINE_VALS {
             let mut vals = [0i64; INLINE_VALS];
@@ -714,11 +725,13 @@ impl FireVals {
         }
     }
 
+    /// The kernel's borrowed view of these values.
     #[inline]
-    pub(crate) fn as_slice(&self) -> &[i64] {
+    pub(crate) fn as_fire(&self) -> FireInputs<'_> {
         match self {
-            FireVals::Inline { n, vals } => &vals[..*n as usize],
-            FireVals::Spill(v) => v,
+            FireVals::Inline { n, vals } => FireInputs::Full(&vals[..*n as usize]),
+            FireVals::Spill(v) => FireInputs::Full(v),
+            &FireVals::Single { port, value } => FireInputs::Single { port, value },
         }
     }
 }
@@ -797,8 +810,9 @@ pub trait Engine {
     fn macro_fired(&mut self, elided: u64);
 }
 
-/// The loop-entry retag rule, shared by the `LoopEntry` firing and both
-/// backends' deposits into a fused loop-entry/switch pair: a token on
+/// The loop-entry retag rule, shared by the `LoopEntry` firing and the
+/// arrival of a data token at a fused loop-entry/switch pair
+/// ([`arrive`]): a token on
 /// port 0 enters iteration 0 of `loop_id` under its own tag; a token on
 /// port 1, the backedge, must carry iteration `i` of `loop_id` and moves
 /// on to iteration `i + 1`. Any other backedge tag is a
@@ -960,6 +974,200 @@ pub fn fire_op<E: Engine>(
     Ok(())
 }
 
+// ---------------------------------------------------------------------
+// The waiting-matching rule (shared by both backends)
+// ---------------------------------------------------------------------
+
+/// A token on its way into a rendezvous slot ([`Arrival::Join`]).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Join {
+    /// The port the token arrived on.
+    pub(crate) to: Port,
+    /// The slot's tag: the token's own, or for a fused loop-switch's
+    /// data token the tag of the iteration it enters.
+    pub(crate) tag: TagId,
+    /// The slot value the token fills.
+    idx: usize,
+    /// The token's value.
+    value: i64,
+}
+
+/// What a token arriving at an operator does ([`arrive`]).
+pub(crate) enum Arrival {
+    /// The operator fires on the token now, under the token's tag.
+    Fire(FireVals),
+    /// The token waits in a rendezvous slot until the slot fills.
+    Join(Join),
+}
+
+/// The waiting-matching rule of the explicit-token-store machine (§2.2),
+/// the one definition both backends route every token through: `value`
+/// arriving on `to` under `tag` either fires its operator at once or
+/// joins a rendezvous slot ([`SlotTable::join`]).
+///
+/// * A merge-like operator fires on the token alone.
+/// * An operator with a single live input fires with its immediates
+///   filling the other ports.
+/// * A fused loop-entry/switch pair joins its data with its predicate in
+///   a two-value slot keyed by the *iteration* tag: a data token (port 0
+///   or 1) is first retagged by the loop-entry's rule
+///   ([`loop_entry_tag`]) and fills value 0; the predicate (port 2)
+///   already carries that tag and fills value 1.
+/// * Any other token fills its own port of the slot keyed by its
+///   operator and tag.
+#[inline]
+pub(crate) fn arrive<E: Engine>(
+    cg: &CompiledGraph,
+    eng: &mut E,
+    to: Port,
+    tag: TagId,
+    value: i64,
+) -> Result<Arrival, MachineError> {
+    let (op, port) = (to.op, to.port as usize);
+    let desc = cg.desc(op);
+    let (tag, idx) = match desc.kind {
+        CKind::LoopSwitch(loop_id) if port < 2 => (loop_entry_tag(eng, op, port, tag, loop_id)?, 0),
+        CKind::LoopSwitch(_) => (tag, 1),
+        _ if desc.merge_like() => return Ok(Arrival::Fire(FireVals::Single { port, value })),
+        _ if desc.live <= 1 => {
+            let vals = FireVals::from_imms(cg.imms(op), port, value, desc.is_hot());
+            return Ok(Arrival::Fire(vals));
+        }
+        _ => (tag, port),
+    };
+    Ok(Arrival::Join(Join {
+        to,
+        tag,
+        idx,
+        value,
+    }))
+}
+
+/// What a token's [`SlotTable::join`] did.
+pub(crate) enum Joined {
+    /// The token filled its slot, which left the table: fire with these
+    /// values.
+    Fire(FireVals),
+    /// The token waits in its slot.
+    Wait {
+        /// Whether the token opened the slot (the table grew by one).
+        opened: bool,
+    },
+}
+
+/// A waiting-matching store: the partially filled rendezvous slots of
+/// one run or one shard, by packed key ([`key_inv`]), on the vendored Fx
+/// hasher. The simulator owns one; the threaded engine owns one per
+/// shard, behind the shard's lock.
+#[derive(Debug, Default)]
+pub(crate) struct SlotTable {
+    slots: FxHashMap<u64, SlotVals>,
+    /// The most slots held at once: what the table grew to.
+    high: u64,
+}
+
+impl SlotTable {
+    /// Whether the token keyed `k` would open a slot while `cap` are
+    /// already occupied (the simulator's frame-capacity throttle).
+    pub(crate) fn is_full_for(&self, k: u64, cap: usize) -> bool {
+        self.slots.len() >= cap && !self.slots.contains_key(&k)
+    }
+
+    /// Fill the token `j` into its slot, keyed `k`, opening the slot if
+    /// there is none: a fused loop-switch's slot is an empty pair, any
+    /// other operator's holds its immediates. A filled slot leaves the
+    /// table. A token whose slot value is already filled is a
+    /// [`MachineError::TokenCollision`] naming the token's port and the
+    /// slot's tag, as `render` prints it.
+    pub(crate) fn join(
+        &mut self,
+        cg: &CompiledGraph,
+        k: u64,
+        j: &Join,
+        render: impl FnOnce(TagId) -> String,
+    ) -> Result<Joined, MachineError> {
+        let collision = || MachineError::TokenCollision {
+            op: j.to.op,
+            port: j.to.port as usize,
+            tag: render(j.tag),
+        };
+        match self.slots.entry(k) {
+            Entry::Occupied(mut e) => {
+                if !e.get_mut().fill(j.idx, j.value) {
+                    return Err(collision());
+                }
+                if e.get().is_complete() {
+                    return Ok(Joined::Fire(e.remove().into_vals()));
+                }
+                Ok(Joined::Wait { opened: false })
+            }
+            Entry::Vacant(e) => {
+                let op = j.to.op;
+                let desc = cg.desc(op);
+                let mut vals = match desc.kind {
+                    CKind::LoopSwitch(_) => SlotVals::new(&[None, None], false),
+                    _ => SlotVals::new(cg.imms(op), desc.is_hot()),
+                };
+                if !vals.fill(j.idx, j.value) {
+                    return Err(collision());
+                }
+                // A slot opens with two or more values missing ([`arrive`]
+                // fires single-live operators at once), so the token that
+                // opens it never fills it.
+                debug_assert!(!vals.is_complete());
+                e.insert(vals);
+                self.high = self.high.max(self.slots.len() as u64);
+                Ok(Joined::Wait { opened: true })
+            }
+        }
+    }
+
+    /// The most slots the table has held at once.
+    pub(crate) fn high_water(&self) -> u64 {
+        self.high
+    }
+
+    /// Tokens waiting in the table: the ports tokens filled, immediates
+    /// not counted.
+    pub(crate) fn tokens(&self) -> u64 {
+        self.slots.values().map(SlotVals::tokens).sum()
+    }
+
+    /// Remove every slot of invocation `inv` under `split` (under
+    /// `TagSplit::NONE`, every slot) and return how many there were.
+    /// While `lines` holds fewer than `cap` entries, each removed slot
+    /// adds its line of a deadlock report: operator, tag as `render`
+    /// prints it, and the ports that hold a value.
+    pub(crate) fn purge(
+        &mut self,
+        cg: &CompiledGraph,
+        split: TagSplit,
+        inv: u32,
+        lines: &mut Vec<String>,
+        cap: usize,
+        render: impl Fn(TagId) -> String,
+    ) -> u64 {
+        let mut purged = 0;
+        self.slots.retain(|&k, vals| {
+            let (op, k_inv, tag) = unkey_inv(k, split);
+            if k_inv != inv {
+                return true;
+            }
+            purged += 1;
+            if lines.len() < cap {
+                lines.push(format!(
+                    "{} {op:?} tag {} waiting (filled ports {:?})",
+                    cg.mnemonic(op),
+                    render(tag),
+                    vals.filled_ports(),
+                ));
+            }
+            false
+        });
+        purged
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1115,8 +1323,8 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for &o in &samples {
             for &t in &samples {
-                let k = key(OpId(o), TagId(t));
-                assert_eq!(unkey(k), (OpId(o), TagId(t)));
+                let k = key_inv(OpId(o), TagSplit::NONE, 0, TagId(t));
+                assert_eq!(unkey_inv(k, TagSplit::NONE), (OpId(o), 0, TagId(t)));
                 assert!(seen.insert(k), "collision at op {o} tag {t}");
             }
         }
@@ -1150,5 +1358,35 @@ mod tests {
             compile(&g),
             Err(MachineError::InvalidGraph { .. })
         ));
+    }
+
+    /// Two tokens entering iteration 0 of a fused loop-switch through its
+    /// data port meet in the pair slot keyed by the iteration's tag and
+    /// collide there, on the simulator and on the engine alike.
+    #[test]
+    fn a_second_entry_into_a_loop_switch_iteration_collides() {
+        let mut g = Dfg::new();
+        let s = g.add(OpKind::Start);
+        let a = g.add(OpKind::Identity);
+        let b = g.add(OpKind::Identity);
+        let ls = g.add(OpKind::LoopSwitch { loop_id: LoopId(0) });
+        let e = g.add(OpKind::End { inputs: 1 });
+        g.connect(Port::new(s, 0), Port::new(a, 0), ArcKind::Value);
+        g.connect(Port::new(s, 0), Port::new(b, 0), ArcKind::Value);
+        g.connect(Port::new(a, 0), Port::new(ls, 0), ArcKind::Value);
+        g.connect(Port::new(b, 0), Port::new(ls, 0), ArcKind::Value);
+        g.connect(Port::new(ls, 1), Port::new(e, 0), ArcKind::Value);
+        let layout = cf2df_cfg::MemLayout::distinct(&cf2df_cfg::VarTable::new());
+        let want = MachineError::TokenCollision {
+            op: ls,
+            port: 0,
+            tag: "root.L0[0]".to_owned(),
+        };
+        let sim = crate::exec::run(&g, &layout, crate::exec::MachineConfig::unbounded());
+        assert_eq!(sim.unwrap_err(), want);
+        for workers in [1, 2] {
+            let par = crate::parallel::run_threaded(&g, &layout, workers);
+            assert_eq!(par.unwrap_err(), want, "workers={workers}");
+        }
     }
 }

@@ -14,18 +14,20 @@
 //! graph with [`crate::compiled::compile`] and calls [`run_compiled`];
 //! callers that execute one graph many times compile once and reuse.
 //! Operator semantics live in the shared kernel
-//! [`crate::compiled::fire_op`] — the simulator only supplies the
-//! [`Engine`] effects (timestamped event-queue delivery, tag interning,
-//! the split-phase memory).
+//! [`crate::compiled::fire_op`], and the waiting-matching rule — whether
+//! an arriving token fires its operator or waits in a rendezvous slot —
+//! in the arrival rule and slot table beside it, which the threaded
+//! engine shares. The simulator supplies the [`Engine`] effects
+//! (timestamped event-queue delivery, tag interning, the split-phase
+//! memory) and keeps what is its own: the timed event queue, the
+//! processor budget, the LIFO ablation and the frame-capacity throttle.
 
 use crate::compiled::{
-    compile, fire_op, key, loop_entry_tag, unkey, CompiledGraph, Engine, FireInputs, FireVals,
-    SlotVals,
+    arrive, compile, fire_op, key_inv, Arrival, CompiledGraph, Engine, FireVals, Joined, SlotTable,
 };
-use crate::hash::FxHashMap;
 use crate::memory::{DeferredRead, MemError, Memory};
 use crate::metrics::ExecStats;
-use crate::tag::{TagId, TagTable};
+use crate::tag::{TagId, TagSplit, TagTable};
 use cf2df_cfg::{LoopId, MemLayout, VarId};
 use cf2df_dfg::{Dfg, OpId, Port};
 use std::collections::{BTreeMap, VecDeque};
@@ -260,45 +262,15 @@ struct Token {
     value: i64,
 }
 
-/// Input values of a queued firing. Operators with at most
-/// [`crate::compiled::INLINE_VALS`] ports (every fixed-arity kind, and
-/// every hot kind the allocation audit covers) stay inline; wide
-/// `End`/`Synch` fan-ins spill to the heap.
-#[derive(Debug)]
-enum Inputs {
-    /// All input values (immediates filled in), strict firing.
-    Vals(FireVals),
-    /// A single token on a merge-like operator.
-    Single { port: usize, value: i64 },
-}
-
-impl Inputs {
-    #[inline]
-    fn as_fire(&self) -> FireInputs<'_> {
-        match self {
-            Inputs::Vals(v) => FireInputs::Full(v.as_slice()),
-            Inputs::Single { port, value } => FireInputs::Single {
-                port: *port,
-                value: *value,
-            },
-        }
-    }
-}
-
+/// A queued firing. Its input values stay inline for operators with at
+/// most [`crate::compiled::INLINE_VALS`] ports (every fixed-arity kind,
+/// and every hot kind the allocation audit covers); wide `End`/`Synch`
+/// fan-ins spill to the heap.
 #[derive(Debug)]
 struct Firing {
     op: OpId,
     tag: TagId,
-    inputs: Inputs,
-}
-
-/// A rendezvous slot: shared inline value storage plus the simulator's
-/// countdown of still-unfilled live ports (the threaded executor scans
-/// instead, to keep its sharded slots a single word-keyed value).
-#[derive(Debug)]
-struct Slot {
-    vals: SlotVals,
-    remaining: u32,
+    inputs: FireVals,
 }
 
 /// Compile-time switch for firing-trace collection. `run` instantiates
@@ -341,9 +313,8 @@ struct Sim<'g, S: TraceSink> {
     cfgc: MachineConfig,
     events: BTreeMap<u64, Vec<Token>>,
     ready: VecDeque<Firing>,
-    /// The waiting-matching store, keyed by the packed (op, tag) word
-    /// through the vendored integer hasher.
-    rendezvous: FxHashMap<u64, Slot>,
+    /// The waiting-matching store, keyed by the packed (op, tag) word.
+    slots: SlotTable,
     /// Tokens waiting for a free rendezvous slot (finite frame capacity).
     throttled: VecDeque<Token>,
     tags: TagTable,
@@ -403,7 +374,7 @@ impl<'g, S: TraceSink> Sim<'g, S> {
             layout,
             events: BTreeMap::new(),
             ready: VecDeque::new(),
-            rendezvous: FxHashMap::default(),
+            slots: SlotTable::default(),
             throttled: VecDeque::new(),
             tags: TagTable::new(),
             mem: Memory::new(layout),
@@ -499,147 +470,54 @@ impl<'g, S: TraceSink> Sim<'g, S> {
         }
     }
 
-    fn describe_pending(&self) -> Vec<String> {
-        let mut out: Vec<String> = self
-            .rendezvous
-            .iter()
-            .map(|(&k, slot)| {
-                let (op, tag) = unkey(k);
-                let filled = slot.vals.filled_ports();
-                format!(
-                    "{} {op:?} tag {} waiting (filled ports {filled:?})",
-                    self.cg.mnemonic(op),
-                    self.tags.render(tag),
-                )
-            })
-            .collect();
-        out.sort();
-        out.truncate(10);
-        out
+    /// The deadlock report: the line of every partially filled slot,
+    /// sorted, the first 10.
+    fn describe_pending(&mut self) -> Vec<String> {
+        let mut pending = Vec::new();
+        let tags = &self.tags;
+        self.slots.purge(
+            self.cg,
+            TagSplit::NONE,
+            0,
+            &mut pending,
+            usize::MAX,
+            |tag| tags.render(tag),
+        );
+        pending.sort();
+        pending.truncate(10);
+        pending
     }
 
-    /// Deposit for a fused loop-entry/switch pair: ports 0/1 retag the
-    /// data token by the loop-entry's rule ([`loop_entry_tag`]), then wait
-    /// for the predicate in a two-value slot keyed by the *iteration*
-    /// tag; the predicate (port 2) already carries that tag and fills the
-    /// other half.
-    fn deposit_loop_switch(
-        &mut self,
-        op: OpId,
-        port: usize,
-        t: Token,
-        loop_id: LoopId,
-    ) -> Result<(), MachineError> {
-        let (slot_tag, idx) = match port {
-            0 | 1 => (loop_entry_tag(self, op, port, t.tag, loop_id)?, 0),
-            _ => (t.tag, 1),
-        };
-        let k = key(op, slot_tag);
-        if let Some(cap) = self.cfgc.frame_capacity {
-            if !self.rendezvous.contains_key(&k) && self.rendezvous.len() >= cap {
-                // Park the original token: re-depositing re-runs the
-                // (deterministic) retag.
-                self.throttled.push_back(t);
-                return Ok(());
-            }
-        }
-        let slot = self.rendezvous.entry(k).or_insert(Slot {
-            vals: SlotVals::pair(),
-            remaining: 2,
-        });
-        if slot.vals.is_filled(idx) {
-            return Err(MachineError::TokenCollision {
-                op,
-                port,
-                tag: self.tags.render(slot_tag),
-            });
-        }
-        slot.vals.set(idx, t.value);
-        slot.remaining -= 1;
-        let complete = slot.remaining == 0;
-        let pending = self.rendezvous.len() as u64;
-        self.stats.max_pending_slots = self.stats.max_pending_slots.max(pending);
-        if complete {
-            let slot = self.rendezvous.remove(&k).expect("slot inserted above");
-            self.ready.push_back(Firing {
-                op,
-                tag: slot_tag,
-                inputs: Inputs::Vals(slot.vals.into_vals()),
-            });
-        }
-        Ok(())
-    }
-
+    /// Route one delivered token by the shared arrival rule: it fires its
+    /// operator, joins its rendezvous slot, or — when opening a slot
+    /// would pass the frame capacity — waits in `throttled`, to be routed
+    /// again from scratch (a loop-switch's retag is deterministic).
     fn deposit(&mut self, t: Token) -> Result<(), MachineError> {
         let cg = self.cg;
-        let op = t.to.op;
-        let port = t.to.port as usize;
-        let desc = cg.desc(op);
-        if let crate::compiled::CKind::LoopSwitch(loop_id) = desc.kind {
-            return self.deposit_loop_switch(op, port, t, loop_id);
-        }
-        if desc.merge_like() {
-            self.ready.push_back(Firing {
-                op,
-                tag: t.tag,
-                inputs: Inputs::Single {
-                    port,
-                    value: t.value,
-                },
-            });
-            return Ok(());
-        }
-        if desc.live <= 1 {
-            // Single live input: fires immediately.
-            // clone() audit: values are assembled in an inline stack
-            // buffer for every fixed-arity operator; only >INLINE_VALS
-            // fan-ins (never a hot kind) heap-allocate, and those are
-            // counted by the spill audit.
-            self.ready.push_back(Firing {
-                op,
-                tag: t.tag,
-                inputs: Inputs::Vals(FireVals::from_imms(
-                    cg.imms(op),
-                    port,
-                    t.value,
-                    desc.is_hot(),
-                )),
-            });
-            return Ok(());
-        }
-        let k = key(op, t.tag);
+        let j = match arrive(cg, self, t.to, t.tag, t.value)? {
+            Arrival::Fire(inputs) => {
+                self.ready.push_back(Firing {
+                    op: t.to.op,
+                    tag: t.tag,
+                    inputs,
+                });
+                return Ok(());
+            }
+            Arrival::Join(j) => j,
+        };
+        let k = key_inv(j.to.op, TagSplit::NONE, 0, j.tag);
         if let Some(cap) = self.cfgc.frame_capacity {
-            if !self.rendezvous.contains_key(&k) && self.rendezvous.len() >= cap {
-                // Back-pressure: park the token until a slot frees.
+            if self.slots.is_full_for(k, cap) {
                 self.throttled.push_back(t);
                 return Ok(());
             }
         }
-        let slot = self.rendezvous.entry(k).or_insert_with(|| Slot {
-            vals: SlotVals::new(cg.imms(op), desc.is_hot()),
-            remaining: desc.live,
-        });
-        if slot.vals.is_filled(port) {
-            return Err(MachineError::TokenCollision {
-                op,
-                port,
-                tag: self.tags.render(t.tag),
-            });
-        }
-        slot.vals.set(port, t.value);
-        slot.remaining -= 1;
-        let complete = slot.remaining == 0;
-        let pending = self.rendezvous.len() as u64;
-        self.stats.max_pending_slots = self.stats.max_pending_slots.max(pending);
-        if complete {
-            // Unreachable expect, audited: the slot was obtained from
-            // this map via `entry` a few lines up and nothing in between
-            // can remove it (single-threaded, exclusive `&mut self`).
-            let slot = self.rendezvous.remove(&k).expect("slot inserted above");
+        let tags = &self.tags;
+        if let Joined::Fire(vals) = self.slots.join(cg, k, &j, |tag| tags.render(tag))? {
             self.ready.push_back(Firing {
-                op,
-                tag: t.tag,
-                inputs: Inputs::Vals(slot.vals.into_vals()),
+                op: j.to.op,
+                tag: j.tag,
+                inputs: vals,
             });
         }
         Ok(())
@@ -665,31 +543,11 @@ impl<'g, S: TraceSink> Sim<'g, S> {
         fire_op(cg, f.op, f.tag, f.inputs.as_fire(), self)
     }
 
-    /// Intern the child tag, surfacing interner overflow as the typed
-    /// [`MachineError::TagSpaceExhausted`] instead of a panic.
-    fn child_tag(
-        &mut self,
-        parent: TagId,
-        loop_id: LoopId,
-        iter: u32,
-    ) -> Result<TagId, MachineError> {
-        self.tags
-            .child(parent, loop_id, iter)
-            .ok_or(MachineError::TagSpaceExhausted {
-                cap: u32::MAX,
-                invocation: None,
-            })
-    }
-
     fn finish(mut self) -> (Outcome, S) {
         let in_flight: u64 = self.events.values().map(|v| v.len() as u64).sum();
-        let in_slots: u64 = self
-            .rendezvous
-            .values()
-            .map(|s| s.vals.filled_count())
-            .sum();
         self.stats.leftover_tokens =
-            in_flight + in_slots + self.ready.len() as u64 + self.throttled.len() as u64;
+            in_flight + self.slots.tokens() + self.ready.len() as u64 + self.throttled.len() as u64;
+        self.stats.max_pending_slots = self.slots.high_water();
         self.stats.mem_reads = self.mem.reads();
         self.stats.mem_writes = self.mem.writes();
         self.stats.tags_created = self.tags.len() as u64 - 1;
@@ -723,13 +581,20 @@ impl<S: TraceSink> Engine for Sim<'_, S> {
         self.halted = true;
     }
 
+    /// Interner overflow is the typed
+    /// [`MachineError::TagSpaceExhausted`], not a panic.
     fn tag_child(
         &mut self,
         parent: TagId,
         loop_id: LoopId,
         iter: u32,
     ) -> Result<TagId, MachineError> {
-        self.child_tag(parent, loop_id, iter)
+        self.tags
+            .child(parent, loop_id, iter)
+            .ok_or(MachineError::TagSpaceExhausted {
+                cap: u32::MAX,
+                invocation: None,
+            })
     }
 
     fn tag_info(&self, tag: TagId) -> Option<(TagId, LoopId, u32)> {
@@ -1048,6 +913,44 @@ mod tests {
         cfgc.fuel = 1000;
         let err = run(&g, &layout, cfgc).unwrap_err();
         assert_eq!(err, MachineError::FuelExhausted);
+    }
+
+    /// A slot's immediates are not tokens: a three-input synch holding
+    /// the start token on port 0 and an immediate on port 2, whose port 1
+    /// is never fed, leaves one token behind when `End` fires. Fed to
+    /// `End` instead, it deadlocks, and both backends report the slot
+    /// with every port that holds a value, the immediate's too.
+    #[test]
+    fn leftover_tokens_leave_immediates_out() {
+        let layout = layout_xy();
+        let build = |synch_to_end: bool| {
+            let mut g = Dfg::new();
+            let s = g.add(OpKind::Start);
+            let starved = g.add(OpKind::Identity);
+            let sy = g.add(OpKind::Synch { inputs: 3 });
+            g.set_imm(sy, 2, 0);
+            let e = g.add(OpKind::End { inputs: 1 });
+            g.connect(Port::new(s, 0), Port::new(sy, 0), ArcKind::Access);
+            g.connect(Port::new(starved, 0), Port::new(sy, 1), ArcKind::Access);
+            let to_end = if synch_to_end { sy } else { s };
+            g.connect(Port::new(to_end, 0), Port::new(e, 0), ArcKind::Access);
+            g
+        };
+        let out = run(&build(false), &layout, MachineConfig::unbounded()).unwrap();
+        assert_eq!(out.stats.leftover_tokens, 1);
+
+        let stuck = build(true);
+        let sim = run(&stuck, &layout, MachineConfig::unbounded()).unwrap_err();
+        for err in [
+            sim,
+            crate::parallel::run_threaded(&stuck, &layout, 2).unwrap_err(),
+        ] {
+            let MachineError::Deadlock { pending } = err else {
+                panic!("expected deadlock, got {err:?}")
+            };
+            assert_eq!(pending.len(), 1, "{pending:?}");
+            assert!(pending[0].contains("filled ports [0, 2]"), "{pending:?}");
+        }
     }
 
     #[test]

@@ -21,7 +21,8 @@
 //!
 //! * ordinary memory cells are `AtomicI64`s — loads and stores never take
 //!   a lock (the dataflow graph's access tokens are what order them);
-//! * I-structure cells are lock-striped by address;
+//! * I-structure cells sit behind one lock, allocated by the first
+//!   I-structure operation (only I-structure arrays reach them);
 //! * the tag (iteration-context) interner is sharded by
 //!   `(parent, loop, iteration)`, each shard allocating `TagId`s from a
 //!   disjoint arithmetic progression.
@@ -45,7 +46,7 @@ use crate::trace::TraceEvent;
 use cf2df_cfg::{LoopId, MemLayout, VarId};
 use cf2df_dfg::{Dfg, OpId};
 use std::sync::atomic::{AtomicI64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// Execution limits and fault injection for a threaded run. The
@@ -103,8 +104,6 @@ pub struct ParOutcome {
     pub metrics: ParMetrics,
 }
 
-/// Stripes in the I-structure store.
-const IST_STRIPES: usize = 16;
 /// Shards in the tag interner.
 const TAG_SHARDS: usize = 16;
 
@@ -121,33 +120,24 @@ enum IstSlot {
     Deferred(Vec<DeferredRead<(OpId, TagId)>>),
 }
 
-/// Concurrent machine memory: atomic ordinary cells plus a lock-striped
-/// I-structure overlay. The dataflow graph's access tokens are
+/// Concurrent machine memory: atomic ordinary cells plus an I-structure
+/// overlay under one lock. The dataflow graph's access tokens are
 /// responsible for ordering, exactly as in the sequential [`crate::memory::Memory`];
 /// the cells only have to be individually race-free. Crate-visible:
 /// [`mod@crate::serve`] instantiates one per admitted invocation.
 pub(crate) struct ParMemory {
     cells: Vec<AtomicI64>,
-    /// Stripe `s` holds the cells of every address `a ≡ s (mod IST_STRIPES)`,
-    /// at index `a / IST_STRIPES`.
-    ist: Vec<Mutex<Vec<IstSlot>>>,
+    /// The I-structure cell of every address; empty until the first
+    /// I-structure operation sizes it.
+    ist: Mutex<Vec<IstSlot>>,
 }
 
 impl ParMemory {
     pub(crate) fn new(layout: &MemLayout) -> ParMemory {
         let n = layout.total_cells() as usize;
-        let per_stripe = n.div_ceil(IST_STRIPES);
         ParMemory {
             cells: (0..n).map(|_| AtomicI64::new(0)).collect(),
-            ist: (0..IST_STRIPES)
-                .map(|_| {
-                    Mutex::new(
-                        std::iter::repeat_with(IstSlot::default)
-                            .take(per_stripe)
-                            .collect(),
-                    )
-                })
-                .collect(),
+            ist: Mutex::new(Vec::new()),
         }
     }
 
@@ -195,8 +185,9 @@ impl ParMemory {
         let addr = layout
             .element(var, index)
             .ok_or(MemError::OutOfBounds { var, index })? as usize;
-        let mut stripe = lock(&self.ist[addr % IST_STRIPES]);
-        let slot = &mut stripe[addr / IST_STRIPES];
+        let mut ist = lock(&self.ist);
+        ist.resize_with(self.cells.len(), IstSlot::default);
+        let slot = &mut ist[addr];
         match slot {
             IstSlot::Full(v) => Ok(Some(*v)),
             IstSlot::Empty => {
@@ -220,8 +211,9 @@ impl ParMemory {
         let addr = layout
             .element(var, index)
             .ok_or(MemError::OutOfBounds { var, index })? as usize;
-        let mut stripe = lock(&self.ist[addr % IST_STRIPES]);
-        let slot = &mut stripe[addr / IST_STRIPES];
+        let mut ist = lock(&self.ist);
+        ist.resize_with(self.cells.len(), IstSlot::default);
+        let slot = &mut ist[addr];
         match std::mem::take(slot) {
             IstSlot::Full(_) => Err(MemError::IStructureRewrite { addr: addr as u32 }),
             IstSlot::Empty => {
@@ -244,10 +236,10 @@ impl ParMemory {
 
     /// I-structure snapshot in address order (empty cells read as 0).
     pub(crate) fn ist_snapshot(&self) -> Vec<i64> {
-        let stripes: Vec<MutexGuard<'_, Vec<IstSlot>>> = self.ist.iter().map(lock).collect();
+        let ist = lock(&self.ist);
         (0..self.cells.len())
-            .map(|a| match &stripes[a % IST_STRIPES][a / IST_STRIPES] {
-                IstSlot::Full(v) => *v,
+            .map(|a| match ist.get(a) {
+                Some(IstSlot::Full(v)) => *v,
                 _ => 0,
             })
             .collect()
@@ -714,7 +706,7 @@ mod tests {
     fn par_memory_striping_is_addressable() {
         let mut t = VarTable::new();
         t.scalar("x");
-        let a = t.array("a", 40); // spans several stripes
+        let a = t.array("a", 40); // forty cells under the one lock
         let layout = MemLayout::distinct(&t);
         let m = ParMemory::new(&layout);
         for i in 0..40 {

@@ -7,7 +7,10 @@
 //! serving session ([`serve`]) keeps the scheduler open on a thread of
 //! its own while its caller submits requests. Both go through the same
 //! admission, token processing, quiescence detection and failure
-//! classification.
+//! classification. What a token does when it arrives — fire its operator
+//! or wait in a rendezvous slot — is the simulator's rule: the arrival
+//! rule and slot table of [`crate::compiled`], with one table per shard
+//! here. The engine decides only when and where a token is handled.
 //!
 //! Which thread runs which worker: a solo run on a 1-worker pool runs
 //! that worker on the calling thread, with no hand-off to the pool
@@ -83,8 +86,8 @@
 
 use crate::chaos::{ChaosConfig, ChaosTallies};
 use crate::compiled::{
-    fire_op, key_inv, loop_entry_tag, unkey_inv, CKind, CompiledGraph, Engine, FireInputs,
-    FireVals, SlotVals,
+    arrive, fire_op, key_inv, unkey_inv, Arrival, CompiledGraph, Engine, FireInputs, Joined,
+    SlotTable,
 };
 use crate::exec::MachineError;
 use crate::hash::{shard64, FxHashMap};
@@ -98,7 +101,6 @@ use crate::trace::TraceEvent;
 use cf2df_cfg::{LoopId, MemLayout, VarId};
 use cf2df_dfg::{OpId, Port};
 use std::cell::UnsafeCell;
-use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
@@ -299,15 +301,6 @@ struct ServeState {
     dead: Option<MachineError>,
 }
 
-/// One shard of the shared rendezvous table.
-#[derive(Default)]
-struct Shard {
-    map: FxHashMap<u64, SlotVals>,
-    /// The most entries `map` has held at once — what its capacity grew
-    /// to. Exact under the shard's lock; read once, when the run ends.
-    high: u64,
-}
-
 /// One worker's private state: the same-batch rendezvous fast path, the
 /// per-invocation tallies settled at the end of each batch, and the
 /// worker's share of the session's counters. Only its own worker locks
@@ -439,7 +432,7 @@ struct Session<'g> {
     solo: bool,
     /// Rendezvous slots shared by all invocations, keyed by
     /// [`key_inv`]; sharded by [`shard64`].
-    slots: Vec<Mutex<Shard>>,
+    slots: Vec<Mutex<SlotTable>>,
     /// Worker-local fast-path state, batch tallies and fault streams,
     /// indexed by worker.
     locals: Vec<Mutex<WorkerLocal>>,
@@ -469,7 +462,7 @@ impl<'g> Session<'g> {
             tag_cap: split.tag_cap().min(cfg.tag_cap),
             fuel: cfg.fuel,
             solo,
-            slots: std::iter::repeat_with(|| Mutex::new(Shard::default()))
+            slots: std::iter::repeat_with(|| Mutex::new(SlotTable::default()))
                 .take(SLOT_SHARDS)
                 .collect(),
             locals: (0..n_workers)
@@ -630,22 +623,8 @@ impl Session<'_> {
         // reach zero. With none parked, no shard is locked.
         let occupied = self.inv[inv as usize].n.parked.load(Ordering::Relaxed) > 0;
         for shard in self.slots.iter().filter(|_| occupied) {
-            let mut shard = lock(shard);
-            shard.map.retain(|&k, vals| {
-                let (op, k_inv, tag) = unkey_inv(k, self.split);
-                if k_inv != inv {
-                    return true;
-                }
-                parked += 1;
-                if pending.len() < 32 {
-                    pending.push(format!(
-                        "{} {op:?} tag {} waiting (filled ports {:?})",
-                        self.cg.mnemonic(op),
-                        core.tags.render(tag),
-                        vals.filled_ports(),
-                    ));
-                }
-                false
+            parked += lock(shard).purge(self.cg, self.split, inv, &mut pending, 32, |tag| {
+                core.tags.render(tag)
             });
         }
         pending.sort();
@@ -796,7 +775,7 @@ impl Session<'_> {
 
     /// Each shard's high-water mark, read once the run is over.
     fn slot_marks(&self) -> Vec<u64> {
-        self.slots.iter().map(|s| lock(s).high).collect()
+        self.slots.iter().map(|s| lock(s).high_water()).collect()
     }
 
     /// Run the scheduler on `pool` until it drains or halts, under the
@@ -861,22 +840,13 @@ impl Session<'_> {
     }
 }
 
-/// What a rendezvous deposit produced.
-enum Deposit {
-    /// The slot completed; fire with these values.
-    Fire(FireVals),
-    /// Parked as a partial slot.
-    Wait,
-    /// The port was already filled — a token collision.
-    Collision,
-}
-
 /// One token's processing on a worker, and the engine side of the shared
-/// firing kernel ([`fire_op`]): operator semantics live in the kernel,
-/// once, for both backends; this supplies the concurrent effects —
-/// emission through the fast-path pair map onto the run queue,
-/// the invocation's atomic/striped memory and sharded tag interner,
-/// halt marking only this invocation's End.
+/// arrival rule and firing kernel ([`fire_op`]): the waiting-matching
+/// rule and operator semantics live in [`crate::compiled`], once, for
+/// both backends; this supplies the concurrent effects — the shard of
+/// the shared slot table a token joins, emission through the fast-path
+/// pair map onto the run queue, the invocation's memory and sharded tag
+/// interner, halt marking only this invocation's End.
 struct Firing<'a, 'g> {
     sh: &'a Session<'g>,
     ctx: &'a Ctx<Token>,
@@ -886,101 +856,36 @@ struct Firing<'a, 'g> {
 }
 
 impl Firing<'_, '_> {
+    /// Route one token by the shared arrival rule: fire its operator now,
+    /// or join its slot in the shared table, charging a wait to `merged`
+    /// and a slot that opens or fills to `parked`. A fused loop-switch's
+    /// wait counts as `merged` too — the same wait the unfused switch's
+    /// rendezvous recorded — so fused and unfused runs agree on `merged`
+    /// while the loop-entry's separate firing and output token are
+    /// elided.
     fn process(&mut self, t: Token) {
-        let op = t.to.op;
-        let port = t.to.port as usize;
         let cg = self.sh.cg;
-        let desc = cg.desc(op);
-        let loop_switch = matches!(desc.kind, CKind::LoopSwitch(_));
-        let (tag, idx) = match desc.kind {
-            // The rendezvous of a fused loop-entry/switch pair: a token on
-            // port 0 or 1 is retagged by the loop-entry's rule, then joins
-            // the predicate in value 0 of a two-value slot keyed by the
-            // *iteration* tag. The predicate (port 2) already carries that
-            // tag and fills value 1. The incomplete deposit counts as
-            // `merged` — the same wait the unfused switch's rendezvous
-            // recorded — so fused and unfused runs agree on `merged` while
-            // the loop-entry's separate firing and output token are elided.
-            CKind::LoopSwitch(loop_id) if port < 2 => {
-                match loop_entry_tag(self, op, port, t.tag, loop_id) {
-                    Ok(tag) => (tag, 0),
-                    Err(e) => return self.sh.fail_inv(self.inv, e),
-                }
-            }
-            CKind::LoopSwitch(_) => (t.tag, 1),
-            _ if desc.merge_like() => {
-                let inputs = FireInputs::Single {
-                    port,
-                    value: t.value,
-                };
-                return self.fire(op, t.tag, inputs);
-            }
-            _ if desc.live <= 1 => {
-                // Single live input: fires immediately, its values
-                // assembled in an inline stack buffer.
-                let vals = FireVals::from_imms(cg.imms(op), port, t.value, desc.is_hot());
-                return self.fire(op, t.tag, FireInputs::Full(vals.as_slice()));
-            }
-            _ => (t.tag, port),
+        let j = match arrive(cg, self, t.to, t.tag, t.value) {
+            Ok(Arrival::Fire(inputs)) => return self.fire(t.to.op, t.tag, inputs.as_fire()),
+            Ok(Arrival::Join(j)) => j,
+            Err(e) => return self.sh.fail_inv(self.inv, e),
         };
-        let k = key_inv(op, self.sh.split, self.inv, tag);
-        let fresh = || {
-            if loop_switch {
-                SlotVals::pair()
-            } else {
-                SlotVals::new(cg.imms(op), desc.is_hot())
-            }
-        };
-        match self.deposit(k, idx, t.value, fresh) {
-            Deposit::Fire(vals) => self.fire(op, tag, FireInputs::Full(vals.as_slice())),
-            Deposit::Wait => {}
-            Deposit::Collision => {
-                let tag = self.core.tags.render(tag);
-                self.sh
-                    .fail_inv(self.inv, MachineError::TokenCollision { op, port, tag });
-            }
-        }
-    }
-
-    /// Rendezvous one value in the shared table, charging a wait to
-    /// `merged` and an entry that parks or leaves to `parked`.
-    fn deposit(
-        &mut self,
-        k: u64,
-        idx: usize,
-        value: i64,
-        mk: impl FnOnce() -> SlotVals,
-    ) -> Deposit {
-        let mut guard = lock(&self.sh.slots[shard64(k, SLOT_SHARDS)]);
-        let shard = &mut *guard;
+        let k = key_inv(j.to.op, self.sh.split, self.inv, j.tag);
+        let tags = &self.core.tags;
+        let joined =
+            lock(&self.sh.slots[shard64(k, SLOT_SHARDS)]).join(cg, k, &j, |tag| tags.render(tag));
         let tally = &mut self.local.tallies[self.local.cur];
-        match shard.map.entry(k) {
-            Entry::Occupied(mut e) => {
-                let vals = e.get_mut();
-                if vals.is_filled(idx) {
-                    return Deposit::Collision;
-                }
-                vals.set(idx, value);
-                if vals.is_complete() {
-                    let vals = e.remove().into_vals();
-                    drop(guard);
-                    tally.parked -= 1;
-                    return Deposit::Fire(vals);
-                }
+        match joined {
+            Ok(Joined::Fire(vals)) => {
+                tally.parked -= 1;
+                self.fire(j.to.op, j.tag, vals.as_fire());
             }
-            Entry::Vacant(e) => {
-                let mut vals = mk();
-                vals.set(idx, value);
-                if vals.is_complete() {
-                    return Deposit::Fire(vals.into_vals());
-                }
-                e.insert(vals);
-                shard.high = shard.high.max(shard.map.len() as u64);
-                tally.parked += 1;
+            Ok(Joined::Wait { opened }) => {
+                tally.merged += 1;
+                tally.parked += i64::from(opened);
             }
+            Err(e) => self.sh.fail_inv(self.inv, e),
         }
-        tally.merged += 1;
-        Deposit::Wait
     }
 
     /// Fire every locally-completed join on the worker's ready stack;

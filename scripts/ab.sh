@@ -23,7 +23,11 @@
 #   unresolved  neither, and the base's own interquartile range is wider
 #               than the bound, so "no worse" cannot be told from noise;
 #   same        otherwise.
-# Raw values go to target/ab/<workload>-<sha>-<first-seed>.tsv.
+# Under the table it prints each arm's median host noise: the e2ebench
+# host probe (ms for a fixed simulator run when the run ended) and the
+# steal time the run saw (jiffies). Raw values, these included, go to
+# target/ab/<workload>-<sha>-<first-seed>.tsv. A run that fails stops
+# the script and prints the tail of its stderr.
 #
 # <rev> is extracted with `git archive` rather than checked out as a
 # worktree: an extracted tree is a plain directory, and leaves nothing
@@ -60,15 +64,25 @@ bin_change="$root/e2ebench/target/release/e2ebench"
 
 raw="$root/target/ab/$workload-${sha:0:12}-$seed.tsv"
 : > "$raw"
+errlog="$(mktemp)"
+trap 'rm -f "$errlog"' EXIT
 
 # One untraced run; appends "pair arm metric value" lines, with the
-# failed and attempted op counts as two more metrics.
+# failed and attempted op counts and the host-noise record (from the
+# line before the result) as more metrics.
 run() {
     local pair="$1" arm="$2" bin="$3" s="$4" out
-    if ! out="$("$bin" --workload "$workload" --seed "$s" --seconds "$seconds" --trace 0 2>/dev/null)"; then
-        echo "ab.sh: $arm run of pair $pair (seed $s) failed" >&2
+    if ! out="$("$bin" --workload "$workload" --seed "$s" --seconds "$seconds" --trace 0 2>"$errlog")"; then
+        echo "ab.sh: $arm run of pair $pair (seed $s) failed; the tail of its stderr:" >&2
+        tail -n 20 "$errlog" >&2
         exit 1
     fi
+    printf '%s\n' "$out" | tail -n 2 | head -n 1 | awk -v pair="$pair" -v arm="$arm" '{
+        for (i = 1; i <= NF; i++) {
+            split($i, kv, "=")
+            if ((kv[1] == "host_probe_ms" || kv[1] == "steal_jiffies") && kv[2] ~ /^[0-9.]+$/) print pair, arm, kv[1], kv[2]
+        }
+    }' >> "$raw"
     printf '%s\n' "$out" | tail -n 1 | awk -v pair="$pair" -v arm="$arm" '{
         if ($0 !~ /"correct":true/) print "ab.sh: " arm " run of pair " pair " is not correct" > "/dev/stderr"
         line = $0
@@ -152,6 +166,11 @@ printf '%s\n' "$spec" | awk -v raw="$raw" -v pairs="$pairs" '
         printf "%-18s %12.6g %12.6g %12.6g %12.6g %3d/%-3d  %s\n", m, mb, q1, q3, mc, won, pairs, verdict
     }
     END {
+        split("host_probe_ms steal_jiffies", noise, " ")
+        for (k = 1; k <= 2; k++) {
+            nb = sorted("base", noise[k], b); nc = sorted("change", noise[k], c)
+            if (nb && nc) printf "%s median: base %g, change %g\n", noise[k], q(b, nb, 0.5), q(c, nc, 0.5)
+        }
         printf "base: %d ops attempted, %d failed\n", att["base"], fl["base"]
         printf "change: %d ops attempted, %d failed\n", att["change"], fl["change"]
         if (share_change > share_base) print "WORSE: the change failed a larger share of its operations than the base"

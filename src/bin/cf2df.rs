@@ -34,8 +34,8 @@
 //! an unreadable file, and 141 when stdout closes early (e.g.
 //! `cf2df compare fig9 | head -3`): the output then ends quietly, as for
 //! a process ended by SIGPIPE. A closed stderr drops the diagnostics and
-//! leaves the status as it is. A zero `--workers` or `--inflight` is a
-//! usage error.
+//! leaves the status as it is. A zero `--workers`, `--inflight`,
+//! `--processors`, `--mem-latency` or `--op-latency` is a usage error.
 //!
 //! `translate --time-passes` prints a per-pass table on stderr: wall
 //! time, analyses computed vs. served from the cache, and CFG/DFG sizes
@@ -203,10 +203,10 @@ fn number<T: std::str::FromStr>(name: &str, v: &str) -> T {
     })
 }
 
-/// `n` as a width (a worker count, an admission window); zero is a
-/// usage error.
-fn width(name: &str, n: usize) -> usize {
-    if n == 0 {
+/// `n` as a count that must be positive (a worker count, an admission
+/// window, a processor count, a latency); zero is a usage error.
+fn positive<T: PartialEq + Default>(name: &str, n: T) -> T {
+    if n == T::default() {
         errln!("{name} must be at least 1");
         exit(2)
     }
@@ -252,14 +252,14 @@ fn parse_schema(args: &mut Args) -> TranslateOptions {
 
 fn parse_machine(args: &mut Args) -> MachineConfig {
     let mut mc = match args.number("--processors") {
-        Some(p) => MachineConfig::with_processors(p),
+        Some(p) => MachineConfig::with_processors(positive("--processors", p)),
         None => MachineConfig::unbounded(),
     };
     if let Some(l) = args.number("--mem-latency") {
-        mc = mc.mem_latency(l);
+        mc = mc.mem_latency(positive("--mem-latency", l));
     }
     if let Some(l) = args.number("--op-latency") {
-        mc = mc.op_latency(l);
+        mc = mc.op_latency(positive("--op-latency", l));
     }
     mc
 }
@@ -321,7 +321,7 @@ fn run_chaos(mut args: Args) {
     let workers: Vec<usize> = match args.value("--workers") {
         Some(w) => w
             .split(',')
-            .map(|x| width("--workers", number("--workers", x)))
+            .map(|x| positive("--workers", number("--workers", x)))
             .collect(),
         None if quick => vec![2, 8],
         None => vec![1, 2, 4, 8],
@@ -521,8 +521,8 @@ fn run_serve(mut args: Args) {
     let requests: usize = args
         .number("--requests")
         .unwrap_or(if quick { 32 } else { 256 });
-    let inflight = width("--inflight", args.number("--inflight").unwrap_or(4));
-    let workers = width("--workers", args.number("--workers").unwrap_or(4));
+    let inflight = positive("--inflight", args.number("--inflight").unwrap_or(4));
+    let workers = positive("--workers", args.number("--workers").unwrap_or(4));
     let opts = parse_schema(&mut args);
     let program = if args.rest.is_empty() {
         "running_example".to_owned()

@@ -465,8 +465,9 @@ fn closed_stderr_drops_the_diagnostics() {
     assert_eq!(out.status.code(), Some(2));
 }
 
-/// A zero worker count or admission window is a usage error naming the
-/// flag, not a run that reports the requested width while using another.
+/// A zero worker count, admission window, processor count or latency is
+/// a usage error naming the flag, not a run that silently uses another
+/// value.
 #[test]
 fn zero_widths_are_usage_errors() {
     for (args, flag) in [
@@ -480,6 +481,18 @@ fn zero_widths_are_usage_errors() {
         ),
         (&["chaos", "--quick", "--workers", "0"], "--workers"),
         (&["chaos", "--quick", "--workers", "2,0"], "--workers"),
+        (
+            &["run", "running_example", "--processors", "0"],
+            "--processors",
+        ),
+        (
+            &["run", "running_example", "--mem-latency", "0"],
+            "--mem-latency",
+        ),
+        (
+            &["compare", "running_example", "--op-latency", "0"],
+            "--op-latency",
+        ),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_cf2df"))
             .args(args)

@@ -103,10 +103,12 @@ fn metrics_are_self_consistent_across_the_corpus() {
 }
 
 /// The no-steal pathology regression test: on the largest bench
-/// workload, round-robin seeding plus steal-half must give *every*
-/// worker real work. (The executor artifact once showed siblings with
-/// `processed: 0, steals: 0, parks: 0` at 2–8 workers because the lone
-/// injector queue fed only worker 0.)
+/// workload, *every* worker must get real work. The start tokens all
+/// enter through the injector; the start-up donation hands each idle
+/// sibling a token of its own, and steal-half spreads the rest. (The
+/// executor artifact once showed siblings with `processed: 0, steals: 0,
+/// parks: 0` at 2–8 workers because the lone injector queue fed only
+/// worker 0.)
 #[test]
 fn every_worker_processes_tokens_on_loop_nest() {
     let src = cf2df::bench::workloads::loop_nest(3, 6);
@@ -125,11 +127,15 @@ fn every_worker_processes_tokens_on_loop_nest() {
     }
 }
 
-/// The fast-path regression test: locality-aware seeding must keep the
-/// worker-local two-input rendezvous fast path alive at *every* width.
-/// (The quick executor artifact once showed `fast_path_fires` collapsing
-/// from 48 to 0 on `loop_nest` at 8 workers because round-robin seeding
-/// spread the halves of each join across different workers.)
+/// The fast-path regression test: the worker-local two-input rendezvous
+/// fast path must stay alive at *every* width. The start-up donation,
+/// which feeds every worker here, hands single tokens to idle siblings
+/// and can so put the two halves of a join on different workers; that is
+/// why this test still fails now and then under `schema2-unfused` at 4
+/// or 8 workers. (The quick executor artifact once showed
+/// `fast_path_fires` collapsing from 48 to 0 on `loop_nest` at 8 workers
+/// because round-robin seeding, since removed, spread the halves of each
+/// join across different workers.)
 #[test]
 fn fast_path_fires_at_every_width_on_join_heavy_graphs() {
     let src = cf2df::bench::workloads::loop_nest(3, 6);

@@ -334,3 +334,40 @@ fn lifo_schedule_is_equally_correct() {
         }
     }
 }
+
+/// The frame-capacity throttle on fused loop-switch slots: one slot
+/// short of its unbounded high-water mark, each of these fused loop
+/// graphs still completes, with the unbounded run's memory and never
+/// more slots than the capacity. At these capacities the throttle parks
+/// loop-switch tokens, which are routed again from scratch, retag and
+/// all, when a slot frees.
+#[test]
+fn throttled_loop_switch_slots_reach_the_unbounded_memory() {
+    use cf2df::lang::corpus::{FIB, GCD, HORNER};
+    for (name, src) in [("gcd", GCD), ("fib", FIB), ("horner", HORNER)] {
+        let parsed = parse_to_cfg(src).unwrap();
+        let opts = TranslateOptions::full_parallel_schema3();
+        let t = translate(&parsed.cfg, &parsed.alias, &opts).unwrap();
+        assert!(
+            t.dfg
+                .op_ids()
+                .any(|op| matches!(t.dfg.kind(op), cf2df::dfg::OpKind::LoopSwitch { .. })),
+            "{name} is fused into loop-switches"
+        );
+        let layout = MemLayout::distinct(&parsed.cfg.vars);
+        let inf = run(&t.dfg, &layout, MachineConfig::unbounded()).unwrap();
+        let cap = inf.stats.max_pending_slots as usize - 1;
+        let out = run(
+            &t.dfg,
+            &layout,
+            MachineConfig::unbounded().frame_capacity(cap),
+        )
+        .unwrap_or_else(|e| panic!("{name} at capacity {cap}: {e}"));
+        assert_eq!(out.memory, inf.memory, "{name} at capacity {cap}");
+        assert!(
+            out.stats.max_pending_slots <= cap as u64,
+            "{name}: {} slots at capacity {cap}",
+            out.stats.max_pending_slots
+        );
+    }
+}

@@ -2,11 +2,11 @@
 //! simulator over the whole corpus, at 1, 2, 4, and 8 workers.
 //!
 //! The threaded executor (`cf2df::machine::parallel`) runs tokens
-//! through the std-only work-stealing scheduler with sharded tags,
-//! striped I-structure memory, and atomic scalar cells; none of that
-//! may change what a program computes. For every corpus program and
-//! every translation level we run the deterministic simulator as the
-//! oracle and assert that the final ordinary memory, the final
+//! through the std-only work-stealing scheduler with sharded tags and
+//! slot tables, locked I-structure memory, and atomic scalar cells; none
+//! of that may change what a program computes. For every corpus program
+//! and every translation level we run the deterministic simulator as
+//! the oracle and assert that the final ordinary memory, the final
 //! I-structure memory, and the number of fired operators all match at
 //! every worker count.
 
