@@ -495,11 +495,11 @@ impl<'g, S: TraceSink> Sim<'g, S> {
     fn deposit(&mut self, t: Token) -> Result<(), MachineError> {
         let cg = self.cg;
         let j = match arrive(cg, self, t.to, t.tag, t.value)? {
-            Arrival::Fire(inputs) => {
+            Arrival::Fire => {
                 self.ready.push_back(Firing {
                     op: t.to.op,
                     tag: t.tag,
-                    inputs,
+                    inputs: FireVals::now(cg, t.to, t.value),
                 });
                 return Ok(());
             }

@@ -86,8 +86,8 @@
 
 use crate::chaos::{ChaosConfig, ChaosTallies};
 use crate::compiled::{
-    arrive, fire_op, key_inv, unkey_inv, Arrival, CompiledGraph, Engine, FireInputs, Joined,
-    SlotTable,
+    arrive, fire_op, key_inv, unkey_inv, Arrival, CompiledGraph, Engine, FireInputs, FireVals,
+    Joined, SlotTable,
 };
 use crate::exec::MachineError;
 use crate::hash::{shard64, FxHashMap};
@@ -866,7 +866,10 @@ impl Firing<'_, '_> {
     fn process(&mut self, t: Token) {
         let cg = self.sh.cg;
         let j = match arrive(cg, self, t.to, t.tag, t.value) {
-            Ok(Arrival::Fire(inputs)) => return self.fire(t.to.op, t.tag, inputs.as_fire()),
+            Ok(Arrival::Fire) => {
+                let vals = FireVals::now(cg, t.to, t.value);
+                return self.fire(t.to.op, t.tag, vals.as_fire());
+            }
             Ok(Arrival::Join(j)) => j,
             Err(e) => return self.sh.fail_inv(self.inv, e),
         };
