@@ -1005,9 +1005,9 @@ pub(crate) struct Join {
 pub(crate) enum Arrival {
     /// The operator fires on the token now, under the token's tag, with
     /// the values [`FireVals::now`] assembles. They are built where the
-    /// firing uses them: carried in this answer, their 136 bytes were
-    /// copied on every such token, which cost the threaded engine about
-    /// a tenth of its per-token time.
+    /// firing uses them, so that no token copies their 136 bytes through
+    /// this answer: on the threaded engine's per-token path such copies
+    /// are measurable.
     Fire,
     /// The token waits in a rendezvous slot until the slot fills.
     Join(Join),
