@@ -1088,6 +1088,11 @@ impl SlotTable {
     /// table. A token whose slot value is already filled is a
     /// [`MachineError::TokenCollision`] naming the token's port and the
     /// slot's tag, as `render` prints it.
+    ///
+    /// Always inlined: as a call, the slot's values came back through
+    /// memory on every completed join, and the simulator's per-firing
+    /// cost rose measurably.
+    #[inline(always)]
     pub(crate) fn join(
         &mut self,
         cg: &CompiledGraph,
