@@ -713,6 +713,8 @@ impl FireVals {
         if desc.merge_like() {
             return FireVals::Single { port, value };
         }
+        // clone() audit: inline for every fixed-arity operator; only a
+        // wider fan-in (never a hot kind) allocates, and the audit counts it.
         let imms = cg.imms(to.op);
         let n = imms.len();
         if n <= INLINE_VALS {
