@@ -5,17 +5,31 @@
 //! owns a run queue; a worker pushes the tasks it creates onto its own
 //! queue and pops them back LIFO for cache locality. The hot paths are
 //! *batched*: a worker takes up to [`BATCH`] tasks in one queue
-//! synchronization, runs the whole batch, and flushes every task the
-//! batch produced back onto its queue in a single push — one lock
+//! synchronization, runs them, and flushes every task the batch produced
+//! and did not run back onto its queue in a single push — one lock
 //! acquisition and at most one update of the shared in-flight count per
 //! batch instead of per task; per-worker statistics are thread-local
-//! arithmetic. A dry worker drains the global injector, then steals
-//! *half* of a sibling's queue — but only from queues at least
-//! [`STEAL_MIN`] deep. Shallow queues mark a narrow, mostly serial task chain;
-//! robbing them migrates the chain between workers (trashing locality
-//! and the executor's same-batch rendezvous fast path) without buying
-//! any parallelism. A queue holding fewer tasks than the floor keeps
-//! them for its owner.
+//! arithmetic.
+//!
+//! A batch *runs on*: once the tasks taken from the queues are done, the
+//! worker takes back the tasks the batch itself produced, newest first,
+//! and runs them too, up to [`RUN_ON_CAP`] tasks in all. On the narrow
+//! task chains a dataflow graph mostly is, a batch would otherwise hold a
+//! handful of tasks and pay the whole per-batch cost for each handful.
+//! Run-on only holds back work a sibling could use, so it is limited by
+//! one rule, whose inputs are sampled when the batch starts: while no
+//! sibling is parked or unfed the batch runs on to the cap; while one is,
+//! it runs on only while it buffers fewer than [`WAKE_THRESHOLD`] tasks,
+//! since a smaller flush would wake nobody. A task taken back never
+//! enters the queues or the in-flight count, and counts as a local pop.
+//!
+//! A dry worker drains the global injector, then steals *half* of a
+//! sibling's queue — but only from queues at least [`STEAL_MIN`] deep.
+//! Shallow queues mark a narrow, mostly serial task chain; robbing them
+//! migrates the chain between workers (trashing locality and the
+//! executor's same-batch rendezvous fast path) without buying any
+//! parallelism. A queue holding fewer tasks than the floor keeps them for
+//! its owner.
 //!
 //! Work enters only through the global injector, where the first worker
 //! to look takes up to a batch of it, and narrow graphs never fill queues
@@ -69,8 +83,11 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Condvar, Mutex, MutexGuard};
 
-/// Maximum tasks taken (and bodies run) per queue synchronization.
+/// Maximum tasks taken per queue synchronization.
 pub const BATCH: usize = 32;
+/// Maximum tasks one batch runs: the ones taken from the queues plus the
+/// ones it takes back from its own output.
+pub const RUN_ON_CAP: usize = 8 * BATCH;
 /// A flush that leaves the worker's queue at or above this length bumps
 /// the wake epoch so parked siblings come steal.
 pub const WAKE_THRESHOLD: usize = 16;
@@ -157,14 +174,31 @@ pub struct Scheduler<T> {
     park: Park,
 }
 
-/// Handle given to the task body to push follow-up work. Produced tasks
-/// are buffered and flushed to the worker's queue once per batch.
+/// Handle given to the task body, once per batch: the body pulls the
+/// batch's tasks with [`Ctx::next`] and pushes follow-up work with
+/// [`Ctx::push`]. Produced tasks the batch does not run itself are
+/// flushed to the worker's queue once per batch.
 pub struct Ctx<T> {
     /// Index of the worker running this batch; its queue takes the
     /// flushes.
     worker: usize,
-    /// Tasks produced by the current batch, flushed in one push.
-    buf: RefCell<Vec<T>>,
+    batch: RefCell<Batch<T>>,
+}
+
+/// The tasks of the batch a worker is running.
+struct Batch<T> {
+    /// Tasks taken from the queues and not yet handed out, next first.
+    queued: VecDeque<T>,
+    /// How many tasks were taken from the queues.
+    from_queues: usize,
+    /// Tasks the batch produced and did not take back, flushed in one
+    /// push.
+    produced: Vec<T>,
+    /// Produced tasks the batch took back and ran.
+    taken_back: usize,
+    /// A sibling was parked or unfed when the batch started: run on only
+    /// while fewer than [`WAKE_THRESHOLD`] tasks are buffered.
+    hungry: bool,
 }
 
 /// A panic payload as text: its message when it is a string.
@@ -284,7 +318,7 @@ impl<T: Send> Scheduler<T> {
     fn fill_batch(
         &self,
         w: usize,
-        batch: &mut Vec<T>,
+        batch: &mut VecDeque<T>,
         stats: &mut WorkerStats,
         force_steal: bool,
     ) -> usize {
@@ -299,7 +333,7 @@ impl<T: Send> Scheduler<T> {
             let mut inj = lock(&self.inject);
             let k = inj.len().min(BATCH);
             for _ in 0..k {
-                batch.push(inj.pop_front().expect("len checked"));
+                batch.push_back(inj.pop_front().expect("len checked"));
             }
             if k > 0 {
                 drop(inj);
@@ -327,7 +361,7 @@ impl<T: Send> Scheduler<T> {
             let k = stolen.len().min(BATCH);
             stats.steals += k as u64;
             for _ in 0..k {
-                batch.push(stolen.pop_front().expect("len checked"));
+                batch.push_back(stolen.pop_front().expect("len checked"));
             }
             // Surplus beyond one batch moves to our own queue, and is
             // tallied as a local pop when it is popped.
@@ -349,11 +383,11 @@ impl<T: Send> Scheduler<T> {
     }
 
     /// Pop up to [`BATCH`] newest tasks from worker `w`'s own queue.
-    fn pop_own(&self, w: usize, batch: &mut Vec<T>, stats: &mut WorkerStats) -> usize {
+    fn pop_own(&self, w: usize, batch: &mut VecDeque<T>, stats: &mut WorkerStats) -> usize {
         let mut q = lock(&self.queues[w]);
         let k = q.len().min(BATCH);
         for _ in 0..k {
-            batch.push(q.pop_back().expect("len checked"));
+            batch.push_back(q.pop_back().expect("len checked"));
         }
         if k > 0 {
             drop(q);
@@ -362,21 +396,24 @@ impl<T: Send> Scheduler<T> {
         k
     }
 
-    /// Retire a batch of `consumed` tasks: settle `pending` by the net
-    /// of the tasks the batch produced and consumed — one update, none
-    /// when the two are equal — then flush the produced tasks onto the
-    /// worker's queue in one push, bumping the wake epoch when the queue
-    /// crosses the wake threshold and somebody is parked. While some
-    /// worker has never been given work, one task is donated straight to
-    /// it instead (see `fed`).
+    /// Retire a batch that took `consumed` tasks from the queues: settle
+    /// `pending` by the net of the tasks the batch left produced and
+    /// consumed — one update, none when the two are equal — then flush
+    /// the produced tasks onto the worker's queue in one push, bumping
+    /// the wake epoch when the queue crosses the wake threshold and
+    /// somebody is parked. While some worker has never been given work,
+    /// one task is donated straight to it instead (see `fed`). A task
+    /// the batch took back from its own output was never counted in
+    /// `pending`, and is in neither count.
     ///
     /// The update precedes the push, so `pending` never undercounts: the
     /// batch's consumed tasks hold their place until the produced ones
-    /// are counted. It reaches zero only when the batch produced nothing
-    /// and no task exists anywhere, and then everyone is woken to
-    /// observe quiescence.
+    /// are counted. It reaches zero only when the batch left nothing
+    /// produced and no task exists anywhere, and then everyone is woken
+    /// to observe quiescence.
     fn flush(&self, ctx: &Ctx<T>, consumed: usize) {
-        let mut buf = ctx.buf.borrow_mut();
+        let mut batch = ctx.batch.borrow_mut();
+        let buf = &mut batch.produced;
         let m = buf.len();
         if m > consumed {
             self.pending.fetch_add(m - consumed, Ordering::SeqCst);
@@ -389,7 +426,7 @@ impl<T: Send> Scheduler<T> {
         if m == 0 {
             return;
         }
-        let donated = self.unfed.load(Ordering::SeqCst) > 0 && self.donate(ctx, &mut buf);
+        let donated = self.unfed.load(Ordering::SeqCst) > 0 && self.donate(ctx.worker, buf);
         let qlen = {
             let mut q = lock(&self.queues[ctx.worker]);
             q.extend(buf.drain(..));
@@ -408,9 +445,9 @@ impl<T: Send> Scheduler<T> {
     /// load in [`Scheduler::flush`] short-circuits the whole path —
     /// including this scan of plain atomic flags, which touches no queue
     /// locks — the moment every worker is fed.
-    fn donate(&self, ctx: &Ctx<T>, buf: &mut Vec<T>) -> bool {
+    fn donate(&self, w: usize, buf: &mut Vec<T>) -> bool {
         for (v, flag) in self.fed.iter().enumerate() {
-            if v == ctx.worker || flag.load(Ordering::SeqCst) {
+            if v == w || flag.load(Ordering::SeqCst) {
                 continue;
             }
             lock(&self.queues[v]).push_back(buf.pop().expect("flush checked buf is non-empty"));
@@ -423,14 +460,15 @@ impl<T: Send> Scheduler<T> {
     /// Run `body` over every task until the system drains or halts, on
     /// the pre-spawned `pool`, whose width must match the queue count.
     ///
-    /// `body` receives a [`Ctx`] (for pushing follow-up tasks) and a
-    /// batch of tasks, which it must fully drain. Workers exit when (a)
+    /// `body` is called once per batch with a [`Ctx`], and must pull
+    /// tasks with [`Ctx::next`] until it returns `None` (pushing
+    /// follow-up tasks with [`Ctx::push`]). Workers exit when (a)
     /// the run was halted ([`Scheduler::halt_external`], or a contained
     /// panic), or (b) `pending` reaches zero — every pushed task was
     /// processed and none can ever appear again.
     pub fn run_in<F>(&self, pool: &WorkerPool, body: F) -> Outcome
     where
-        F: Fn(&Ctx<T>, &mut Vec<T>) + Sync,
+        F: Fn(&Ctx<T>) + Sync,
     {
         self.run_job(pool, body, WorkerPool::run)
     }
@@ -440,7 +478,7 @@ impl<T: Send> Scheduler<T> {
     /// hand-off to the pool thread and no wait for it to finish.
     pub fn run_on_caller<F>(&self, pool: &WorkerPool, body: F) -> Outcome
     where
-        F: Fn(&Ctx<T>, &mut Vec<T>) + Sync,
+        F: Fn(&Ctx<T>) + Sync,
     {
         self.run_job(pool, body, WorkerPool::run_on_caller)
     }
@@ -454,7 +492,7 @@ impl<T: Send> Scheduler<T> {
         dispatch: fn(&WorkerPool, &(dyn Fn(usize) + Sync)) -> bool,
     ) -> Outcome
     where
-        F: Fn(&Ctx<T>, &mut Vec<T>) + Sync,
+        F: Fn(&Ctx<T>) + Sync,
     {
         assert_eq!(
             pool.workers(),
@@ -530,14 +568,19 @@ impl<T: Send> Scheduler<T> {
 
     fn worker_loop<F>(&self, w: usize, body: &F) -> WorkerStats
     where
-        F: Fn(&Ctx<T>, &mut Vec<T>) + Sync,
+        F: Fn(&Ctx<T>) + Sync,
     {
         let ctx = Ctx {
             worker: w,
-            buf: RefCell::new(Vec::new()),
+            batch: RefCell::new(Batch {
+                queued: VecDeque::with_capacity(BATCH),
+                from_queues: 0,
+                produced: Vec::new(),
+                taken_back: 0,
+                hungry: false,
+            }),
         };
         let mut stats = WorkerStats::default();
-        let mut batch: Vec<T> = Vec::with_capacity(BATCH);
         let mut first_batch = true;
         let mut chaos = self.chaos.map(|c| (c, Prng::for_worker(c.seed, w)));
         loop {
@@ -556,7 +599,12 @@ impl<T: Send> Scheduler<T> {
                 }
                 force_steal = c.force_steal_prob > 0.0 && rng.chance(c.force_steal_prob);
             }
-            let k = self.fill_batch(w, &mut batch, &mut stats, force_steal);
+            let k = self.fill_batch(
+                w,
+                &mut ctx.batch.borrow_mut().queued,
+                &mut stats,
+                force_steal,
+            );
             if k > 0 {
                 if first_batch {
                     // A worker that found work on its own (e.g. via the
@@ -566,23 +614,34 @@ impl<T: Send> Scheduler<T> {
                     self.mark_fed(w);
                 }
                 stats.batches += 1;
-                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    body(&ctx, &mut batch)
-                }));
+                {
+                    // The run-on rule's inputs, sampled once per batch.
+                    let mut batch = ctx.batch.borrow_mut();
+                    batch.from_queues = k;
+                    batch.taken_back = 0;
+                    batch.hungry = self.sleeper_count.load(Ordering::SeqCst) > 0
+                        || self.unfed.load(Ordering::SeqCst) > 0;
+                }
+                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&ctx)));
                 // Shared accounting must be settled on both exits: the
-                // batch's tasks leave `pending` (on the panic path the
-                // unrun remainder is gone — `Vec::drain`'s drop already
-                // emptied the vector — and counting them "processed"
-                // keeps processed + leftover covering every task), and
-                // everything the body produced *before* the fault is
-                // flushed so it shows up as queue leftover, not a leak.
-                debug_assert!(
-                    run.is_err() || batch.is_empty(),
-                    "body must drain its batch"
-                );
-                batch.clear(); // release-build safety: never reprocess
+                // tasks taken from the queues leave `pending` (on the
+                // panic path the unrun remainder is dropped, and counting
+                // it "processed" keeps processed + leftover covering
+                // every task), and everything the body produced and did
+                // not run *before* the fault is flushed so it shows up as
+                // queue leftover, not a leak.
+                let taken_back = {
+                    let mut batch = ctx.batch.borrow_mut();
+                    debug_assert!(
+                        run.is_err() || batch.queued.is_empty(),
+                        "body must drain its batch"
+                    );
+                    batch.queued.clear(); // release-build safety: never reprocess
+                    batch.taken_back
+                };
                 self.flush(&ctx, k);
-                stats.processed += k as u64;
+                stats.processed += (k + taken_back) as u64;
+                stats.local_pops += taken_back as u64;
                 if let Err(payload) = run {
                     // Contain the panic: record it, halt the run, and
                     // exit this worker with its stats intact.
@@ -643,13 +702,32 @@ impl<T: Send> Scheduler<T> {
 }
 
 impl<T: Send> Ctx<T> {
-    /// Push a follow-up task. It is buffered and lands on the current
-    /// worker's queue at the end of the batch, in one synchronization
-    /// with everything else the batch produced. Never fails, never
-    /// drops: the task is processed unless the whole run is explicitly
-    /// halted first.
+    /// The batch's next task: the tasks taken from the queues first, then
+    /// — the batch running on — the newest task it produced, until
+    /// [`RUN_ON_CAP`] tasks have run or, with a sibling hungry, until
+    /// [`WAKE_THRESHOLD`] tasks are buffered. `None` ends the batch.
+    pub fn next(&self) -> Option<T> {
+        let batch = &mut *self.batch.borrow_mut();
+        if let Some(t) = batch.queued.pop_front() {
+            return Some(t);
+        }
+        if batch.from_queues + batch.taken_back >= RUN_ON_CAP
+            || (batch.hungry && batch.produced.len() >= WAKE_THRESHOLD)
+        {
+            return None;
+        }
+        let t = batch.produced.pop()?;
+        batch.taken_back += 1;
+        Some(t)
+    }
+
+    /// Push a follow-up task. It is buffered and either taken back by
+    /// this batch or lands on the current worker's queue at the end of
+    /// the batch, in one synchronization with everything else the batch
+    /// produced. Never fails, never drops: the task is processed unless
+    /// the whole run is explicitly halted first.
     pub fn push(&self, t: T) {
-        self.buf.borrow_mut().push(t);
+        self.batch.borrow_mut().produced.push(t);
     }
 
     /// Index of the worker running the current batch.
@@ -843,9 +921,9 @@ mod tests {
     use std::sync::atomic::AtomicU64;
     use std::time::Duration;
 
-    fn for_each<T: Send>(body: impl Fn(&Ctx<T>, T) + Sync) -> impl Fn(&Ctx<T>, &mut Vec<T>) + Sync {
-        move |ctx, batch| {
-            for t in batch.drain(..) {
+    fn for_each<T: Send>(body: impl Fn(&Ctx<T>, T) + Sync) -> impl Fn(&Ctx<T>) + Sync {
+        move |ctx| {
+            while let Some(t) = ctx.next() {
                 body(ctx, t);
             }
         }
@@ -854,7 +932,7 @@ mod tests {
     impl<T: Send> Scheduler<T> {
         /// Run until the system drains or halts, on a fresh pool of this
         /// scheduler's width.
-        fn run_on_pool(&self, body: impl Fn(&Ctx<T>, &mut Vec<T>) + Sync) -> Outcome {
+        fn run_on_pool(&self, body: impl Fn(&Ctx<T>) + Sync) -> Outcome {
             self.run_in(&WorkerPool::new(self.queues.len()), body)
         }
     }
@@ -946,11 +1024,11 @@ mod tests {
             let injected: u64 = out.workers.iter().map(|w| w.injector_hits).sum();
             assert!(injected >= 1);
             // Batches are at least as coarse as tasks, never coarser
-            // than the batch cap allows.
+            // than the run-on cap allows.
             for w in &out.workers {
                 assert!(w.unparks <= w.parks);
                 assert!(w.batches <= w.processed.max(1));
-                assert!(w.processed <= w.batches * BATCH as u64);
+                assert!(w.processed <= w.batches * RUN_ON_CAP as u64);
             }
         }
     }
@@ -1025,7 +1103,7 @@ mod tests {
         }
         sched.pending.fetch_add(100, Ordering::SeqCst);
         let mut stats = WorkerStats::default();
-        let mut batch = Vec::new();
+        let mut batch = VecDeque::new();
         let k = sched.fill_batch(1, &mut batch, &mut stats, false);
         // Worker 1 stole half the queue (50): one batch in hand, the
         // surplus relocated to its own queue. Only the batch counts as
@@ -1041,7 +1119,7 @@ mod tests {
         let lone: Scheduler<u32> = Scheduler::new(2);
         lock(&lone.queues[0]).push_back(7);
         lone.pending.fetch_add(1, Ordering::SeqCst);
-        let mut batch = Vec::new();
+        let mut batch = VecDeque::new();
         let k = lone.fill_batch(1, &mut batch, &mut stats, false);
         assert_eq!(k, 0, "the last task belongs to its owner");
         assert_eq!(lock(&lone.queues[0]).len(), 1);
@@ -1049,14 +1127,19 @@ mod tests {
 
     /// Park/unpark under a slow drip: consumers park repeatedly while an
     /// injector thread drips tasks in with pauses, and every drip wakes
-    /// the sleepers (injection always bumps the epoch).
+    /// the sleepers (injection always bumps the epoch). The drips start
+    /// when the task holding the run open signals that it runs: a drip
+    /// injected before a worker took that task would share its injector
+    /// batch, behind it, and never run.
     #[test]
     fn slow_drip_parks_and_wakes_repeatedly() {
         let sched: Scheduler<u32> = Scheduler::new(3);
         let sched = &sched;
         let seen = AtomicU64::new(0);
+        let (running, wait_running) = std::sync::mpsc::channel();
         std::thread::scope(|scope| {
             scope.spawn(move || {
+                wait_running.recv().expect("the holding task runs");
                 for i in 0..5u32 {
                     std::thread::sleep(Duration::from_millis(3));
                     sched.inject_batch([i]);
@@ -1066,6 +1149,7 @@ mod tests {
             sched.inject_batch([u32::MAX]);
             let out = sched.run_on_pool(for_each(|_ctx, v| {
                 if v == u32::MAX {
+                    running.send(()).expect("the dripper waits");
                     while seen.load(Ordering::Relaxed) < 5 {
                         std::thread::sleep(Duration::from_millis(1));
                     }
@@ -1104,6 +1188,78 @@ mod tests {
                 "worker {w} was never fed on a narrow chain: {out:?}"
             );
         }
+    }
+
+    /// Run-on: on one worker a serial chain runs [`RUN_ON_CAP`] tasks per
+    /// batch, each batch taking back the task it produced, and every task
+    /// still has exactly one source. Without run-on each task of the
+    /// chain was a batch of its own.
+    #[test]
+    fn a_serial_chain_runs_on_in_capped_batches() {
+        let n = 10 * RUN_ON_CAP as u64 + 5;
+        let sched: Scheduler<u64> = Scheduler::new(1);
+        sched.inject_batch([n - 1]);
+        let out = sched.run_on_pool(for_each(|ctx, v| {
+            if v > 0 {
+                ctx.push(v - 1);
+            }
+        }));
+        assert_eq!(out.processed, n);
+        assert_eq!(out.leftover, 0);
+        let w = &out.workers[0];
+        assert_eq!(w.batches, n.div_ceil(RUN_ON_CAP as u64), "{w:?}");
+        assert_eq!(w.injector_hits, 1, "{w:?}");
+        assert_eq!(w.local_pops, n - 1, "{w:?}");
+        assert_eq!(w.local_pops + w.injector_hits + w.steals, w.processed);
+    }
+
+    /// Run-on with a hungry sibling: while the other worker is parked,
+    /// the producer's batch runs on only until it buffers
+    /// [`WAKE_THRESHOLD`] tasks, then flushes them and wakes the
+    /// sibling, which runs some of them. The producer runs a chain whose
+    /// every link also pushes a leaf, so its buffer grows by one per
+    /// task: the first batch runs `WAKE_THRESHOLD - 1` tasks.
+    #[test]
+    fn run_on_stops_at_the_wake_threshold_for_a_parked_sibling() {
+        const LEAF: u32 = u32::MAX;
+        let links = 100u32;
+        let sched: Scheduler<u32> = Scheduler::new(2);
+        let sched = &sched;
+        sched.inject_batch([links - 1]);
+        // The tasks each batch ran, by worker, in order.
+        let ran: Vec<Mutex<Vec<usize>>> = (0..2).map(|_| Mutex::new(Vec::new())).collect();
+        let out = sched.run_on_pool(|ctx| {
+            let mut n = 0;
+            while let Some(v) = ctx.next() {
+                if v == links - 1 {
+                    // Produce only once the sibling has parked.
+                    while sched.sleeper_count.load(Ordering::SeqCst) == 0 {
+                        std::thread::yield_now();
+                    }
+                }
+                n += 1;
+                if v != LEAF && v > 0 {
+                    ctx.push(LEAF);
+                    ctx.push(v - 1);
+                }
+            }
+            lock(&ran[ctx.worker()]).push(n);
+        });
+        assert_eq!(out.processed, 2 * links as u64 - 1);
+        assert_eq!(out.leftover, 0);
+        let producer = out
+            .workers
+            .iter()
+            .position(|w| w.injector_hits == 1)
+            .expect("one worker took the chain's head");
+        let sibling = &out.workers[1 - producer];
+        assert_eq!(
+            lock(&ran[producer])[0],
+            WAKE_THRESHOLD - 1,
+            "the first batch stops at the threshold: {out:?}"
+        );
+        assert!(sibling.unparks >= 1, "the sibling was woken: {out:?}");
+        assert!(sibling.processed > 0, "the sibling ran tasks: {out:?}");
     }
 
     /// A held scheduler idles (workers park, nothing exits) across gaps

@@ -506,14 +506,15 @@ impl Session<'_> {
         slot.failed_flag.store(true, Ordering::SeqCst);
     }
 
-    /// Run one batch: process every token (each inside its own
-    /// `catch_unwind`, so an operator panic fails only its invocation),
-    /// flush unpaired fast-path halves, then settle each touched
-    /// invocation's counts.
-    fn run_batch(&self, ctx: &Ctx<Token>, batch: &mut Vec<Token>) {
+    /// Run one batch: process every token the scheduler hands out — the
+    /// ones it took from the queues, then the ones the batch produced and
+    /// runs on — each inside its own `catch_unwind`, so an operator panic
+    /// fails only its invocation; then flush unpaired fast-path halves
+    /// and settle each touched invocation's counts.
+    fn run_batch(&self, ctx: &Ctx<Token>) {
         let mut guard = lock(&self.locals[ctx.worker()]);
         let local = &mut *guard;
-        for t in batch.drain(..) {
+        while let Some(t) = ctx.next() {
             local.cur = self.tally(local, t.inv);
             local.tallies[local.cur].consumed += 1;
             let slot = &self.inv[t.inv as usize];
@@ -794,7 +795,7 @@ impl Session<'_> {
         watchdog: Option<Duration>,
     ) -> Outcome {
         let run = || {
-            let body = |ctx: &Ctx<Token>, batch: &mut Vec<Token>| self.run_batch(ctx, batch);
+            let body = |ctx: &Ctx<Token>| self.run_batch(ctx);
             if self.solo && pool.workers() == 1 {
                 sched.run_on_caller(&pool.pool, body)
             } else {
@@ -986,13 +987,17 @@ impl Firing<'_, '_> {
     /// invocation's [`MachineError::TokenLeak`]) or duplicated.
     /// Duplicates are only injected toward input port 0 of ops where the
     /// waiting-matching store can detect them (see `dup_ok`), and the
-    /// copy goes through the ordinary queue — not the fast path — so it
-    /// rendezvouses in the shared table like a genuinely mis-sent token
-    /// would. Port 0 only: a duplicate then either collides with its
-    /// original or parks unmatched, because no other duplicate can fill
-    /// the slot's other ports. Duplicates on two ports of one slot
-    /// could pair with each other after the genuine pair fired, and fire
-    /// the operator a second time with no collision to report.
+    /// copy is sent the way its original goes, like a token the emitter
+    /// sent twice: into the fast-path pair map for a fast-path join,
+    /// where the two meet at once and collide, and otherwise through the
+    /// queue into the shared table. A copy sent through the queue toward
+    /// a fast-path join would park in the shared table while its original
+    /// paired in the worker's map, unseen. Port 0 only: a duplicate then
+    /// either collides with its original or parks unmatched, because no
+    /// other duplicate can fill the slot's other ports. Duplicates on two
+    /// ports of one slot could pair with each other after the genuine
+    /// pair fired, and fire the operator a second time with no collision
+    /// to report.
     #[cold]
     #[inline(never)]
     fn emit_chaos(&mut self, op: OpId, out_port: usize, value: i64, tag: TagId) {
@@ -1011,12 +1016,7 @@ impl Firing<'_, '_> {
             {
                 ch.dups += 1;
                 self.local.tallies[self.local.cur].dups += 1;
-                self.push(Token {
-                    to,
-                    tag,
-                    inv: self.inv,
-                    value,
-                });
+                self.send(to, value, tag);
             }
             self.send(to, value, tag);
         }
@@ -1705,10 +1705,8 @@ mod tests {
         let pool = ExecutorPool::new(1);
         let sched: Scheduler<Bomb> = Scheduler::new(1);
         sched.inject_batch([Bomb]);
-        let out = catch_unwind(AssertUnwindSafe(|| {
-            sched.run_on_caller(&pool.pool, |_, _| {})
-        }))
-        .expect("the caller does not unwind");
+        let out = catch_unwind(AssertUnwindSafe(|| sched.run_on_caller(&pool.pool, |_| {})))
+            .expect("the caller does not unwind");
         assert_eq!(
             out.panicked,
             Some((usize::MAX, "worker loop panicked".to_string()))

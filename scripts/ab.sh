@@ -20,8 +20,15 @@
 #               its operations than the base;
 #   WORSE       the change's median is worse than the base's by more
 #               than the metric's bound;
-#   unresolved  neither, and the base's own interquartile range is wider
-#               than the bound, so "no worse" cannot be told from noise;
+#   loss        the mirror of gain inside the bound: the change lost at
+#               least 9 of 10 pairs and its median is worse than the
+#               base's by more than the base's interquartile range;
+#   too few pairs
+#               the run would read gain or loss, but had fewer than 10
+#               pairs, too few for either;
+#   unresolved  none of these, and the base's own interquartile range
+#               is wider than the bound, so "no worse" cannot be told
+#               from noise;
 #   same        otherwise.
 # Under the table it prints each arm's median host noise: the e2ebench
 # host probe (ms for a fixed simulator run when the run ended) and the
@@ -150,17 +157,20 @@ printf '%s\n' "$spec" | awk -v raw="$raw" -v pairs="$pairs" '
         nb = sorted("base", m, b); nc = sorted("change", m, c)
         if (nb == 0 || nc == 0) next
         mb = q(b, nb, 0.5); mc = q(c, nc, 0.5); q1 = q(b, nb, 0.25); q3 = q(b, nb, 0.75)
-        won = 0; allbetter = 1
+        won = 0; lost = 0; allbetter = 1
         for (i = 0; i < pairs; i++) {
             if (!((i, "base", m) in v) || !((i, "change", m) in v)) continue
             x = v[i, "change", m]; y = v[i, "base", m]
             if (lower ? x < y : x > y) won++
+            if (lower ? x > y : x < y) lost++
         }
         for (i = 1; i <= nc; i++) for (j = 1; j <= nb; j++) if (lower ? c[i] >= b[j] : c[i] <= b[j]) allbetter = 0
         gain = lower ? mb - mc : mc - mb
         worse = mb == 0 ? 0 : -gain / (mb < 0 ? -mb : mb)
-        if (won * 10 >= 9 * pairs && gain > q3 - q1 && share_change <= share_base) verdict = "gain"
+        few = "too few pairs (" pairs " < 10)"
+        if (won * 10 >= 9 * pairs && gain > q3 - q1 && share_change <= share_base) verdict = pairs < 10 ? few : "gain"
         else if (worse > bound) verdict = "WORSE (" sprintf("%+.1f%%", 100 * worse) " > bound " bound ")"
+        else if (lost * 10 >= 9 * pairs && -gain > q3 - q1) verdict = pairs < 10 ? few : "loss (" sprintf("%+.1f%%", 100 * worse) ")"
         else if (mb != 0 && (q3 - q1) / (mb < 0 ? -mb : mb) > bound && !allbetter) verdict = "unresolved"
         else verdict = "same"
         printf "%-18s %12.6g %12.6g %12.6g %12.6g %3d/%-3d  %s\n", m, mb, q1, q3, mc, won, pairs, verdict
