@@ -79,7 +79,9 @@ pub struct WorkerStats {
     /// (two per [`WorkerStats::fast_path`] join), which never transit a
     /// run queue.
     pub processed: u64,
-    /// Pops from the worker's own run queue (the fast path).
+    /// Tasks from the worker's own work (the fast path): pops from its
+    /// run queue, and tasks a batch took back from its own output
+    /// without queueing them.
     pub local_pops: u64,
     /// Tasks taken from the global injector.
     pub injector_hits: u64,
@@ -94,13 +96,15 @@ pub struct WorkerStats {
     /// Parked episodes that ended because work appeared (as opposed to
     /// shutdown).
     pub unparks: u64,
-    /// Batches of tasks taken from the queues (each batch is one
-    /// synchronization, covering up to the scheduler's batch size in
-    /// tasks).
+    /// Batches run. A batch takes up to the scheduler's `BATCH` tasks from
+    /// the queues in one synchronization, then runs on through the tasks
+    /// it produced, up to `RUN_ON_CAP` tasks in all; it settles and
+    /// flushes once, at its end.
     pub batches: u64,
     /// Two-input operator firings completed through the worker-local
     /// same-batch rendezvous fast path, bypassing the sharded global
-    /// slot table. Filled in by the executor, not the scheduler.
+    /// slot table: both halves were produced within one run-on batch.
+    /// Filled in by the executor, not the scheduler.
     pub fast_path: u64,
     /// Fault-injected worker-local delays slept ([`crate::chaos`]);
     /// zero on ordinary runs.
@@ -129,8 +133,9 @@ pub struct ParMetrics {
     pub merged: u64,
     /// Two-input operator firings completed entirely inside one worker's
     /// batch: both input tokens were produced by the same worker in the
-    /// same batch and were joined locally, never touching a run queue or
-    /// the sharded rendezvous table. Each such join counts two tokens
+    /// same run-on batch, however many tokens apart, and were joined
+    /// locally, never touching a run queue or the sharded rendezvous
+    /// table. Each such join counts two tokens
     /// into [`ParMetrics::tokens_processed`] and one into
     /// [`ParMetrics::merged`], so the accounting invariant holds.
     pub fast_path_fires: u64,

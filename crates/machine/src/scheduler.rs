@@ -12,10 +12,13 @@
 //! arithmetic.
 //!
 //! A batch *runs on*: once the tasks taken from the queues are done, the
-//! worker takes back the tasks the batch itself produced, newest first,
+//! worker takes back the tasks the batch itself produced, oldest first,
 //! and runs them too, up to [`RUN_ON_CAP`] tasks in all. On the narrow
 //! task chains a dataflow graph mostly is, a batch would otherwise hold a
 //! handful of tasks and pay the whole per-batch cost for each handful.
+//! Oldest first keeps the batch breadth-first over its own output;
+//! newest first would run a loop ahead of the tasks it left behind,
+//! which in the executor wait as half-filled rendezvous slots.
 //! Run-on only holds back work a sibling could use, so it is limited by
 //! one rule, whose inputs are sampled when the batch starts: while no
 //! sibling is parked or unfed the batch runs on to the cap; while one is,
@@ -191,9 +194,9 @@ struct Batch<T> {
     queued: VecDeque<T>,
     /// How many tasks were taken from the queues.
     from_queues: usize,
-    /// Tasks the batch produced and did not take back, flushed in one
-    /// push.
-    produced: Vec<T>,
+    /// Tasks the batch produced and did not take back, oldest first,
+    /// flushed in one push.
+    produced: VecDeque<T>,
     /// Produced tasks the batch took back and ran.
     taken_back: usize,
     /// A sibling was parked or unfed when the batch started: run on only
@@ -445,12 +448,13 @@ impl<T: Send> Scheduler<T> {
     /// load in [`Scheduler::flush`] short-circuits the whole path —
     /// including this scan of plain atomic flags, which touches no queue
     /// locks — the moment every worker is fed.
-    fn donate(&self, w: usize, buf: &mut Vec<T>) -> bool {
+    fn donate(&self, w: usize, buf: &mut VecDeque<T>) -> bool {
         for (v, flag) in self.fed.iter().enumerate() {
             if v == w || flag.load(Ordering::SeqCst) {
                 continue;
             }
-            lock(&self.queues[v]).push_back(buf.pop().expect("flush checked buf is non-empty"));
+            lock(&self.queues[v])
+                .push_back(buf.pop_back().expect("flush checked buf is non-empty"));
             self.mark_fed(v);
             return true;
         }
@@ -575,7 +579,7 @@ impl<T: Send> Scheduler<T> {
             batch: RefCell::new(Batch {
                 queued: VecDeque::with_capacity(BATCH),
                 from_queues: 0,
-                produced: Vec::new(),
+                produced: VecDeque::new(),
                 taken_back: 0,
                 hungry: false,
             }),
@@ -703,9 +707,10 @@ impl<T: Send> Scheduler<T> {
 
 impl<T: Send> Ctx<T> {
     /// The batch's next task: the tasks taken from the queues first, then
-    /// — the batch running on — the newest task it produced, until
-    /// [`RUN_ON_CAP`] tasks have run or, with a sibling hungry, until
-    /// [`WAKE_THRESHOLD`] tasks are buffered. `None` ends the batch.
+    /// — the batch running on — the oldest task it produced and has not
+    /// run, until [`RUN_ON_CAP`] tasks have run or, with a sibling
+    /// hungry, until [`WAKE_THRESHOLD`] tasks are buffered. `None` ends
+    /// the batch.
     pub fn next(&self) -> Option<T> {
         let batch = &mut *self.batch.borrow_mut();
         if let Some(t) = batch.queued.pop_front() {
@@ -716,7 +721,7 @@ impl<T: Send> Ctx<T> {
         {
             return None;
         }
-        let t = batch.produced.pop()?;
+        let t = batch.produced.pop_front()?;
         batch.taken_back += 1;
         Some(t)
     }
@@ -727,7 +732,7 @@ impl<T: Send> Ctx<T> {
     /// produced. Never fails, never drops: the task is processed unless
     /// the whole run is explicitly halted first.
     pub fn push(&self, t: T) {
-        self.batch.borrow_mut().produced.push(t);
+        self.batch.borrow_mut().produced.push_back(t);
     }
 
     /// Index of the worker running the current batch.
@@ -1216,42 +1221,43 @@ mod tests {
     /// Run-on with a hungry sibling: while the other worker is parked,
     /// the producer's batch runs on only until it buffers
     /// [`WAKE_THRESHOLD`] tasks, then flushes them and wakes the
-    /// sibling, which runs some of them. The producer runs a chain whose
-    /// every link also pushes a leaf, so its buffer grows by one per
-    /// task: the first batch runs `WAKE_THRESHOLD - 1` tasks.
+    /// sibling, which runs some of them. The producer runs a binary tree
+    /// (each task above the leaves pushes two children), level by level
+    /// since a batch takes back its oldest task first: after the first
+    /// `WAKE_THRESHOLD - 1` tasks, the tree's top four levels, the next
+    /// level's 16 tasks are buffered and the first batch ends.
     #[test]
     fn run_on_stops_at_the_wake_threshold_for_a_parked_sibling() {
-        const LEAF: u32 = u32::MAX;
-        let links = 100u32;
+        let depth = 7u32;
         let sched: Scheduler<u32> = Scheduler::new(2);
         let sched = &sched;
-        sched.inject_batch([links - 1]);
+        sched.inject_batch([depth]);
         // The tasks each batch ran, by worker, in order.
         let ran: Vec<Mutex<Vec<usize>>> = (0..2).map(|_| Mutex::new(Vec::new())).collect();
         let out = sched.run_on_pool(|ctx| {
             let mut n = 0;
             while let Some(v) = ctx.next() {
-                if v == links - 1 {
+                if v == depth {
                     // Produce only once the sibling has parked.
                     while sched.sleeper_count.load(Ordering::SeqCst) == 0 {
                         std::thread::yield_now();
                     }
                 }
                 n += 1;
-                if v != LEAF && v > 0 {
-                    ctx.push(LEAF);
+                if v > 0 {
+                    ctx.push(v - 1);
                     ctx.push(v - 1);
                 }
             }
             lock(&ran[ctx.worker()]).push(n);
         });
-        assert_eq!(out.processed, 2 * links as u64 - 1);
+        assert_eq!(out.processed, (1 << (depth + 1)) - 1);
         assert_eq!(out.leftover, 0);
         let producer = out
             .workers
             .iter()
             .position(|w| w.injector_hits == 1)
-            .expect("one worker took the chain's head");
+            .expect("one worker took the tree's root");
         let sibling = &out.workers[1 - producer];
         assert_eq!(
             lock(&ran[producer])[0],

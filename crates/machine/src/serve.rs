@@ -36,13 +36,17 @@
 //! expensive shared machinery (worker threads, run queues, rendezvous
 //! shards) is allocated once per session.
 //!
+//! A worker runs tokens in the scheduler's *run-on* batches
+//! ([`mod@crate::scheduler`]): the tokens it took from the queues, then
+//! the tokens the batch itself produced, oldest first, up to a cap.
 //! Two-input operators whose partner token is produced by the *same
 //! worker in the same batch* rendezvous in a worker-local pair map keyed
 //! like the shared table, and never touch the sharded table at all (the
-//! fast path, visible as [`ParMetrics::fast_path_fires`]); unpaired
-//! entries are flushed back to the ordinary queue at the end of every
-//! batch, so the shared table remains the single point of truth between
-//! batches.
+//! fast path, visible as [`ParMetrics::fast_path_fires`]); since a batch
+//! runs on along a narrow chain, the two halves of its joins mostly meet
+//! there. Unpaired entries are flushed back to the ordinary queue at the
+//! end of every batch, so the shared table remains the single point of
+//! truth between batches.
 //!
 //! Isolation invariants (pinned by the tests here and in
 //! `tests/chaos.rs` / `tests/parallel_equivalence.rs`):
@@ -61,7 +65,8 @@
 //! tallies what a batch did to each invocation it touched — tokens
 //! consumed and queued, firings, merges, macro firings, entries parked
 //! in the shared table, injected faults — in plain worker-local fields,
-//! and settles the tally once, at the end of the batch.
+//! and settles the tally once, at the end of the batch, however many
+//! tokens the batch ran.
 //!
 //! Quiescence is detected per invocation with a live-token count, settled
 //! with the rest of the tally: at the end of a batch each invocation's
@@ -69,7 +74,10 @@
 //! tokens the batch consumed, in one atomic step, after the tally's
 //! statistics and before the scheduler makes the queued tokens visible.
 //! A token is therefore counted from before anyone can take it until the
-//! batch that consumed it has settled, and the count reaching zero means
+//! batch that consumed it has settled. A token the batch produced and
+//! took back is both queued and consumed by it, so it never moves the
+//! count: like a fast-path pair, it is covered by the token whose firing
+//! produced it. The count reaching zero means
 //! no token of that invocation exists anywhere — queued, stolen, mid-fire
 //! or parked in a worker's pair map — and that every batch that touched
 //! the invocation has settled. At that point the slot is finalized: its
@@ -156,7 +164,8 @@ struct InvCounters {
     merged: AtomicU64,
     macro_fires: AtomicU64,
     ops_elided: AtomicU64,
-    /// Tokens taken off a run queue.
+    /// Tokens run by a batch: taken off a run queue, or taken back from
+    /// the batch's own output.
     processed: AtomicU64,
     /// Joins completed on the worker-local fast path.
     fast_path: AtomicU64,
@@ -304,7 +313,7 @@ struct ServeState {
 /// One worker's private state: the same-batch rendezvous fast path, the
 /// per-invocation tallies settled at the end of each batch, and the
 /// worker's share of the session's counters. Only its own worker locks
-/// it — once per batch — so the mutex is uncontended.
+/// it — once per run-on batch — so the mutex is uncontended.
 #[derive(Default)]
 struct WorkerLocal {
     /// Half-filled two-input rendezvous, keyed like the shared table
@@ -361,9 +370,11 @@ struct Tally {
     /// Firings this batch may make: the fuel the invocation's settled
     /// firings left when the tally was opened.
     fuel: u64,
-    /// Tokens taken off the run queue.
+    /// Tokens run: taken off a run queue, or taken back from the
+    /// batch's own output.
     consumed: u64,
-    /// Tokens queued (and so made live).
+    /// Tokens queued for a run queue, the ones the batch took back
+    /// included (those cancel against `consumed`).
     pushed: u64,
     fired: u64,
     /// Deposits that waited for a partner: one per fast-path join, one
@@ -371,7 +382,8 @@ struct Tally {
     merged: u64,
     macro_fires: u64,
     ops_elided: u64,
-    /// Fast-path joins: two tokens born and consumed within the batch.
+    /// Fast-path joins: two tokens born and consumed within the batch,
+    /// however far apart the batch ran on between them.
     fast: u64,
     /// Entries parked in the shared table minus entries completed there.
     parked: i64,
@@ -938,7 +950,8 @@ impl Firing<'_, '_> {
 
     /// Route one token to `to`: through the worker-local pair map when
     /// the destination is a fast-path two-input rendezvous, otherwise
-    /// onto the run queue. If this worker produced the partner token
+    /// into the batch's output, which the batch runs on or flushes onto
+    /// the run queue. If this worker produced the partner token
     /// earlier in the same batch, the two join right here — no run
     /// queue, no shared table, no cross-worker synchronization — and the
     /// completed firing is parked on the ready stack.

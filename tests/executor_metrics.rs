@@ -130,12 +130,15 @@ fn every_worker_processes_tokens_on_loop_nest() {
 /// The fast-path regression test: the worker-local two-input rendezvous
 /// fast path must stay alive at *every* width. The start-up donation,
 /// which feeds every worker here, hands single tokens to idle siblings
-/// and can so put the two halves of a join on different workers; that is
-/// why this test still fails now and then under `schema2-unfused` at 4
-/// or 8 workers. (The quick executor artifact once showed
-/// `fast_path_fires` collapsing from 48 to 0 on `loop_nest` at 8 workers
-/// because round-robin seeding, since removed, spread the halves of each
-/// join across different workers.)
+/// and can so put the two halves of a join on different workers; the
+/// worker left holding the chain still joins its halves locally because
+/// a batch runs on through the tokens it produced. When batches ended
+/// with the tokens taken from the queues, this test failed about half
+/// of its release runs under `schema2-unfused` at 4 or 8 workers. (The
+/// quick executor artifact once showed `fast_path_fires` collapsing from
+/// 48 to 0 on `loop_nest` at 8 workers because round-robin seeding,
+/// since removed, spread the halves of each join across different
+/// workers.)
 #[test]
 fn fast_path_fires_at_every_width_on_join_heavy_graphs() {
     let src = cf2df::bench::workloads::loop_nest(3, 6);
