@@ -36,9 +36,9 @@
 //! expensive shared machinery (worker threads, run queues, rendezvous
 //! shards) is allocated once per session.
 //!
-//! A worker runs tokens in the scheduler's *run-on* batches
-//! ([`mod@crate::scheduler`]): the tokens it took from the queues, then
-//! the tokens the batch itself produced, oldest first, up to a cap.
+//! A worker runs tokens in the scheduler's *run-on* batches: the tokens
+//! it took from the queues, then the tokens the batch itself produced,
+//! oldest first, up to a cap.
 //! Two-input operators whose partner token is produced by the *same
 //! worker in the same batch* rendezvous in a worker-local pair map keyed
 //! like the shared table, and never touch the sharded table at all (the
